@@ -10,23 +10,12 @@ from .baselines import (
     variant_flags,
 )
 from .config import ConfigError, apply_overrides, default_config, load_config, merge_config
-from .control import QueueState, drift_penalty_diagnostic, queue_update, realized_cost
-from .engine import (
-    LossRecord,
-    PathRecord,
-    RegretTracker,
-    RunSummary,
-    SlotMetrics,
-    hard_job_tagging,
-    regret_oracle,
-    run_experiment,
-    run_single,
-)
+from .control import QueueState, drift_penalty_diagnostic, queue_update
+from .engine import PathRecord, RegretTracker, RunSummary, SlotMetrics, run_experiment, run_single
 from .losses import (
     BaselineTable,
     DownstreamLossOracle,
     NodeJobView,
-    baseline_update,
     naive_estimate,
     variance_pair,
     vr_estimate,
@@ -40,7 +29,7 @@ from .placement import (
     marginal_gain,
     utility,
 )
-from .policy import ActionDistribution, ExpertGrid, ExpertTable, sample_action
+from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import NodeRef, Topology, TopologyError, build_topology
 from .workload import (
     ArrivalModel,
@@ -50,7 +39,6 @@ from .workload import (
     ModelSpec,
     TraceFormatError,
     Workload,
-    confidence,
     inference_error,
     load_trace,
 )

@@ -66,10 +66,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "exploration_rate": 0.1,
         "error_weight": 70.0,
         "baseline_ema_rate": 0.2,
-        "baseline_mode": "queue_aware",
         "thresholds": None,  # null -> uniform 11-point grid on [0, 1]
-        "reach_prob_distribution": "mixed",
-        "expected_loss_distribution": "raw",
     },
     "placement": {
         "kind": "greedy",
@@ -182,9 +179,6 @@ def _validate_learning(l: Mapping, prefix: str) -> None:
            f"{prefix}.error_weight", "must be nonnegative")
     _check(_is_number(l["baseline_ema_rate"]) and 0 < l["baseline_ema_rate"] <= 1,
            f"{prefix}.baseline_ema_rate", "must lie in (0, 1]")
-    _check(l["baseline_mode"] in ("queue_aware", "fed_mean", "is_decay", "fed_only"),
-           f"{prefix}.baseline_mode",
-           "must be 'queue_aware', 'fed_mean', 'is_decay' or 'fed_only'")
     if l["thresholds"] is not None:
         th = l["thresholds"]
         _check(isinstance(th, list) and len(th) >= 1
@@ -192,8 +186,6 @@ def _validate_learning(l: Mapping, prefix: str) -> None:
                and all(b > a for a, b in zip(th, th[1:])),
                f"{prefix}.thresholds",
                "must be a strictly increasing list within [0, 1] or null")
-    for key in ("reach_prob_distribution", "expected_loss_distribution"):
-        _check(l[key] in ("mixed", "raw"), f"{prefix}.{key}", "must be 'mixed' or 'raw'")
 
 
 def _validate_run(r: Mapping, prefix: str) -> None:

@@ -6,25 +6,17 @@ growth sublinear in the horizon is what enforces the long-term cost caps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .topology import Topology
-from .workload import Job
 
 
-def queue_update(q_n: float, realized_cost: float, gamma_tau: float) -> float:
+def queue_update(q_n: float, slot_cost: float, gamma_tau: float) -> float:
     """One slot of queue evolution: max(q + cost - budget, 0)."""
-    if q_n < 0 or realized_cost < 0:
-        raise ValueError("queue value and realized cost must be nonnegative")
-    return max(q_n + realized_cost - gamma_tau, 0.0)
-
-
-def realized_cost(
-    jobs_routed_in: Iterable[tuple[Job, str]], distance_factor: float = 1.0
-) -> float:
-    """Total inbound cost at a node for one slot: sum of offloaded job sizes."""
-    return sum(job.size_units * distance_factor for job, _ in jobs_routed_in)
+    if q_n < 0 or slot_cost < 0:
+        raise ValueError("queue value and slot cost must be nonnegative")
+    return max(q_n + slot_cost - gamma_tau, 0.0)
 
 
 def drift_penalty_diagnostic(
@@ -47,15 +39,13 @@ class QueueState:
     """Queue values for every node in layers 2..K, all starting at zero."""
 
     values: dict[str, float]
-    history_len: int = 0
-    history: list[dict[str, float]] = field(default_factory=list)
 
     @classmethod
-    def initial(cls, topo: Topology, history_len: int = 0) -> "QueueState":
+    def initial(cls, topo: Topology) -> "QueueState":
         values = {
             node.node_id: 0.0 for node in topo.nodes() if node.layer > 1
         }
-        return cls(values=values, history_len=history_len)
+        return cls(values=values)
 
     def snapshot(self) -> dict[str, float]:
         return dict(self.values)
@@ -70,7 +60,3 @@ class QueueState:
                 slot_costs.get(node_id, 0.0),
                 budgets[node_id],
             )
-        if self.history_len:
-            self.history.append(self.snapshot())
-            if len(self.history) > self.history_len:
-                self.history.pop(0)

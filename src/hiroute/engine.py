@@ -2,10 +2,12 @@
 
 One slot routes the arriving jobs layer by layer, then delivers feedback for
 jobs that reached the terminal layer, accumulates estimator losses and
-baselines, updates the virtual queues from the realized inbound costs, and
-emits one metrics row. Placements refresh on a fixed epoch grid when the
-greedy strategy is selected. All randomness flows from the run seed, so a
-(config, seed) pair reproduces its metrics stream byte for byte.
+baselines, refreshes the expert weights once, updates the virtual queues from
+the realized inbound costs, and emits one metrics row. Routing and learning
+within a slot therefore see the slot-start weights. Placements refresh on a
+fixed epoch grid when the greedy strategy is selected. All randomness flows
+from the run seed, so a (config, seed) pair reproduces its metrics stream
+byte for byte.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -54,11 +56,6 @@ from .workload import (
 )
 
 
-def hard_job_tagging(job: Job, model_ids: Iterable[str]) -> bool:
-    """A job is hard when every model answers it incorrectly."""
-    return job.is_hard(model_ids)
-
-
 @dataclass
 class SlotMetrics:
     """One row of the per-slot metrics stream."""
@@ -91,24 +88,13 @@ class PathRecord:
 
 
 @dataclass
-class LossRecord:
-    """Per (job, visited node) true losses retained for the regret oracle."""
-
-    job_id: str
-    node_id: str
-    task: str
-    realized: float
-    expert_losses: np.ndarray
-
-
-@dataclass
 class RunSummary:
     """Seed-level aggregates mirroring the benchmark's comparison columns."""
 
     seed: int
     policy: str
     error_rate: float
-    hit_rate: float
+    hit_rate: float | None  # None when the run saw no hard jobs
     feedback_rate: float
     avg_cost: dict[str, float]
     queue_over_horizon: dict[str, float]
@@ -195,24 +181,6 @@ class RegretTracker:
         return out
 
 
-def regret_oracle(
-    path_log: Sequence[PathRecord],
-    full_loss_log: Sequence[LossRecord],
-    entry_ids: set[str],
-    checkpoints: Sequence[int],
-) -> RegretTracker:
-    """Replay retained logs through a fresh tracker (job order = path order)."""
-    by_job: dict[str, list[LossRecord]] = {}
-    for record in full_loss_log:
-        by_job.setdefault(record.job_id, []).append(record)
-    tracker = RegretTracker(entry_ids, checkpoints)
-    for path in path_log:
-        for record in by_job.get(path.job_id, ()):
-            tracker.add(record.node_id, record.task, record.realized, record.expert_losses)
-        tracker.job_done()
-    return tracker
-
-
 def build_topology_from_config(cfg: Mapping[str, Any]) -> Topology:
     t = cfg["topology"]
     return build_topology(
@@ -257,14 +225,13 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
             else:
                 task_sizes[t] = tuple(w["text_size_range"])
     else:
-        models, trace_jobs = load_trace(w["trace_path"])
+        models, trace_jobs, modality = load_trace(w["trace_path"])
         sampler = TraceJobSampler(trace_jobs)
         tasks = sampler.tasks()
         size_ranges = {
             TEXT: tuple(w["text_size_range"]),
             VISION: tuple(w["vision_size_range"]),
         }
-        modality = _trace_modalities(trace_jobs, size_ranges)
         models = empirical_error_prob(models, trace_jobs, modality)
         hard_tasks = []
         task_sizes = {t: size_ranges[modality[t]] for t in tasks}
@@ -302,16 +269,6 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     )
 
 
-def _trace_modalities(jobs: Sequence[Job], size_ranges) -> dict[str, str]:
-    # Trace jobs carry their modality implicitly via size; records store it
-    # explicitly, but Job does not, so infer from the recorded sizes.
-    modality: dict[str, str] = {}
-    for job in jobs:
-        guess = VISION if job.size_units >= size_ranges[VISION][0] else TEXT
-        modality.setdefault(job.task_type, guess)
-    return modality
-
-
 def resolve_thresholds(cfg: Mapping[str, Any]) -> tuple[float, ...]:
     th = cfg["learning"]["thresholds"]
     return tuple(th) if th is not None else DEFAULT_THRESHOLDS
@@ -343,7 +300,6 @@ class _Run:
     """All mutable state for one (config, seed) simulation."""
 
     def __init__(self, cfg: Mapping[str, Any], seed: int, out_dir: str | None) -> None:
-        self.cfg = cfg
         self.seed = seed
         self.policy = cfg["policy"]
         self.learning = self.policy in LEARNING_KINDS
@@ -409,7 +365,6 @@ class _Run:
                 grids=grids,
                 tasks=self.workload.tasks,
                 ema_rate=cfg["learning"]["baseline_ema_rate"],
-                mode=cfg["learning"]["baseline_mode"],
             )
         else:
             prob = cfg["static"]["offload_prob"]
@@ -430,7 +385,6 @@ class _Run:
             {n.node_id for n in self.topo.entry_nodes()}, checkpoints
         )
         self.path_log: list[PathRecord] = []
-        self.loss_log: list[LossRecord] = []
         self.baseline_epoch_log: list[dict[str, Any]] = []
 
         # Totals
@@ -560,10 +514,9 @@ class _Run:
             record, hop_costs = self._route(job, t, view_of)
             for dest, cost in hop_costs.items():
                 slot_costs[dest] += cost
-            hard = hard_job_tagging(job, self.model_ids)
             slot_errors += record.exit_error
-            slot_hard += int(hard)
-            slot_hits += int(hard and record.reached_oracle)
+            slot_hard += int(record.hard)
+            slot_hits += int(record.hard and record.reached_oracle)
             slot_feedback += int(record.reached_oracle)
             routed.append((job, record, view_of))
             if self.record_paths:
@@ -586,6 +539,7 @@ class _Run:
                 self._learn_from(job, record, view_of, q_start)
                 if self.record_regret:
                     self.regret.job_done()
+            self.table.refresh_dirty()
 
         self.queues.apply_slot(slot_costs, self.topo.resource_budget)
         for node_id, cost in slot_costs.items():
@@ -660,7 +614,7 @@ class _Run:
                 reached_oracle=reached,
                 size_units=job.size_units,
                 exit_error=exit_error,
-                hard=hard_job_tagging(job, self.model_ids),
+                hard=job.is_hard(self.model_ids),
             ),
             hop_costs,
         )
@@ -673,37 +627,28 @@ class _Run:
         task = job.task_type
         visited = [n for n in record.path if not self.topo.is_terminal(n)]
         fb = record.reached_oracle
-        needs_recursion = fb or self.record_regret
         oracle = None
-        if needs_recursion:
+        if fb or self.record_regret:
             oracle = DownstreamLossOracle(
                 topo=self.topo,
                 view_of=view_of,
                 queue=q_start,
                 error_weight=self.v,
                 hop_cost=job.size_units * self.distance_factor,
-                reach_dist=self.cfg["learning"]["reach_prob_distribution"],
-                expected_dist=self.cfg["learning"]["expected_loss_distribution"],
             )
-        queue_aware = self.baselines.mode == "queue_aware"
         for i, node_id in enumerate(visited):
             grid = self.table.grids[node_id]
             beta = None
             if variant.use_baseline:
-                if queue_aware:
-                    view = view_of(node_id)
-                    mask = np.asarray(grid.thresholds) > view.confidence
-                    queue_row = np.array(
-                        [q_start.get(d, 0.0) for d in grid.destinations]
-                    )
-                    beta = self.baselines.plugin_values(
-                        node_id, task, mask, queue_row,
-                        hop_cost=job.size_units * self.distance_factor,
-                        error_weight=self.v,
-                        zero_downstream=variant.zero_downstream,
-                    )
-                else:
-                    beta = self.baselines.values(node_id, task)
+                view = view_of(node_id)
+                mask = np.asarray(grid.thresholds) > view.confidence
+                queue_row = np.array([q_start.get(d, 0.0) for d in grid.destinations])
+                beta = self.baselines.plugin_values(
+                    node_id, task, mask, queue_row,
+                    hop_cost=job.size_units * self.distance_factor,
+                    error_weight=self.v,
+                    zero_downstream=variant.zero_downstream,
+                )
             if fb:
                 rho = oracle.reach_prob(node_id)
                 losses = oracle.expert_loss_matrix(
@@ -713,40 +658,24 @@ class _Run:
                     self.baselines.count_violations(beta, losses)
                     estimate = (losses - beta) / rho + beta
                     self.table.accumulate_loss(node_id, task, estimate)
-                    if queue_aware:
-                        view = view_of(node_id)
-                        decompositions = [
-                            oracle.expected_loss_decomposition(d, self.queue_index)
-                            for d in grid.destinations
-                        ]
-                        self.baselines.update_hidden(
-                            node_id,
-                            task,
-                            view.local_error,
-                            down_base=np.array([d[0] for d in decompositions]),
-                        )
-                    else:
-                        self.baselines.update(node_id, task, losses, rho, fb=True)
+                    decompositions = [
+                        oracle.expected_loss_decomposition(d, self.queue_index)
+                        for d in grid.destinations
+                    ]
+                    self.baselines.update_hidden(
+                        node_id,
+                        task,
+                        view.local_error,
+                        down_base=np.array([d[0] for d in decompositions]),
+                    )
                 else:
                     self.table.accumulate_loss(node_id, task, losses / rho)
             elif variant.use_baseline:
                 self.table.accumulate_loss(node_id, task, beta.copy())
-                if not queue_aware:
-                    self.baselines.update(node_id, task, beta, 1.0, fb=False)
             if self.record_regret:
                 true_losses = oracle.expert_loss_matrix(node_id, grid, zero_downstream=False)
                 realized = self._realized_contribution(record, i, view_of, q_start, oracle, job)
                 self.regret.add(node_id, task, realized, true_losses)
-                if self.record_paths:
-                    self.loss_log.append(
-                        LossRecord(
-                            job_id=job.job_id,
-                            node_id=node_id,
-                            task=task,
-                            realized=realized,
-                            expert_losses=true_losses.copy(),
-                        )
-                    )
 
     def _realized_contribution(
         self, record: PathRecord, i: int, view_of, q_start, oracle, job: Job
@@ -768,7 +697,7 @@ class _Run:
             seed=self.seed,
             policy=self.policy,
             error_rate=self.total_errors / max(1, self.total_jobs_done),
-            hit_rate=(self.total_hits / self.total_hard) if self.total_hard else 0.0,
+            hit_rate=(self.total_hits / self.total_hard) if self.total_hard else None,
             feedback_rate=self.total_feedback / max(1, self.total_jobs_done),
             avg_cost={n: c / slots for n, c in sorted(self.total_cost.items())},
             queue_over_horizon={

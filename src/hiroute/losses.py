@@ -11,8 +11,7 @@ loss are provided:
 
 Both are exactly unbiased over the feedback Bernoulli; the second trades the
 importance weight's full magnitude for the residual against a task- and
-expert-conditioned baseline (see :class:`BaselineTable` for the maintained
-variants).
+expert-conditioned baseline (see :class:`BaselineTable`).
 
 The recursion helpers compute, per job, the probability of reaching the
 terminal layer from each node and the expected downstream loss of standing
@@ -62,28 +61,17 @@ def variance_pair(f: float, baseline: float, rho: float) -> tuple[float, float]:
 
 
 class BaselineTable:
-    """Task-conditioned baselines for the variance-reduced estimator.
+    """Queue-aware baselines for the variance-reduced estimator.
 
     Any baseline that is measurable at decision time cancels in expectation,
-    so all modes leave the estimator exactly unbiased; they differ in what
-    they track and how stably.
-
-    * ``queue_aware`` (default): a plug-in estimate of each expert's loss.
-      The parts of the loss that are observable when the job is routed (the
-      threshold indicator, the hop cost, the uplink queue values) enter
-      exactly; only the hidden quantities are EMA-estimated from feedback —
-      the local error rate and each destination's expected downstream loss.
-      Because queue values enter live, the baseline follows congestion
-      within a slot instead of waiting for the next terminal observation.
-    * ``fed_mean``: EMA toward the observed loss matrices on feedback.
-      Bounded by the observed loss range but frozen between observations.
-    * ``is_decay``: EMA over all visited jobs of the importance-weighted
-      sample 1_fb * loss / rho; unbiased for the expected loss but a single
-      small-rho observation inflates the baseline by 1/rho.
-    * ``fed_only``: EMA toward loss / rho on feedback only. The sample mean
-      is the expected loss inflated by one reach-probability factor, and a
-      small-rho observation followed by another feedback compounds to a
-      loss / rho^2 swing in the residual. Kept for comparison.
+    so the estimator stays exactly unbiased. The baseline is a plug-in
+    estimate of each expert's loss: the parts of the loss that are
+    observable when the job is routed (the threshold indicator, the hop
+    cost, the uplink queue values) enter exactly; only the hidden quantities
+    are EMA-estimated from feedback — the local error rate and each
+    destination's expected downstream loss. Because queue values enter live,
+    the baseline follows congestion within a slot instead of waiting for the
+    next terminal observation.
     """
 
     def __init__(
@@ -91,28 +79,17 @@ class BaselineTable:
         grids: Mapping[str, ExpertGrid],
         tasks: Sequence[str],
         ema_rate: float,
-        mode: str = "queue_aware",
     ) -> None:
         if not 0.0 < ema_rate <= 1.0:
             raise ValueError("EMA rate must lie in (0, 1]")
-        if mode not in ("queue_aware", "fed_mean", "is_decay", "fed_only"):
-            raise ValueError(
-                "baseline mode must be 'queue_aware', 'fed_mean', 'is_decay' or 'fed_only'"
-            )
         self.ema_rate = float(ema_rate)
-        self.mode = mode
-        self._values: dict[tuple[str, str], np.ndarray] = {
-            (node, task): np.zeros(grid.shape)
-            for node, grid in grids.items()
-            for task in tasks
-        }
-        # queue_aware hidden state per (node, task): the local error rate and
-        # each destination's queue-free expected downstream loss (the
+        # hidden state per (node, task): the local error rate and each
+        # destination's queue-free expected downstream loss (the
         # queue-dependent share of the downstream loss is deliberately left
         # out of the baseline: it is small, and chasing it through the
         # estimate stream adds churn without information)
         self._local_error: dict[tuple[str, str], float] = {
-            key: 0.0 for key in self._values
+            (node, task): 0.0 for node in grids for task in tasks
         }
         self._down_base: dict[tuple[str, str], np.ndarray] = {
             (node, task): np.zeros(len(grid.destinations))
@@ -120,21 +97,6 @@ class BaselineTable:
             for task in tasks
         }
         self.condition_violations = 0  # times a used baseline fell outside (0, 2f]
-
-    def values(self, node: str, task: str) -> np.ndarray:
-        return self._values[(node, task)]
-
-    def update(
-        self, node: str, task: str, losses: np.ndarray, rho: float, fb: bool
-    ) -> None:
-        """One EMA step for a visited job (see class docstring for modes)."""
-        current = self._values[(node, task)]
-        if fb:
-            target = losses if self.mode == "fed_mean" else losses / rho
-            current *= 1.0 - self.ema_rate
-            current += self.ema_rate * target
-        elif self.mode == "is_decay":
-            current *= 1.0 - self.ema_rate
 
     def plugin_values(
         self,
@@ -184,12 +146,6 @@ class BaselineTable:
         self.condition_violations += int(bad.sum())
 
 
-def baseline_update(
-    table: BaselineTable, key: tuple[str, str], f: np.ndarray, rho: float, fb: bool
-) -> None:
-    table.update(key[0], key[1], f, rho, fb)
-
-
 # Per-job view of one node used by the backward recursion.
 @dataclass(frozen=True)
 class NodeJobView:
@@ -203,10 +159,9 @@ class DownstreamLossOracle:
 
     ``view_of(node_id)`` must return the node's slot-start action
     distributions, realized local error, and confidence for the job; terminal
-    nodes are never queried. Which distribution (raw or mixed) feeds each
-    recursion is configurable; the defaults follow the sampling semantics:
-    the reach probability uses the mixed distribution actually sampled from,
-    the expected loss uses the raw expert aggregate.
+    nodes are never queried. The reach probability uses the mixed
+    distribution the route was actually sampled from, which keeps the
+    estimators unbiased; the expected loss uses the raw expert aggregate.
     """
 
     def __init__(
@@ -216,18 +171,12 @@ class DownstreamLossOracle:
         queue: Mapping[str, float],
         error_weight: float,
         hop_cost: float,
-        reach_dist: str = "mixed",
-        expected_dist: str = "raw",
     ) -> None:
-        if reach_dist not in ("mixed", "raw") or expected_dist not in ("mixed", "raw"):
-            raise ValueError("distribution selectors must be 'mixed' or 'raw'")
         self.topo = topo
         self.view_of = view_of
         self.queue = queue
         self.error_weight = float(error_weight)
         self.hop_cost = float(hop_cost)
-        self.reach_dist = reach_dist
-        self.expected_dist = expected_dist
         self._rho: dict[str, float] = {}
         self._fbar: dict[str, float] = {}
         self._decomp: dict[str, tuple[float, np.ndarray]] = {}
@@ -239,16 +188,11 @@ class DownstreamLossOracle:
         if self.topo.is_terminal(node_id):
             rho = 1.0
         else:
-            view = self.view_of(node_id)
-            probs = (
-                view.dists.mixed_offload
-                if self.reach_dist == "mixed"
-                else view.dists.raw_offload
-            )
+            dists = self.view_of(node_id).dists
             rho = float(
                 sum(
                     p * self.reach_prob(dest)
-                    for p, dest in zip(probs, view.dists.destinations)
+                    for p, dest in zip(dists.mixed_offload, dists.destinations)
                 )
             )
         if rho <= 0.0:
@@ -270,14 +214,8 @@ class DownstreamLossOracle:
             self._fbar[node_id] = 0.0
             return 0.0
         view = self.view_of(node_id)
-        if self.expected_dist == "mixed":
-            p_term = view.dists.mixed_terminate
-            p_off = view.dists.mixed_offload
-        else:
-            p_term = view.dists.raw_terminate
-            p_off = view.dists.raw_offload
-        total = self.error_weight * p_term * view.local_error
-        for p, dest in zip(p_off, view.dists.destinations):
+        total = self.error_weight * view.dists.raw_terminate * view.local_error
+        for p, dest in zip(view.dists.raw_offload, view.dists.destinations):
             total += p * (
                 self.queue.get(dest, 0.0) * self.hop_cost + self.expected_loss(dest)
             )
@@ -302,15 +240,9 @@ class DownstreamLossOracle:
             self._decomp[node_id] = result
             return result
         view = self.view_of(node_id)
-        if self.expected_dist == "mixed":
-            p_term = view.dists.mixed_terminate
-            p_off = view.dists.mixed_offload
-        else:
-            p_term = view.dists.raw_terminate
-            p_off = view.dists.raw_offload
-        base = self.error_weight * p_term * view.local_error
+        base = self.error_weight * view.dists.raw_terminate * view.local_error
         weights = np.zeros(len(queue_index))
-        for p, dest in zip(p_off, view.dists.destinations):
+        for p, dest in zip(view.dists.raw_offload, view.dists.destinations):
             down_base, down_weights = self.expected_loss_decomposition(dest, queue_index)
             base += p * down_base
             weights += p * down_weights
@@ -318,17 +250,6 @@ class DownstreamLossOracle:
         result = (float(base), weights)
         self._decomp[node_id] = result
         return result
-
-    def expert_loss(
-        self, node_id: str, expert: tuple[float, str], zero_downstream: bool = False
-    ) -> float:
-        """Full-feedback loss of one threshold-destination expert at this node."""
-        threshold, dest = expert
-        view = self.view_of(node_id)
-        if threshold <= view.confidence:
-            return self.error_weight * view.local_error
-        downstream = 0.0 if zero_downstream else self.expected_loss(dest)
-        return self.queue.get(dest, 0.0) * self.hop_cost + downstream
 
     def expert_loss_matrix(
         self, node_id: str, grid: ExpertGrid, zero_downstream: bool = False

@@ -58,16 +58,6 @@ class ActionDistribution:
         self.mixed_terminate = keep * self.raw_terminate + floor
         self.mixed_offload = keep * self.raw_offload + floor
 
-    def raw(self, action: str | int) -> float:
-        if action == 0:
-            return self.raw_terminate
-        return float(self.raw_offload[self.destinations.index(action)])
-
-    def mixed(self, action: str | int) -> float:
-        if action == 0:
-            return self.mixed_terminate
-        return float(self.mixed_offload[self.destinations.index(action)])
-
     def sample(self, rng: np.random.Generator) -> str | int:
         """Draw one action from the mixed distribution (0 = terminate)."""
         probs = np.concatenate(([self.mixed_terminate], self.mixed_offload))
@@ -76,21 +66,23 @@ class ActionDistribution:
 
 
 class _TableEntry:
-    __slots__ = ("cum_loss", "weights", "entropy", "dirty")
+    __slots__ = ("cum_loss", "weights", "entropy")
 
     def __init__(self, shape: tuple[int, int]) -> None:
         self.cum_loss = np.zeros(shape)
         self.weights = np.full(shape, 1.0 / (shape[0] * shape[1]))
         self.entropy = float(np.log(shape[0] * shape[1]))
-        self.dirty = False
 
 
 class ExpertTable:
     """Weights and cumulative losses for every (node, task) expert grid.
 
-    Weight refreshes happen between slots: a table is recomputed from its
-    cumulative losses the first time it is consulted after new losses were
-    accumulated, so all decisions within a slot see the slot-start weights.
+    Weight refreshes happen between slots: ``accumulate_loss`` only adds to
+    the cumulative losses, and ``refresh_dirty``, called once at the end of
+    each slot, recomputes the touched tables. All decisions and reach
+    probabilities within a slot therefore see the slot-start weights. Tables
+    refresh in the order they first accumulated, so the running entropy sum
+    is the same in every process.
     """
 
     def __init__(
@@ -113,7 +105,7 @@ class ExpertTable:
             for node, grid in self.grids.items()
             for task in self.tasks
         }
-        self._dirty: set[tuple[str, str]] = set()
+        self._dirty: dict[tuple[str, str], None] = {}
         self._entropy_sum = float(sum(e.entropy for e in self._entries.values()))
 
     def entry_keys(self) -> tuple[tuple[str, str], ...]:
@@ -134,15 +126,10 @@ class ExpertTable:
         self._entropy_sum -= entry.entropy
         entry.entropy = float(-(entry.weights * logs).sum())
         self._entropy_sum += entry.entropy
-        entry.dirty = False
-        self._dirty.discard((node, task))
         return entry.weights
 
     def weights(self, node: str, task: str) -> np.ndarray:
-        entry = self._entries[(node, task)]
-        if entry.dirty:
-            self.update_weights(node, task)
-        return entry.weights
+        return self._entries[(node, task)].weights
 
     def action_probs(self, node: str, task: str, z: float) -> ActionDistribution:
         """Aggregate expert weights into action probabilities given confidence z.
@@ -166,20 +153,15 @@ class ExpertTable:
         """Add one job's estimated losses for every expert of (node, task)."""
         if not np.all(np.isfinite(per_expert_losses)):
             raise ValueError(f"non-finite loss estimate at ({node}, {task})")
-        entry = self._entries[(node, task)]
-        entry.cum_loss += per_expert_losses
-        entry.dirty = True
-        self._dirty.add((node, task))
+        self._entries[(node, task)].cum_loss += per_expert_losses
+        self._dirty[(node, task)] = None
 
     def refresh_dirty(self) -> None:
-        for node, task in list(self._dirty):
+        """Recompute the weights of every table that accumulated losses."""
+        for node, task in self._dirty:
             self.update_weights(node, task)
+        self._dirty.clear()
 
     def mean_entropy(self) -> float:
         """Mean expert-weight entropy over all (node, task) tables."""
-        self.refresh_dirty()
         return self._entropy_sum / len(self._entries)
-
-
-def sample_action(dist: ActionDistribution, rng: np.random.Generator) -> str | int:
-    return dist.sample(rng)

@@ -9,30 +9,34 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 
-def mean_std(values: Sequence[float]) -> tuple[float, float]:
+def mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
+    """Mean and population std, or (None, None) for no values."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        return float("nan"), float("nan")
+        return None, None
     return float(arr.mean()), float(arr.std(ddof=0))
 
 
-def summarize_cell(summaries: Sequence[Mapping[str, Any]]) -> dict[str, float]:
-    """Mean and std of the comparison metrics across one cell's seeds."""
-    out: dict[str, float] = {"runs": len(summaries)}
+def summarize_cell(summaries: Sequence[Mapping[str, Any]]) -> dict[str, float | None]:
+    """Mean and std of the comparison metrics across one cell's seeds.
+
+    Null values are skipped: a run that saw no hard jobs has no hit rate.
+    A metric that is null in every run is null in the cell.
+    """
+    out: dict[str, float | None] = {"runs": len(summaries)}
     for metric in ("error_rate", "hit_rate", "feedback_rate"):
-        mean, std = mean_std([s[metric] for s in summaries])
+        mean, std = mean_std([s[metric] for s in summaries if s[metric] is not None])
         out[f"{metric}_mean"] = mean
         out[f"{metric}_std"] = std
     return out
 
 
-def format_table_row(label: str, cell: Mapping[str, float]) -> str:
-    return (
-        f"{label:<40s} "
-        f"feedback {cell['feedback_rate_mean']:.4f}  "
-        f"hit {cell['hit_rate_mean']:.4f}  "
-        f"error {cell['error_rate_mean']:.4f} ± {cell['error_rate_std']:.4f}"
-    )
+def format_table_row(label: str, cell: Mapping[str, float | None]) -> str:
+    fields = [f"feedback {cell['feedback_rate_mean']:.4f}"]
+    if cell["hit_rate_mean"] is not None:
+        fields.append(f"hit {cell['hit_rate_mean']:.4f}")
+    fields.append(f"error {cell['error_rate_mean']:.4f} ± {cell['error_rate_std']:.4f}")
+    return f"{label:<40s} " + "  ".join(fields)
 
 
 def write_table_csv(path: str, rows: Sequence[tuple[dict[str, Any], dict[str, float]]]) -> None:

@@ -74,6 +74,7 @@ def check_weight_simplex(rounds: int = 200) -> CheckResult:
     rng = np.random.default_rng(11)
     for _ in range(rounds):
         table.accumulate_loss("n", "y", rng.normal(0, 30, size=grid.shape))
+        table.refresh_dirty()
         w = table.weights("n", "y")
         if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w <= 0):
             return CheckResult("weight-simplex", False, "simplex violated")

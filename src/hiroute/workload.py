@@ -135,19 +135,6 @@ def best_loaded_accuracy(
     return best
 
 
-def confidence(
-    job: Job,
-    node: NodeRef,
-    loaded: Iterable[str],
-    table: ErrorTable,
-    cm: ConfidenceModel,
-    rng: np.random.Generator,
-) -> float:
-    """Draw the confidence score observed at ``node`` for ``job``."""
-    center = best_loaded_accuracy(table, job.task_type, loaded)
-    return confidence_from_noise(center, float(rng.standard_normal()), cm.noise_std)
-
-
 def confidence_from_noise(center: float, unit_noise: float, noise_std: float) -> float:
     """Clamp ``center + noise_std * unit_noise`` into [0, 1]."""
     return float(min(1.0, max(0.0, center + noise_std * unit_noise)))
@@ -434,14 +421,17 @@ def synthetic_catalog(
     return tasks, modality, models, tiers
 
 
-def load_trace(path: str) -> tuple[list[ModelSpec], list[Job]]:
+def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
     """Read a JSONL trace: a header object listing models, then job records.
 
-    Job records carry binary correctness per model. Violations raise
-    :class:`TraceFormatError` naming the offending line.
+    Returns the models, the jobs and each task's recorded modality. Job
+    records carry binary correctness per model, and every record of a task
+    must carry the same modality. Violations raise :class:`TraceFormatError`
+    naming the offending line.
     """
     models: list[ModelSpec] = []
     jobs: list[Job] = []
+    modality: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
@@ -474,6 +464,13 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job]]:
                 raise TraceFormatError(f"line {lineno}: missing field {key!r}")
         if record["modality"] not in (TEXT, VISION):
             raise TraceFormatError(f"line {lineno}: unknown modality {record['modality']!r}")
+        task = str(record["task_type"])
+        recorded = modality.setdefault(task, record["modality"])
+        if recorded != record["modality"]:
+            raise TraceFormatError(
+                f"line {lineno}: task {task!r} recorded as {record['modality']!r}, "
+                f"earlier as {recorded!r}"
+            )
         size = record["size_units"]
         if not isinstance(size, (int, float)) or size <= 0:
             raise TraceFormatError(f"line {lineno}: size_units must be positive")
@@ -497,13 +494,13 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job]]:
             Job(
                 job_id=str(record["job_id"]),
                 arrival_slot=-1,
-                task_type=str(record["task_type"]),
+                task_type=task,
                 entry_node=None,
                 size_units=float(size),
                 correctness=bits,
             )
         )
-    return models, jobs
+    return models, jobs, modality
 
 
 def _parse_json_line(line: str, lineno: int):

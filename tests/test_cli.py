@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hiroute.cli import main
+from hiroute.report import summarize_cell
 from hiroute.config import (
     ConfigError,
     apply_overrides,
@@ -168,6 +169,22 @@ class TestCmdReport:
         assert main(["run", "--config", path, "--out", out_dir]) == 0
         assert main(["report", "--out", out_dir]) == 0
         assert (tmp_path / "runs" / "report_table.csv").exists()
+
+    def test_null_hit_rate_skipped(self, tmp_path, capsys):
+        # without hard jobs the hit rate is undefined: null, not 0.0
+        path = small_cfg_file(tmp_path, workload={"hard_task_fraction": 0.0})
+        out_dir = tmp_path / "runs"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+        (summary,) = out_dir.glob("*/summary.json")
+        assert json.loads(summary.read_text())["hit_rate"] is None
+        assert main(["report", "--out", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "hit" not in out and "error" in out
+        cell = summarize_cell([
+            {"error_rate": 0.1, "hit_rate": None, "feedback_rate": 0.1},
+            {"error_rate": 0.2, "hit_rate": 0.5, "feedback_rate": 0.3},
+        ])
+        assert cell["runs"] == 2 and cell["hit_rate_mean"] == 0.5
 
     def test_empty_dir_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "none"

@@ -1,17 +1,8 @@
 import pytest
 
-from hiroute.control import (
-    QueueState,
-    drift_penalty_diagnostic,
-    queue_update,
-    realized_cost,
-)
+from hiroute.control import QueueState, drift_penalty_diagnostic, queue_update
 from hiroute.topology import build_topology
-from hiroute.workload import Job
-
-
-def job(size):
-    return Job("j", 0, "a", "n1_0", size, {"m": 1})
+from tests.test_engine import run_with_paths, small_config
 
 
 class TestQueueUpdate:
@@ -37,16 +28,25 @@ class TestQueueUpdate:
 
 
 class TestRealizedCost:
-    def test_no_inbound(self):
-        assert realized_cost([]) == 0.0
-
-    def test_sums_job_sizes(self):
-        inbound = [(job(3.0), "n1_0"), (job(12.0), "n1_1")]
-        assert realized_cost(inbound) == pytest.approx(15.0)
-
     def test_distance_factor(self):
-        inbound = [(job(3.0), "n1_0")]
-        assert realized_cost(inbound, distance_factor=2.0) == pytest.approx(6.0)
+        # a node's slot cost is the inbound job sizes times the distance
+        # factor, and the queue grows by that cost minus the budget
+        cfg = small_config()
+        cfg["run"]["total_jobs"] = 200
+        cfg["run"]["distance_factor"] = 2.0
+        run, metrics = run_with_paths(cfg)
+        inbound = {}
+        for rec in run.path_log:
+            for dest in rec.path[1:]:
+                key = (rec.slot, dest)
+                inbound[key] = inbound.get(key, 0.0) + rec.size_units
+        assert inbound
+        queues = {n: 0.0 for n in metrics[0].node_queues}
+        for m in metrics:
+            for node, cost in m.node_costs.items():
+                assert cost == pytest.approx(2.0 * inbound.get((m.slot, node), 0.0))
+                queues[node] = queue_update(queues[node], cost, run.topo.resource_budget[node])
+            assert m.node_queues == pytest.approx(queues)
 
 
 class TestDriftPenalty:

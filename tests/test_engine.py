@@ -1,21 +1,27 @@
 import copy
+import csv
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+import hiroute
 from hiroute.config import default_config
 from hiroute.engine import (
+    RegretTracker,
+    SlotMetrics,
     _Run,
     build_topology_from_config,
     build_workload,
-    hard_job_tagging,
-    regret_oracle,
     run_experiment,
     run_single,
 )
-from hiroute.workload import Job
+from hiroute.policy import ExpertTable
+from hiroute.workload import Job, inference_error
 
 
 def small_config(**overrides):
@@ -32,31 +38,41 @@ def small_config(**overrides):
     return cfg
 
 
+def read_metrics(path):
+    """Parse a metrics.csv back into one SlotMetrics per slot."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    out = []
+    for row in rows:
+        cells = dict(zip(header, row))
+        out.append(SlotMetrics(
+            *(int(cells[k]) for k in header[:6]),
+            mean_entropy=float(cells["mean_entropy"]),
+            drift_penalty=float(cells["drift_penalty"]),
+            node_costs={k[5:]: float(v) for k, v in cells.items() if k.startswith("cost_")},
+            node_queues={k[6:]: float(v) for k, v in cells.items() if k.startswith("queue_")},
+        ))
+    return out
+
+
 def run_with_paths(cfg, seed=0):
+    """Run one seed with path recording; return the run and its metrics rows."""
     cfg = copy.deepcopy(cfg)
     cfg["run"]["record_paths"] = True
-    run = _Run(cfg, seed, None)
-    total = cfg["run"]["total_jobs"]
-    t = 0
-    done = 0
-    metrics = []
-    while done < total:
-        t += 1
-        jobs = run.workload.generate_slot(t)
-        jobs = jobs[: total - done]
-        metrics.append(run.run_slot(t, jobs))
-        done += len(jobs)
+    with tempfile.TemporaryDirectory() as out:
+        run = run_single(cfg, seed, out)
+        metrics = read_metrics(os.path.join(out, "metrics.csv"))
     return run, metrics
 
 
 class TestHardTagging:
     def test_all_zero_is_hard(self):
         job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 0})
-        assert hard_job_tagging(job, ["m0", "m1"])
+        assert job.is_hard(["m0", "m1"])
 
     def test_any_one_is_not_hard(self):
         job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 1})
-        assert not hard_job_tagging(job, ["m0", "m1"])
+        assert not job.is_hard(["m0", "m1"])
 
 
 class TestRunSlotInvariants:
@@ -109,33 +125,30 @@ class TestRunSlotInvariants:
         for m in metrics:
             assert m.feedback <= m.jobs
 
-    def test_naive_variant_learns_only_from_feedback(self):
-        cfg = small_config(policy="ly_exp4")
-        cfg["run"]["record_paths"] = True
-        run = _Run(cfg, 0, None)
-        t = 0
-        done = 0
-        while done < cfg["run"]["total_jobs"]:
-            t += 1
-            jobs = run.workload.generate_slot(t)
-            jobs = jobs[: cfg["run"]["total_jobs"] - done]
-            before = {
-                key: run.table.cum_loss(*key).copy()
-                for key in run.table.entry_keys()
-            }
-            run.run_slot(t, jobs)
-            done += len(jobs)
-            fed = {
-                (n, rec.task)
-                for rec in run.path_log
-                if rec.slot == t and rec.reached_oracle
-                for n in rec.path
-                if not run.topo.is_terminal(n)
-            }
-            for key in run.table.entry_keys():
-                changed = not np.allclose(run.table.cum_loss(*key), before[key])
-                if changed:
-                    assert key in fed
+    def test_naive_variant_learns_only_from_feedback(self, monkeypatch):
+        # every loss the naive learner accumulates comes from a fed job, at a
+        # node on that job's path, for that job's task
+        learning = []
+        calls = []
+        learn_from = _Run._learn_from
+        accumulate = ExpertTable.accumulate_loss
+
+        def spy_learn(self, job, record, *args):
+            learning.append(record)
+            try:
+                return learn_from(self, job, record, *args)
+            finally:
+                learning.pop()
+
+        def spy_accumulate(self, node, task, losses):
+            record = learning[-1]
+            calls.append(record.reached_oracle and node in record.path and task == record.task)
+            return accumulate(self, node, task, losses)
+
+        monkeypatch.setattr(_Run, "_learn_from", spy_learn)
+        monkeypatch.setattr(ExpertTable, "accumulate_loss", spy_accumulate)
+        run_single(small_config(policy="ly_exp4"), 0)
+        assert calls and all(calls)
 
     def test_vr_variant_accumulates_on_visits_without_feedback(self):
         cfg = small_config()
@@ -167,11 +180,64 @@ class TestDeterminism:
         b = (tmp_path / "b" / "vr_ly_exp4_4-2-1_greedy_s0" / "metrics.csv").read_bytes()
         assert a == b
 
+    def test_metrics_independent_of_hash_seed(self, tmp_path):
+        # string hashing differs between interpreter processes; the metrics
+        # stream must not depend on it
+        script = (
+            "import sys\n"
+            "from hiroute.config import default_config\n"
+            "from hiroute.engine import run_single\n"
+            "cfg = default_config()\n"
+            "cfg['run']['total_jobs'] = 2000\n"
+            "run_single(cfg, 0, sys.argv[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hiroute.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / hash_seed
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                           timeout=300)
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_different_seeds_differ(self):
         cfg = small_config()
         s0 = run_single(cfg, 0).summary()
         s1 = run_single(cfg, 1).summary()
         assert s0.error_rate != s1.error_rate or s0.total_slots != s1.total_slots
+
+
+class TestSlotStartWeights:
+    def test_no_weight_refresh_during_routing_or_learning(self, monkeypatch):
+        # every reach probability must come from the distribution the job was
+        # sampled from, so weights may only change between slots
+        phase = []
+        refreshes = []
+        update_weights = ExpertTable.update_weights
+
+        def spy_update(self, node, task):
+            refreshes.append(tuple(phase))
+            return update_weights(self, node, task)
+
+        def in_phase(method):
+            def wrapper(self, *args):
+                phase.append(method.__name__)
+                try:
+                    return method(self, *args)
+                finally:
+                    phase.pop()
+            return wrapper
+
+        monkeypatch.setattr(ExpertTable, "update_weights", spy_update)
+        for name in ("_route", "_learn_from"):
+            monkeypatch.setattr(_Run, name, in_phase(getattr(_Run, name)))
+        cfg = small_config()
+        cfg["run"]["total_jobs"] = 2000
+        run_single(cfg, 0)
+        assert refreshes
+        assert [p for p in refreshes if p] == []
 
 
 class TestPlacementEpochs:
@@ -238,20 +304,6 @@ class TestRunExperiment:
 
 
 class TestRegretOracle:
-    def test_replay_matches_streaming_tracker(self):
-        cfg = small_config()
-        run, _ = run_with_paths(cfg)
-        entry_ids = {n.node_id for n in run.topo.entry_nodes()}
-        replayed = regret_oracle(
-            run.path_log, run.loss_log, entry_ids, run.regret.checkpoints
-        )
-        assert replayed.curve_gamma == run.regret.curve_gamma
-        assert np.allclose(replayed.curve_entry, run.regret.curve_entry)
-        assert replayed.final_map().keys() == run.regret.final_map().keys()
-        for node, tasks in run.regret.final_map().items():
-            for task, value in tasks.items():
-                assert replayed.final_map()[node][task] == pytest.approx(value)
-
     def test_single_expert_degenerate_enumeration(self):
         cfg = small_config()
         cfg["learning"]["thresholds"] = [0.5]
@@ -262,25 +314,46 @@ class TestRegretOracle:
             assert sums.shape[0] == 1
 
     def test_best_expert_matches_bruteforce_over_logs(self):
-        cfg = small_config()
-        cfg["run"]["total_jobs"] = 100
-        run, _ = run_with_paths(cfg)
-        # recompute each entry table's expert sums directly from the logs
-        by_key = {}
-        for rec in run.loss_log:
-            key = (rec.node_id, rec.task)
-            by_key.setdefault(key, []).append(rec.expert_losses)
-        for key, mats in by_key.items():
-            if key not in run.regret.expert_sums:
-                continue
-            total = np.sum(mats, axis=0)
-            assert np.allclose(total, run.regret.expert_sums[key])
-            best = np.unravel_index(total.argmin(), total.shape)
-            tracked = np.unravel_index(
-                run.regret.expert_sums[key].argmin(),
-                run.regret.expert_sums[key].shape,
+        # a hand-made log of (job, key, realized loss, expert loss matrix)
+        rng = np.random.default_rng(5)
+        keys = [("n1_0", "a"), ("n1_0", "b"), ("n2_0", "a")]
+        tracker = RegretTracker({"n1_0"}, checkpoints=[10, 40])
+        log = []
+        for job in range(40):
+            for key in keys:
+                if rng.random() < 0.7:
+                    realized = float(rng.uniform(0, 10))
+                    losses = rng.uniform(0, 10, size=(3, 2))
+                    log.append((job, key, realized, losses))
+                    tracker.add(*key, realized, losses)
+            tracker.job_done()
+
+        def brute(jobs):
+            regret, best = {}, {}
+            for key in keys:
+                entries = [(r, m) for j, k, r, m in log if k == key and j < jobs]
+                sums = {
+                    (i, d): sum(m[i, d] for _, m in entries)
+                    for i in range(3) for d in range(2)
+                }
+                best[key] = min(sums, key=sums.get)
+                regret[key] = sum(r for r, _ in entries) - sums[best[key]]
+            return regret, best
+
+        regret, best = brute(40)
+        for (node, task), value in regret.items():
+            assert tracker.final_map()[node][task] == pytest.approx(value)
+            sums = tracker.expert_sums[(node, task)]
+            assert np.unravel_index(sums.argmin(), sums.shape) == best[(node, task)]
+        assert tracker.curve_gamma == [10, 40]
+        for gamma, entry, total in zip(
+            tracker.curve_gamma, tracker.curve_entry, tracker.curve_total
+        ):
+            regret, _ = brute(gamma)
+            assert total == pytest.approx(sum(regret.values()))
+            assert entry == pytest.approx(
+                sum(v for (node, _), v in regret.items() if node == "n1_0")
             )
-            assert best == tracked
 
 
 class TestTraceMode:
@@ -322,3 +395,32 @@ class TestTraceMode:
             jobs.extend(wl.generate_slot(t))
         for job in jobs:
             assert set(job.correctness) == {"small", "big"}
+
+    def test_recorded_modality_kept_for_large_text_payload(self, tmp_path):
+        # a 12-unit text payload is as large as a vision one; the task must
+        # stay text, so the text-only model keeps its recorded bits
+        header = {"models": [
+            {"id": "small", "size": 2, "modalities": ["text"]},
+            {"id": "big", "size": 40, "modalities": ["text", "vision"]},
+        ]}
+        records = [
+            {"job_id": f"j{k}", "task_type": "q0", "modality": "text", "size_units": 12.0,
+             "correctness": {"small": 1, "big": 0}}
+            for k in range(20)
+        ]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in [header] + records))
+        cfg = small_config()
+        cfg["workload"]["kind"] = "trace"
+        cfg["workload"]["trace_path"] = str(path)
+        topo = build_topology_from_config(cfg)
+        wl = build_workload(cfg, topo, 0)
+        assert wl.task_modality == {"q0": "text"}
+        assert wl.error_table.error("q0", "small") == 0.0
+        jobs = []
+        t = 0
+        while not jobs:
+            t += 1
+            jobs = wl.generate_slot(t)
+        node = topo.node(jobs[0].entry_node)
+        assert inference_error(jobs[0], node, {"small"}, wl.error_table, topo.num_layers) == 0

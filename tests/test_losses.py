@@ -7,7 +7,6 @@ from hiroute.losses import (
     BaselineTable,
     DownstreamLossOracle,
     NodeJobView,
-    baseline_update,
     naive_estimate,
     variance_pair,
     vr_estimate,
@@ -94,68 +93,59 @@ class TestVariancePair:
         assert vr.var() == pytest.approx(var_vr, rel=0.05)
 
 
-def fed_only_table(dests=("u",)):
-    grid = ExpertGrid(thresholds=(0.5,), destinations=dests)
-    return BaselineTable({"n": grid}, ["y"], ema_rate=0.1, mode="fed_only"), grid
+def baseline_table(ema_rate=0.1):
+    grid = ExpertGrid(thresholds=(0.2, 0.8), destinations=("u0", "u1"))
+    return BaselineTable({"n": grid}, ["y"], ema_rate=ema_rate)
+
+
+def plugin(table, queue_row=(0.0, 0.0)):
+    """Baseline matrix with the 0.8-threshold expert offloading."""
+    return table.plugin_values("n", "y", np.array([False, True]), np.array(queue_row),
+                               hop_cost=2.0, error_weight=70.0)
 
 
 class TestBaselineTable:
     def test_initialized_to_zero(self):
-        table, _ = fed_only_table()
-        assert np.all(table.values("n", "y") == 0.0)
-
-    def test_no_feedback_leaves_fed_only_unchanged(self):
-        table, _ = fed_only_table()
-        baseline_update(table, ("n", "y"), np.array([[4.0]]), 0.5, False)
-        assert np.all(table.values("n", "y") == 0.0)
+        assert np.all(plugin(baseline_table()) == 0.0)
 
     def test_single_ema_step(self):
-        # beta=0, rate 0.1, f/rho = 8 -> 0.8
-        table, _ = fed_only_table()
-        baseline_update(table, ("n", "y"), np.array([[4.0]]), 0.5, True)
-        assert table.values("n", "y")[0, 0] == pytest.approx(0.8)
+        # zero start, rate 0.1: local error 1 -> 0.1, downstream 8 -> 0.8
+        table = baseline_table()
+        table.update_hidden("n", "y", local_error=1.0, down_base=np.array([8.0, 4.0]))
+        beta = plugin(table)
+        assert beta[0, 0] == pytest.approx(70.0 * 0.1)
+        assert beta[1, 0] == pytest.approx(0.8)
+        assert beta[1, 1] == pytest.approx(0.4)
 
     def test_geometric_convergence_to_stationary_target(self):
-        table, _ = fed_only_table()
+        table = baseline_table()
         for _ in range(400):
-            baseline_update(table, ("n", "y"), np.array([[4.0]]), 0.5, True)
-        assert table.values("n", "y")[0, 0] == pytest.approx(8.0, abs=1e-6)
-        # halfway gap shrinks by (1 - rate) per step
-        table2, _ = fed_only_table()
+            table.update_hidden("n", "y", 1.0, np.array([8.0, 4.0]))
+        assert plugin(table)[1, 0] == pytest.approx(8.0, abs=1e-6)
+        assert plugin(table)[0, 0] == pytest.approx(70.0, abs=1e-6)
+        # the gap to the target shrinks by (1 - rate) per step
+        table2 = baseline_table()
         gaps = []
         for _ in range(5):
-            baseline_update(table2, ("n", "y"), np.array([[4.0]]), 0.5, True)
-            gaps.append(8.0 - table2.values("n", "y")[0, 0])
+            table2.update_hidden("n", "y", 1.0, np.array([8.0, 4.0]))
+            gaps.append(8.0 - plugin(table2)[1, 0])
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert all(r == pytest.approx(0.9, abs=1e-9) for r in ratios)
 
-    def test_is_decay_mode_decays_between_observations(self):
-        grid = ExpertGrid(thresholds=(0.5,), destinations=("u",))
-        table = BaselineTable({"n": grid}, ["y"], ema_rate=0.1, mode="is_decay")
-        table.update("n", "y", np.array([[4.0]]), 0.5, True)
-        peak = table.values("n", "y")[0, 0]
-        table.update("n", "y", np.array([[0.0]]), 1.0, False)
-        assert table.values("n", "y")[0, 0] == pytest.approx(0.9 * peak)
-
     def test_queue_aware_plugin_tracks_live_queue(self):
-        grid = ExpertGrid(thresholds=(0.2, 0.8), destinations=("u0", "u1"))
-        table = BaselineTable({"n": grid}, ["y"], ema_rate=0.5, mode="queue_aware")
-        table.update_hidden("n", "y", local_error=1.0,
-                            down_base=np.array([2.0, 6.0]))
-        mask = np.array([False, True])  # only the 0.8-threshold expert offloads
-        beta = table.plugin_values("n", "y", mask, np.array([10.0, 0.0]),
-                                   hop_cost=2.0, error_weight=70.0)
+        table = baseline_table(ema_rate=0.5)
+        table.update_hidden("n", "y", local_error=1.0, down_base=np.array([2.0, 6.0]))
+        beta = plugin(table, queue_row=(10.0, 0.0))
         # local experts: 70 * EMA(b); offload experts: q*c + EMA(base)
         # (the EMA carries the 0.5 rate from a zero start)
         assert beta[0, 0] == pytest.approx(70 * 0.5)
         assert beta[1, 0] == pytest.approx(10.0 * 2.0 + 1.0)
         assert beta[1, 1] == pytest.approx(0.0 * 2.0 + 3.0)
-        beta2 = table.plugin_values("n", "y", mask, np.array([0.0, 0.0]),
-                                    hop_cost=2.0, error_weight=70.0)
+        beta2 = plugin(table, queue_row=(0.0, 0.0))
         assert beta2[1, 0] == pytest.approx(1.0)  # queues drained, reflected live
 
     def test_condition_violation_counter(self):
-        table, _ = fed_only_table()
+        table = baseline_table()
         table.count_violations(np.array([[0.5]]), np.array([[1.0]]))  # inside (0, 2f]
         assert table.condition_violations == 0
         table.count_violations(np.array([[3.0]]), np.array([[1.0]]))  # beta > 2f
@@ -223,18 +213,18 @@ class TestReachProb:
                 confidence=0.5,
             )
 
-        oracle = DownstreamLossOracle(topo, view_of, {}, 1.0, 1.0, reach_dist="mixed")
+        oracle = DownstreamLossOracle(topo, view_of, {}, 1.0, 1.0)
         floor = (lam / 3) * (lam / 2)
         assert oracle.reach_prob("n1_0") >= floor - 1e-15
         assert oracle.reach_prob("n1_0") >= (lam / 3) ** 2  # conservative bound
 
-    def test_mixed_vs_raw_selector(self):
+    def test_uses_mixed_distribution(self):
+        # routes are sampled from the exploration-mixed distribution, so the
+        # reach probability must be taken under it, not under the raw one
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 0.4}, lam=0.1)
-        mixed = DownstreamLossOracle(topo, views, {}, 1.0, 1.0, reach_dist="mixed")
-        raw = DownstreamLossOracle(topo, views, {}, 1.0, 1.0, reach_dist="raw")
-        assert raw.reach_prob("n1_0") == pytest.approx(0.4)
-        assert mixed.reach_prob("n1_0") == pytest.approx(0.9 * 0.4 + 0.05)
+        oracle = DownstreamLossOracle(topo, views, {}, 1.0, 1.0)
+        assert oracle.reach_prob("n1_0") == pytest.approx(0.9 * 0.4 + 0.05)
 
 
 class TestExpectedLoss:
@@ -266,7 +256,7 @@ class TestExpectedLoss:
             v = 70.0
             views = chain_views({"n1_0": p1, "n2_0": p2},
                                 errors={"n1_0": b1, "n2_0": b2})
-            oracle = DownstreamLossOracle(topo, views, q, v, c, expected_dist="raw")
+            oracle = DownstreamLossOracle(topo, views, q, v, c)
             # enumerate the three realizations: stop@1, stop@2, reach terminal
             brute = (
                 (1 - p1) * v * b1
@@ -286,27 +276,35 @@ class TestExpertLoss:
     def test_threshold_zero_never_offloads(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 0}, confidences={"n1_0": 0.5})
         oracle = DownstreamLossOracle(self.topo(), views, {}, 70.0, 1.0)
-        assert oracle.expert_loss("n1_0", (0.0, "n2_0")) == 0.0
+        assert oracle.expert_loss_matrix("n1_0", self.grid())[0, 0] == 0.0
 
     def test_threshold_one_pure_offload_branch(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.5})
         oracle = DownstreamLossOracle(self.topo(), views, {"n2_0": 2.0}, 70.0, 3.0)
-        assert oracle.expert_loss("n1_0", (1.0, "n2_0")) == pytest.approx(6.0)
+        assert oracle.expert_loss_matrix("n1_0", self.grid())[2, 0] == pytest.approx(6.0)
 
     def test_local_branch_with_error(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.9})
         oracle = DownstreamLossOracle(self.topo(), views, {}, 70.0, 1.0)
-        assert oracle.expert_loss("n1_0", (0.4, "n2_0")) == pytest.approx(70.0)
+        assert oracle.expert_loss_matrix("n1_0", self.grid())[1, 0] == pytest.approx(70.0)
 
     def test_matrix_matches_scalar(self):
-        views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(self.topo(), views, {"n2_0": 1.5}, 70.0, 2.0)
-        grid = self.grid()
+        # each cell follows the per-expert rule: terminate (weighted local
+        # error) unless the threshold exceeds the confidence, else pay the
+        # queue-weighted hop plus the destination's expected loss
+        topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
+        grid = ExpertGrid(thresholds=(0.0, 0.3, 0.5, 0.6, 1.0), destinations=("n2_0",))
+        q = {"n2_0": 1.5, "n3_0": 0.5}
+        views = chain_views({"n1_0": 0.5, "n2_0": 0.3}, errors={"n1_0": 1, "n2_0": 1},
+                            confidences={"n1_0": 0.5})
+        oracle = DownstreamLossOracle(topo, views, q, 70.0, 2.0)
         matrix = oracle.expert_loss_matrix("n1_0", grid)
         for i, th in enumerate(grid.thresholds):
-            assert matrix[i, 0] == pytest.approx(
-                oracle.expert_loss("n1_0", (th, "n2_0"))
-            )
+            if th <= 0.5:
+                expected = 70.0 * 1
+            else:
+                expected = q["n2_0"] * 2.0 + oracle.expected_loss("n2_0")
+            assert matrix[i, 0] == pytest.approx(expected)
 
     def test_zero_downstream_keeps_queue_cost_only(self):
         topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
@@ -314,7 +312,8 @@ class TestExpertLoss:
                             errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5, "n2_0": 0.5})
         oracle = DownstreamLossOracle(topo, views, {"n2_0": 2.0}, 70.0, 3.0)
-        with_downstream = oracle.expert_loss("n1_0", (1.0, "n2_0"))
-        without = oracle.expert_loss("n1_0", (1.0, "n2_0"), zero_downstream=True)
+        grid = ExpertGrid(thresholds=(1.0,), destinations=("n2_0",))
+        with_downstream = oracle.expert_loss_matrix("n1_0", grid)[0, 0]
+        without = oracle.expert_loss_matrix("n1_0", grid, zero_downstream=True)[0, 0]
         assert without == pytest.approx(6.0)
         assert with_downstream > without

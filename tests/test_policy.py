@@ -6,7 +6,6 @@ from hiroute.policy import (
     ActionDistribution,
     ExpertGrid,
     ExpertTable,
-    sample_action,
 )
 
 
@@ -54,6 +53,7 @@ class TestActionProbs:
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
         rng = np.random.default_rng(0)
         table.accumulate_loss("n", "y", rng.normal(0, 5, size=(11, 2)))
+        table.refresh_dirty()
         for z in np.linspace(0, 1, 31):
             dist = table.action_probs("n", "y", float(z))
             assert dist.raw_terminate + dist.raw_offload.sum() == pytest.approx(1.0, abs=1e-12)
@@ -64,22 +64,22 @@ class TestSampling:
     def test_degenerate_distribution(self):
         dist = ActionDistribution(("u0",), 1.0, np.array([0.0]), exploration_rate=0.0)
         rng = np.random.default_rng(0)
-        assert all(sample_action(dist, rng) == 0 for _ in range(50))
+        assert all(dist.sample(rng) == 0 for _ in range(50))
 
     def test_frequencies_within_binomial_bounds(self):
         dist = ActionDistribution(("u0",), 0.3, np.array([0.7]), exploration_rate=0.0)
         rng = np.random.default_rng(1)
         n = 100_000
-        hits = sum(sample_action(dist, rng) == "u0" for _ in range(n))
+        hits = sum(dist.sample(rng) == "u0" for _ in range(n))
         sigma = np.sqrt(0.7 * 0.3 / n)
         assert abs(hits / n - 0.7) <= 3 * sigma
 
     def test_seeded_reproducibility(self):
         dist = ActionDistribution(("a", "b"), 0.2, np.array([0.5, 0.3]), 0.1)
         rng = np.random.default_rng(9)
-        draws1 = [sample_action(dist, rng) for _ in range(20)]
+        draws1 = [dist.sample(rng) for _ in range(20)]
         rng = np.random.default_rng(9)
-        draws2 = [sample_action(dist, rng) for _ in range(20)]
+        draws2 = [dist.sample(rng) for _ in range(20)]
         assert draws1 == draws2
 
 
@@ -87,6 +87,7 @@ class TestWeights:
     def test_uniform_under_equal_losses(self):
         table = make_table(thresholds=(0.2, 0.5, 0.8), dests=("a", "b"))
         table.accumulate_loss("n", "y", np.full((3, 2), 7.5))
+        table.refresh_dirty()
         w = table.weights("n", "y")
         assert np.allclose(w, 1.0 / 6.0)
 
@@ -95,6 +96,7 @@ class TestWeights:
         eta = 0.05
         table = make_table(thresholds=(0.5,), dests=("a", "b"), eta=eta)
         table.accumulate_loss("n", "y", np.array([[0.0, np.log(2) / eta]]))
+        table.refresh_dirty()
         w = table.weights("n", "y")
         assert w[0, 0] == pytest.approx(2.0 / 3.0)
         assert w[0, 1] == pytest.approx(1.0 / 3.0)
@@ -104,9 +106,11 @@ class TestWeights:
         rng = np.random.default_rng(3)
         losses = rng.normal(0, 100, size=(11, 2))
         table.accumulate_loss("n", "y", losses)
+        table.refresh_dirty()
         w1 = table.weights("n", "y").copy()
         table2 = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
         table2.accumulate_loss("n", "y", losses + 1234.5)
+        table2.refresh_dirty()
         w2 = table2.weights("n", "y")
         assert np.allclose(w1, w2, atol=1e-12)
 
@@ -115,13 +119,23 @@ class TestWeights:
         rng = np.random.default_rng(4)
         for _ in range(300):
             table.accumulate_loss("n", "y", rng.normal(0, 50, size=(11, 2)))
+            table.refresh_dirty()
             w = table.weights("n", "y")
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(w > 0)
 
+    def test_weights_keep_slot_start_values_until_refresh(self):
+        table = make_table(thresholds=(0.5,), dests=("a", "b"))
+        table.accumulate_loss("n", "y", np.array([[0.0, 10.0]]))
+        assert np.allclose(table.weights("n", "y"), 0.5)
+        assert table.action_probs("n", "y", 0.0).raw_offload == pytest.approx([0.5, 0.5])
+        table.refresh_dirty()
+        assert table.weights("n", "y")[0, 0] > 0.5
+
     def test_extreme_losses_do_not_overflow(self):
         table = make_table(thresholds=(0.5,), dests=("a", "b"), eta=1.0)
         table.accumulate_loss("n", "y", np.array([[0.0, 1e9]]))
+        table.refresh_dirty()
         w = table.weights("n", "y")
         assert np.isfinite(w).all()
         assert w.sum() == pytest.approx(1.0)
@@ -132,6 +146,7 @@ class TestAccumulate:
         table = make_table()
         before = table.weights("n", "y").copy()
         table.accumulate_loss("n", "y", np.zeros((2, 1)))
+        table.refresh_dirty()
         assert np.allclose(table.weights("n", "y"), before)
 
     def test_single_expert_only(self):
@@ -170,4 +185,5 @@ class TestEntropy:
         loss[0, 0] = 0.0
         for _ in range(20):
             table.accumulate_loss("n", "y", loss)
+        table.refresh_dirty()
         assert table.mean_entropy() < h0

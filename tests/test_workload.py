@@ -15,7 +15,6 @@ from hiroute.workload import (
     TraceFormatError,
     Workload,
     best_loaded_accuracy,
-    confidence,
     confidence_from_noise,
     dirichlet_mixtures,
     inference_error,
@@ -51,23 +50,19 @@ class TestConfidence:
     def test_no_capable_model_centers_at_zero(self):
         _, table = toy_table()
         rng = np.random.default_rng(0)
-        cm = ConfidenceModel(noise_std=0.01)
-        job = Job("j", 0, "v", "n1_0", 12.0, {"m0": 0, "m1": 0, "mv": 0})
+        center = best_loaded_accuracy(table, "v", ["m0", "m1"])
         zs = [
-            confidence(job, NodeRef("n1_0", 1), ["m0", "m1"], table, cm, rng)
+            confidence_from_noise(center, float(rng.standard_normal()), 0.01)
             for _ in range(200)
         ]
         assert max(zs) < 0.05
 
     def test_zero_noise_is_deterministic_plugin(self):
         _, table = toy_table()
-        rng = np.random.default_rng(0)
-        cm = ConfidenceModel(noise_std=0.0)
-        job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 1, "m1": 1, "mv": 1})
-        z = confidence(job, NodeRef("n1_0", 1), ["m0"], table, cm, rng)
-        # best loaded model has error 0.3 -> accuracy 0.7... using m1 (err 0.1)
+        # best loaded model has error 0.3 -> accuracy 0.7; adding m1 (0.1) -> 0.9
+        z = confidence_from_noise(best_loaded_accuracy(table, "a", ["m0"]), 5.0, 0.0)
         assert z == pytest.approx(0.7)
-        z = confidence(job, NodeRef("n1_0", 1), ["m0", "m1"], table, cm, rng)
+        z = confidence_from_noise(best_loaded_accuracy(table, "a", ["m0", "m1"]), 5.0, 0.0)
         assert z == pytest.approx(0.9)
 
     def test_monte_carlo_mean_in_clamp_free_region(self):
@@ -237,9 +232,10 @@ class TestTrace:
             for i in range(3)
         ]
         path = write_trace(tmp_path, records)
-        models, jobs = load_trace(path)
+        models, jobs, modality = load_trace(path)
         assert [m.model_id for m in models] == ["m0", "m1"]
         assert len(jobs) == 3
+        assert modality == {"qa": "text"}
         assert jobs[0].correctness == {"m0": 0, "m1": 1}
         assert jobs[1].correctness == {"m0": 1, "m1": 1}
 
@@ -264,6 +260,16 @@ class TestTrace:
         with pytest.raises(TraceFormatError, match="line 2.*size_units"):
             load_trace(path)
 
+    def test_disagreeing_modality_names_line(self, tmp_path):
+        records = [
+            {"job_id": f"x{i}", "task_type": "qa", "modality": m,
+             "size_units": 1.0, "correctness": {"m0": 1, "m1": 1}}
+            for i, m in enumerate(["text", "text", "vision"])
+        ]
+        path = write_trace(tmp_path, records)
+        with pytest.raises(TraceFormatError, match="line 4: task 'qa'"):
+            load_trace(path)
+
     def test_large_catalog_accepted(self, tmp_path):
         header = {"models": [
             {"id": f"m{i:02d}", "size": 1 + i % 7, "modalities": ["text"]}
@@ -276,6 +282,6 @@ class TestTrace:
             for k in range(300)
         ]
         path = write_trace(tmp_path, records, header)
-        models, jobs = load_trace(path)
+        models, jobs, _ = load_trace(path)
         assert len(models) == 23
         assert len({j.task_type for j in jobs}) == 114
