@@ -12,6 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -51,7 +52,6 @@ from .workload import (
     inference_error,
     load_trace,
     synthetic_catalog,
-    TEXT,
     VISION,
 )
 
@@ -107,22 +107,7 @@ class RunSummary:
     baseline_epoch_log: list[dict[str, Any]]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "policy": self.policy,
-            "error_rate": self.error_rate,
-            "hit_rate": self.hit_rate,
-            "feedback_rate": self.feedback_rate,
-            "avg_cost": self.avg_cost,
-            "queue_over_horizon": self.queue_over_horizon,
-            "total_jobs": self.total_jobs,
-            "total_slots": self.total_slots,
-            "final_mean_entropy": self.final_mean_entropy,
-            "regret_final": self.regret_final,
-            "regret_curve": self.regret_curve,
-            "baseline_condition_violations": self.baseline_condition_violations,
-            "baseline_epoch_log": self.baseline_epoch_log,
-        }
+        return dataclasses.asdict(self)
 
 
 class RegretTracker:
@@ -228,13 +213,9 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         models, trace_jobs, modality = load_trace(w["trace_path"])
         sampler = TraceJobSampler(trace_jobs)
         tasks = sampler.tasks()
-        size_ranges = {
-            TEXT: tuple(w["text_size_range"]),
-            VISION: tuple(w["vision_size_range"]),
-        }
         models = empirical_error_prob(models, trace_jobs, modality)
         hard_tasks = []
-        task_sizes = {t: size_ranges[modality[t]] for t in tasks}
+        task_sizes = {}  # trace jobs keep their recorded sizes
     mixtures = dirichlet_mixtures(
         tasks=tasks,
         hard_tasks=hard_tasks,
@@ -317,6 +298,7 @@ class _Run:
             np.random.SeedSequence(entropy=seed, spawn_key=(3,))
         )
         self.queues = QueueState.initial(self.topo)
+        self.queue_nodes = sorted(self.queues.values)
         self.epoch_slots = int(cfg["placement"]["epoch_slots"])
         self.switch_penalty = float(cfg["placement"]["switch_penalty"])
         self.placement_kind = cfg["placement"]["kind"]
@@ -359,8 +341,6 @@ class _Run:
                 learning_rate=resolve_learning_rate(cfg, max_size),
                 exploration_rate=cfg["learning"]["exploration_rate"],
             )
-            self.queue_nodes = sorted(self.queues.values)
-            self.queue_index = {n: i for i, n in enumerate(self.queue_nodes)}
             self.baselines = BaselineTable(
                 grids=grids,
                 tasks=self.workload.tasks,
@@ -414,12 +394,11 @@ class _Run:
 
     # ---- naming helpers -------------------------------------------------
     def metrics_header(self) -> list[str]:
-        queue_nodes = sorted(self.queues.values)
         return (
             ["slot", "jobs", "errors", "hard_jobs", "oracle_hits", "feedback",
              "mean_entropy", "drift_penalty"]
-            + [f"cost_{n}" for n in queue_nodes]
-            + [f"queue_{n}" for n in queue_nodes]
+            + [f"cost_{n}" for n in self.queue_nodes]
+            + [f"queue_{n}" for n in self.queue_nodes]
         )
 
     # ---- placement ------------------------------------------------------
@@ -565,13 +544,12 @@ class _Run:
             node_queues=self.queues.snapshot(),
         )
         if self._metrics_writer is not None:
-            queue_nodes = sorted(self.queues.values)
             self._metrics_writer.writerow(
                 [metrics.slot, metrics.jobs, metrics.errors, metrics.hard_jobs,
                  metrics.oracle_hits, metrics.feedback,
                  repr(metrics.mean_entropy), repr(metrics.drift_penalty)]
-                + [repr(metrics.node_costs[n]) for n in queue_nodes]
-                + [repr(metrics.node_queues[n]) for n in queue_nodes]
+                + [repr(metrics.node_costs[n]) for n in self.queue_nodes]
+                + [repr(metrics.node_queues[n]) for n in self.queue_nodes]
             )
         return metrics
 
@@ -625,27 +603,24 @@ class _Run:
         assert self.table is not None and self.baselines is not None
         variant = self.variant
         task = job.task_type
+        hop_cost = job.size_units * self.distance_factor
         visited = [n for n in record.path if not self.topo.is_terminal(n)]
         fb = record.reached_oracle
         oracle = None
         if fb or self.record_regret:
             oracle = DownstreamLossOracle(
-                topo=self.topo,
-                view_of=view_of,
-                queue=q_start,
-                error_weight=self.v,
-                hop_cost=job.size_units * self.distance_factor,
+                self.topo, job.entry_node, view_of, q_start, self.v, hop_cost
             )
         for i, node_id in enumerate(visited):
             grid = self.table.grids[node_id]
+            view = view_of(node_id)
             beta = None
             if variant.use_baseline:
-                view = view_of(node_id)
                 mask = np.asarray(grid.thresholds) > view.confidence
                 queue_row = np.array([q_start.get(d, 0.0) for d in grid.destinations])
                 beta = self.baselines.plugin_values(
                     node_id, task, mask, queue_row,
-                    hop_cost=job.size_units * self.distance_factor,
+                    hop_cost=hop_cost,
                     error_weight=self.v,
                     zero_downstream=variant.zero_downstream,
                 )
@@ -658,37 +633,23 @@ class _Run:
                     self.baselines.count_violations(beta, losses)
                     estimate = (losses - beta) / rho + beta
                     self.table.accumulate_loss(node_id, task, estimate)
-                    decompositions = [
-                        oracle.expected_loss_decomposition(d, self.queue_index)
-                        for d in grid.destinations
-                    ]
-                    self.baselines.update_hidden(
-                        node_id,
-                        task,
-                        view.local_error,
-                        down_base=np.array([d[0] for d in decompositions]),
+                    down_base = np.array(
+                        [oracle.expected_loss_decomposition(d) for d in grid.destinations]
                     )
+                    self.baselines.update_hidden(node_id, task, view.local_error, down_base)
                 else:
                     self.table.accumulate_loss(node_id, task, losses / rho)
             elif variant.use_baseline:
                 self.table.accumulate_loss(node_id, task, beta.copy())
             if self.record_regret:
-                true_losses = oracle.expert_loss_matrix(node_id, grid, zero_downstream=False)
-                realized = self._realized_contribution(record, i, view_of, q_start, oracle, job)
+                true_losses = oracle.expert_loss_matrix(node_id, grid)
+                # the realized loss of the action taken here: stop, or offload
+                # to the next node of the path
+                if i + 1 < len(record.path):
+                    realized = oracle.offload_cost[record.path[i + 1]]
+                else:
+                    realized = self.v * view.local_error
                 self.regret.add(node_id, task, realized, true_losses)
-
-    def _realized_contribution(
-        self, record: PathRecord, i: int, view_of, q_start, oracle, job: Job
-    ) -> float:
-        """One visited node's realized loss: weighted local error if the job
-        stopped here, else the queue-weighted hop cost plus the destination's
-        expected loss."""
-        node_id = record.path[i]
-        if i == len(record.path) - 1:
-            return self.v * view_of(node_id).local_error
-        dest = record.path[i + 1]
-        hop = job.size_units * self.distance_factor
-        return q_start.get(dest, 0.0) * hop + oracle.expected_loss(dest)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:

@@ -13,11 +13,11 @@ Both are exactly unbiased over the feedback Bernoulli; the second trades the
 importance weight's full magnitude for the residual against a task- and
 expert-conditioned baseline (see :class:`BaselineTable`).
 
-The recursion helpers compute, per job, the probability of reaching the
-terminal layer from each node and the expected downstream loss of standing
-at each node, walking the hierarchy backward from the terminal layer. They
-query one node at a time so the structure mirrors the message exchange a
-distributed deployment would need.
+:class:`DownstreamLossOracle` makes one backward sweep per job, from the
+deepest non-terminal layer up to the job's entry node. Per node it computes
+the probability of reaching the terminal layer, the expected downstream loss
+of standing there, and that loss with every queue at zero; the estimators
+and the regret diagnostic then look these values up.
 """
 from __future__ import annotations
 
@@ -146,7 +146,7 @@ class BaselineTable:
         self.condition_violations += int(bad.sum())
 
 
-# Per-job view of one node used by the backward recursion.
+# Per-job view of one node used by the backward sweep.
 @dataclass(frozen=True)
 class NodeJobView:
     dists: ActionDistribution
@@ -155,101 +155,87 @@ class NodeJobView:
 
 
 class DownstreamLossOracle:
-    """Backward recursion over one job: reach probabilities and expected losses.
+    """One backward sweep over one job: reach probabilities and expected losses.
 
-    ``view_of(node_id)`` must return the node's slot-start action
-    distributions, realized local error, and confidence for the job; terminal
-    nodes are never queried. The reach probability uses the mixed
-    distribution the route was actually sampled from, which keeps the
-    estimators unbiased; the expected loss uses the raw expert aggregate.
+    The constructor walks the hierarchy once, from the deepest non-terminal
+    layer up to the job's entry node. ``view_of(node_id)`` must return the
+    node's slot-start action distributions, realized local error, and
+    confidence for the job; it is called for the entry node and for every
+    node strictly between the entry and terminal layers, never for terminal
+    nodes. Each node's values are summed over its destinations in
+    destination order, in Python floats:
+
+    * the reach probability of the terminal layer, under the mixed
+      distribution the route was actually sampled from, which keeps the
+      estimators unbiased;
+    * the expected loss, under the raw expert aggregate: the termination
+      branch pays the weighted local error, each offload branch the
+      destination's offload cost (queue-weighted hop cost plus the
+      destination's expected loss);
+    * the queue-free expected loss, the same sum with every queue at zero.
+
+    Terminal nodes answer perfectly at no further cost: reach probability 1,
+    losses 0. The query methods only look these values up.
     """
 
     def __init__(
         self,
         topo: Topology,
+        entry: str,
         view_of: Callable[[str], NodeJobView],
         queue: Mapping[str, float],
         error_weight: float,
         hop_cost: float,
     ) -> None:
-        self.topo = topo
         self.view_of = view_of
-        self.queue = queue
         self.error_weight = float(error_weight)
-        self.hop_cost = float(hop_cost)
-        self._rho: dict[str, float] = {}
-        self._fbar: dict[str, float] = {}
-        self._decomp: dict[str, tuple[float, np.ndarray]] = {}
+        hop_cost = float(hop_cost)
+        terminal = topo.layers[-1]
+        self._rho = dict.fromkeys(terminal, 1.0)
+        self._fbar = dict.fromkeys(terminal, 0.0)
+        self._free = dict.fromkeys(terminal, 0.0)
+        self._queue_cost: dict[str, float] = {}
+        # queue-weighted hop cost plus expected loss, per node of layers 2..K
+        self.offload_cost: dict[str, float] = {}
+        for k in range(topo.num_layers - 1, 0, -1):
+            for dest in topo.layers[k]:
+                queue_cost = queue.get(dest, 0.0) * hop_cost
+                self._queue_cost[dest] = queue_cost
+                self.offload_cost[dest] = queue_cost + self._fbar[dest]
+            for node_id in topo.layers[k - 1] if k > 1 else (entry,):
+                view = view_of(node_id)
+                dists = view.dists
+                rho = 0.0
+                fbar = free = self.error_weight * dists.raw_terminate * view.local_error
+                for p_mixed, p_raw, dest in zip(
+                    dists.mixed_offload.tolist(), dists.raw_offload.tolist(), dists.destinations
+                ):
+                    rho += p_mixed * self._rho[dest]
+                    fbar += p_raw * self.offload_cost[dest]
+                    free += p_raw * self._free[dest]
+                self._rho[node_id] = rho
+                self._fbar[node_id] = fbar
+                self._free[node_id] = free
 
     def reach_prob(self, node_id: str) -> float:
         """Probability the job reaches the terminal layer from this node."""
-        if node_id in self._rho:
-            return self._rho[node_id]
-        if self.topo.is_terminal(node_id):
-            rho = 1.0
-        else:
-            dists = self.view_of(node_id).dists
-            rho = float(
-                sum(
-                    p * self.reach_prob(dest)
-                    for p, dest in zip(dists.mixed_offload, dists.destinations)
-                )
-            )
+        rho = self._rho[node_id]
         if rho <= 0.0:
             raise ValueError(f"reach probability vanished at {node_id}")
-        self._rho[node_id] = rho
         return rho
 
     def expected_loss(self, node_id: str) -> float:
-        """Expected loss of the job standing at this node under current policies.
-
-        Terminal nodes answer perfectly at no further cost. Elsewhere the
-        termination branch pays the weighted local error and each offload
-        branch pays the queue-weighted hop cost plus the destination's own
-        expected loss.
-        """
-        if node_id in self._fbar:
-            return self._fbar[node_id]
-        if self.topo.is_terminal(node_id):
-            self._fbar[node_id] = 0.0
-            return 0.0
-        view = self.view_of(node_id)
-        total = self.error_weight * view.dists.raw_terminate * view.local_error
-        for p, dest in zip(view.dists.raw_offload, view.dists.destinations):
-            total += p * (
-                self.queue.get(dest, 0.0) * self.hop_cost + self.expected_loss(dest)
-            )
-        self._fbar[node_id] = float(total)
+        """Expected loss of the job standing at this node under current policies."""
         return self._fbar[node_id]
 
-    def expected_loss_decomposition(
-        self, node_id: str, queue_index: Mapping[str, int]
-    ) -> tuple[float, np.ndarray]:
-        """Split the expected loss into a queue-free part and queue weights.
+    def expected_loss_decomposition(self, node_id: str) -> float:
+        """The queue-free part of the expected loss: every queue at zero.
 
-        The expected loss is affine in the current queue vector:
-        base + hop_cost * (weights . q), where the weights are visit
-        probabilities accumulated along the downstream action distributions.
-        Both pieces are queue-value-free, so a baseline can re-evaluate them
-        against fresh queue readings.
+        Only this part feeds :class:`BaselineTable`, which leaves the
+        queue-dependent share of the downstream loss out of the baseline on
+        purpose and adds the live queue values at decision time instead.
         """
-        if node_id in self._decomp:
-            return self._decomp[node_id]
-        if self.topo.is_terminal(node_id):
-            result = (0.0, np.zeros(len(queue_index)))
-            self._decomp[node_id] = result
-            return result
-        view = self.view_of(node_id)
-        base = self.error_weight * view.dists.raw_terminate * view.local_error
-        weights = np.zeros(len(queue_index))
-        for p, dest in zip(view.dists.raw_offload, view.dists.destinations):
-            down_base, down_weights = self.expected_loss_decomposition(dest, queue_index)
-            base += p * down_base
-            weights += p * down_weights
-            weights[queue_index[dest]] += p
-        result = (float(base), weights)
-        self._decomp[node_id] = result
-        return result
+        return self._free[node_id]
 
     def expert_loss_matrix(
         self, node_id: str, grid: ExpertGrid, zero_downstream: bool = False
@@ -257,12 +243,7 @@ class DownstreamLossOracle:
         """All experts' full-feedback losses at once, shaped like the grid."""
         view = self.view_of(node_id)
         local = self.error_weight * view.local_error
-        offload_row = np.array(
-            [
-                self.queue.get(dest, 0.0) * self.hop_cost
-                + (0.0 if zero_downstream else self.expected_loss(dest))
-                for dest in grid.destinations
-            ]
-        )
+        costs = self._queue_cost if zero_downstream else self.offload_cost
+        offload_row = np.array([costs[dest] for dest in grid.destinations])
         mask = np.asarray(grid.thresholds) > view.confidence
         return np.where(mask[:, None], offload_row[None, :], local)

@@ -14,9 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import variance_pair, vr_estimate
+from .losses import DownstreamLossOracle, NodeJobView, variance_pair, vr_estimate
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
-from .policy import ExpertGrid, ExpertTable
+from .policy import ActionDistribution, ExpertGrid, ExpertTable
+from .topology import Topology, build_topology
 from .workload import ErrorTable, ModelSpec
 
 
@@ -120,39 +121,71 @@ def check_submodularity(tables: int = 20, n_models: int = 4, n_tasks: int = 3) -
     return CheckResult("submodularity", True, f"{tables} random tables clean")
 
 
-def check_reach_chain(depths: tuple[int, ...] = (2, 3, 4, 5)) -> CheckResult:
-    """On a chain, the reach probability telescopes into a plain product."""
-    from .losses import DownstreamLossOracle, NodeJobView
-    from .policy import ActionDistribution
-    from .topology import build_topology
+def _routes(topo: Topology, node: str) -> list[tuple[str, ...]]:
+    """Every route from ``node``: it stops at its last node, or that node is
+    terminal."""
+    if topo.is_terminal(node):
+        return [(node,)]
+    routes = [(node,)]
+    for up in topo.uplinks(node):
+        routes += [(node, *rest) for rest in _routes(topo, up.node_id)]
+    return routes
 
+
+def check_loss_sweep() -> CheckResult:
+    """The loss oracle's sweep matches exhaustive route enumeration.
+
+    On chains of depth 2-5 and a 2-12-3-1 hierarchy, with random action
+    distributions, local errors and queues, and from every node the sweep
+    covers, the reach probability (mixed distribution), the expected loss
+    (raw distribution) and the queue-free expected loss (the same with every
+    queue at zero) are summed over every route. A middle layer of 10 or more
+    nodes makes the id order of the destinations differ from their index
+    order.
+    """
+    layer_sizes = ([1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1, 1], [2, 12, 3, 1])
     rng = np.random.default_rng(3)
-    for depth in depths:
-        topo = build_topology([1] * depth, [10.0] * depth, 0.4)
-        offload = {f"n{k}_0": float(rng.uniform(0.05, 0.95)) for k in range(1, depth)}
-
-        def view_of(node_id: str) -> NodeJobView:
-            p = offload[node_id]
-            layer = int(node_id[1:node_id.index("_")])
-            # exploration_rate 0 keeps raw == mixed for this oracle check
-            dists = ActionDistribution(
-                destinations=(f"n{layer + 1}_0",),
-                raw_terminate=1.0 - p,
-                raw_offload=np.array([p]),
-                exploration_rate=0.0,
-            )
-            return NodeJobView(dists=dists, local_error=0, confidence=0.5)
-
-        oracle = DownstreamLossOracle(
-            topo, view_of, {}, error_weight=1.0, hop_cost=1.0
-        )
-        expected = float(np.prod([offload[f"n{k}_0"] for k in range(1, depth)]))
-        got = oracle.reach_prob("n1_0")
-        if abs(got - expected) > 1e-12:
-            return CheckResult(
-                "reach-chain", False, f"depth {depth}: {got} != {expected}"
-            )
-    return CheckResult("reach-chain", True, f"depths {depths} clean")
+    v = 70.0
+    for sizes in layer_sizes:
+        topo = build_topology(sizes, [10.0] * len(sizes), 0.4)
+        for _ in range(3):
+            views: dict[str, NodeJobView] = {}
+            for node_id in (n for layer in topo.layers[:-1] for n in layer):
+                dests = tuple(u.node_id for u in topo.uplinks(node_id))
+                w = rng.dirichlet(np.ones(len(dests) + 1))
+                lam = float(rng.uniform(0.01, 0.3))
+                dists = ActionDistribution(dests, float(w[0]), w[1:], exploration_rate=lam)
+                views[node_id] = NodeJobView(dists, int(rng.integers(2)), 0.5)
+            queue = {n: float(rng.uniform(0, 5)) for layer in topo.layers[1:] for n in layer}
+            c = float(rng.uniform(0.5, 4))
+            for entry in topo.layers[0]:
+                oracle = DownstreamLossOracle(topo, entry, views.__getitem__, queue, v, c)
+                for node in (entry, *(n for layer in topo.layers[1:] for n in layer)):
+                    want = np.zeros(3)  # reach prob, expected loss, queue-free loss
+                    for route in _routes(topo, node):
+                        mixed, raw, hops = 1.0, 1.0, 0.0
+                        for here, nxt in zip(route, route[1:]):
+                            dists = views[here].dists
+                            i = dists.destinations.index(nxt)
+                            mixed *= float(dists.mixed_offload[i])
+                            raw *= float(dists.raw_offload[i])
+                            hops += queue[nxt] * c
+                        last = route[-1]
+                        if topo.is_terminal(last):
+                            want += (mixed, raw * hops, 0.0)
+                        else:
+                            raw *= views[last].dists.raw_terminate
+                            stop = v * views[last].local_error
+                            want += (0.0, raw * (hops + stop), raw * stop)
+                    got = (oracle.reach_prob(node), oracle.expected_loss(node),
+                           oracle.expected_loss_decomposition(node))
+                    if not np.allclose(got, want, rtol=1e-10, atol=1e-12):
+                        topo_name = "-".join(map(str, sizes))
+                        return CheckResult(
+                            "loss-sweep", False,
+                            f"{topo_name} at {node}: {got} != {tuple(want.tolist())}",
+                        )
+    return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 
 
 def check_greedy_quality(instances: int = 60) -> CheckResult:
@@ -201,6 +234,6 @@ def run_property_suite(inject: str | None = None) -> list[CheckResult]:
         check_variance_ordering(),
         check_weight_simplex(),
         check_submodularity(),
-        check_reach_chain(),
+        check_loss_sweep(),
         check_greedy_quality(),
     ]

@@ -267,7 +267,9 @@ class Workload:
 
         Uses the designed task distribution when one is known, so derived
         calibrations are identical across seeds; the realized per-seed
-        mixtures only add zero-mean noise around it.
+        mixtures only add zero-mean noise around it. A trace task's size is
+        the mean of its recorded sizes, since jobs are drawn uniformly from
+        the task's pool.
         """
         rate = self.arrivals.mean_jobs_per_slot / max(1, len(self._entry_ids))
         if self.design_mixture is not None:
@@ -279,8 +281,12 @@ class Workload:
             mean_mass /= max(1, len(self.arrivals.task_mixture))
         mean_size = 0.0
         for i, task in enumerate(self.tasks):
-            lo, hi = self.task_size_ranges[task]
-            mean_size += float(mean_mass[i]) * (lo + hi) / 2.0
+            if self._job_sampler is not None:
+                task_size = self._job_sampler.mean_size(task)
+            else:
+                lo, hi = self.task_size_ranges[task]
+                task_size = (lo + hi) / 2.0
+            mean_size += float(mean_mass[i]) * task_size
         return WorkloadStats(arrival_rate_per_entry=rate, mean_job_size=mean_size)
 
 
@@ -554,6 +560,10 @@ class TraceJobSampler:
 
     def tasks(self) -> list[str]:
         return sorted(self.pools)
+
+    def mean_size(self, task: str) -> float:
+        pool = self.pools[task]
+        return sum(job.size_units for job in pool) / len(pool)
 
     def __call__(self, task: str, rng: np.random.Generator) -> Job:
         pool = self.pools[task]

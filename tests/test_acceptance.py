@@ -170,7 +170,7 @@ def test_c06_recursion_oracles():
     for depth in (2, 3, 4, 5):
         topo = build_topology([1] * depth, [10.0] * depth, 0.4)
         probs = {f"n{k}_0": float(rng.uniform(0.05, 0.95)) for k in range(1, depth)}
-        oracle = DownstreamLossOracle(topo, chain_views(probs), {}, 70.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", chain_views(probs), {}, 70.0, 1.0)
         expected = float(np.prod(list(probs.values())))
         worst_rho = max(worst_rho, abs(oracle.reach_prob("n1_0") - expected))
     topo3 = build_topology([1, 1, 1], [10, 10, None], 0.4)
@@ -181,7 +181,7 @@ def test_c06_recursion_oracles():
         q = {"n2_0": float(rng.uniform(0, 5)), "n3_0": float(rng.uniform(0, 5))}
         c = float(rng.uniform(0.5, 4))
         views = chain_views({"n1_0": p1, "n2_0": p2}, errors={"n1_0": b1, "n2_0": b2})
-        oracle = DownstreamLossOracle(topo3, views, q, 70.0, c)
+        oracle = DownstreamLossOracle(topo3, "n1_0", views, q, 70.0, c)
         brute = (
             (1 - p1) * 70.0 * b1
             + p1 * (q["n2_0"] * c + (1 - p2) * 70.0 * b2)

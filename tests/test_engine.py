@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hiroute
+from hiroute.baselines import calibrate_offload_prob
 from hiroute.config import default_config
 from hiroute.engine import (
     RegretTracker,
@@ -424,3 +425,26 @@ class TestTraceMode:
             jobs = wl.generate_slot(t)
         node = topo.node(jobs[0].entry_node)
         assert inference_error(jobs[0], node, {"small"}, wl.error_table, topo.num_layers) == 0
+
+    def test_static_calibration_uses_recorded_sizes(self, tmp_path):
+        # text jobs of 12 units on average (q0 alternates 8 and 16): the
+        # configured text size range (mean 2.0) must not stand in for the
+        # recorded payloads
+        header = {"models": [{"id": "small", "size": 2, "modalities": ["text"]}]}
+        sizes = {0: 8.0, 1: 12.0, 2: 16.0, 3: 12.0}
+        records = [
+            {"job_id": f"j{k}", "task_type": f"q{k % 2}", "modality": "text",
+             "size_units": sizes[k % 4], "correctness": {"small": int(k % 3 == 0)}}
+            for k in range(40)
+        ]
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in [header] + records))
+        cfg = small_config()
+        cfg["workload"]["kind"] = "trace"
+        cfg["workload"]["trace_path"] = str(path)
+        topo = build_topology_from_config(cfg)
+        stats = build_workload(cfg, topo, 0).stats()
+        assert stats.mean_job_size == pytest.approx(12.0)
+        # layer-2 allowance per entry node: 0.4 * 2 / 4, over 1.33 / 4 jobs of 12 units
+        prob = calibrate_offload_prob(topo, stats, cfg["topology"]["resource_budget"])
+        assert prob == pytest.approx(0.4 * 2 / 4 / (1.33 / 4 * 12.0))

@@ -155,7 +155,7 @@ class TestBaselineTable:
 
 
 def chain_views(offload_probs, errors=None, confidences=None, lam=0.0):
-    """Hand-set single-chain node views for the recursion oracle."""
+    """Hand-set single-chain node views for the loss oracle."""
     errors = errors or {}
     confidences = confidences or {}
 
@@ -180,13 +180,13 @@ def chain_views(offload_probs, errors=None, confidences=None, lam=0.0):
 class TestReachProb:
     def test_terminal_node_is_one(self):
         topo = build_topology([1, 1], [10, None], 0.4)
-        oracle = DownstreamLossOracle(topo, chain_views({"n1_0": 0.3}), {}, 1.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", chain_views({"n1_0": 0.3}), {}, 1.0, 1.0)
         assert oracle.reach_prob("n2_0") == 1.0
 
     def test_chain_product(self):
         topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
         views = chain_views({"n1_0": 0.5, "n2_0": 0.5})
-        oracle = DownstreamLossOracle(topo, views, {}, 1.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", views, {}, 1.0, 1.0)
         assert oracle.reach_prob("n1_0") == pytest.approx(0.25, abs=1e-12)
 
     def test_product_formula_depths_2_to_5(self):
@@ -194,7 +194,7 @@ class TestReachProb:
         for depth in (2, 3, 4, 5):
             topo = build_topology([1] * depth, [10.0] * depth, 0.4)
             probs = {f"n{k}_0": float(rng.uniform(0.05, 0.95)) for k in range(1, depth)}
-            oracle = DownstreamLossOracle(topo, chain_views(probs), {}, 1.0, 1.0)
+            oracle = DownstreamLossOracle(topo, "n1_0", chain_views(probs), {}, 1.0, 1.0)
             expected = float(np.prod(list(probs.values()))) if probs else 1.0
             assert oracle.reach_prob("n1_0") == pytest.approx(expected, abs=1e-12)
 
@@ -213,7 +213,7 @@ class TestReachProb:
                 confidence=0.5,
             )
 
-        oracle = DownstreamLossOracle(topo, view_of, {}, 1.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", view_of, {}, 1.0, 1.0)
         floor = (lam / 3) * (lam / 2)
         assert oracle.reach_prob("n1_0") >= floor - 1e-15
         assert oracle.reach_prob("n1_0") >= (lam / 3) ** 2  # conservative bound
@@ -223,26 +223,26 @@ class TestReachProb:
         # reach probability must be taken under it, not under the raw one
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 0.4}, lam=0.1)
-        oracle = DownstreamLossOracle(topo, views, {}, 1.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", views, {}, 1.0, 1.0)
         assert oracle.reach_prob("n1_0") == pytest.approx(0.9 * 0.4 + 0.05)
 
 
 class TestExpectedLoss:
     def test_terminal_is_zero(self):
         topo = build_topology([1, 1], [10, None], 0.4)
-        oracle = DownstreamLossOracle(topo, chain_views({"n1_0": 0.5}), {}, 70.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", chain_views({"n1_0": 0.5}), {}, 70.0, 1.0)
         assert oracle.expected_loss("n2_0") == 0.0
 
     def test_pure_local_branch(self):
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 0.0}, errors={"n1_0": 1})
-        oracle = DownstreamLossOracle(topo, views, {}, 70.0, 1.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", views, {}, 70.0, 1.0)
         assert oracle.expected_loss("n1_0") == pytest.approx(70.0)
 
     def test_pure_offload_to_terminal(self):
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 1.0}, errors={"n1_0": 1})
-        oracle = DownstreamLossOracle(topo, views, {"n2_0": 2.0}, 70.0, hop_cost=3.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", views, {"n2_0": 2.0}, 70.0, hop_cost=3.0)
         assert oracle.expected_loss("n1_0") == pytest.approx(6.0)
 
     def test_matches_exhaustive_enumeration_three_node_chain(self):
@@ -256,7 +256,7 @@ class TestExpectedLoss:
             v = 70.0
             views = chain_views({"n1_0": p1, "n2_0": p2},
                                 errors={"n1_0": b1, "n2_0": b2})
-            oracle = DownstreamLossOracle(topo, views, q, v, c)
+            oracle = DownstreamLossOracle(topo, "n1_0", views, q, v, c)
             # enumerate the three realizations: stop@1, stop@2, reach terminal
             brute = (
                 (1 - p1) * v * b1
@@ -264,6 +264,11 @@ class TestExpectedLoss:
                 + p1 * p2 * (q["n3_0"] * c + 0.0)
             )
             assert oracle.expected_loss("n1_0") == pytest.approx(brute, abs=1e-10)
+            # the same enumeration with both queues at zero
+            brute_free = (1 - p1) * v * b1 + p1 * (1 - p2) * v * b2
+            assert oracle.expected_loss_decomposition("n1_0") == pytest.approx(
+                brute_free, abs=1e-10
+            )
 
 
 class TestExpertLoss:
@@ -275,17 +280,17 @@ class TestExpertLoss:
 
     def test_threshold_zero_never_offloads(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 0}, confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(self.topo(), views, {}, 70.0, 1.0)
+        oracle = DownstreamLossOracle(self.topo(), "n1_0", views, {}, 70.0, 1.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[0, 0] == 0.0
 
     def test_threshold_one_pure_offload_branch(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(self.topo(), views, {"n2_0": 2.0}, 70.0, 3.0)
+        oracle = DownstreamLossOracle(self.topo(), "n1_0", views, {"n2_0": 2.0}, 70.0, 3.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[2, 0] == pytest.approx(6.0)
 
     def test_local_branch_with_error(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.9})
-        oracle = DownstreamLossOracle(self.topo(), views, {}, 70.0, 1.0)
+        oracle = DownstreamLossOracle(self.topo(), "n1_0", views, {}, 70.0, 1.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[1, 0] == pytest.approx(70.0)
 
     def test_matrix_matches_scalar(self):
@@ -297,7 +302,7 @@ class TestExpertLoss:
         q = {"n2_0": 1.5, "n3_0": 0.5}
         views = chain_views({"n1_0": 0.5, "n2_0": 0.3}, errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(topo, views, q, 70.0, 2.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", views, q, 70.0, 2.0)
         matrix = oracle.expert_loss_matrix("n1_0", grid)
         for i, th in enumerate(grid.thresholds):
             if th <= 0.5:
@@ -311,7 +316,7 @@ class TestExpertLoss:
         views = chain_views({"n1_0": 0.5, "n2_0": 0.5},
                             errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5, "n2_0": 0.5})
-        oracle = DownstreamLossOracle(topo, views, {"n2_0": 2.0}, 70.0, 3.0)
+        oracle = DownstreamLossOracle(topo, "n1_0", views, {"n2_0": 2.0}, 70.0, 3.0)
         grid = ExpertGrid(thresholds=(1.0,), destinations=("n2_0",))
         with_downstream = oracle.expert_loss_matrix("n1_0", grid)[0, 0]
         without = oracle.expert_loss_matrix("n1_0", grid, zero_downstream=True)[0, 0]

@@ -2,7 +2,7 @@ import time
 
 from hiroute.validation import (
     check_greedy_quality,
-    check_reach_chain,
+    check_loss_sweep,
     check_submodularity,
     check_unbiasedness,
     check_variance_ordering,
@@ -32,5 +32,5 @@ def test_individual_checks():
     assert check_variance_ordering().passed
     assert check_weight_simplex().passed
     assert check_submodularity(tables=5).passed
-    assert check_reach_chain().passed
+    assert check_loss_sweep().passed
     assert check_greedy_quality(instances=20).passed
