@@ -8,6 +8,11 @@ within a slot therefore see the slot-start weights. Placements refresh on a
 fixed epoch grid when the greedy strategy is selected. All randomness flows
 from the run seed, so a (config, seed) pair reproduces its metrics stream
 byte for byte.
+
+The core works on integer node indices, with node tables built once per run;
+ids appear only at I/O. Each placement epoch tables every (node, task)'s
+best-loaded accuracy and selected model, and a job keeps one record per node
+it is evaluated at: confidence, local error and action distribution.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from .baselines import (
     variant_flags,
 )
 from .control import QueueState, drift_penalty_diagnostic
-from .losses import BaselineTable, DownstreamLossOracle, NodeJobView
+from .losses import BaselineTable, DownstreamLossOracle, NodeRecord, estimate
 from .placement import (
     Placement,
     PlacementContext,
@@ -38,7 +43,7 @@ from .placement import (
     greedy_onload,
 )
 from .policy import DEFAULT_THRESHOLDS, ExpertGrid, ExpertTable
-from .topology import NodeRef, Topology, build_topology
+from .topology import Topology, build_topology
 from .workload import (
     ArrivalModel,
     ConfidenceModel,
@@ -51,6 +56,7 @@ from .workload import (
     empirical_error_prob,
     inference_error,
     load_trace,
+    select_model,
     synthetic_catalog,
     VISION,
 )
@@ -290,8 +296,16 @@ class _Run:
         self.model_ids = self.workload.model_ids
         self.models = self.workload.models
         self.model_sizes = {m.model_id: m.memory_size for m in self.models}
-        self.node_index = {n.node_id: i for i, n in enumerate(self.topo.nodes())}
-        self.node_refs = {n.node_id: n for n in self.topo.nodes()}
+        # node tables: the core works on node indices; destinations are in
+        # uplinks order, the order of every expert grid and action distribution
+        self.nodes = self.topo.nodes()
+        self.node_ids, self.layers, self.dests = self.topo.index_tables()
+        self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        self.terminal = frozenset(self.layers[-1])
+        self.uplinks = [self.topo.uplinks(n) if d else () for n, d in zip(self.nodes, self.dests)]
+        # the nodes every loss sweep reads besides the entry
+        self.middle = tuple(i for layer in self.layers[1:-1] for i in layer)
+        self.noise_std = self.workload.confidence_model.noise_std
         self.v = float(cfg["learning"]["error_weight"])
         self.distance_factor = float(cfg["run"]["distance_factor"])
         self.rng_route = np.random.default_rng(
@@ -302,9 +316,9 @@ class _Run:
         self.epoch_slots = int(cfg["placement"]["epoch_slots"])
         self.switch_penalty = float(cfg["placement"]["switch_penalty"])
         self.placement_kind = cfg["placement"]["kind"]
-        self.placement = Placement(loaded={n.node_id: frozenset() for n in self.topo.nodes()})
+        self.placement = Placement(loaded={n: frozenset() for n in self.node_ids})
         self.placement_log: list[tuple[int, str, tuple[str, ...]]] = []
-        self._epoch_histogram: dict[str, dict[str, int]] = {}
+        self._epoch_histogram: dict[int, dict[str, int]] = {}
         self._first_epoch_done = False
 
         if self.placement_kind in ("random_fixed", "layer_diverse"):
@@ -315,10 +329,9 @@ class _Run:
                 seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(4,)).generate_state(1)[0]),
             )
             self.placement = fixed
-            for node in self.topo.nodes():
-                self.placement_log.append(
-                    (0, node.node_id, tuple(sorted(fixed.loaded[node.node_id])))
-                )
+            for node_id in self.node_ids:
+                self.placement_log.append((0, node_id, tuple(sorted(fixed.loaded[node_id]))))
+        self._index_placement()
 
         self.variant: EstimatorVariant | None = None
         self.table: ExpertTable | None = None
@@ -326,6 +339,7 @@ class _Run:
         self.static_cfg: StaticPolicyConfig | None = None
         if self.learning:
             self.variant = variant_flags(self.policy)
+            self.thresholds = np.asarray(resolve_thresholds(cfg))
             grids = {
                 n.node_id: ExpertGrid(
                     thresholds=resolve_thresholds(cfg),
@@ -414,11 +428,11 @@ class _Run:
         if t % self.epoch_slots != 1:
             return
         new_loaded: dict[str, frozenset[str]] = {}
-        for node in self.topo.nodes():
+        for i, node in enumerate(self.nodes):
             if node.layer == self.topo.num_layers:
                 new_loaded[node.node_id] = frozenset()
                 continue
-            mixture = self._mixture_for(node)
+            mixture = self._mixture_for(i)
             previous = (
                 frozenset(self.model_ids)
                 if not self._first_epoch_done
@@ -435,91 +449,79 @@ class _Run:
             self.placement_log.append((t, node.node_id, tuple(sorted(chosen))))
         self.placement = Placement(loaded=new_loaded, epoch=t)
         self.placement.check_feasible(self.topo, self.model_sizes)
+        self._index_placement()
         self._first_epoch_done = True
         self._epoch_histogram = {}
 
-    def _mixture_for(self, node: NodeRef) -> dict[str, float]:
-        if node.layer == 1:
-            probs = self.workload.arrivals.task_mixture[node.node_id]
+    def _index_placement(self) -> None:
+        """Best-loaded accuracy and selected model per (node, task), for the
+        current placement: a job's confidence centre and local error at a
+        node depend only on these and on the job's own draws."""
+        table, tasks = self.error_table, self.workload.tasks
+        self.accuracy: list[dict[str, float]] = []
+        self.selected: list[dict[str, str | None]] = []
+        for node_id in self.node_ids:
+            loaded = self.placement.loaded.get(node_id, frozenset())
+            self.accuracy.append({t: best_loaded_accuracy(table, t, loaded) for t in tasks})
+            self.selected.append({t: select_model(table, t, loaded) for t in tasks})
+
+    def _mixture_for(self, index: int) -> dict[str, float]:
+        if index in self.layers[0]:
+            probs = self.workload.arrivals.task_mixture[self.node_ids[index]]
             return {t: float(p) for t, p in zip(self.workload.tasks, probs)}
-        hist = self._epoch_histogram.get(node.node_id)
+        hist = self._epoch_histogram.get(index)
         if not hist:
             uniform = 1.0 / len(self.workload.tasks)
             return {t: uniform for t in self.workload.tasks}
         total = sum(hist.values())
         return {t: c / total for t, c in hist.items()}
 
-    # ---- per-job node views ----------------------------------------------
-    def _make_view_cache(self, job: Job, noise: np.ndarray):
-        cache: dict[str, NodeJobView] = {}
-
-        def view_of(node_id: str) -> NodeJobView:
-            if node_id in cache:
-                return cache[node_id]
-            node = self.node_refs[node_id]
-            loaded = self.placement.loaded.get(node_id, frozenset())
-            center = best_loaded_accuracy(self.error_table, job.task_type, loaded)
-            z = confidence_from_noise(
-                center,
-                float(noise[self.node_index[node_id]]),
-                self.workload.confidence_model.noise_std,
-            )
-            b = inference_error(job, node, loaded, self.error_table, self.topo.num_layers)
-            dists = (
-                self.table.action_probs(node_id, job.task_type, z)
-                if self.table is not None and node.layer < self.topo.num_layers
-                else None
-            )
-            view = NodeJobView(dists=dists, local_error=b, confidence=z)
-            cache[node_id] = view
-            return view
-
-        return view_of
+    # ---- per-job node records ----------------------------------------------
+    def _evaluate(self, job: Job, node: int, noise: list[float]) -> NodeRecord:
+        """The job's record at a non-terminal node: confidence, local error
+        and slot-start action distribution."""
+        task = job.task_type
+        z = confidence_from_noise(self.accuracy[node][task], noise[node], self.noise_std)
+        b = inference_error(job, self.selected[node][task])
+        return z, b, self.table.action_probs(self.node_ids[node], task, z)
 
     # ---- the slot loop ----------------------------------------------------
     def run_slot(self, t: int, jobs: list[Job]) -> SlotMetrics:
         self.maybe_onload(t)
         q_start = self.queues.snapshot()
-        slot_costs = {n: 0.0 for n in self.queues.values}
+        queue = [q_start.get(n, 0.0) for n in self.node_ids]
+        costs = [0.0] * len(self.node_ids)
         slot_errors = 0
         slot_hard = 0
         slot_hits = 0
         slot_feedback = 0
 
-        routed: list[tuple[Job, PathRecord, Any]] = []
+        routed = []
         for job in jobs:
-            noise = self.workload.confidence_noise(len(self.node_index))
-            view_of = self._make_view_cache(job, noise)
-            record, hop_costs = self._route(job, t, view_of)
-            for dest, cost in hop_costs.items():
-                slot_costs[dest] += cost
+            noise = self.workload.confidence_noise(len(self.node_ids)).tolist()
+            record, path, records = self._route(job, t, noise)
+            hop_cost = job.size_units * self.distance_factor
+            for dest in path[1:]:
+                costs[dest] += hop_cost
             slot_errors += record.exit_error
             slot_hard += int(record.hard)
             slot_hits += int(record.hard and record.reached_oracle)
             slot_feedback += int(record.reached_oracle)
-            routed.append((job, record, view_of))
+            routed.append((job, path, record.reached_oracle, noise, records))
             if self.record_paths:
                 self.path_log.append(record)
                 if self._paths_file is not None:
-                    self._paths_file.write(json.dumps({
-                        "job_id": record.job_id,
-                        "slot": record.slot,
-                        "task": record.task,
-                        "path": list(record.path),
-                        "exit_layer": record.exit_layer,
-                        "reached_oracle": record.reached_oracle,
-                        "size_units": record.size_units,
-                        "exit_error": record.exit_error,
-                        "hard": record.hard,
-                    }, sort_keys=True) + "\n")
+                    line = json.dumps(dataclasses.asdict(record), sort_keys=True)
+                    self._paths_file.write(line + "\n")
 
         if self.learning:
-            for job, record, view_of in routed:
-                self._learn_from(job, record, view_of, q_start)
+            for job, path, reached, noise, records in routed:
+                self._learn_from(job, path, reached, noise, records, queue)
                 if self.record_regret:
                     self.regret.job_done()
             self.table.refresh_dirty()
 
+        slot_costs = {n: costs[self.node_index[n]] for n in self.queues.values}
         self.queues.apply_slot(slot_costs, self.topo.resource_budget)
         for node_id, cost in slot_costs.items():
             self.total_cost[node_id] += cost
@@ -553,103 +555,109 @@ class _Run:
             )
         return metrics
 
-    def _route(self, job: Job, t: int, view_of) -> tuple[PathRecord, dict[str, float]]:
-        node = self.node_refs[job.entry_node]
-        path: list[str] = []
-        hop_costs: dict[str, float] = {}
-        hop_cost = job.size_units * self.distance_factor
+    def _route(
+        self, job: Job, t: int, noise: list[float]
+    ) -> tuple[PathRecord, list[int], dict[int, NodeRecord]]:
+        """Route one job; return its path record, its node path and, for a
+        learning policy, its record at every node it visited."""
+        node = self.node_index[job.entry_node]
+        task = job.task_type
+        last = self.topo.num_layers
+        path: list[int] = []
+        records: dict[int, NodeRecord] = {}
         exit_error = 0
         while True:
-            path.append(node.node_id)
-            if len(path) > self.topo.num_layers:
+            path.append(node)
+            if len(path) > last:
                 raise RuntimeError(f"path exceeded layer count for job {job.job_id}")
-            if node.layer >= 2 and node.layer < self.topo.num_layers:
-                hist = self._epoch_histogram.setdefault(node.node_id, {})
-                hist[job.task_type] = hist.get(job.task_type, 0) + 1
-            if node.layer == self.topo.num_layers:
-                exit_error = 0
+            layer = self.nodes[node].layer
+            if 2 <= layer < last:
+                hist = self._epoch_histogram.setdefault(node, {})
+                hist[task] = hist.get(task, 0) + 1
+            if layer == last:
                 break
-            view = view_of(node.node_id)
             if self.learning:
-                action = view.dists.sample(self.rng_route)
+                records[node] = record = self._evaluate(job, node, noise)
+                action = record[2].sample(self.rng_route)
+                if action == 0:
+                    exit_error = record[1]
+                    break
+                node = self.dests[node][action - 1]
             else:
                 action = static_action(
-                    self.static_cfg, node, self.topo.uplinks(node), self.rng_route
+                    self.static_cfg, self.nodes[node], self.uplinks[node], self.rng_route
                 )
-            if action == 0:
-                exit_error = view.local_error
-                break
-            hop_costs[action] = hop_costs.get(action, 0.0) + hop_cost
-            node = self.node_refs[action]
-        reached = path[-1] in self.topo.layers[-1]
+                if action == 0:
+                    exit_error = inference_error(job, self.selected[node][task])
+                    break
+                node = self.node_index[action]
         return (
             PathRecord(
                 job_id=job.job_id,
                 slot=t,
-                task=job.task_type,
-                path=tuple(path),
-                exit_layer=self.node_refs[path[-1]].layer,
-                reached_oracle=reached,
+                task=task,
+                path=tuple(self.node_ids[i] for i in path),
+                exit_layer=self.nodes[path[-1]].layer,
+                reached_oracle=path[-1] in self.terminal,
                 size_units=job.size_units,
                 exit_error=exit_error,
                 hard=job.is_hard(self.model_ids),
             ),
-            hop_costs,
+            path,
+            records,
         )
 
     def _learn_from(
-        self, job: Job, record: PathRecord, view_of, q_start: Mapping[str, float]
+        self, job: Job, path: list[int], fb: bool, noise: list[float],
+        records: dict[int, NodeRecord], queue: list[float],
     ) -> None:
         assert self.table is not None and self.baselines is not None
         variant = self.variant
         task = job.task_type
         hop_cost = job.size_units * self.distance_factor
-        visited = [n for n in record.path if not self.topo.is_terminal(n)]
-        fb = record.reached_oracle
         oracle = None
         if fb or self.record_regret:
+            for node in (path[0], *self.middle):
+                if node not in records:
+                    records[node] = self._evaluate(job, node, noise)
             oracle = DownstreamLossOracle(
-                self.topo, job.entry_node, view_of, q_start, self.v, hop_cost
+                self.layers, path[0], self.dests, records, queue, self.v, hop_cost
             )
-        for i, node_id in enumerate(visited):
+        visited = path[:-1] if fb else path
+        for i, node in enumerate(visited):
+            node_id = self.node_ids[node]
             grid = self.table.grids[node_id]
-            view = view_of(node_id)
-            beta = None
+            dests = self.dests[node]
+            confidence, local_error, _ = records[node]
+            beta = 0.0
             if variant.use_baseline:
-                mask = np.asarray(grid.thresholds) > view.confidence
-                queue_row = np.array([q_start.get(d, 0.0) for d in grid.destinations])
                 beta = self.baselines.plugin_values(
-                    node_id, task, mask, queue_row,
-                    hop_cost=hop_cost,
-                    error_weight=self.v,
-                    zero_downstream=variant.zero_downstream,
+                    node_id, task, self.thresholds > confidence,
+                    np.array([queue[d] for d in dests]), hop_cost=hop_cost,
+                    error_weight=self.v, zero_downstream=variant.zero_downstream,
                 )
+            losses = rho = None
             if fb:
-                rho = oracle.reach_prob(node_id)
-                losses = oracle.expert_loss_matrix(
-                    node_id, grid, zero_downstream=variant.zero_downstream
-                )
+                rho = oracle.reach_prob(node)
+                losses = oracle.expert_loss_matrix(node, grid, variant.zero_downstream)
                 if variant.use_baseline:
                     self.baselines.count_violations(beta, losses)
-                    estimate = (losses - beta) / rho + beta
-                    self.table.accumulate_loss(node_id, task, estimate)
-                    down_base = np.array(
-                        [oracle.expected_loss_decomposition(d) for d in grid.destinations]
-                    )
-                    self.baselines.update_hidden(node_id, task, view.local_error, down_base)
-                else:
-                    self.table.accumulate_loss(node_id, task, losses / rho)
-            elif variant.use_baseline:
-                self.table.accumulate_loss(node_id, task, beta.copy())
+            # an importance-weighted job without feedback adds nothing
+            if fb or variant.use_baseline:
+                self.table.accumulate_loss(node_id, task, estimate(losses, beta, rho, fb))
+            if fb and variant.use_baseline:
+                down_base = np.array([oracle.expected_loss_decomposition(d) for d in dests])
+                self.baselines.update_hidden(node_id, task, local_error, down_base)
             if self.record_regret:
-                true_losses = oracle.expert_loss_matrix(node_id, grid)
+                if losses is None or variant.zero_downstream:
+                    losses = oracle.expert_loss_matrix(node, grid)
                 # the realized loss of the action taken here: stop, or offload
                 # to the next node of the path
-                if i + 1 < len(record.path):
-                    realized = oracle.offload_cost[record.path[i + 1]]
+                if i + 1 < len(path):
+                    realized = oracle.offload_cost[path[i + 1]]
                 else:
-                    realized = self.v * view.local_error
-                self.regret.add(node_id, task, realized, true_losses)
+                    realized = self.v * local_error
+                self.regret.add(node_id, task, realized, losses)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:

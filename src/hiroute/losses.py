@@ -2,50 +2,42 @@
 
 A job's loss at a node is only observed when its realized path reaches the
 terminal layer, which happens with a reach probability that shrinks
-multiplicatively with depth. Two estimators of the per-expert full-feedback
-loss are provided:
+multiplicatively with depth. :func:`estimate` is the one estimator of every
+expert's full-feedback loss: (loss - baseline) / reach_prob + baseline on
+feedback, else the baseline alone. A zero baseline gives the
+importance-weighted ("naive") estimate; the variance-reduced one uses the
+task- and expert-conditioned baselines of :class:`BaselineTable`. Both are
+exactly unbiased over the feedback Bernoulli.
 
-* importance-weighted ("naive"): loss / reach_prob on feedback, else 0;
-* variance-reduced: (loss - baseline) / reach_prob + baseline on feedback,
-  else the baseline alone.
-
-Both are exactly unbiased over the feedback Bernoulli; the second trades the
-importance weight's full magnitude for the residual against a task- and
-expert-conditioned baseline (see :class:`BaselineTable`).
-
-:class:`DownstreamLossOracle` makes one backward sweep per job, from the
-deepest non-terminal layer up to the job's entry node. Per node it computes
-the probability of reaching the terminal layer, the expected downstream loss
-of standing there, and that loss with every queue at zero; the estimators
-and the regret diagnostic then look these values up.
+:class:`DownstreamLossOracle` makes one backward sweep per job over integer
+node indices, from the deepest non-terminal layer up to the job's entry
+node. Per node it computes the probability of reaching the terminal layer,
+the expected downstream loss of standing there, and that loss with every
+queue at zero; the estimators and the regret diagnostic then look these
+values up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from bisect import bisect_right
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .policy import ActionDistribution, ExpertGrid
-from .topology import Topology
 
 
-def naive_estimate(f: float, rho: float, fb: bool) -> float:
-    """Importance-weighted loss estimate: f / rho on feedback, else 0."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("reach probability must lie in (0, 1]")
-    return f / rho if fb else 0.0
+def estimate(losses, baseline, rho: float, fb: bool):
+    """Loss estimate of every expert: the baseline plus the importance-weighted
+    residual on feedback, the baseline alone otherwise.
 
-
-def vr_estimate(f: float, baseline: float, rho: float, fb: bool) -> float:
-    """Variance-reduced estimate: baseline plus importance-weighted residual.
-
-    Without feedback the estimate is the baseline itself, so learning can
-    proceed between observations.
+    A zero baseline gives the importance-weighted estimate, ``losses / rho``
+    on feedback and 0 otherwise. Works elementwise on arrays and on scalars.
     """
+    if not fb:
+        return baseline
     if not 0.0 < rho <= 1.0:
         raise ValueError("reach probability must lie in (0, 1]")
-    return (f - baseline) / rho + baseline if fb else baseline
+    return (losses - baseline) / rho + baseline
 
 
 def variance_pair(f: float, baseline: float, rho: float) -> tuple[float, float]:
@@ -146,24 +138,24 @@ class BaselineTable:
         self.condition_violations += int(bad.sum())
 
 
-# Per-job view of one node used by the backward sweep.
-@dataclass(frozen=True)
-class NodeJobView:
-    dists: ActionDistribution
-    local_error: int
-    confidence: float
+# A job's record at one node: confidence, realized local error, and the
+# node's slot-start action distribution for the job's task.
+NodeRecord = tuple[float, int, ActionDistribution]
 
 
 class DownstreamLossOracle:
     """One backward sweep over one job: reach probabilities and expected losses.
 
+    Nodes are integer indices. ``layers`` lists each layer's nodes, entry
+    layer first; ``dests`` gives each node's destination indices in the
+    order of its action distribution; ``queue`` the slot-start queue of
+    every node. ``nodes`` maps the job's entry node and every node strictly
+    between the entry and terminal layers to the job's :data:`NodeRecord`
+    there.
+
     The constructor walks the hierarchy once, from the deepest non-terminal
-    layer up to the job's entry node. ``view_of(node_id)`` must return the
-    node's slot-start action distributions, realized local error, and
-    confidence for the job; it is called for the entry node and for every
-    node strictly between the entry and terminal layers, never for terminal
-    nodes. Each node's values are summed over its destinations in
-    destination order, in Python floats:
+    layer up to the entry node. Each node's values are summed over its
+    destinations in destination order, in Python floats:
 
     * the reach probability of the terminal layer, under the mixed
       distribution the route was actually sampled from, which keeps the
@@ -180,70 +172,72 @@ class DownstreamLossOracle:
 
     def __init__(
         self,
-        topo: Topology,
-        entry: str,
-        view_of: Callable[[str], NodeJobView],
-        queue: Mapping[str, float],
+        layers: Sequence[Sequence[int]],
+        entry: int,
+        dests: Sequence[Sequence[int]],
+        nodes: Mapping[int, NodeRecord],
+        queue: Sequence[float],
         error_weight: float,
         hop_cost: float,
     ) -> None:
-        self.view_of = view_of
+        self.nodes = nodes
+        self.dests = dests
         self.error_weight = float(error_weight)
         hop_cost = float(hop_cost)
-        terminal = topo.layers[-1]
+        terminal = layers[-1]
         self._rho = dict.fromkeys(terminal, 1.0)
         self._fbar = dict.fromkeys(terminal, 0.0)
         self._free = dict.fromkeys(terminal, 0.0)
-        self._queue_cost: dict[str, float] = {}
+        self._queue_cost: dict[int, float] = {}
         # queue-weighted hop cost plus expected loss, per node of layers 2..K
-        self.offload_cost: dict[str, float] = {}
-        for k in range(topo.num_layers - 1, 0, -1):
-            for dest in topo.layers[k]:
-                queue_cost = queue.get(dest, 0.0) * hop_cost
+        self.offload_cost: dict[int, float] = {}
+        for k in range(len(layers) - 1, 0, -1):
+            for dest in layers[k]:
+                queue_cost = queue[dest] * hop_cost
                 self._queue_cost[dest] = queue_cost
                 self.offload_cost[dest] = queue_cost + self._fbar[dest]
-            for node_id in topo.layers[k - 1] if k > 1 else (entry,):
-                view = view_of(node_id)
-                dists = view.dists
+            for node in layers[k - 1] if k > 1 else (entry,):
+                _, local_error, dist = nodes[node]
+                raw = dist.raw.tolist()
+                mixed = dist.mixed.tolist()
                 rho = 0.0
-                fbar = free = self.error_weight * dists.raw_terminate * view.local_error
-                for p_mixed, p_raw, dest in zip(
-                    dists.mixed_offload.tolist(), dists.raw_offload.tolist(), dists.destinations
-                ):
+                fbar = free = self.error_weight * raw[0] * local_error
+                for p_mixed, p_raw, dest in zip(mixed[1:], raw[1:], dests[node]):
                     rho += p_mixed * self._rho[dest]
                     fbar += p_raw * self.offload_cost[dest]
                     free += p_raw * self._free[dest]
-                self._rho[node_id] = rho
-                self._fbar[node_id] = fbar
-                self._free[node_id] = free
+                self._rho[node] = rho
+                self._fbar[node] = fbar
+                self._free[node] = free
 
-    def reach_prob(self, node_id: str) -> float:
+    def reach_prob(self, node: int) -> float:
         """Probability the job reaches the terminal layer from this node."""
-        rho = self._rho[node_id]
+        rho = self._rho[node]
         if rho <= 0.0:
-            raise ValueError(f"reach probability vanished at {node_id}")
+            raise ValueError(f"reach probability vanished at node {node}")
         return rho
 
-    def expected_loss(self, node_id: str) -> float:
+    def expected_loss(self, node: int) -> float:
         """Expected loss of the job standing at this node under current policies."""
-        return self._fbar[node_id]
+        return self._fbar[node]
 
-    def expected_loss_decomposition(self, node_id: str) -> float:
+    def expected_loss_decomposition(self, node: int) -> float:
         """The queue-free part of the expected loss: every queue at zero.
 
         Only this part feeds :class:`BaselineTable`, which leaves the
         queue-dependent share of the downstream loss out of the baseline on
         purpose and adds the live queue values at decision time instead.
         """
-        return self._free[node_id]
+        return self._free[node]
 
     def expert_loss_matrix(
-        self, node_id: str, grid: ExpertGrid, zero_downstream: bool = False
+        self, node: int, grid: ExpertGrid, zero_downstream: bool = False
     ) -> np.ndarray:
         """All experts' full-feedback losses at once, shaped like the grid."""
-        view = self.view_of(node_id)
-        local = self.error_weight * view.local_error
+        confidence, local_error, _ = self.nodes[node]
         costs = self._queue_cost if zero_downstream else self.offload_cost
-        offload_row = np.array([costs[dest] for dest in grid.destinations])
-        mask = np.asarray(grid.thresholds) > view.confidence
-        return np.where(mask[:, None], offload_row[None, :], local)
+        matrix = np.empty(grid.shape)
+        cut = bisect_right(grid.thresholds, confidence)
+        matrix[:cut] = self.error_weight * local_error
+        matrix[cut:] = [costs[dest] for dest in self.dests[node]]
+        return matrix

@@ -104,14 +104,19 @@ def greedy_onload(
     chosen: set[str] = set()
     remaining = float(budget)
     pool = sorted(model_pool, key=lambda m: m.model_id)
+    singles: dict[str, float] = {}  # first round: the utility of each model alone
     while True:
+        current = utility(ctx, chosen)  # each gain is marginal_gain(ctx, model, chosen)
         best_id = None
         best_density = -np.inf
         best_gain = 0.0
         for model in pool:
             if model.model_id in chosen or model.memory_size > remaining + 1e-12:
                 continue
-            gain = marginal_gain(ctx, model.model_id, chosen)
+            value = utility(ctx, chosen | {model.model_id})
+            if not chosen:
+                singles[model.model_id] = value
+            gain = value - current
             density = gain / model.memory_size
             if density > best_density + 1e-15:
                 best_id, best_density, best_gain = model.model_id, density, gain
@@ -123,12 +128,10 @@ def greedy_onload(
         remaining -= ctx.size_of(best_id)
     result = frozenset(chosen)
     best_single = None
-    for model in pool:
-        if model.memory_size <= budget + 1e-12:
-            value = utility(ctx, {model.model_id})
-            if best_single is None or value > best_single[0] + 1e-15:
-                best_single = (value, model.model_id)
-    if best_single is not None and best_single[0] > utility(ctx, result) + 1e-12:
+    for model_id, value in singles.items():
+        if best_single is None or value > best_single[0] + 1e-15:
+            best_single = (value, model_id)
+    if best_single is not None and best_single[0] > current + 1e-12:
         result = frozenset({best_single[1]})
     return result
 

@@ -5,10 +5,13 @@ A joint expert pairs an offload threshold with a destination: it recommends
 offloading there when the local confidence falls below the threshold, and
 local termination otherwise. Weights over the joint expert grid are the
 softmax of negated cumulative estimated losses; each action's probability
-aggregates the weights of every expert recommending it.
+aggregates the weights of every expert recommending it, into one array over
+{terminate} + destinations that is sampled by one uniform draw against its
+cumulative sum.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -42,27 +45,29 @@ class ExpertGrid:
         return len(self.thresholds) * len(self.destinations)
 
 
-@dataclass
 class ActionDistribution:
-    """Raw and exploration-mixed probabilities over {terminate} + uplinks."""
+    """Raw and exploration-mixed probabilities over {terminate} + destinations.
 
-    destinations: tuple[str, ...]
-    raw_terminate: float
-    raw_offload: np.ndarray
-    exploration_rate: float
+    Both arrays have one entry per action: index 0 terminates, index i
+    offloads to the node's i-th destination.
+    """
 
-    def __post_init__(self) -> None:
-        n_actions = len(self.destinations) + 1
-        floor = self.exploration_rate / n_actions
-        keep = 1.0 - self.exploration_rate
-        self.mixed_terminate = keep * self.raw_terminate + floor
-        self.mixed_offload = keep * self.raw_offload + floor
+    __slots__ = ("raw", "mixed")
 
-    def sample(self, rng: np.random.Generator) -> str | int:
-        """Draw one action from the mixed distribution (0 = terminate)."""
-        probs = np.concatenate(([self.mixed_terminate], self.mixed_offload))
-        idx = int(rng.choice(len(probs), p=probs / probs.sum()))
-        return 0 if idx == 0 else self.destinations[idx - 1]
+    def __init__(self, raw: np.ndarray, exploration_rate: float) -> None:
+        self.raw = raw
+        self.mixed = (1.0 - exploration_rate) * raw + exploration_rate / len(raw)
+
+    def sample(self, rng: np.random.Generator) -> int:
+        """Draw one action index from the mixed distribution.
+
+        One uniform draw against the cumulative sum: the same index, and the
+        same generator state afterwards, as ``rng.choice(len(p), p=p)``.
+        """
+        p = self.mixed / self.mixed.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class _TableEntry:
@@ -135,19 +140,15 @@ class ExpertTable:
         """Aggregate expert weights into action probabilities given confidence z.
 
         Experts whose threshold exceeds z vote for their destination; all
-        others vote for local termination.
+        others vote for local termination. Thresholds increase, so the
+        offloading experts are the rows from the first threshold above z on.
         """
-        grid = self.grids[node]
-        w = self.weights(node, task)
-        mask = np.asarray(grid.thresholds) > z
-        raw_offload = w[mask, :].sum(axis=0)
-        raw_terminate = float(w[~mask, :].sum())
-        return ActionDistribution(
-            destinations=grid.destinations,
-            raw_terminate=raw_terminate,
-            raw_offload=raw_offload,
-            exploration_rate=self.exploration_rate,
-        )
+        w = self._entries[(node, task)].weights
+        cut = bisect_right(self.grids[node].thresholds, z)
+        raw = np.empty(w.shape[1] + 1)
+        raw[0] = w[:cut].sum()
+        raw[1:] = w[cut:].sum(axis=0)
+        return ActionDistribution(raw, self.exploration_rate)
 
     def accumulate_loss(self, node: str, task: str, per_expert_losses: np.ndarray) -> None:
         """Add one job's estimated losses for every expert of (node, task)."""

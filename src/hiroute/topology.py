@@ -107,6 +107,19 @@ class Topology:
             NodeRef(n, ref.layer + 1) for n in sorted(self.layers[ref.layer])
         )
 
+    def index_tables(self) -> tuple[tuple, tuple, tuple]:
+        """Node ids by index, in :meth:`nodes` order; each layer's node
+        indices; and each node's destination indices in :meth:`uplinks` order,
+        which sorts by id (``n2_10`` before ``n2_2``), empty when terminal."""
+        ids = tuple(node.node_id for node in self.nodes())
+        index = {node_id: i for i, node_id in enumerate(ids)}
+        layers = tuple(tuple(index[n] for n in layer) for layer in self.layers)
+        dests = tuple(
+            tuple(index[u.node_id] for u in self.uplinks(n)) if n.layer < self.num_layers else ()
+            for n in self.nodes()
+        )
+        return ids, layers, dests
+
 
 def build_topology(
     layer_sizes: Sequence[int],

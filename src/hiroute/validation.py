@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import DownstreamLossOracle, NodeJobView, variance_pair, vr_estimate
+from .losses import DownstreamLossOracle, estimate, variance_pair
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
@@ -29,12 +29,12 @@ class CheckResult:
 
 
 def check_unbiasedness(inject: str | None = None, n: int = 10_000) -> CheckResult:
-    """Two-point expectation of the variance-reduced estimate equals the loss."""
+    """Two-point expectation of the engine's loss estimate equals the loss."""
     rng = np.random.default_rng(7)
-    estimator: Callable = vr_estimate
+    estimator: Callable = estimate
     if inject == "baseline-sign":
         def estimator(f, baseline, rho, fb):  # deliberately wrong add-back sign
-            return (f - baseline) / rho - baseline if fb else -baseline
+            return estimate(f, baseline, rho, fb) - 2.0 * baseline
     worst = 0.0
     for _ in range(n):
         f = float(rng.uniform(-50, 150))
@@ -148,34 +148,36 @@ def check_loss_sweep() -> CheckResult:
     v = 70.0
     for sizes in layer_sizes:
         topo = build_topology(sizes, [10.0] * len(sizes), 0.4)
+        ids, layers, dests = topo.index_tables()
+        index = {node_id: i for i, node_id in enumerate(ids)}
         for _ in range(3):
-            views: dict[str, NodeJobView] = {}
-            for node_id in (n for layer in topo.layers[:-1] for n in layer):
-                dests = tuple(u.node_id for u in topo.uplinks(node_id))
-                w = rng.dirichlet(np.ones(len(dests) + 1))
+            records = {}  # the job's NodeRecord at every non-terminal node
+            for node in (i for layer in layers[:-1] for i in layer):
+                w = rng.dirichlet(np.ones(len(dests[node]) + 1))
                 lam = float(rng.uniform(0.01, 0.3))
-                dists = ActionDistribution(dests, float(w[0]), w[1:], exploration_rate=lam)
-                views[node_id] = NodeJobView(dists, int(rng.integers(2)), 0.5)
+                records[node] = (0.5, int(rng.integers(2)), ActionDistribution(w, lam))
             queue = {n: float(rng.uniform(0, 5)) for layer in topo.layers[1:] for n in layer}
+            queue_row = [queue.get(n, 0.0) for n in ids]
             c = float(rng.uniform(0.5, 4))
-            for entry in topo.layers[0]:
-                oracle = DownstreamLossOracle(topo, entry, views.__getitem__, queue, v, c)
-                for node in (entry, *(n for layer in topo.layers[1:] for n in layer)):
+            for entry in layers[0]:
+                oracle = DownstreamLossOracle(layers, entry, dests, records, queue_row, v, c)
+                for node in (entry, *(i for layer in layers[1:] for i in layer)):
                     want = np.zeros(3)  # reach prob, expected loss, queue-free loss
-                    for route in _routes(topo, node):
+                    for route in _routes(topo, ids[node]):
                         mixed, raw, hops = 1.0, 1.0, 0.0
                         for here, nxt in zip(route, route[1:]):
-                            dists = views[here].dists
-                            i = dists.destinations.index(nxt)
-                            mixed *= float(dists.mixed_offload[i])
-                            raw *= float(dists.raw_offload[i])
+                            dist = records[index[here]][2]
+                            i = dests[index[here]].index(index[nxt]) + 1  # 0 terminates
+                            mixed *= float(dist.mixed[i])
+                            raw *= float(dist.raw[i])
                             hops += queue[nxt] * c
                         last = route[-1]
                         if topo.is_terminal(last):
                             want += (mixed, raw * hops, 0.0)
                         else:
-                            raw *= views[last].dists.raw_terminate
-                            stop = v * views[last].local_error
+                            _, local_error, dist = records[index[last]]
+                            raw *= float(dist.raw[0])
+                            stop = v * local_error
                             want += (0.0, raw * (hops + stop), raw * stop)
                     got = (oracle.reach_prob(node), oracle.expected_loss(node),
                            oracle.expected_loss_decomposition(node))
@@ -183,7 +185,7 @@ def check_loss_sweep() -> CheckResult:
                         topo_name = "-".join(map(str, sizes))
                         return CheckResult(
                             "loss-sweep", False,
-                            f"{topo_name} at {node}: {got} != {tuple(want.tolist())}",
+                            f"{topo_name} at {ids[node]}: {got} != {tuple(want.tolist())}",
                         )
     return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 

@@ -17,8 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .topology import NodeRef
-
 TEXT = "text"
 VISION = "vision"
 
@@ -157,21 +155,12 @@ def select_model(table: ErrorTable, task: str, loaded: Iterable[str]) -> str | N
     return best_id
 
 
-def inference_error(
-    job: Job,
-    node: NodeRef,
-    loaded: Iterable[str],
-    table: ErrorTable,
-    num_layers: int,
-) -> int:
-    """Realized 0/1 error of answering ``job`` at ``node``.
+def inference_error(job: Job, selected: str | None) -> int:
+    """Realized 0/1 error of answering ``job`` with the ``selected`` model.
 
-    The terminal layer is always correct; a node whose loaded set cannot
-    process the task always fails.
+    ``selected`` is :func:`select_model`'s choice at the answering node;
+    None (nothing loaded supports the task) always fails.
     """
-    if node.layer == num_layers:
-        return 0
-    selected = select_model(table, job.task_type, loaded)
     if selected is None:
         return 1
     return 1 - int(job.correctness.get(selected, 0))
@@ -212,11 +201,11 @@ class Workload:
         seq = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(seq)
         self._entry_ids = sorted(arrivals.task_mixture)
+        # one task CDF per entry node, built as rng.choice(p=...) builds it
+        cdfs = {entry: np.cumsum(p) for entry, p in arrivals.task_mixture.items()}
+        self._task_cdf = {entry: cdf / cdf[-1] for entry, cdf in cdfs.items()}
+        self.model_ids = self.error_table.model_ids()
         self._counter = 0
-
-    @property
-    def model_ids(self) -> tuple[str, ...]:
-        return self.error_table.model_ids()
 
     def generate_slot(self, t: int) -> list[Job]:
         """Draw the slot's arrivals: count, entry nodes, tasks, sizes, bits."""
@@ -225,8 +214,8 @@ class Workload:
         jobs: list[Job] = []
         for _ in range(count):
             entry = self._entry_ids[int(rng.integers(len(self._entry_ids)))]
-            probs = self.arrivals.task_mixture[entry]
-            task = self.tasks[int(rng.choice(len(self.tasks), p=probs))]
+            cdf = self._task_cdf[entry]
+            task = self.tasks[int(cdf.searchsorted(rng.random(), side="right"))]
             jobs.append(self._make_job(task, entry, t, rng))
         return jobs
 
@@ -242,12 +231,9 @@ class Workload:
         else:
             lo, hi = self.task_size_ranges[task]
             size = float(rng.uniform(lo, hi))
-            errs = self.error_table.task_row(task)
             draws = rng.random(len(self.models))
-            bits = {
-                m.model_id: int(draws[j] >= errs[j])
-                for j, m in enumerate(self.models)
-            }
+            correct = draws >= self.error_table.task_row(task)
+            bits = dict(zip(self.model_ids, correct.astype(int).tolist()))
         return Job(
             job_id=job_id,
             arrival_slot=t,

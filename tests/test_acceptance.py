@@ -14,7 +14,7 @@ import pytest
 
 from hiroute.config import default_config
 from hiroute.engine import run_experiment, run_single
-from hiroute.losses import DownstreamLossOracle, variance_pair, vr_estimate
+from hiroute.losses import estimate, variance_pair
 from hiroute.placement import PlacementContext, greedy_onload, marginal_gain, utility
 from hiroute.workload import ErrorTable, ModelSpec
 
@@ -82,7 +82,7 @@ def test_c01_estimator_unbiasedness():
         f = float(rng.uniform(-50, 150))
         beta = float(rng.uniform(-50, 250))
         rho = float(rng.uniform(0.001, 1.0))
-        expectation = rho * vr_estimate(f, beta, rho, True) + (1 - rho) * vr_estimate(
+        expectation = rho * estimate(f, beta, rho, True) + (1 - rho) * estimate(
             f, beta, rho, False
         )
         worst = max(worst, abs(expectation - f))
@@ -163,14 +163,14 @@ def test_c05_feedback_depth_decay(cache):
 
 def test_c06_recursion_oracles():
     from hiroute.topology import build_topology
-    from tests.test_losses import chain_views
+    from tests.test_losses import Oracle, chain_views
 
     rng = np.random.default_rng(11)
     worst_rho = 0.0
     for depth in (2, 3, 4, 5):
         topo = build_topology([1] * depth, [10.0] * depth, 0.4)
         probs = {f"n{k}_0": float(rng.uniform(0.05, 0.95)) for k in range(1, depth)}
-        oracle = DownstreamLossOracle(topo, "n1_0", chain_views(probs), {}, 70.0, 1.0)
+        oracle = Oracle(topo, chain_views(probs), {}, 70.0, 1.0)
         expected = float(np.prod(list(probs.values())))
         worst_rho = max(worst_rho, abs(oracle.reach_prob("n1_0") - expected))
     topo3 = build_topology([1, 1, 1], [10, 10, None], 0.4)
@@ -181,7 +181,7 @@ def test_c06_recursion_oracles():
         q = {"n2_0": float(rng.uniform(0, 5)), "n3_0": float(rng.uniform(0, 5))}
         c = float(rng.uniform(0.5, 4))
         views = chain_views({"n1_0": p1, "n2_0": p2}, errors={"n1_0": b1, "n2_0": b2})
-        oracle = DownstreamLossOracle(topo3, "n1_0", views, q, 70.0, c)
+        oracle = Oracle(topo3, views, q, 70.0, c)
         brute = (
             (1 - p1) * 70.0 * b1
             + p1 * (q["n2_0"] * c + (1 - p2) * 70.0 * b2)

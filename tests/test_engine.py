@@ -21,8 +21,10 @@ from hiroute.engine import (
     run_experiment,
     run_single,
 )
+from hiroute.losses import DownstreamLossOracle
+from hiroute.placement import Placement
 from hiroute.policy import ExpertTable
-from hiroute.workload import Job, inference_error
+from hiroute.workload import Job, best_loaded_accuracy, inference_error, select_model
 
 
 def small_config(**overrides):
@@ -134,16 +136,16 @@ class TestRunSlotInvariants:
         learn_from = _Run._learn_from
         accumulate = ExpertTable.accumulate_loss
 
-        def spy_learn(self, job, record, *args):
-            learning.append(record)
+        def spy_learn(self, job, path, fb, *args):
+            learning.append((job, [self.node_ids[i] for i in path], fb))
             try:
-                return learn_from(self, job, record, *args)
+                return learn_from(self, job, path, fb, *args)
             finally:
                 learning.pop()
 
         def spy_accumulate(self, node, task, losses):
-            record = learning[-1]
-            calls.append(record.reached_oracle and node in record.path and task == record.task)
+            job, path, fb = learning[-1]
+            calls.append(fb and node in path and task == job.task_type)
             return accumulate(self, node, task, losses)
 
         monkeypatch.setattr(_Run, "_learn_from", spy_learn)
@@ -239,6 +241,56 @@ class TestSlotStartWeights:
         run_single(cfg, 0)
         assert refreshes
         assert [p for p in refreshes if p] == []
+
+
+class TestLossMatrixBuilds:
+    def test_each_expert_loss_matrix_built_once_per_visited_node(self, monkeypatch):
+        # with regret on, a fed job's full-feedback matrix serves both the
+        # estimate and the regret tracker
+        builds = {}
+        oracles = []  # kept alive, so that id() names one job's oracle
+        original = DownstreamLossOracle.expert_loss_matrix
+
+        def spy(oracle, node, grid, zero_downstream=False):
+            if not oracles or oracles[-1] is not oracle:
+                oracles.append(oracle)
+            key = (id(oracle), node, zero_downstream)
+            builds[key] = builds.get(key, 0) + 1
+            return original(oracle, node, grid, zero_downstream)
+
+        monkeypatch.setattr(DownstreamLossOracle, "expert_loss_matrix", spy)
+        for policy in ("vr_ly_exp4", "ly_exp4", "vr_local_loss"):
+            run_single(small_config(policy=policy), 0)
+        assert builds and max(builds.values()) == 1
+
+
+class TestPlacementTables:
+    def test_tables_match_reference_functions(self):
+        run = _Run(small_config(), 0, None)
+        table = run.error_table
+        ids = list(table.model_ids())
+        # two models with equal errors everywhere: selection breaks the tie
+        # by id, and the accuracy is the same either way
+        table.matrix[:, ids.index("m05")] = table.matrix[:, ids.index("m08")]
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            loaded = {}
+            for node_id in run.node_ids:
+                k = int(rng.integers(0, len(ids) + 1))
+                loaded[node_id] = frozenset(rng.choice(ids, size=k, replace=False).tolist())
+            loaded[run.node_ids[0]] = frozenset({"m05", "m08"})
+            loaded[run.node_ids[1]] = frozenset()
+            run.placement = Placement(loaded=loaded)
+            run._index_placement()
+            for i, node_id in enumerate(run.node_ids):
+                for task in run.workload.tasks:
+                    assert run.accuracy[i][task] == best_loaded_accuracy(
+                        table, task, loaded[node_id]
+                    )
+                    assert run.selected[i][task] == select_model(table, task, loaded[node_id])
+        # the tie and a loaded set that supports no model of a task both occur
+        assert "m05" in run.selected[0].values()
+        assert None in run.selected[1].values()
 
 
 class TestPlacementEpochs:
@@ -423,8 +475,9 @@ class TestTraceMode:
         while not jobs:
             t += 1
             jobs = wl.generate_slot(t)
-        node = topo.node(jobs[0].entry_node)
-        assert inference_error(jobs[0], node, {"small"}, wl.error_table, topo.num_layers) == 0
+        selected = select_model(wl.error_table, "q0", {"small"})
+        assert selected == "small"
+        assert inference_error(jobs[0], selected) == 0
 
     def test_static_calibration_uses_recorded_sizes(self, tmp_path):
         # text jobs of 12 units on average (q0 alternates 8 and 16): the

@@ -3,45 +3,47 @@ import itertools
 import numpy as np
 import pytest
 
-from hiroute.losses import (
-    BaselineTable,
-    DownstreamLossOracle,
-    NodeJobView,
-    naive_estimate,
-    variance_pair,
-    vr_estimate,
-)
+from hiroute.losses import BaselineTable, DownstreamLossOracle, estimate, variance_pair
 from hiroute.policy import ActionDistribution, ExpertGrid
 from hiroute.topology import build_topology
 
 
 class TestNaiveEstimate:
+    # the importance-weighted estimate is the estimate with a zero baseline
+
     def test_no_feedback_is_zero(self):
-        assert naive_estimate(2.0, 0.25, False) == 0.0
+        assert estimate(2.0, 0.0, 0.25, False) == 0.0
 
     def test_importance_weighting(self):
-        assert naive_estimate(2.0, 0.25, True) == pytest.approx(8.0)
+        assert estimate(2.0, 0.0, 0.25, True) == pytest.approx(8.0)
+        # on arrays, exactly the plain importance weight
+        losses = np.random.default_rng(5).uniform(0, 100, size=(11, 3))
+        assert np.array_equal(estimate(losses, 0.0, 0.3, True), losses / 0.3)
 
     def test_two_point_expectation_recovers_loss(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
             f = float(rng.uniform(-10, 100))
             rho = float(rng.uniform(0.001, 1.0))
-            ev = rho * naive_estimate(f, rho, True) + (1 - rho) * naive_estimate(f, rho, False)
+            ev = rho * estimate(f, 0.0, rho, True) + (1 - rho) * estimate(f, 0.0, rho, False)
             assert ev == pytest.approx(f, abs=1e-10)
 
     def test_rejects_invalid_rho(self):
         with pytest.raises(ValueError):
-            naive_estimate(1.0, 0.0, True)
+            estimate(1.0, 0.0, 0.0, True)
 
 
 class TestVrEstimate:
     def test_no_feedback_returns_baseline(self):
-        assert vr_estimate(1.0, 0.8, 0.25, False) == 0.8
+        assert estimate(1.0, 0.8, 0.25, False) == 0.8
 
     def test_feedback_value(self):
         # (1.0 - 0.8)/0.25 + 0.8 = 1.6
-        assert vr_estimate(1.0, 0.8, 0.25, True) == pytest.approx(1.6)
+        assert estimate(1.0, 0.8, 0.25, True) == pytest.approx(1.6)
+        # elementwise on arrays
+        losses = np.array([[1.0, 2.0], [0.5, 0.0]])
+        beta = np.array([[0.8, 1.0], [0.5, 0.2]])
+        assert np.allclose(estimate(losses, beta, 0.25, True), [[1.6, 5.0], [0.5, -0.6]])
 
     def test_two_point_expectation_exact_for_any_baseline(self):
         rng = np.random.default_rng(1)
@@ -49,14 +51,14 @@ class TestVrEstimate:
             f = float(rng.uniform(-50, 150))
             beta = float(rng.uniform(-100, 300))
             rho = float(rng.uniform(0.001, 1.0))
-            ev = rho * vr_estimate(f, beta, rho, True) + (1 - rho) * vr_estimate(f, beta, rho, False)
+            ev = rho * estimate(f, beta, rho, True) + (1 - rho) * estimate(f, beta, rho, False)
             assert ev == pytest.approx(f, abs=1e-10)
 
     def test_monte_carlo_consistency(self):
         f, beta, rho = 1.7, 0.9, 0.2
         rng = np.random.default_rng(2)
         draws = np.array([
-            vr_estimate(f, beta, rho, bool(rng.random() < rho)) for _ in range(100_000)
+            estimate(f, beta, rho, bool(rng.random() < rho)) for _ in range(100_000)
         ])
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - f) <= 4 * se
@@ -155,38 +157,55 @@ class TestBaselineTable:
 
 
 def chain_views(offload_probs, errors=None, confidences=None, lam=0.0):
-    """Hand-set single-chain node views for the loss oracle."""
+    """Hand-set records of a job on a single chain, keyed by node id:
+    (confidence, local error, action distribution)."""
     errors = errors or {}
     confidences = confidences or {}
-
-    def view_of(node_id):
-        layer = int(node_id[1:node_id.index("_")])
-        p = offload_probs[node_id]
-        dists = ActionDistribution(
-            destinations=(f"n{layer + 1}_0",),
-            raw_terminate=1.0 - p,
-            raw_offload=np.array([p]),
-            exploration_rate=lam,
+    return {
+        node_id: (
+            confidences.get(node_id, 0.5),
+            errors.get(node_id, 0),
+            ActionDistribution(np.array([1.0 - p, p]), exploration_rate=lam),
         )
-        return NodeJobView(
-            dists=dists,
-            local_error=errors.get(node_id, 0),
-            confidence=confidences.get(node_id, 0.5),
+        for node_id, p in offload_probs.items()
+    }
+
+
+class Oracle:
+    """The loss oracle of a job entering at n1_0, queried by node id."""
+
+    def __init__(self, topo, views, queue, error_weight, hop_cost):
+        ids, layers, dests = topo.index_tables()
+        self.index = {node_id: i for i, node_id in enumerate(ids)}
+        records = {self.index[n]: record for n, record in views.items()}
+        queue_row = [queue.get(n, 0.0) for n in ids]
+        self.oracle = DownstreamLossOracle(
+            layers, self.index["n1_0"], dests, records, queue_row, error_weight, hop_cost
         )
 
-    return view_of
+    def reach_prob(self, node_id):
+        return self.oracle.reach_prob(self.index[node_id])
+
+    def expected_loss(self, node_id):
+        return self.oracle.expected_loss(self.index[node_id])
+
+    def expected_loss_decomposition(self, node_id):
+        return self.oracle.expected_loss_decomposition(self.index[node_id])
+
+    def expert_loss_matrix(self, node_id, grid, zero_downstream=False):
+        return self.oracle.expert_loss_matrix(self.index[node_id], grid, zero_downstream)
 
 
 class TestReachProb:
     def test_terminal_node_is_one(self):
         topo = build_topology([1, 1], [10, None], 0.4)
-        oracle = DownstreamLossOracle(topo, "n1_0", chain_views({"n1_0": 0.3}), {}, 1.0, 1.0)
+        oracle = Oracle(topo, chain_views({"n1_0": 0.3}), {}, 1.0, 1.0)
         assert oracle.reach_prob("n2_0") == 1.0
 
     def test_chain_product(self):
         topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
         views = chain_views({"n1_0": 0.5, "n2_0": 0.5})
-        oracle = DownstreamLossOracle(topo, "n1_0", views, {}, 1.0, 1.0)
+        oracle = Oracle(topo, views, {}, 1.0, 1.0)
         assert oracle.reach_prob("n1_0") == pytest.approx(0.25, abs=1e-12)
 
     def test_product_formula_depths_2_to_5(self):
@@ -194,7 +213,7 @@ class TestReachProb:
         for depth in (2, 3, 4, 5):
             topo = build_topology([1] * depth, [10.0] * depth, 0.4)
             probs = {f"n{k}_0": float(rng.uniform(0.05, 0.95)) for k in range(1, depth)}
-            oracle = DownstreamLossOracle(topo, "n1_0", chain_views(probs), {}, 1.0, 1.0)
+            oracle = Oracle(topo, chain_views(probs), {}, 1.0, 1.0)
             expected = float(np.prod(list(probs.values()))) if probs else 1.0
             assert oracle.reach_prob("n1_0") == pytest.approx(expected, abs=1e-12)
 
@@ -203,17 +222,14 @@ class TestReachProb:
         topo = build_topology([4, 2, 1], [30, 100, None], 0.4)
         lam = 0.1
 
-        def view_of(node_id):
-            layer = topo.layer_of(node_id)
-            dests = tuple(u.node_id for u in topo.uplinks(node_id))
-            raw = np.zeros(len(dests))  # raw policy never offloads
-            return NodeJobView(
-                dists=ActionDistribution(dests, 1.0, raw, exploration_rate=lam),
-                local_error=0,
-                confidence=0.5,
-            )
-
-        oracle = DownstreamLossOracle(topo, "n1_0", view_of, {}, 1.0, 1.0)
+        # the raw policy never offloads
+        views = {
+            node_id: (0.5, 0, ActionDistribution(
+                np.eye(len(topo.uplinks(node_id)) + 1)[0], exploration_rate=lam
+            ))
+            for node_id in (*topo.layers[0], *topo.layers[1])
+        }
+        oracle = Oracle(topo, views, {}, 1.0, 1.0)
         floor = (lam / 3) * (lam / 2)
         assert oracle.reach_prob("n1_0") >= floor - 1e-15
         assert oracle.reach_prob("n1_0") >= (lam / 3) ** 2  # conservative bound
@@ -223,26 +239,26 @@ class TestReachProb:
         # reach probability must be taken under it, not under the raw one
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 0.4}, lam=0.1)
-        oracle = DownstreamLossOracle(topo, "n1_0", views, {}, 1.0, 1.0)
+        oracle = Oracle(topo, views, {}, 1.0, 1.0)
         assert oracle.reach_prob("n1_0") == pytest.approx(0.9 * 0.4 + 0.05)
 
 
 class TestExpectedLoss:
     def test_terminal_is_zero(self):
         topo = build_topology([1, 1], [10, None], 0.4)
-        oracle = DownstreamLossOracle(topo, "n1_0", chain_views({"n1_0": 0.5}), {}, 70.0, 1.0)
+        oracle = Oracle(topo, chain_views({"n1_0": 0.5}), {}, 70.0, 1.0)
         assert oracle.expected_loss("n2_0") == 0.0
 
     def test_pure_local_branch(self):
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 0.0}, errors={"n1_0": 1})
-        oracle = DownstreamLossOracle(topo, "n1_0", views, {}, 70.0, 1.0)
+        oracle = Oracle(topo, views, {}, 70.0, 1.0)
         assert oracle.expected_loss("n1_0") == pytest.approx(70.0)
 
     def test_pure_offload_to_terminal(self):
         topo = build_topology([1, 1], [10, None], 0.4)
         views = chain_views({"n1_0": 1.0}, errors={"n1_0": 1})
-        oracle = DownstreamLossOracle(topo, "n1_0", views, {"n2_0": 2.0}, 70.0, hop_cost=3.0)
+        oracle = Oracle(topo, views, {"n2_0": 2.0}, 70.0, hop_cost=3.0)
         assert oracle.expected_loss("n1_0") == pytest.approx(6.0)
 
     def test_matches_exhaustive_enumeration_three_node_chain(self):
@@ -256,7 +272,7 @@ class TestExpectedLoss:
             v = 70.0
             views = chain_views({"n1_0": p1, "n2_0": p2},
                                 errors={"n1_0": b1, "n2_0": b2})
-            oracle = DownstreamLossOracle(topo, "n1_0", views, q, v, c)
+            oracle = Oracle(topo, views, q, v, c)
             # enumerate the three realizations: stop@1, stop@2, reach terminal
             brute = (
                 (1 - p1) * v * b1
@@ -280,17 +296,17 @@ class TestExpertLoss:
 
     def test_threshold_zero_never_offloads(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 0}, confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(self.topo(), "n1_0", views, {}, 70.0, 1.0)
+        oracle = Oracle(self.topo(), views, {}, 70.0, 1.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[0, 0] == 0.0
 
     def test_threshold_one_pure_offload_branch(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(self.topo(), "n1_0", views, {"n2_0": 2.0}, 70.0, 3.0)
+        oracle = Oracle(self.topo(), views, {"n2_0": 2.0}, 70.0, 3.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[2, 0] == pytest.approx(6.0)
 
     def test_local_branch_with_error(self):
         views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.9})
-        oracle = DownstreamLossOracle(self.topo(), "n1_0", views, {}, 70.0, 1.0)
+        oracle = Oracle(self.topo(), views, {}, 70.0, 1.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[1, 0] == pytest.approx(70.0)
 
     def test_matrix_matches_scalar(self):
@@ -302,7 +318,7 @@ class TestExpertLoss:
         q = {"n2_0": 1.5, "n3_0": 0.5}
         views = chain_views({"n1_0": 0.5, "n2_0": 0.3}, errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5})
-        oracle = DownstreamLossOracle(topo, "n1_0", views, q, 70.0, 2.0)
+        oracle = Oracle(topo, views, q, 70.0, 2.0)
         matrix = oracle.expert_loss_matrix("n1_0", grid)
         for i, th in enumerate(grid.thresholds):
             if th <= 0.5:
@@ -316,7 +332,7 @@ class TestExpertLoss:
         views = chain_views({"n1_0": 0.5, "n2_0": 0.5},
                             errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5, "n2_0": 0.5})
-        oracle = DownstreamLossOracle(topo, "n1_0", views, {"n2_0": 2.0}, 70.0, 3.0)
+        oracle = Oracle(topo, views, {"n2_0": 2.0}, 70.0, 3.0)
         grid = ExpertGrid(thresholds=(1.0,), destinations=("n2_0",))
         with_downstream = oracle.expert_loss_matrix("n1_0", grid)[0, 0]
         without = oracle.expert_loss_matrix("n1_0", grid, zero_downstream=True)[0, 0]

@@ -150,6 +150,53 @@ class TestGreedy:
             assert got >= 0.5 * best - 1e-9
             assert got >= best - 0.25 - 1e-9
 
+    def test_matches_marginal_gain_reference(self):
+        # greedy_onload computes utility(chosen) once per round; the result
+        # must equal the textbook loop over marginal_gain and the best single
+        def reference(ctx, budget, model_pool):
+            chosen, remaining = set(), float(budget)
+            pool = sorted(model_pool, key=lambda m: m.model_id)
+            while True:
+                best_id, best_density, best_gain = None, -np.inf, 0.0
+                for model in pool:
+                    if model.model_id in chosen or model.memory_size > remaining + 1e-12:
+                        continue
+                    gain = marginal_gain(ctx, model.model_id, chosen)
+                    density = gain / model.memory_size
+                    if density > best_density + 1e-15:
+                        best_id, best_density, best_gain = model.model_id, density, gain
+                if best_id is None or best_gain < 0:
+                    break
+                chosen.add(best_id)
+                remaining -= ctx.size_of(best_id)
+            result = frozenset(chosen)
+            best_single = None
+            for model in pool:
+                if model.memory_size <= budget + 1e-12:
+                    value = utility(ctx, {model.model_id})
+                    if best_single is None or value > best_single[0] + 1e-15:
+                        best_single = (value, model.model_id)
+            if best_single is not None and best_single[0] > utility(ctx, result) + 1e-12:
+                result = frozenset({best_single[1]})
+            return result
+
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(1, 8))
+            n_tasks = int(rng.integers(1, 4))
+            errors = {
+                f"m{i}": {f"t{j}": float(rng.uniform(0, 1)) for j in range(n_tasks)}
+                for i in range(n)
+            }
+            sizes = {f"m{i}": float(rng.integers(1, 5)) for i in range(n)}
+            mix = rng.dirichlet(np.ones(n_tasks))
+            prev = {f"m{i}" for i in range(n) if rng.random() < 0.3}
+            ctx, models = make_ctx(errors, sizes,
+                                   {f"t{j}": mix[j] for j in range(n_tasks)},
+                                   penalty=float(rng.uniform(0, 0.3)), previous=prev)
+            budget = float(rng.integers(0, 10))
+            assert greedy_onload(ctx, budget, models) == reference(ctx, budget, models)
+
     def test_error_gain_nonincreasing_along_greedy_sequence(self):
         rng = np.random.default_rng(5)
         errors = {

@@ -33,21 +33,20 @@ class TestActionProbs:
         # uniform weights over {(0.3, u0), (0.7, u0)}; z=0.5: only 0.7 > z
         table = make_table()
         dist = table.action_probs("n", "y", 0.5)
-        assert dist.raw_offload.sum() == pytest.approx(0.5)
-        assert dist.raw_terminate == pytest.approx(0.5)
+        assert dist.raw[1:].sum() == pytest.approx(0.5)
+        assert dist.raw[0] == pytest.approx(0.5)
 
     def test_confidence_above_all_thresholds_terminates(self):
         table = make_table(lam=0.1)
         dist = table.action_probs("n", "y", 1.0)
-        assert dist.raw_terminate == pytest.approx(1.0)
-        assert dist.mixed_terminate == pytest.approx(1 - 0.1 + 0.1 / 2)
+        assert dist.raw[0] == pytest.approx(1.0)
+        assert dist.mixed[0] == pytest.approx(1 - 0.1 + 0.1 / 2)
 
     def test_exploration_floor(self):
         table = make_table(lam=0.1)
         for z in np.linspace(0, 1, 21):
             dist = table.action_probs("n", "y", float(z))
-            assert dist.mixed_terminate >= 0.05 - 1e-12
-            assert np.all(dist.mixed_offload >= 0.05 - 1e-12)
+            assert np.all(dist.mixed >= 0.05 - 1e-12)
 
     def test_partition_identity(self):
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
@@ -56,31 +55,63 @@ class TestActionProbs:
         table.refresh_dirty()
         for z in np.linspace(0, 1, 31):
             dist = table.action_probs("n", "y", float(z))
-            assert dist.raw_terminate + dist.raw_offload.sum() == pytest.approx(1.0, abs=1e-12)
-            assert dist.mixed_terminate + dist.mixed_offload.sum() == pytest.approx(1.0, abs=1e-12)
+            assert dist.raw.sum() == pytest.approx(1.0, abs=1e-12)
+            assert dist.mixed.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_threshold_mask_reference(self):
+        # the cut at bisect_right(thresholds, z) selects exactly the experts
+        # whose threshold exceeds z, and sums them to the same bits
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b", "c"), lam=0.07)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            table.accumulate_loss("n", "y", rng.normal(0, 40, size=(11, 3)))
+            table.refresh_dirty()
+            w = table.weights("n", "y")
+            for z in (*rng.uniform(0, 1, size=10), *DEFAULT_THRESHOLDS, 0.0, 1.0):
+                mask = np.asarray(DEFAULT_THRESHOLDS) > z
+                raw = np.concatenate(([float(w[~mask, :].sum())], w[mask, :].sum(axis=0)))
+                mixed = (1.0 - 0.07) * raw + 0.07 / 4
+                dist = table.action_probs("n", "y", float(z))
+                assert dist.raw.tolist() == raw.tolist()
+                assert dist.mixed.tolist() == mixed.tolist()
 
 
 class TestSampling:
     def test_degenerate_distribution(self):
-        dist = ActionDistribution(("u0",), 1.0, np.array([0.0]), exploration_rate=0.0)
+        dist = ActionDistribution(np.array([1.0, 0.0]), exploration_rate=0.0)
         rng = np.random.default_rng(0)
         assert all(dist.sample(rng) == 0 for _ in range(50))
 
     def test_frequencies_within_binomial_bounds(self):
-        dist = ActionDistribution(("u0",), 0.3, np.array([0.7]), exploration_rate=0.0)
+        dist = ActionDistribution(np.array([0.3, 0.7]), exploration_rate=0.0)
         rng = np.random.default_rng(1)
         n = 100_000
-        hits = sum(dist.sample(rng) == "u0" for _ in range(n))
+        hits = sum(dist.sample(rng) == 1 for _ in range(n))
         sigma = np.sqrt(0.7 * 0.3 / n)
         assert abs(hits / n - 0.7) <= 3 * sigma
 
     def test_seeded_reproducibility(self):
-        dist = ActionDistribution(("a", "b"), 0.2, np.array([0.5, 0.3]), 0.1)
+        dist = ActionDistribution(np.array([0.2, 0.5, 0.3]), 0.1)
         rng = np.random.default_rng(9)
         draws1 = [dist.sample(rng) for _ in range(20)]
         rng = np.random.default_rng(9)
         draws2 = [dist.sample(rng) for _ in range(20)]
         assert draws1 == draws2
+
+    def test_matches_rng_choice_reference(self):
+        # one uniform draw against the cumulative sum: the same index, and
+        # the same generator state afterwards, as rng.choice(p=...)
+        source = np.random.default_rng(21)
+        ours = np.random.default_rng(22)
+        reference = np.random.default_rng(22)
+        for _ in range(10_000):
+            size = int(source.integers(2, 14))
+            raw = source.dirichlet(np.full(size, float(source.uniform(0.05, 2.0))))
+            dist = ActionDistribution(raw, float(source.uniform(0.0, 0.3)))
+            assert dist.sample(ours) == int(
+                reference.choice(size, p=dist.mixed / dist.mixed.sum())
+            )
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestWeights:
@@ -128,7 +159,7 @@ class TestWeights:
         table = make_table(thresholds=(0.5,), dests=("a", "b"))
         table.accumulate_loss("n", "y", np.array([[0.0, 10.0]]))
         assert np.allclose(table.weights("n", "y"), 0.5)
-        assert table.action_probs("n", "y", 0.0).raw_offload == pytest.approx([0.5, 0.5])
+        assert table.action_probs("n", "y", 0.0).raw[1:] == pytest.approx([0.5, 0.5])
         table.refresh_dirty()
         assert table.weights("n", "y")[0, 0] > 0.5
 

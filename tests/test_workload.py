@@ -5,7 +5,7 @@ import pytest
 
 from hiroute.config import DEFAULT_MODEL_POOL, default_config
 from hiroute.engine import build_topology_from_config, build_workload
-from hiroute.topology import NodeRef, build_topology
+from hiroute.topology import build_topology
 from hiroute.workload import (
     ArrivalModel,
     ConfidenceModel,
@@ -80,22 +80,19 @@ class TestConfidence:
 
 
 class TestInferenceError:
-    def test_terminal_layer_always_correct(self):
-        _, table = toy_table()
-        job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 0, "mv": 0})
-        assert inference_error(job, NodeRef("n3_0", 3), [], table, 3) == 0
-
     def test_empty_placement_always_fails(self):
         _, table = toy_table()
         job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 1, "m1": 1, "mv": 1})
-        assert inference_error(job, NodeRef("n1_0", 1), [], table, 3) == 1
+        assert select_model(table, "a", []) is None
+        assert inference_error(job, select_model(table, "a", [])) == 1
 
     def test_selection_rule_prefers_lowest_expected_error(self):
         _, table = toy_table()
         # m1 has error 0.1 on task a vs m0's 0.3; job correct under m1 only
         job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 1, "mv": 0})
         assert select_model(table, "a", ["m0", "m1"]) == "m1"
-        assert inference_error(job, NodeRef("n1_0", 1), ["m0", "m1"], table, 3) == 0
+        assert inference_error(job, select_model(table, "a", ["m0", "m1"])) == 0
+        assert inference_error(job, "m0") == 1
 
     def test_selection_tie_breaks_by_lowest_id(self):
         models = [
