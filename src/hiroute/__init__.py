@@ -26,7 +26,6 @@ from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import NodeRef, Topology, TopologyError, build_topology
 from .workload import (
     ArrivalModel,
-    ConfidenceModel,
     ErrorTable,
     Job,
     ModelSpec,

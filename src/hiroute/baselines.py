@@ -2,7 +2,8 @@
 
 The static policies never consult the feedback channel. Their aggregate
 offload probability is calibrated so the busiest (second) layer's expected
-inbound cost stays inside its per-slot budget.
+inbound cost stays inside its per-slot budget. Actions are encoded as the
+learning policies' are: 0 terminates, i offloads to the i-th destination.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import NodeRef, Topology
+from .topology import Topology
 from .workload import WorkloadStats
 
 STATIC_KINDS = ("pure_local", "random", "round_robin")
@@ -23,7 +24,7 @@ class StaticPolicyConfig:
 
     kind: str
     offload_prob: float = 0.0
-    rr_counters: dict[str, int] = field(default_factory=dict)
+    rr_counters: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in STATIC_KINDS:
@@ -35,22 +36,20 @@ class StaticPolicyConfig:
 
 
 def static_action(
-    cfg: StaticPolicyConfig,
-    node: NodeRef,
-    uplinks: tuple[NodeRef, ...],
-    rng: np.random.Generator,
-) -> str | int:
-    """Sample one action: 0 terminates, otherwise an uplink node id."""
+    cfg: StaticPolicyConfig, node: int, num_dests: int, rng: np.random.Generator
+) -> int:
+    """Sample one action index at node index ``node``: 0 terminates, i offloads
+    to the node's i-th of ``num_dests`` destinations (uplinks order)."""
     if cfg.kind == "pure_local":
         return 0
     if rng.random() >= cfg.offload_prob:
         return 0
     if cfg.kind == "random":
-        return uplinks[int(rng.integers(len(uplinks)))].node_id
-    # round_robin: cycle destinations in id order per node
-    counter = cfg.rr_counters.get(node.node_id, 0)
-    cfg.rr_counters[node.node_id] = counter + 1
-    return uplinks[counter % len(uplinks)].node_id
+        return 1 + int(rng.integers(num_dests))
+    # round_robin: cycle destinations in uplinks order per node
+    counter = cfg.rr_counters.get(node, 0)
+    cfg.rr_counters[node] = counter + 1
+    return 1 + counter % num_dests
 
 
 def calibrate_offload_prob(
@@ -63,7 +62,7 @@ def calibrate_offload_prob(
     the expected cost an entry node would emit at full offload gives the
     probability. Deeper layers see geometrically less traffic and are slack.
     """
-    share = gamma * topo.slot_duration * len(topo.layers[1]) / len(topo.layers[0])
+    share = gamma * len(topo.layers[1]) / len(topo.layers[0])
     expected_cost = stats.arrival_rate_per_entry * stats.mean_job_size
     if expected_cost <= 0:
         return 1.0

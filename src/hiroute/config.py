@@ -38,7 +38,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "layer_sizes": [4, 2, 1],
         "memory_budgets": [30, 100, None],
         "resource_budget": 0.4,
-        "slot_duration": 1.0,
     },
     "workload": {
         "kind": "synthetic",
@@ -120,8 +119,6 @@ def _validate_topology(t: Mapping, prefix: str) -> None:
                "must be a positive number")
     _check(_is_number(t["resource_budget"]) and t["resource_budget"] > 0,
            f"{prefix}.resource_budget", "must be positive")
-    _check(_is_number(t["slot_duration"]) and t["slot_duration"] > 0,
-           f"{prefix}.slot_duration", "must be positive")
 
 
 def _validate_workload(w: Mapping, prefix: str) -> None:

@@ -12,11 +12,11 @@ from typing import Mapping
 from .topology import Topology
 
 
-def queue_update(q_n: float, slot_cost: float, gamma_tau: float) -> float:
+def queue_update(q_n: float, slot_cost: float, budget: float) -> float:
     """One slot of queue evolution: max(q + cost - budget, 0)."""
     if q_n < 0 or slot_cost < 0:
         raise ValueError("queue value and slot cost must be nonnegative")
-    return max(q_n + slot_cost - gamma_tau, 0.0)
+    return max(q_n + slot_cost - budget, 0.0)
 
 
 def drift_penalty_diagnostic(

@@ -9,10 +9,12 @@ fixed epoch grid when the greedy strategy is selected. All randomness flows
 from the run seed, so a (config, seed) pair reproduces its metrics stream
 byte for byte.
 
-The core works on integer node indices, with node tables built once per run;
-ids appear only at I/O. Each placement epoch tables every (node, task)'s
-best-loaded accuracy and selected model, and a job keeps one record per node
-it is evaluated at: confidence, local error and action distribution.
+The core, expert and baseline tables included, works on integer node
+indices; ids appear only at I/O (entry nodes, path records, regret, queues,
+placements). Every policy draws 0 to terminate or i to offload to the node's
+i-th destination, so one loop routes every job. Each placement epoch tables
+every (node, task)'s best-loaded accuracy and selected model, and a job keeps
+one record per node it is evaluated at: local error and action distribution.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .policy import DEFAULT_THRESHOLDS, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
 from .workload import (
     ArrivalModel,
-    ConfidenceModel,
     Job,
     TraceJobSampler,
     Workload,
@@ -117,7 +118,7 @@ class RunSummary:
 
 
 class RegretTracker:
-    """Streaming hindsight regret per (node, task).
+    """Streaming hindsight regret per (node id, task).
 
     Accumulates each job's realized loss contribution and the full-feedback
     losses of every expert; regret at a checkpoint is the realized sum minus
@@ -125,10 +126,9 @@ class RegretTracker:
     Sampling noise can make it negative; it is reported as-is.
     """
 
-    def __init__(self, entry_ids: set[str], checkpoints: Sequence[int]) -> None:
+    def __init__(self, entry_ids: set[str], checkpoints: Iterable[int]) -> None:
         self.entry_ids = entry_ids
-        self.checkpoints = sorted(set(checkpoints))
-        self._checkpoint_set = set(self.checkpoints)
+        self.checkpoints = set(checkpoints)
         self.realized: dict[tuple[str, str], float] = {}
         self.expert_sums: dict[tuple[str, str], np.ndarray] = {}
         self.jobs_seen = 0
@@ -145,11 +145,9 @@ class RegretTracker:
             self.expert_sums[key] = expert_losses.copy()
 
     def job_done(self) -> None:
+        """Count one job, and snapshot the regret curves at a checkpoint."""
         self.jobs_seen += 1
-        self.maybe_snapshot()
-
-    def maybe_snapshot(self) -> None:
-        if self.jobs_seen in self._checkpoint_set:
+        if self.jobs_seen in self.checkpoints:
             entry_total = 0.0
             total = 0.0
             for key in self.realized:
@@ -178,7 +176,6 @@ def build_topology_from_config(cfg: Mapping[str, Any]) -> Topology:
         layer_sizes=t["layer_sizes"],
         memory_budgets=t["memory_budgets"],
         resource_budget=t["resource_budget"],
-        tau=t["slot_duration"],
     )
 
 
@@ -233,7 +230,6 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     arrivals = ArrivalModel(
         mean_jobs_per_slot=w["mean_jobs_per_slot"],
         task_mixture=mixtures,
-        rng_seed=seed,
     )
     hard_set = set(hard_tasks)
     hard_frac = w["hard_task_fraction"] if (w["kind"] == "synthetic" and hard_set) else 0.0
@@ -248,11 +244,11 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         task_modality=modality,
         models=models,
         arrivals=arrivals,
-        confidence_model=ConfidenceModel(noise_std=w["confidence_noise_std"]),
+        noise_std=w["confidence_noise_std"],
         task_size_ranges=task_sizes,
         seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(2,)).generate_state(1)[0]),
-        job_sampler=sampler,
         design_mixture=design,
+        job_sampler=sampler,
     )
 
 
@@ -298,14 +294,13 @@ class _Run:
         self.model_sizes = {m.model_id: m.memory_size for m in self.models}
         # node tables: the core works on node indices; destinations are in
         # uplinks order, the order of every expert grid and action distribution
-        self.nodes = self.topo.nodes()
         self.node_ids, self.layers, self.dests = self.topo.index_tables()
         self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        self.layer_of = [k for k, layer in enumerate(self.layers, start=1) for _ in layer]
         self.terminal = frozenset(self.layers[-1])
-        self.uplinks = [self.topo.uplinks(n) if d else () for n, d in zip(self.nodes, self.dests)]
         # the nodes every loss sweep reads besides the entry
         self.middle = tuple(i for layer in self.layers[1:-1] for i in layer)
-        self.noise_std = self.workload.confidence_model.noise_std
+        self.noise_std = self.workload.noise_std
         self.v = float(cfg["learning"]["error_weight"])
         self.distance_factor = float(cfg["run"]["distance_factor"])
         self.rng_route = np.random.default_rng(
@@ -339,14 +334,11 @@ class _Run:
         self.static_cfg: StaticPolicyConfig | None = None
         if self.learning:
             self.variant = variant_flags(self.policy)
-            self.thresholds = np.asarray(resolve_thresholds(cfg))
+            thresholds = resolve_thresholds(cfg)
             grids = {
-                n.node_id: ExpertGrid(
-                    thresholds=resolve_thresholds(cfg),
-                    destinations=tuple(u.node_id for u in self.topo.uplinks(n)),
-                )
-                for n in self.topo.nodes()
-                if n.layer < self.topo.num_layers
+                i: ExpertGrid(thresholds, tuple(self.node_ids[d] for d in dests))
+                for i, dests in enumerate(self.dests)
+                if dests
             }
             max_size = max(g.size for g in grids.values())
             self.table = ExpertTable(
@@ -374,7 +366,7 @@ class _Run:
         if checkpoints is None:
             total = cfg["run"]["total_jobs"]
             step = max(1, total // 10)
-            checkpoints = sorted({*range(step, total + 1, step), total})
+            checkpoints = {*range(step, total + 1, step), total}
         self.regret = RegretTracker(
             {n.node_id for n in self.topo.entry_nodes()}, checkpoints
         )
@@ -428,15 +420,15 @@ class _Run:
         if t % self.epoch_slots != 1:
             return
         new_loaded: dict[str, frozenset[str]] = {}
-        for i, node in enumerate(self.nodes):
-            if node.layer == self.topo.num_layers:
-                new_loaded[node.node_id] = frozenset()
+        for i, node_id in enumerate(self.node_ids):
+            if i in self.terminal:
+                new_loaded[node_id] = frozenset()
                 continue
             mixture = self._mixture_for(i)
             previous = (
                 frozenset(self.model_ids)
                 if not self._first_epoch_done
-                else self.placement.loaded.get(node.node_id, frozenset())
+                else self.placement.loaded.get(node_id, frozenset())
             )
             ctx = PlacementContext(
                 arrival_mixture=mixture,
@@ -444,9 +436,9 @@ class _Run:
                 switch_penalty=self.switch_penalty,
                 previous=previous,
             )
-            chosen = greedy_onload(ctx, self.topo.memory_budget[node.node_id], self.models)
-            new_loaded[node.node_id] = chosen
-            self.placement_log.append((t, node.node_id, tuple(sorted(chosen))))
+            chosen = greedy_onload(ctx, self.topo.memory_budget[node_id], self.models)
+            new_loaded[node_id] = chosen
+            self.placement_log.append((t, node_id, tuple(sorted(chosen))))
         self.placement = Placement(loaded=new_loaded, epoch=t)
         self.placement.check_feasible(self.topo, self.model_sizes)
         self._index_placement()
@@ -478,12 +470,12 @@ class _Run:
 
     # ---- per-job node records ----------------------------------------------
     def _evaluate(self, job: Job, node: int, noise: list[float]) -> NodeRecord:
-        """The job's record at a non-terminal node: confidence, local error
-        and slot-start action distribution."""
+        """The job's record at a non-terminal node: local error and the
+        slot-start action distribution at the job's confidence."""
         task = job.task_type
         z = confidence_from_noise(self.accuracy[node][task], noise[node], self.noise_std)
         b = inference_error(job, self.selected[node][task])
-        return z, b, self.table.action_probs(self.node_ids[node], task, z)
+        return b, self.table.action_probs(node, task, z)
 
     # ---- the slot loop ----------------------------------------------------
     def run_slot(self, t: int, jobs: list[Job]) -> SlotMetrics:
@@ -499,16 +491,29 @@ class _Run:
         routed = []
         for job in jobs:
             noise = self.workload.confidence_noise(len(self.node_ids)).tolist()
-            record, path, records = self._route(job, t, noise)
+            path, exit_error, records = self._route(job, noise)
             hop_cost = job.size_units * self.distance_factor
             for dest in path[1:]:
                 costs[dest] += hop_cost
-            slot_errors += record.exit_error
-            slot_hard += int(record.hard)
-            slot_hits += int(record.hard and record.reached_oracle)
-            slot_feedback += int(record.reached_oracle)
-            routed.append((job, path, record.reached_oracle, noise, records))
+            reached = path[-1] in self.terminal
+            hard = job.is_hard(self.model_ids)
+            slot_errors += exit_error
+            slot_hard += int(hard)
+            slot_hits += int(hard and reached)
+            slot_feedback += int(reached)
+            routed.append((job, path, reached, noise, records))
             if self.record_paths:
+                record = PathRecord(
+                    job_id=job.job_id,
+                    slot=t,
+                    task=job.task_type,
+                    path=tuple(self.node_ids[i] for i in path),
+                    exit_layer=self.layer_of[path[-1]],
+                    reached_oracle=reached,
+                    size_units=job.size_units,
+                    exit_error=exit_error,
+                    hard=hard,
+                )
                 self.path_log.append(record)
                 if self._paths_file is not None:
                     line = json.dumps(dataclasses.asdict(record), sort_keys=True)
@@ -556,56 +561,31 @@ class _Run:
         return metrics
 
     def _route(
-        self, job: Job, t: int, noise: list[float]
-    ) -> tuple[PathRecord, list[int], dict[int, NodeRecord]]:
-        """Route one job; return its path record, its node path and, for a
+        self, job: Job, noise: list[float]
+    ) -> tuple[list[int], int, dict[int, NodeRecord]]:
+        """Route one job; return its node path, its exit error and, for a
         learning policy, its record at every node it visited."""
         node = self.node_index[job.entry_node]
         task = job.task_type
-        last = self.topo.num_layers
         path: list[int] = []
         records: dict[int, NodeRecord] = {}
-        exit_error = 0
         while True:
             path.append(node)
-            if len(path) > last:
-                raise RuntimeError(f"path exceeded layer count for job {job.job_id}")
-            layer = self.nodes[node].layer
-            if 2 <= layer < last:
+            if node in self.terminal:
+                return path, 0, records
+            if self.layer_of[node] > 1:
                 hist = self._epoch_histogram.setdefault(node, {})
                 hist[task] = hist.get(task, 0) + 1
-            if layer == last:
-                break
             if self.learning:
                 records[node] = record = self._evaluate(job, node, noise)
-                action = record[2].sample(self.rng_route)
-                if action == 0:
-                    exit_error = record[1]
-                    break
-                node = self.dests[node][action - 1]
+                action = record[1].sample(self.rng_route)
             else:
                 action = static_action(
-                    self.static_cfg, self.nodes[node], self.uplinks[node], self.rng_route
+                    self.static_cfg, node, len(self.dests[node]), self.rng_route
                 )
-                if action == 0:
-                    exit_error = inference_error(job, self.selected[node][task])
-                    break
-                node = self.node_index[action]
-        return (
-            PathRecord(
-                job_id=job.job_id,
-                slot=t,
-                task=task,
-                path=tuple(self.node_ids[i] for i in path),
-                exit_layer=self.nodes[path[-1]].layer,
-                reached_oracle=path[-1] in self.terminal,
-                size_units=job.size_units,
-                exit_error=exit_error,
-                hard=job.is_hard(self.model_ids),
-            ),
-            path,
-            records,
-        )
+            if action == 0:
+                return path, inference_error(job, self.selected[node][task]), records
+            node = self.dests[node][action - 1]
 
     def _learn_from(
         self, job: Job, path: list[int], fb: bool, noise: list[float],
@@ -625,14 +605,13 @@ class _Run:
             )
         visited = path[:-1] if fb else path
         for i, node in enumerate(visited):
-            node_id = self.node_ids[node]
-            grid = self.table.grids[node_id]
+            grid = self.table.grids[node]
             dests = self.dests[node]
-            confidence, local_error, _ = records[node]
+            local_error, dist = records[node]
             beta = 0.0
             if variant.use_baseline:
                 beta = self.baselines.plugin_values(
-                    node_id, task, self.thresholds > confidence,
+                    node, task, dist.cut,
                     np.array([queue[d] for d in dests]), hop_cost=hop_cost,
                     error_weight=self.v, zero_downstream=variant.zero_downstream,
                 )
@@ -644,10 +623,10 @@ class _Run:
                     self.baselines.count_violations(beta, losses)
             # an importance-weighted job without feedback adds nothing
             if fb or variant.use_baseline:
-                self.table.accumulate_loss(node_id, task, estimate(losses, beta, rho, fb))
+                self.table.accumulate_loss(node, task, estimate(losses, beta, rho, fb))
             if fb and variant.use_baseline:
                 down_base = np.array([oracle.expected_loss_decomposition(d) for d in dests])
-                self.baselines.update_hidden(node_id, task, local_error, down_base)
+                self.baselines.update_hidden(node, task, local_error, down_base)
             if self.record_regret:
                 if losses is None or variant.zero_downstream:
                     losses = oracle.expert_loss_matrix(node, grid)
@@ -657,7 +636,7 @@ class _Run:
                     realized = oracle.offload_cost[path[i + 1]]
                 else:
                     realized = self.v * local_error
-                self.regret.add(node_id, task, realized, losses)
+                self.regret.add(self.node_ids[node], task, realized, losses)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:

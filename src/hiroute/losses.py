@@ -14,12 +14,12 @@ node indices, from the deepest non-terminal layer up to the job's entry
 node. Per node it computes the probability of reaching the terminal layer,
 the expected downstream loss of standing there, and that loss with every
 queue at zero; the estimators and the regret diagnostic then look these
-values up.
+values up. It and :class:`BaselineTable` read the threshold rule from the
+cut kept by the job's action distribution.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,22 +68,23 @@ class BaselineTable:
 
     def __init__(
         self,
-        grids: Mapping[str, ExpertGrid],
+        grids: Mapping[Hashable, ExpertGrid],
         tasks: Sequence[str],
         ema_rate: float,
     ) -> None:
         if not 0.0 < ema_rate <= 1.0:
             raise ValueError("EMA rate must lie in (0, 1]")
+        self.grids = dict(grids)
         self.ema_rate = float(ema_rate)
         # hidden state per (node, task): the local error rate and each
         # destination's queue-free expected downstream loss (the
         # queue-dependent share of the downstream loss is deliberately left
         # out of the baseline: it is small, and chasing it through the
         # estimate stream adds churn without information)
-        self._local_error: dict[tuple[str, str], float] = {
+        self._local_error: dict[tuple[Hashable, str], float] = {
             (node, task): 0.0 for node in grids for task in tasks
         }
-        self._down_base: dict[tuple[str, str], np.ndarray] = {
+        self._down_base: dict[tuple[Hashable, str], np.ndarray] = {
             (node, task): np.zeros(len(grid.destinations))
             for node, grid in grids.items()
             for task in tasks
@@ -92,9 +93,9 @@ class BaselineTable:
 
     def plugin_values(
         self,
-        node: str,
+        node: Hashable,
         task: str,
-        offload_mask: np.ndarray,
+        cut: int,
         queue_row: np.ndarray,
         hop_cost: float,
         error_weight: float,
@@ -102,22 +103,24 @@ class BaselineTable:
     ) -> np.ndarray:
         """Queue-aware baseline matrix for one visited job.
 
-        ``offload_mask`` is the per-threshold indicator (threshold above the
-        job's confidence), ``queue_row`` the uplink queue values at the
-        job's slot. Offload experts pay the live queue-weighted hop cost
-        plus the estimated queue-free downstream loss; local experts pay the
-        weighted estimated local error rate.
+        ``cut`` is the job's :attr:`ActionDistribution.cut` at the node (rows
+        from ``cut`` on hold thresholds above its confidence), ``queue_row``
+        the uplink queue values at the job's slot. Offload experts pay the
+        live queue-weighted hop cost plus the estimated queue-free downstream
+        loss; local experts pay the weighted estimated local error rate.
         """
         key = (node, task)
         offload_row = queue_row * hop_cost
         if not zero_downstream:
             offload_row = offload_row + self._down_base[key]
-        local = error_weight * self._local_error[key]
-        return np.where(offload_mask[:, None], offload_row[None, :], local)
+        matrix = np.empty(self.grids[node].shape)
+        matrix[:cut] = error_weight * self._local_error[key]
+        matrix[cut:] = offload_row
+        return matrix
 
     def update_hidden(
         self,
-        node: str,
+        node: Hashable,
         task: str,
         local_error: float,
         down_base: np.ndarray,
@@ -138,9 +141,10 @@ class BaselineTable:
         self.condition_violations += int(bad.sum())
 
 
-# A job's record at one node: confidence, realized local error, and the
-# node's slot-start action distribution for the job's task.
-NodeRecord = tuple[float, int, ActionDistribution]
+# A job's record at one node: its realized local error, and the node's
+# slot-start action distribution for the job's task, whose ``cut`` places the
+# job's confidence on the threshold grid.
+NodeRecord = tuple[int, ActionDistribution]
 
 
 class DownstreamLossOracle:
@@ -197,7 +201,7 @@ class DownstreamLossOracle:
                 self._queue_cost[dest] = queue_cost
                 self.offload_cost[dest] = queue_cost + self._fbar[dest]
             for node in layers[k - 1] if k > 1 else (entry,):
-                _, local_error, dist = nodes[node]
+                local_error, dist = nodes[node]
                 raw = dist.raw.tolist()
                 mixed = dist.mixed.tolist()
                 rho = 0.0
@@ -234,10 +238,9 @@ class DownstreamLossOracle:
         self, node: int, grid: ExpertGrid, zero_downstream: bool = False
     ) -> np.ndarray:
         """All experts' full-feedback losses at once, shaped like the grid."""
-        confidence, local_error, _ = self.nodes[node]
+        local_error, dist = self.nodes[node]
         costs = self._queue_cost if zero_downstream else self.offload_cost
         matrix = np.empty(grid.shape)
-        cut = bisect_right(grid.thresholds, confidence)
-        matrix[:cut] = self.error_weight * local_error
-        matrix[cut:] = [costs[dest] for dest in self.dests[node]]
+        matrix[:dist.cut] = self.error_weight * local_error
+        matrix[dist.cut:] = [costs[dest] for dest in self.dests[node]]
         return matrix

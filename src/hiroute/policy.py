@@ -8,12 +8,15 @@ softmax of negated cumulative estimated losses; each action's probability
 aggregates the weights of every expert recommending it, into one array over
 {terminate} + destinations that is sampled by one uniform draw against its
 cumulative sum.
+
+Only :meth:`ExpertTable.action_probs` applies the threshold rule; the
+distribution keeps its cut, ``bisect_right(thresholds, z)``, for the losses.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,13 +52,16 @@ class ActionDistribution:
     """Raw and exploration-mixed probabilities over {terminate} + destinations.
 
     Both arrays have one entry per action: index 0 terminates, index i
-    offloads to the node's i-th destination.
+    offloads to the node's i-th destination. ``cut`` is the number of
+    thresholds at or below the job's confidence: the experts of rows
+    ``[:cut]`` terminate, those of rows ``[cut:]`` offload.
     """
 
-    __slots__ = ("raw", "mixed")
+    __slots__ = ("raw", "mixed", "cut")
 
-    def __init__(self, raw: np.ndarray, exploration_rate: float) -> None:
+    def __init__(self, raw: np.ndarray, exploration_rate: float, cut: int) -> None:
         self.raw = raw
+        self.cut = cut
         self.mixed = (1.0 - exploration_rate) * raw + exploration_rate / len(raw)
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -92,7 +98,7 @@ class ExpertTable:
 
     def __init__(
         self,
-        grids: Mapping[str, ExpertGrid],
+        grids: Mapping[Hashable, ExpertGrid],
         tasks: Sequence[str],
         learning_rate: float,
         exploration_rate: float,
@@ -105,21 +111,18 @@ class ExpertTable:
         self.tasks = tuple(tasks)
         self.learning_rate = float(learning_rate)
         self.exploration_rate = float(exploration_rate)
-        self._entries: dict[tuple[str, str], _TableEntry] = {
+        self._entries: dict[tuple[Hashable, str], _TableEntry] = {
             (node, task): _TableEntry(grid.shape)
             for node, grid in self.grids.items()
             for task in self.tasks
         }
-        self._dirty: dict[tuple[str, str], None] = {}
+        self._dirty: dict[tuple[Hashable, str], None] = {}
         self._entropy_sum = float(sum(e.entropy for e in self._entries.values()))
 
-    def entry_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._entries)
-
-    def cum_loss(self, node: str, task: str) -> np.ndarray:
+    def cum_loss(self, node: Hashable, task: str) -> np.ndarray:
         return self._entries[(node, task)].cum_loss
 
-    def update_weights(self, node: str, task: str) -> np.ndarray:
+    def update_weights(self, node: Hashable, task: str) -> np.ndarray:
         """Recompute the softmax of negated cumulative losses (stable form)."""
         entry = self._entries[(node, task)]
         scaled = -self.learning_rate * entry.cum_loss
@@ -133,24 +136,25 @@ class ExpertTable:
         self._entropy_sum += entry.entropy
         return entry.weights
 
-    def weights(self, node: str, task: str) -> np.ndarray:
+    def weights(self, node: Hashable, task: str) -> np.ndarray:
         return self._entries[(node, task)].weights
 
-    def action_probs(self, node: str, task: str, z: float) -> ActionDistribution:
+    def action_probs(self, node: Hashable, task: str, z: float) -> ActionDistribution:
         """Aggregate expert weights into action probabilities given confidence z.
 
         Experts whose threshold exceeds z vote for their destination; all
         others vote for local termination. Thresholds increase, so the
-        offloading experts are the rows from the first threshold above z on.
+        offloading experts are the rows from the first threshold above z on;
+        the returned distribution keeps that row as its ``cut``.
         """
         w = self._entries[(node, task)].weights
         cut = bisect_right(self.grids[node].thresholds, z)
         raw = np.empty(w.shape[1] + 1)
         raw[0] = w[:cut].sum()
         raw[1:] = w[cut:].sum(axis=0)
-        return ActionDistribution(raw, self.exploration_rate)
+        return ActionDistribution(raw, self.exploration_rate, cut)
 
-    def accumulate_loss(self, node: str, task: str, per_expert_losses: np.ndarray) -> None:
+    def accumulate_loss(self, node: Hashable, task: str, per_expert_losses: np.ndarray) -> None:
         """Add one job's estimated losses for every expert of (node, task)."""
         if not np.all(np.isfinite(per_expert_losses)):
             raise ValueError(f"non-finite loss estimate at ({node}, {task})")

@@ -34,7 +34,6 @@ class Topology:
     layers: tuple[tuple[str, ...], ...]
     memory_budget: Mapping[str, float]
     resource_budget: Mapping[str, float]
-    slot_duration: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.layers) < 2:
@@ -47,8 +46,6 @@ class Topology:
                 if node_id in seen:
                     raise TopologyError(f"duplicate node id {node_id!r}")
                 seen.add(node_id)
-        if self.slot_duration <= 0:
-            raise TopologyError("slot duration must be positive")
         for k, layer in enumerate(self.layers, start=1):
             for node_id in layer:
                 if k < self.num_layers:
@@ -125,7 +122,6 @@ def build_topology(
     layer_sizes: Sequence[int],
     memory_budgets: Sequence[float | None],
     resource_budget: float,
-    tau: float = 1.0,
 ) -> Topology:
     """Build a hierarchy with uniform per-layer budgets.
 
@@ -163,5 +159,4 @@ def build_topology(
         layers=layers,
         memory_budget=memory,
         resource_budget=resource,
-        slot_duration=float(tau),
     )

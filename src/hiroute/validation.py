@@ -155,7 +155,7 @@ def check_loss_sweep() -> CheckResult:
             for node in (i for layer in layers[:-1] for i in layer):
                 w = rng.dirichlet(np.ones(len(dests[node]) + 1))
                 lam = float(rng.uniform(0.01, 0.3))
-                records[node] = (0.5, int(rng.integers(2)), ActionDistribution(w, lam))
+                records[node] = (int(rng.integers(2)), ActionDistribution(w, lam, 0))
             queue = {n: float(rng.uniform(0, 5)) for layer in topo.layers[1:] for n in layer}
             queue_row = [queue.get(n, 0.0) for n in ids]
             c = float(rng.uniform(0.5, 4))
@@ -166,7 +166,7 @@ def check_loss_sweep() -> CheckResult:
                     for route in _routes(topo, ids[node]):
                         mixed, raw, hops = 1.0, 1.0, 0.0
                         for here, nxt in zip(route, route[1:]):
-                            dist = records[index[here]][2]
+                            dist = records[index[here]][1]
                             i = dests[index[here]].index(index[nxt]) + 1  # 0 terminates
                             mixed *= float(dist.mixed[i])
                             raw *= float(dist.raw[i])
@@ -175,7 +175,7 @@ def check_loss_sweep() -> CheckResult:
                         if topo.is_terminal(last):
                             want += (mixed, raw * hops, 0.0)
                         else:
-                            _, local_error, dist = records[index[last]]
+                            local_error, dist = records[index[last]]
                             raw *= float(dist.raw[0])
                             stop = v * local_error
                             want += (0.0, raw * (hops + stop), raw * stop)

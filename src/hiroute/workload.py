@@ -62,20 +62,12 @@ class Job:
         return all(self.correctness.get(m, 0) == 0 for m in model_ids)
 
 
-@dataclass(frozen=True)
-class ConfidenceModel:
-    """Gaussian perturbation around the best loaded model's expected accuracy."""
-
-    noise_std: float = 0.1
-
-
 @dataclass
 class ArrivalModel:
     """Stationary arrival process: Poisson slot counts, fixed per-node mixtures."""
 
     mean_jobs_per_slot: float
     task_mixture: dict[str, np.ndarray]  # entry node id -> probs over tasks
-    rng_seed: int
 
     def __post_init__(self) -> None:
         if self.mean_jobs_per_slot < 0:
@@ -175,7 +167,8 @@ class WorkloadStats:
 
 
 class Workload:
-    """A job source bound to one run: arrivals, sizes, correctness, confidence."""
+    """A job source bound to one run: arrivals, sizes, correctness, confidence
+    (``noise_std`` scales the Gaussian noise around the best loaded accuracy)."""
 
     def __init__(
         self,
@@ -183,17 +176,17 @@ class Workload:
         task_modality: Mapping[str, str],
         models: Sequence[ModelSpec],
         arrivals: ArrivalModel,
-        confidence_model: ConfidenceModel,
+        noise_std: float,
         task_size_ranges: Mapping[str, tuple[float, float]],
         seed: int,
+        design_mixture: np.ndarray,
         job_sampler=None,
-        design_mixture: np.ndarray | None = None,
     ) -> None:
         self.tasks = tuple(tasks)
         self.task_modality = dict(task_modality)
         self.models = tuple(models)
         self.arrivals = arrivals
-        self.confidence_model = confidence_model
+        self.noise_std = noise_std
         self.task_size_ranges = dict(task_size_ranges)
         self.error_table = ErrorTable(self.tasks, self.models, self.task_modality)
         self._job_sampler = job_sampler
@@ -251,20 +244,13 @@ class Workload:
     def stats(self) -> WorkloadStats:
         """Expected per-entry arrival rate and mean job size.
 
-        Uses the designed task distribution when one is known, so derived
-        calibrations are identical across seeds; the realized per-seed
-        mixtures only add zero-mean noise around it. A trace task's size is
-        the mean of its recorded sizes, since jobs are drawn uniformly from
-        the task's pool.
+        Uses the designed task distribution, so derived calibrations are
+        identical across seeds; the realized per-seed mixtures only add
+        zero-mean noise around it. A trace task's size is the mean of its
+        recorded sizes, since jobs are drawn uniformly from the task's pool.
         """
         rate = self.arrivals.mean_jobs_per_slot / max(1, len(self._entry_ids))
-        if self.design_mixture is not None:
-            mean_mass = np.asarray(self.design_mixture, dtype=float)
-        else:
-            mean_mass = np.zeros(len(self.tasks))
-            for probs in self.arrivals.task_mixture.values():
-                mean_mass += probs
-            mean_mass /= max(1, len(self.arrivals.task_mixture))
+        mean_mass = np.asarray(self.design_mixture, dtype=float)
         mean_size = 0.0
         for i, task in enumerate(self.tasks):
             if self._job_sampler is not None:

@@ -17,52 +17,75 @@ def topo():
 
 
 class TestStaticAction:
+    # node index 0 is n1_0, whose two destinations are n2_0 and n2_1
+
     def test_pure_local_never_offloads(self):
         cfg = StaticPolicyConfig(kind="pure_local", offload_prob=0.9)
         assert cfg.offload_prob == 0.0
-        t = topo()
         rng = np.random.default_rng(0)
-        node = t.node("n1_0")
-        ups = t.uplinks(node)
-        assert all(static_action(cfg, node, ups, rng) == 0 for _ in range(200))
+        assert all(static_action(cfg, 0, 2, rng) == 0 for _ in range(200))
 
     def test_random_long_run_frequency(self):
         cfg = StaticPolicyConfig(kind="random", offload_prob=0.12)
-        t = topo()
-        node = t.node("n1_0")
-        ups = t.uplinks(node)
         rng = np.random.default_rng(1)
         n = 50_000
-        offloads = sum(static_action(cfg, node, ups, rng) != 0 for _ in range(n))
+        offloads = sum(static_action(cfg, 0, 2, rng) != 0 for _ in range(n))
         sigma = np.sqrt(0.12 * 0.88 / n)
         assert abs(offloads / n - 0.12) <= 3 * sigma
 
     def test_random_destination_uniform(self):
         cfg = StaticPolicyConfig(kind="random", offload_prob=1.0)
-        t = topo()
-        node = t.node("n1_0")
-        ups = t.uplinks(node)
         rng = np.random.default_rng(2)
-        dests = [static_action(cfg, node, ups, rng) for _ in range(10_000)]
-        frac = sum(d == "n2_0" for d in dests) / len(dests)
+        actions = [static_action(cfg, 0, 2, rng) for _ in range(10_000)]
+        assert set(actions) == {1, 2}
+        frac = sum(a == 1 for a in actions) / len(actions)
         assert abs(frac - 0.5) < 0.02
 
     def test_round_robin_alternates_exactly(self):
         cfg = StaticPolicyConfig(kind="round_robin", offload_prob=1.0)
-        t = topo()
-        node = t.node("n1_0")
-        ups = t.uplinks(node)
+        ids, _, dests = topo().index_tables()
         rng = np.random.default_rng(3)
-        dests = [static_action(cfg, node, ups, rng) for _ in range(6)]
-        assert dests == ["n2_0", "n2_1", "n2_0", "n2_1", "n2_0", "n2_1"]
+        actions = [static_action(cfg, 0, len(dests[0]), rng) for _ in range(6)]
+        assert [ids[dests[0][a - 1]] for a in actions] == [
+            "n2_0", "n2_1", "n2_0", "n2_1", "n2_0", "n2_1"
+        ]
 
     def test_round_robin_counters_are_per_node(self):
         cfg = StaticPolicyConfig(kind="round_robin", offload_prob=1.0)
-        t = topo()
         rng = np.random.default_rng(4)
-        a = static_action(cfg, t.node("n1_0"), t.uplinks("n1_0"), rng)
-        b = static_action(cfg, t.node("n1_1"), t.uplinks("n1_1"), rng)
-        assert a == b == "n2_0"  # independent rotations
+        a = static_action(cfg, 0, 2, rng)
+        b = static_action(cfg, 1, 2, rng)
+        assert a == b == 1  # independent rotations
+
+    @pytest.mark.parametrize("kind", ["random", "round_robin"])
+    def test_matches_node_id_reference(self, kind):
+        # the former encoding drew an uplink node id; mapped through the
+        # destination table, the index draws name the same nodes, with the
+        # same generator state afterwards. On 3-12-2-1 the uplinks' id order
+        # (n2_10 before n2_2) differs from their index order.
+        t = build_topology([3, 12, 2, 1], [30, 80, 150, None], 0.4)
+        ids, _, dests = t.index_tables()
+        assert list(dests[0]) != sorted(dests[0])
+        cfg = StaticPolicyConfig(kind=kind, offload_prob=0.7)
+        counters = {}
+
+        def reference(node_id, rng):
+            uplinks = t.uplinks(node_id)
+            if rng.random() >= 0.7:
+                return 0
+            if kind == "random":
+                return uplinks[int(rng.integers(len(uplinks)))].node_id
+            counter = counters.get(node_id, 0)
+            counters[node_id] = counter + 1
+            return uplinks[counter % len(uplinks)].node_id
+
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        picks = np.random.default_rng(6).integers(0, 17, size=3000)  # the non-terminal nodes
+        for node in picks.tolist():
+            action = static_action(cfg, node, len(dests[node]), ours)
+            want = reference(ids[node], theirs)
+            assert (ids[dests[node][action - 1]] if action else 0) == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

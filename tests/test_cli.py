@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="workload.bogus"):
             merge_config({"workload": {"bogus": 1}})
 
+    def test_slot_duration_key_removed(self):
+        # the queues drain the budget once per slot whatever the key said, so
+        # a slot length that only rescaled static calibration is rejected
+        with pytest.raises(ConfigError, match="topology.slot_duration: unknown key"):
+            merge_config({"topology": {"slot_duration": 2.0}})
+
     def test_type_and_range_checks(self):
         with pytest.raises(ConfigError, match="exploration_rate"):
             merge_config({"learning": {"exploration_rate": 1.5}})

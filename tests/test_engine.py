@@ -137,7 +137,7 @@ class TestRunSlotInvariants:
         accumulate = ExpertTable.accumulate_loss
 
         def spy_learn(self, job, path, fb, *args):
-            learning.append((job, [self.node_ids[i] for i in path], fb))
+            learning.append((job, path, fb))
             try:
                 return learn_from(self, job, path, fb, *args)
             finally:
@@ -159,8 +159,8 @@ class TestRunSlotInvariants:
         # visited-but-unfed jobs contribute the baseline; with live queues the
         # baseline is typically nonzero once any learning happened
         touched = sum(
-            1 for key in run.table.entry_keys()
-            if not np.allclose(run.table.cum_loss(*key), 0.0)
+            1 for node in run.table.grids for task in run.table.tasks
+            if not np.allclose(run.table.cum_loss(node, task), 0.0)
         )
         assert touched > 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hiroute.losses import BaselineTable, DownstreamLossOracle, estimate, variance_pair
-from hiroute.policy import ActionDistribution, ExpertGrid
+from hiroute.policy import DEFAULT_THRESHOLDS, ActionDistribution, ExpertGrid, ExpertTable
 from hiroute.topology import build_topology
 
 
@@ -101,8 +101,8 @@ def baseline_table(ema_rate=0.1):
 
 
 def plugin(table, queue_row=(0.0, 0.0)):
-    """Baseline matrix with the 0.8-threshold expert offloading."""
-    return table.plugin_values("n", "y", np.array([False, True]), np.array(queue_row),
+    """Baseline matrix with the 0.8-threshold expert offloading (cut 1)."""
+    return table.plugin_values("n", "y", 1, np.array(queue_row),
                                hop_cost=2.0, error_weight=70.0)
 
 
@@ -156,16 +156,19 @@ class TestBaselineTable:
         assert table.condition_violations == 2
 
 
-def chain_views(offload_probs, errors=None, confidences=None, lam=0.0):
+def chain_views(offload_probs, errors=None, confidences=None, lam=0.0, thresholds=()):
     """Hand-set records of a job on a single chain, keyed by node id:
-    (confidence, local error, action distribution)."""
+    (local error, action distribution). Each distribution's cut counts the
+    ``thresholds`` at or below the node's confidence (default 0.5)."""
     errors = errors or {}
     confidences = confidences or {}
     return {
         node_id: (
-            confidences.get(node_id, 0.5),
             errors.get(node_id, 0),
-            ActionDistribution(np.array([1.0 - p, p]), exploration_rate=lam),
+            ActionDistribution(
+                np.array([1.0 - p, p]), exploration_rate=lam,
+                cut=sum(th <= confidences.get(node_id, 0.5) for th in thresholds),
+            ),
         )
         for node_id, p in offload_probs.items()
     }
@@ -224,8 +227,8 @@ class TestReachProb:
 
         # the raw policy never offloads
         views = {
-            node_id: (0.5, 0, ActionDistribution(
-                np.eye(len(topo.uplinks(node_id)) + 1)[0], exploration_rate=lam
+            node_id: (0, ActionDistribution(
+                np.eye(len(topo.uplinks(node_id)) + 1)[0], exploration_rate=lam, cut=0
             ))
             for node_id in (*topo.layers[0], *topo.layers[1])
         }
@@ -294,18 +297,22 @@ class TestExpertLoss:
     def topo(self):
         return build_topology([1, 1], [10, None], 0.4)
 
+    def views(self, errors, confidence):
+        return chain_views({"n1_0": 0.5}, errors=errors, confidences={"n1_0": confidence},
+                           thresholds=self.grid().thresholds)
+
     def test_threshold_zero_never_offloads(self):
-        views = chain_views({"n1_0": 0.5}, errors={"n1_0": 0}, confidences={"n1_0": 0.5})
+        views = self.views({"n1_0": 0}, 0.5)
         oracle = Oracle(self.topo(), views, {}, 70.0, 1.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[0, 0] == 0.0
 
     def test_threshold_one_pure_offload_branch(self):
-        views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.5})
+        views = self.views({"n1_0": 1}, 0.5)
         oracle = Oracle(self.topo(), views, {"n2_0": 2.0}, 70.0, 3.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[2, 0] == pytest.approx(6.0)
 
     def test_local_branch_with_error(self):
-        views = chain_views({"n1_0": 0.5}, errors={"n1_0": 1}, confidences={"n1_0": 0.9})
+        views = self.views({"n1_0": 1}, 0.9)
         oracle = Oracle(self.topo(), views, {}, 70.0, 1.0)
         assert oracle.expert_loss_matrix("n1_0", self.grid())[1, 0] == pytest.approx(70.0)
 
@@ -317,7 +324,7 @@ class TestExpertLoss:
         grid = ExpertGrid(thresholds=(0.0, 0.3, 0.5, 0.6, 1.0), destinations=("n2_0",))
         q = {"n2_0": 1.5, "n3_0": 0.5}
         views = chain_views({"n1_0": 0.5, "n2_0": 0.3}, errors={"n1_0": 1, "n2_0": 1},
-                            confidences={"n1_0": 0.5})
+                            confidences={"n1_0": 0.5}, thresholds=grid.thresholds)
         oracle = Oracle(topo, views, q, 70.0, 2.0)
         matrix = oracle.expert_loss_matrix("n1_0", grid)
         for i, th in enumerate(grid.thresholds):
@@ -329,12 +336,58 @@ class TestExpertLoss:
 
     def test_zero_downstream_keeps_queue_cost_only(self):
         topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
+        grid = ExpertGrid(thresholds=(1.0,), destinations=("n2_0",))
         views = chain_views({"n1_0": 0.5, "n2_0": 0.5},
                             errors={"n1_0": 1, "n2_0": 1},
-                            confidences={"n1_0": 0.5, "n2_0": 0.5})
+                            confidences={"n1_0": 0.5, "n2_0": 0.5},
+                            thresholds=grid.thresholds)
         oracle = Oracle(topo, views, {"n2_0": 2.0}, 70.0, 3.0)
-        grid = ExpertGrid(thresholds=(1.0,), destinations=("n2_0",))
         with_downstream = oracle.expert_loss_matrix("n1_0", grid)[0, 0]
         without = oracle.expert_loss_matrix("n1_0", grid, zero_downstream=True)[0, 0]
         assert without == pytest.approx(6.0)
         assert with_downstream > without
+
+
+class TestCutMatchesThresholdMask:
+    def test_plugin_values_and_expert_loss_matrix(self):
+        # both read the cut that action_probs stored; each must equal the
+        # construction from the mask of thresholds above the confidence
+        topo = build_topology([1, 3, 1], [10, 10, None], 0.4)
+        ids, _, dests = topo.index_tables()
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, tuple(ids[d] for d in dests[0]))
+        thresholds = np.asarray(DEFAULT_THRESHOLDS)
+        experts = ExpertTable({0: grid}, ["y"], learning_rate=0.1, exploration_rate=0.1)
+        experts.accumulate_loss(0, "y", np.random.default_rng(8).normal(0, 5, size=grid.shape))
+        experts.refresh_dirty()
+        baselines = BaselineTable({0: grid}, ["y"], ema_rate=0.3)
+        baselines.update_hidden(0, "y", 1.0, np.array([4.0, 1.0, 2.5]))
+        rng = np.random.default_rng(9)
+        zs = (*rng.uniform(0, 1, size=40), *DEFAULT_THRESHOLDS, 0.0, 1.0)
+        for z in zs:
+            mask = thresholds > z
+            dist = experts.action_probs(0, "y", float(z))
+            queue_row = rng.uniform(0, 3, size=3)
+            for zero_downstream in (False, True):
+                offload_row = queue_row * 2.0
+                if not zero_downstream:
+                    offload_row = offload_row + baselines._down_base[(0, "y")]
+                want = np.where(mask[:, None], offload_row[None, :],
+                                70.0 * baselines._local_error[(0, "y")])
+                got = baselines.plugin_values(0, "y", dist.cut, queue_row, hop_cost=2.0,
+                                              error_weight=70.0,
+                                              zero_downstream=zero_downstream)
+                assert np.array_equal(got, want)
+            local_error = int(rng.integers(2))
+            queue = [0.0, *rng.uniform(0, 3, size=4).tolist()]
+            records = {0: (local_error, dist)}
+            for node in (1, 2, 3):  # the middle layer, with nonzero downstream loss
+                p = float(rng.uniform(0, 1))
+                records[node] = (1, ActionDistribution(np.array([1.0 - p, p]), 0.1, 0))
+            oracle = DownstreamLossOracle(((0,), (1, 2, 3), (4,)), 0, dests,
+                                          records, queue, 70.0, 1.5)
+            for zero_downstream in (False, True):
+                costs = oracle._queue_cost if zero_downstream else oracle.offload_cost
+                row = np.array([costs[d] for d in dests[0]])
+                want = np.where(mask[:, None], row[None, :], 70.0 * local_error)
+                got = oracle.expert_loss_matrix(0, grid, zero_downstream)
+                assert np.array_equal(got, want)

@@ -72,18 +72,19 @@ class TestActionProbs:
                 raw = np.concatenate(([float(w[~mask, :].sum())], w[mask, :].sum(axis=0)))
                 mixed = (1.0 - 0.07) * raw + 0.07 / 4
                 dist = table.action_probs("n", "y", float(z))
+                assert dist.cut == int((~mask).sum())
                 assert dist.raw.tolist() == raw.tolist()
                 assert dist.mixed.tolist() == mixed.tolist()
 
 
 class TestSampling:
     def test_degenerate_distribution(self):
-        dist = ActionDistribution(np.array([1.0, 0.0]), exploration_rate=0.0)
+        dist = ActionDistribution(np.array([1.0, 0.0]), exploration_rate=0.0, cut=0)
         rng = np.random.default_rng(0)
         assert all(dist.sample(rng) == 0 for _ in range(50))
 
     def test_frequencies_within_binomial_bounds(self):
-        dist = ActionDistribution(np.array([0.3, 0.7]), exploration_rate=0.0)
+        dist = ActionDistribution(np.array([0.3, 0.7]), exploration_rate=0.0, cut=0)
         rng = np.random.default_rng(1)
         n = 100_000
         hits = sum(dist.sample(rng) == 1 for _ in range(n))
@@ -91,7 +92,7 @@ class TestSampling:
         assert abs(hits / n - 0.7) <= 3 * sigma
 
     def test_seeded_reproducibility(self):
-        dist = ActionDistribution(np.array([0.2, 0.5, 0.3]), 0.1)
+        dist = ActionDistribution(np.array([0.2, 0.5, 0.3]), 0.1, 0)
         rng = np.random.default_rng(9)
         draws1 = [dist.sample(rng) for _ in range(20)]
         rng = np.random.default_rng(9)
@@ -107,7 +108,7 @@ class TestSampling:
         for _ in range(10_000):
             size = int(source.integers(2, 14))
             raw = source.dirichlet(np.full(size, float(source.uniform(0.05, 2.0))))
-            dist = ActionDistribution(raw, float(source.uniform(0.0, 0.3)))
+            dist = ActionDistribution(raw, float(source.uniform(0.0, 0.3)), 0)
             assert dist.sample(ours) == int(
                 reference.choice(size, p=dist.mixed / dist.mixed.sum())
             )

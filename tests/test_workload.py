@@ -8,7 +8,6 @@ from hiroute.engine import build_topology_from_config, build_workload
 from hiroute.topology import build_topology
 from hiroute.workload import (
     ArrivalModel,
-    ConfidenceModel,
     ErrorTable,
     Job,
     ModelSpec,
