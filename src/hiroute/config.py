@@ -9,7 +9,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .baselines import LEARNING_KINDS, STATIC_KINDS

@@ -13,8 +13,13 @@ The core, expert and baseline tables included, works on integer node
 indices; ids appear only at I/O (entry nodes, path records, regret, queues,
 placements). Every policy draws 0 to terminate or i to offload to the node's
 i-th destination, so one loop routes every job. Each placement epoch tables
-every (node, task)'s best-loaded accuracy and selected model, and a job keeps
-one record per node it is evaluated at: local error and action distribution.
+every (node, task)'s best-loaded accuracy and selected model, filled on first
+lookup, and a job keeps one record per node it is evaluated at: local error
+and action distribution. A slot draws its confidence noise in one call.
+Learning builds no T×D matrix per job: a job's expert losses, baselines and
+estimates at a node are ``(terminate, offload_row)`` pairs under its cut,
+and the action distributions it reads are shared by every job of the slot
+that has the same (node, task, cut).
 """
 from __future__ import annotations
 
@@ -123,12 +128,14 @@ class RegretTracker:
     Accumulates each job's realized loss contribution and the full-feedback
     losses of every expert; regret at a checkpoint is the realized sum minus
     the best fixed expert's sum so far (found by exhaustive enumeration).
-    Sampling noise can make it negative; it is reported as-is.
+    Sampling noise can make it negative; it is reported as-is. ``rows`` is
+    the number of thresholds of every expert grid.
     """
 
-    def __init__(self, entry_ids: set[str], checkpoints: Iterable[int]) -> None:
+    def __init__(self, entry_ids: set[str], checkpoints: Iterable[int], rows: int) -> None:
         self.entry_ids = entry_ids
         self.checkpoints = set(checkpoints)
+        self.rows = rows
         self.realized: dict[tuple[str, str], float] = {}
         self.expert_sums: dict[tuple[str, str], np.ndarray] = {}
         self.jobs_seen = 0
@@ -136,13 +143,21 @@ class RegretTracker:
         self.curve_entry: list[float] = []
         self.curve_total: list[float] = []
 
-    def add(self, node_id: str, task: str, realized: float, expert_losses: np.ndarray) -> None:
+    def add(
+        self, node_id: str, task: str, realized: float, cut: int, terminate, offload
+    ) -> None:
+        """Add one job's realized loss and its experts' losses at a node:
+        ``terminate`` for rows ``[:cut]``, ``offload`` for rows ``[cut:]``."""
         key = (node_id, task)
         self.realized[key] = self.realized.get(key, 0.0) + realized
-        if key in self.expert_sums:
-            self.expert_sums[key] += expert_losses
+        sums = self.expert_sums.get(key)
+        if sums is None:
+            sums = self.expert_sums[key] = np.empty((self.rows, np.shape(offload)[-1]))
+            sums[:cut] = terminate
+            sums[cut:] = offload
         else:
-            self.expert_sums[key] = expert_losses.copy()
+            sums[:cut] += terminate
+            sums[cut:] += offload
 
     def job_done(self) -> None:
         """Count one job, and snapshot the regret curves at a checkpoint."""
@@ -279,6 +294,23 @@ def resolve_learning_rate(cfg: Mapping[str, Any], max_grid_size: int) -> float:
     return base * scale
 
 
+class _PerTask(dict):
+    """``fn(table, task, loaded)`` per task of one node's loaded set,
+    computed on the task's first lookup."""
+
+    __slots__ = ("fn", "table", "loaded")
+
+    def __init__(self, fn, table, loaded: frozenset[str]) -> None:
+        super().__init__()
+        self.fn = fn
+        self.table = table
+        self.loaded = loaded
+
+    def __missing__(self, task: str):
+        value = self[task] = self.fn(self.table, task, self.loaded)
+        return value
+
+
 class _Run:
     """All mutable state for one (config, seed) simulation."""
 
@@ -368,7 +400,8 @@ class _Run:
             step = max(1, total // 10)
             checkpoints = {*range(step, total + 1, step), total}
         self.regret = RegretTracker(
-            {n.node_id for n in self.topo.entry_nodes()}, checkpoints
+            {n.node_id for n in self.topo.entry_nodes()}, checkpoints,
+            len(resolve_thresholds(cfg)),
         )
         self.path_log: list[PathRecord] = []
         self.baseline_epoch_log: list[dict[str, Any]] = []
@@ -448,14 +481,15 @@ class _Run:
     def _index_placement(self) -> None:
         """Best-loaded accuracy and selected model per (node, task), for the
         current placement: a job's confidence centre and local error at a
-        node depend only on these and on the job's own draws."""
-        table, tasks = self.error_table, self.workload.tasks
-        self.accuracy: list[dict[str, float]] = []
-        self.selected: list[dict[str, str | None]] = []
+        node depend only on these and on the job's own draws. Each entry is
+        computed on its first lookup in the epoch."""
+        table = self.error_table
+        self.accuracy: list[_PerTask] = []
+        self.selected: list[_PerTask] = []
         for node_id in self.node_ids:
             loaded = self.placement.loaded.get(node_id, frozenset())
-            self.accuracy.append({t: best_loaded_accuracy(table, t, loaded) for t in tasks})
-            self.selected.append({t: select_model(table, t, loaded) for t in tasks})
+            self.accuracy.append(_PerTask(best_loaded_accuracy, table, loaded))
+            self.selected.append(_PerTask(select_model, table, loaded))
 
     def _mixture_for(self, index: int) -> dict[str, float]:
         if index in self.layers[0]:
@@ -489,8 +523,8 @@ class _Run:
         slot_feedback = 0
 
         routed = []
-        for job in jobs:
-            noise = self.workload.confidence_noise(len(self.node_ids)).tolist()
+        slot_noise = self.workload.confidence_noise(len(jobs), len(self.node_ids)).tolist()
+        for job, noise in zip(jobs, slot_noise):
             path, exit_error, records = self._route(job, noise)
             hop_cost = job.size_units * self.distance_factor
             for dest in path[1:]:
@@ -605,38 +639,43 @@ class _Run:
             )
         visited = path[:-1] if fb else path
         for i, node in enumerate(visited):
-            grid = self.table.grids[node]
             dests = self.dests[node]
             local_error, dist = records[node]
-            beta = 0.0
+            cut = dist.cut
+            beta = (0.0, 0.0)
             if variant.use_baseline:
                 beta = self.baselines.plugin_values(
-                    node, task, dist.cut,
+                    node, task, cut,
                     np.array([queue[d] for d in dests]), hop_cost=hop_cost,
                     error_weight=self.v, zero_downstream=variant.zero_downstream,
                 )
-            losses = rho = None
+            losses = (None, None)
+            rho = None
             if fb:
                 rho = oracle.reach_prob(node)
-                losses = oracle.expert_loss_matrix(node, grid, variant.zero_downstream)
+                losses = oracle.expert_loss_matrix(node, variant.zero_downstream)
                 if variant.use_baseline:
-                    self.baselines.count_violations(beta, losses)
+                    self.baselines.count_violations(node, cut, beta, losses)
             # an importance-weighted job without feedback adds nothing
             if fb or variant.use_baseline:
-                self.table.accumulate_loss(node, task, estimate(losses, beta, rho, fb))
+                self.table.accumulate_loss(
+                    node, task, cut,
+                    estimate(losses[0], beta[0], rho, fb),
+                    estimate(losses[1], beta[1], rho, fb),
+                )
             if fb and variant.use_baseline:
                 down_base = np.array([oracle.expected_loss_decomposition(d) for d in dests])
                 self.baselines.update_hidden(node, task, local_error, down_base)
             if self.record_regret:
-                if losses is None or variant.zero_downstream:
-                    losses = oracle.expert_loss_matrix(node, grid)
+                if not fb or variant.zero_downstream:
+                    losses = oracle.expert_loss_matrix(node)
                 # the realized loss of the action taken here: stop, or offload
                 # to the next node of the path
                 if i + 1 < len(path):
                     realized = oracle.offload_cost[path[i + 1]]
                 else:
                     realized = self.v * local_error
-                self.regret.add(self.node_ids[node], task, realized, losses)
+                self.regret.add(self.node_ids[node], task, realized, cut, *losses)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:

@@ -16,6 +16,12 @@ the expected downstream loss of standing there, and that loss with every
 queue at zero; the estimators and the regret diagnostic then look these
 values up. It and :class:`BaselineTable` read the threshold rule from the
 cut kept by the job's action distribution.
+
+A job's expert losses, baselines and estimates at a node take D+1 distinct
+values: every expert of rows ``[:cut]`` terminates and pays one value, every
+expert of rows ``[cut:]`` offloads and pays its destination's. They are
+passed as a ``(terminate, offload_row)`` pair under the job's cut, never as
+a T×D matrix; :func:`estimate` is applied to each part.
 """
 from __future__ import annotations
 
@@ -100,23 +106,21 @@ class BaselineTable:
         hop_cost: float,
         error_weight: float,
         zero_downstream: bool = False,
-    ) -> np.ndarray:
-        """Queue-aware baseline matrix for one visited job.
+    ) -> tuple[float, np.ndarray]:
+        """Queue-aware baselines of one visited job: ``(terminate, offload_row)``.
 
         ``cut`` is the job's :attr:`ActionDistribution.cut` at the node (rows
         from ``cut`` on hold thresholds above its confidence), ``queue_row``
         the uplink queue values at the job's slot. Offload experts pay the
         live queue-weighted hop cost plus the estimated queue-free downstream
-        loss; local experts pay the weighted estimated local error rate.
+        loss; local experts pay the weighted estimated local error rate. The
+        cut does not change the values, only which rows take them.
         """
         key = (node, task)
         offload_row = queue_row * hop_cost
         if not zero_downstream:
             offload_row = offload_row + self._down_base[key]
-        matrix = np.empty(self.grids[node].shape)
-        matrix[:cut] = error_weight * self._local_error[key]
-        matrix[cut:] = offload_row
-        return matrix
+        return error_weight * self._local_error[key], offload_row
 
     def update_hidden(
         self,
@@ -136,9 +140,24 @@ class BaselineTable:
         """Mean estimated local error rate across all (node, task) baselines."""
         return float(np.mean(list(self._local_error.values())))
 
-    def count_violations(self, beta: np.ndarray, losses: np.ndarray) -> None:
-        bad = ~((beta > 0.0) & (beta <= 2.0 * losses))
-        self.condition_violations += int(bad.sum())
+    def count_violations(
+        self,
+        node: Hashable,
+        cut: int,
+        beta: tuple[float, np.ndarray],
+        losses: tuple[float, np.ndarray],
+    ) -> None:
+        """Count the experts whose baseline falls outside (0, 2f].
+
+        ``beta`` and ``losses`` are ``(terminate, offload_row)`` pairs under
+        ``cut``: a terminate violation counts once per expert of rows
+        ``[:cut]``, an offload violation once per row of ``[cut:]``.
+        """
+        rows, cols = self.grids[node].shape
+        (beta_stop, beta_row), (loss_stop, loss_row) = beta, losses
+        bad_stop = not (beta_stop > 0.0 and beta_stop <= 2.0 * loss_stop)
+        bad_row = ~((beta_row > 0.0) & (beta_row <= 2.0 * loss_row))
+        self.condition_violations += cut * cols * bad_stop + (rows - cut) * int(bad_row.sum())
 
 
 # A job's record at one node: its realized local error, and the node's
@@ -186,33 +205,34 @@ class DownstreamLossOracle:
     ) -> None:
         self.nodes = nodes
         self.dests = dests
-        self.error_weight = float(error_weight)
+        self.error_weight = error_weight = float(error_weight)
         hop_cost = float(hop_cost)
         terminal = layers[-1]
-        self._rho = dict.fromkeys(terminal, 1.0)
-        self._fbar = dict.fromkeys(terminal, 0.0)
-        self._free = dict.fromkeys(terminal, 0.0)
-        self._queue_cost: dict[int, float] = {}
+        self._rho = rhos = dict.fromkeys(terminal, 1.0)
+        self._fbar = fbars = dict.fromkeys(terminal, 0.0)
+        self._free = frees = dict.fromkeys(terminal, 0.0)
+        self._queue_cost = queue_costs = {}
         # queue-weighted hop cost plus expected loss, per node of layers 2..K
         self.offload_cost: dict[int, float] = {}
+        offload_costs = self.offload_cost
         for k in range(len(layers) - 1, 0, -1):
             for dest in layers[k]:
                 queue_cost = queue[dest] * hop_cost
-                self._queue_cost[dest] = queue_cost
-                self.offload_cost[dest] = queue_cost + self._fbar[dest]
+                queue_costs[dest] = queue_cost
+                offload_costs[dest] = queue_cost + fbars[dest]
             for node in layers[k - 1] if k > 1 else (entry,):
                 local_error, dist = nodes[node]
-                raw = dist.raw.tolist()
-                mixed = dist.mixed.tolist()
+                raw = dist.raw_list
+                mixed = dist.mixed_list
                 rho = 0.0
-                fbar = free = self.error_weight * raw[0] * local_error
+                fbar = free = error_weight * raw[0] * local_error
                 for p_mixed, p_raw, dest in zip(mixed[1:], raw[1:], dests[node]):
-                    rho += p_mixed * self._rho[dest]
-                    fbar += p_raw * self.offload_cost[dest]
-                    free += p_raw * self._free[dest]
-                self._rho[node] = rho
-                self._fbar[node] = fbar
-                self._free[node] = free
+                    rho += p_mixed * rhos[dest]
+                    fbar += p_raw * offload_costs[dest]
+                    free += p_raw * frees[dest]
+                rhos[node] = rho
+                fbars[node] = fbar
+                frees[node] = free
 
     def reach_prob(self, node: int) -> float:
         """Probability the job reaches the terminal layer from this node."""
@@ -235,12 +255,17 @@ class DownstreamLossOracle:
         return self._free[node]
 
     def expert_loss_matrix(
-        self, node: int, grid: ExpertGrid, zero_downstream: bool = False
-    ) -> np.ndarray:
-        """All experts' full-feedback losses at once, shaped like the grid."""
-        local_error, dist = self.nodes[node]
+        self, node: int, zero_downstream: bool = False
+    ) -> tuple[float, np.ndarray]:
+        """All experts' full-feedback losses as ``(terminate, offload_row)``.
+
+        Under the cut of the job's distribution at the node, every expert of
+        rows ``[:cut]`` pays ``terminate`` and every expert of rows
+        ``[cut:]`` its destination's entry of ``offload_row``.
+        """
+        local_error = self.nodes[node][0]
         costs = self._queue_cost if zero_downstream else self.offload_cost
-        matrix = np.empty(grid.shape)
-        matrix[:dist.cut] = self.error_weight * local_error
-        matrix[dist.cut:] = [costs[dest] for dest in self.dests[node]]
-        return matrix
+        return (
+            self.error_weight * local_error,
+            np.array([costs[dest] for dest in self.dests[node]]),
+        )

@@ -11,9 +11,20 @@ cumulative sum.
 
 Only :meth:`ExpertTable.action_probs` applies the threshold rule; the
 distribution keeps its cut, ``bisect_right(thresholds, z)``, for the losses.
+A job sees a node's experts only through that cut: rows ``[:cut]`` terminate
+and rows ``[cut:]`` offload, so one job's losses at a node take D+1 distinct
+values, a terminate value and an offload row of D, which
+:meth:`ExpertTable.accumulate_loss` adds as ``(cut, terminate, offload)``.
+
+Weights change only in :meth:`ExpertTable.update_weights`, so between two
+refreshes of a table its action distribution depends only on the cut. Each
+table caches its distributions by cut, at most T+1 of them, and drops them
+when it refreshes; the cached arrays are read-only, since jobs and slots
+share them.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
@@ -21,6 +32,11 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 DEFAULT_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(11))
+
+# ndarray.sum() and .max() reach these reductions through a Python-level
+# wrapper; the per-job paths call them directly, for the same bits
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -54,15 +70,25 @@ class ActionDistribution:
     Both arrays have one entry per action: index 0 terminates, index i
     offloads to the node's i-th destination. ``cut`` is the number of
     thresholds at or below the job's confidence: the experts of rows
-    ``[:cut]`` terminate, those of rows ``[cut:]`` offload.
+    ``[:cut]`` terminate, those of rows ``[cut:]`` offload. The arrays are
+    read-only; ``raw_list`` and ``mixed_list`` hold the same values as
+    Python floats, and the sampling CDF is built once.
     """
 
-    __slots__ = ("raw", "mixed", "cut")
+    __slots__ = ("raw", "mixed", "cut", "raw_list", "mixed_list", "_cdf")
 
     def __init__(self, raw: np.ndarray, exploration_rate: float, cut: int) -> None:
+        mixed = (1.0 - exploration_rate) * raw + exploration_rate / len(raw)
+        cdf = (mixed / _sum(mixed)).cumsum()
+        cdf /= cdf[-1]
+        raw.flags.writeable = False
+        mixed.flags.writeable = False
         self.raw = raw
+        self.mixed = mixed
         self.cut = cut
-        self.mixed = (1.0 - exploration_rate) * raw + exploration_rate / len(raw)
+        self.raw_list = raw.tolist()
+        self.mixed_list = mixed.tolist()
+        self._cdf = cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one action index from the mixed distribution.
@@ -70,19 +96,20 @@ class ActionDistribution:
         One uniform draw against the cumulative sum: the same index, and the
         same generator state afterwards, as ``rng.choice(len(p), p=p)``.
         """
-        p = self.mixed / self.mixed.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
+        return bisect_right(self._cdf, rng.random())
 
 
 class _TableEntry:
-    __slots__ = ("cum_loss", "weights", "entropy")
+    __slots__ = ("thresholds", "cum_loss", "weights", "entropy", "dists")
 
-    def __init__(self, shape: tuple[int, int]) -> None:
-        self.cum_loss = np.zeros(shape)
-        self.weights = np.full(shape, 1.0 / (shape[0] * shape[1]))
-        self.entropy = float(np.log(shape[0] * shape[1]))
+    def __init__(self, grid: ExpertGrid) -> None:
+        rows, cols = grid.shape
+        self.thresholds = grid.thresholds
+        self.cum_loss = np.zeros((rows, cols))
+        self.weights = np.full((rows, cols), 1.0 / (rows * cols))
+        self.entropy = float(np.log(rows * cols))
+        # the current weights' action distribution per cut
+        self.dists: dict[int, ActionDistribution] = {}
 
 
 class ExpertTable:
@@ -93,7 +120,8 @@ class ExpertTable:
     each slot, recomputes the touched tables. All decisions and reach
     probabilities within a slot therefore see the slot-start weights. Tables
     refresh in the order they first accumulated, so the running entropy sum
-    is the same in every process.
+    is the same in every process. ``update_weights`` is the only writer of a
+    table's weights, and it drops the table's cached distributions.
     """
 
     def __init__(
@@ -112,7 +140,7 @@ class ExpertTable:
         self.learning_rate = float(learning_rate)
         self.exploration_rate = float(exploration_rate)
         self._entries: dict[tuple[Hashable, str], _TableEntry] = {
-            (node, task): _TableEntry(grid.shape)
+            (node, task): _TableEntry(grid)
             for node, grid in self.grids.items()
             for task in self.tasks
         }
@@ -126,15 +154,15 @@ class ExpertTable:
         """Recompute the softmax of negated cumulative losses (stable form)."""
         entry = self._entries[(node, task)]
         scaled = -self.learning_rate * entry.cum_loss
-        scaled -= scaled.max()
+        scaled -= _max(scaled, axis=None)
         expd = np.exp(scaled)
-        entry.weights = expd / expd.sum()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(entry.weights > 0, np.log(entry.weights), 0.0)
+        entry.weights = w = expd / _sum(expd, axis=None)
+        entry.dists.clear()
+        logs = np.log(w, out=np.zeros(w.shape), where=w > 0)
         self._entropy_sum -= entry.entropy
-        entry.entropy = float(-(entry.weights * logs).sum())
+        entry.entropy = float(-_sum(w * logs, axis=None))
         self._entropy_sum += entry.entropy
-        return entry.weights
+        return w
 
     def weights(self, node: Hashable, task: str) -> np.ndarray:
         return self._entries[(node, task)].weights
@@ -145,21 +173,44 @@ class ExpertTable:
         Experts whose threshold exceeds z vote for their destination; all
         others vote for local termination. Thresholds increase, so the
         offloading experts are the rows from the first threshold above z on;
-        the returned distribution keeps that row as its ``cut``.
+        the returned distribution keeps that row as its ``cut``. It is built
+        on the first call for its cut since the table's last refresh, and
+        shared by every later one.
         """
-        w = self._entries[(node, task)].weights
-        cut = bisect_right(self.grids[node].thresholds, z)
-        raw = np.empty(w.shape[1] + 1)
-        raw[0] = w[:cut].sum()
-        raw[1:] = w[cut:].sum(axis=0)
-        return ActionDistribution(raw, self.exploration_rate, cut)
+        entry = self._entries[(node, task)]
+        cut = bisect_right(entry.thresholds, z)
+        dist = entry.dists.get(cut)
+        if dist is None:
+            w = entry.weights
+            raw = np.empty(w.shape[1] + 1)
+            raw[0] = _sum(w[:cut], axis=None)
+            raw[1:] = _sum(w[cut:], axis=0)
+            dist = entry.dists[cut] = ActionDistribution(raw, self.exploration_rate, cut)
+        return dist
 
-    def accumulate_loss(self, node: Hashable, task: str, per_expert_losses: np.ndarray) -> None:
-        """Add one job's estimated losses for every expert of (node, task)."""
-        if not np.all(np.isfinite(per_expert_losses)):
+    def accumulate_loss(
+        self, node: Hashable, task: str, cut: int, terminate, offload
+    ) -> None:
+        """Add one job's estimated expert losses at (node, task).
+
+        The float ``terminate`` is added to the experts of rows ``[:cut]``,
+        ``offload`` (one value per destination) to those of rows ``[cut:]``.
+        The array ``offload`` broadcasts, so ``cut=0`` with a full matrix as
+        ``offload`` adds that matrix. A non-finite value that would land in the table is
+        rejected before anything is added.
+        """
+        key = (node, task)
+        cum = self._entries[key].cum_loss
+        rows = len(cum)
+        if (cut and not math.isfinite(terminate)) or (
+            cut < rows and not all(map(math.isfinite, offload.ravel().tolist()))
+        ):
             raise ValueError(f"non-finite loss estimate at ({node}, {task})")
-        self._entries[(node, task)].cum_loss += per_expert_losses
-        self._dirty[(node, task)] = None
+        if cut:
+            cum[:cut] += terminate
+        if cut < rows:
+            cum[cut:] += offload
+        self._dirty[key] = None
 
     def refresh_dirty(self) -> None:
         """Recompute the weights of every table that accumulated losses."""

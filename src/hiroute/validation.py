@@ -74,7 +74,8 @@ def check_weight_simplex(rounds: int = 200) -> CheckResult:
     table = ExpertTable({"n": grid}, ["y"], learning_rate=0.05, exploration_rate=0.1)
     rng = np.random.default_rng(11)
     for _ in range(rounds):
-        table.accumulate_loss("n", "y", rng.normal(0, 30, size=grid.shape))
+        # cut 0: every row takes the offload part, here a full matrix
+        table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 30, size=grid.shape))
         table.refresh_dirty()
         w = table.weights("n", "y")
         if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w <= 0):

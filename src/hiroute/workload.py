@@ -236,10 +236,12 @@ class Workload:
             correctness=bits,
         )
 
-    def confidence_noise(self, num_nodes: int) -> np.ndarray:
-        """Pre-draw one unit-normal per node so a job's score at a node is
-        the same no matter how often or in what order it is queried."""
-        return self._rng.standard_normal(num_nodes)
+    def confidence_noise(self, num_jobs: int, num_nodes: int) -> np.ndarray:
+        """Pre-draw one unit-normal per (job, node) of a slot, so a job's
+        score at a node is the same no matter how often or in what order it
+        is queried. Row j holds the values, and leaves the generator in the
+        state, of the j-th of ``num_jobs`` draws of ``num_nodes`` each."""
+        return self._rng.standard_normal((num_jobs, num_nodes))
 
     def stats(self) -> WorkloadStats:
         """Expected per-entry arrival rate and mean job size.

@@ -12,7 +12,6 @@ from hiroute.config import (
     dump_config,
     load_config,
     merge_config,
-    validate_config,
 )
 
 

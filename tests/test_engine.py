@@ -143,10 +143,10 @@ class TestRunSlotInvariants:
             finally:
                 learning.pop()
 
-        def spy_accumulate(self, node, task, losses):
+        def spy_accumulate(self, node, task, cut, terminate, offload):
             job, path, fb = learning[-1]
             calls.append(fb and node in path and task == job.task_type)
-            return accumulate(self, node, task, losses)
+            return accumulate(self, node, task, cut, terminate, offload)
 
         monkeypatch.setattr(_Run, "_learn_from", spy_learn)
         monkeypatch.setattr(ExpertTable, "accumulate_loss", spy_accumulate)
@@ -251,12 +251,12 @@ class TestLossMatrixBuilds:
         oracles = []  # kept alive, so that id() names one job's oracle
         original = DownstreamLossOracle.expert_loss_matrix
 
-        def spy(oracle, node, grid, zero_downstream=False):
+        def spy(oracle, node, zero_downstream=False):
             if not oracles or oracles[-1] is not oracle:
                 oracles.append(oracle)
             key = (id(oracle), node, zero_downstream)
             builds[key] = builds.get(key, 0) + 1
-            return original(oracle, node, grid, zero_downstream)
+            return original(oracle, node, zero_downstream)
 
         monkeypatch.setattr(DownstreamLossOracle, "expert_loss_matrix", spy)
         for policy in ("vr_ly_exp4", "ly_exp4", "vr_local_loss"):
@@ -291,6 +291,24 @@ class TestPlacementTables:
         # the tie and a loaded set that supports no model of a task both occur
         assert "m05" in run.selected[0].values()
         assert None in run.selected[1].values()
+
+    def test_entries_built_on_first_lookup_through_engine_names(self, monkeypatch):
+        # each epoch's entries come from engine.best_loaded_accuracy and
+        # engine.select_model, the names the benchmark tracer wraps, and only
+        # once a job looks them up
+        run = _Run(small_config(), 0, None)
+        calls = []
+        monkeypatch.setattr(hiroute.engine, "best_loaded_accuracy",
+                            lambda *args: calls.append("accuracy") or 0.5)
+        monkeypatch.setattr(hiroute.engine, "select_model",
+                            lambda *args: calls.append("model") or "m05")
+        run._index_placement()
+        assert calls == []
+        task = run.workload.tasks[3]
+        for _ in range(3):
+            assert run.accuracy[2][task] == 0.5
+            assert run.selected[2][task] == "m05"
+        assert calls == ["accuracy", "model"]
 
 
 class TestPlacementEpochs:
@@ -370,7 +388,7 @@ class TestRegretOracle:
         # a hand-made log of (job, key, realized loss, expert loss matrix)
         rng = np.random.default_rng(5)
         keys = [("n1_0", "a"), ("n1_0", "b"), ("n2_0", "a")]
-        tracker = RegretTracker({"n1_0"}, checkpoints=[10, 40])
+        tracker = RegretTracker({"n1_0"}, checkpoints=[10, 40], rows=3)
         log = []
         for job in range(40):
             for key in keys:
@@ -378,7 +396,8 @@ class TestRegretOracle:
                     realized = float(rng.uniform(0, 10))
                     losses = rng.uniform(0, 10, size=(3, 2))
                     log.append((job, key, realized, losses))
-                    tracker.add(*key, realized, losses)
+                    # cut 0: every row takes the offload part, the full matrix
+                    tracker.add(*key, realized, 0, 0.0, losses)
             tracker.job_done()
 
         def brute(jobs):

@@ -1,8 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
+from hiroute.engine import RegretTracker
 from hiroute.losses import BaselineTable, DownstreamLossOracle, estimate, variance_pair
 from hiroute.policy import DEFAULT_THRESHOLDS, ActionDistribution, ExpertGrid, ExpertTable
 from hiroute.topology import build_topology
@@ -95,6 +94,16 @@ class TestVariancePair:
         assert vr.var() == pytest.approx(var_vr, rel=0.05)
 
 
+def expand(shape, cut, pair):
+    """The full expert matrix of a ``(terminate, offload_row)`` pair under
+    ``cut``: rows [:cut] terminate, rows [cut:] offload."""
+    terminate, offload = pair
+    matrix = np.empty(shape)
+    matrix[:cut] = terminate
+    matrix[cut:] = offload
+    return matrix
+
+
 def baseline_table(ema_rate=0.1):
     grid = ExpertGrid(thresholds=(0.2, 0.8), destinations=("u0", "u1"))
     return BaselineTable({"n": grid}, ["y"], ema_rate=ema_rate)
@@ -102,8 +111,8 @@ def baseline_table(ema_rate=0.1):
 
 def plugin(table, queue_row=(0.0, 0.0)):
     """Baseline matrix with the 0.8-threshold expert offloading (cut 1)."""
-    return table.plugin_values("n", "y", 1, np.array(queue_row),
-                               hop_cost=2.0, error_weight=70.0)
+    return expand((2, 2), 1, table.plugin_values("n", "y", 1, np.array(queue_row),
+                                                 hop_cost=2.0, error_weight=70.0))
 
 
 class TestBaselineTable:
@@ -147,12 +156,14 @@ class TestBaselineTable:
         assert beta2[1, 0] == pytest.approx(1.0)  # queues drained, reflected live
 
     def test_condition_violation_counter(self):
+        # cut 1 of 2 rows: the one offload row counts each destination once
         table = baseline_table()
-        table.count_violations(np.array([[0.5]]), np.array([[1.0]]))  # inside (0, 2f]
+        f = (1.0, np.array([1.0, 1.0]))
+        table.count_violations("n", 1, (0.5, np.array([0.5, 0.5])), f)  # inside (0, 2f]
         assert table.condition_violations == 0
-        table.count_violations(np.array([[3.0]]), np.array([[1.0]]))  # beta > 2f
+        table.count_violations("n", 1, (0.5, np.array([3.0, 0.5])), f)  # beta > 2f
         assert table.condition_violations == 1
-        table.count_violations(np.array([[0.0]]), np.array([[1.0]]))  # beta = 0
+        table.count_violations("n", 1, (0.5, np.array([0.5, 0.0])), f)  # beta = 0
         assert table.condition_violations == 2
 
 
@@ -180,7 +191,7 @@ class Oracle:
     def __init__(self, topo, views, queue, error_weight, hop_cost):
         ids, layers, dests = topo.index_tables()
         self.index = {node_id: i for i, node_id in enumerate(ids)}
-        records = {self.index[n]: record for n, record in views.items()}
+        self.records = records = {self.index[n]: record for n, record in views.items()}
         queue_row = [queue.get(n, 0.0) for n in ids]
         self.oracle = DownstreamLossOracle(
             layers, self.index["n1_0"], dests, records, queue_row, error_weight, hop_cost
@@ -196,7 +207,10 @@ class Oracle:
         return self.oracle.expected_loss_decomposition(self.index[node_id])
 
     def expert_loss_matrix(self, node_id, grid, zero_downstream=False):
-        return self.oracle.expert_loss_matrix(self.index[node_id], grid, zero_downstream)
+        """The full matrix of the oracle's pair under the job's cut."""
+        node = self.index[node_id]
+        pair = self.oracle.expert_loss_matrix(node, zero_downstream)
+        return expand(grid.shape, self.records[node][1].cut, pair)
 
 
 class TestReachProb:
@@ -357,7 +371,8 @@ class TestCutMatchesThresholdMask:
         grid = ExpertGrid(DEFAULT_THRESHOLDS, tuple(ids[d] for d in dests[0]))
         thresholds = np.asarray(DEFAULT_THRESHOLDS)
         experts = ExpertTable({0: grid}, ["y"], learning_rate=0.1, exploration_rate=0.1)
-        experts.accumulate_loss(0, "y", np.random.default_rng(8).normal(0, 5, size=grid.shape))
+        experts.accumulate_loss(0, "y", 0, 0.0,
+                                np.random.default_rng(8).normal(0, 5, size=grid.shape))
         experts.refresh_dirty()
         baselines = BaselineTable({0: grid}, ["y"], ema_rate=0.3)
         baselines.update_hidden(0, "y", 1.0, np.array([4.0, 1.0, 2.5]))
@@ -373,9 +388,10 @@ class TestCutMatchesThresholdMask:
                     offload_row = offload_row + baselines._down_base[(0, "y")]
                 want = np.where(mask[:, None], offload_row[None, :],
                                 70.0 * baselines._local_error[(0, "y")])
-                got = baselines.plugin_values(0, "y", dist.cut, queue_row, hop_cost=2.0,
-                                              error_weight=70.0,
-                                              zero_downstream=zero_downstream)
+                got = expand(grid.shape, dist.cut, baselines.plugin_values(
+                    0, "y", dist.cut, queue_row, hop_cost=2.0, error_weight=70.0,
+                    zero_downstream=zero_downstream,
+                ))
                 assert np.array_equal(got, want)
             local_error = int(rng.integers(2))
             queue = [0.0, *rng.uniform(0, 3, size=4).tolist()]
@@ -389,5 +405,56 @@ class TestCutMatchesThresholdMask:
                 costs = oracle._queue_cost if zero_downstream else oracle.offload_cost
                 row = np.array([costs[d] for d in dests[0]])
                 want = np.where(mask[:, None], row[None, :], 70.0 * local_error)
-                got = oracle.expert_loss_matrix(0, grid, zero_downstream)
+                got = expand(grid.shape, dist.cut,
+                             oracle.expert_loss_matrix(0, zero_downstream))
                 assert np.array_equal(got, want)
+
+
+class TestPairsMatchFullMatrices:
+    """A job's D+1 distinct values per node, added under its cut, give the
+    same bits as the former construction of full T×D matrices."""
+
+    T, D = 11, 3
+
+    def jobs(self, rng, n=300):
+        """Random (cut, rho, fb, losses, baselines) per job; cut 0 and cut T
+        come first. Some baselines sit on 0 or on 2f, the violation edges."""
+        for k in range(n):
+            cut = (0, self.T)[k] if k < 2 else int(rng.integers(0, self.T + 1))
+            losses = (float(rng.uniform(0, 80)), rng.uniform(0, 30, size=self.D))
+            beta_stop = float(rng.choice([0.0, 2.0 * losses[0], rng.uniform(-5, 100)]))
+            beta_row = rng.uniform(-5, 50, size=self.D)
+            beta_row[rng.random(self.D) < 0.2] = 0.0
+            edge = rng.random(self.D) < 0.2
+            beta_row[edge] = 2.0 * losses[1][edge]
+            yield cut, float(rng.uniform(0.01, 1.0)), bool(rng.random() < 0.5), losses, \
+                (beta_stop, beta_row)
+
+    def test_accumulated_estimates_regret_sums_and_violations(self):
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, ("a", "b", "c"))
+        experts = ExpertTable({"n": grid}, ["y"], learning_rate=0.1, exploration_rate=0.1)
+        baselines = BaselineTable({"n": grid}, ["y"], ema_rate=0.1)
+        tracker = RegretTracker({"n"}, [], rows=self.T)
+        cum = np.zeros(grid.shape)
+        sums = None
+        violations = 0
+        for cut, rho, fb, losses, beta in self.jobs(np.random.default_rng(17)):
+            # the former construction: one matrix per (job, node)
+            f = np.empty(grid.shape)
+            f[:cut] = losses[0]
+            f[cut:] = losses[1]
+            b = np.empty(grid.shape)
+            b[:cut] = beta[0]
+            b[cut:] = beta[1]
+            cum += estimate(f, b, rho, fb)
+            sums = f.copy() if sums is None else sums + f
+            violations += int((~((b > 0.0) & (b <= 2.0 * f))).sum())
+            # the pairs
+            experts.accumulate_loss("n", "y", cut, estimate(losses[0], beta[0], rho, fb),
+                                    estimate(losses[1], beta[1], rho, fb))
+            tracker.add("n", "y", 0.0, cut, *losses)
+            baselines.count_violations("n", cut, beta, losses)
+            assert experts.cum_loss("n", "y").tobytes() == cum.tobytes()
+            assert tracker.expert_sums[("n", "y")].tobytes() == sums.tobytes()
+            assert baselines.condition_violations == violations
+        assert violations > 0

@@ -9,6 +9,10 @@ from hiroute.policy import (
 )
 
 
+# accumulate_loss(node, task, 0, 0.0, matrix) adds a full matrix: with cut 0
+# every row takes the offload part, which broadcasts
+
+
 def make_table(thresholds=(0.3, 0.7), dests=("u0",), eta=0.1, lam=0.1):
     grid = ExpertGrid(thresholds=thresholds, destinations=dests)
     return ExpertTable({"n": grid}, ["y"], learning_rate=eta, exploration_rate=lam)
@@ -51,7 +55,7 @@ class TestActionProbs:
     def test_partition_identity(self):
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
         rng = np.random.default_rng(0)
-        table.accumulate_loss("n", "y", rng.normal(0, 5, size=(11, 2)))
+        table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 5, size=(11, 2)))
         table.refresh_dirty()
         for z in np.linspace(0, 1, 31):
             dist = table.action_probs("n", "y", float(z))
@@ -64,7 +68,7 @@ class TestActionProbs:
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b", "c"), lam=0.07)
         rng = np.random.default_rng(12)
         for _ in range(50):
-            table.accumulate_loss("n", "y", rng.normal(0, 40, size=(11, 3)))
+            table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 40, size=(11, 3)))
             table.refresh_dirty()
             w = table.weights("n", "y")
             for z in (*rng.uniform(0, 1, size=10), *DEFAULT_THRESHOLDS, 0.0, 1.0):
@@ -75,6 +79,53 @@ class TestActionProbs:
                 assert dist.cut == int((~mask).sum())
                 assert dist.raw.tolist() == raw.tolist()
                 assert dist.mixed.tolist() == mixed.tolist()
+
+
+class TestDistributionCache:
+    def reference(self, table, z):
+        # the distribution of the table's current weights, built from scratch
+        w = table.weights("n", "y")
+        mask = np.asarray(DEFAULT_THRESHOLDS) > z
+        return np.concatenate(([float(w[~mask, :].sum())], w[mask, :].sum(axis=0)))
+
+    def test_refresh_drops_cached_distributions(self):
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(0, 1, size=8)
+        for _ in range(20):
+            for z in zs:
+                assert table.action_probs("n", "y", float(z)).raw.tolist() == \
+                    self.reference(table, z).tolist()
+            table.accumulate_loss("n", "y", int(rng.integers(12)), float(rng.normal(0, 9)),
+                                  rng.normal(0, 9, size=2))
+            table.refresh_dirty()
+
+    def test_shared_within_a_cut_until_refresh(self):
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        first = table.action_probs("n", "y", 0.33)
+        assert table.action_probs("n", "y", 0.38) is first  # same cut, 4
+        assert table.action_probs("n", "y", 0.41) is not first
+        # accumulating leaves the slot-start weights, and their distribution
+        table.accumulate_loss("n", "y", 4, 1.0, np.array([0.0, 3.0]))
+        assert table.action_probs("n", "y", 0.33) is first
+        table.refresh_dirty()
+        assert table.action_probs("n", "y", 0.33) is not first
+
+    def test_at_most_one_distribution_per_cut(self):
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        # z below the 0.0 threshold gives cut 0, z = 1 gives cut T
+        zs = np.linspace(-0.05, 1, 301)
+        dists = {id(table.action_probs("n", "y", float(z))) for z in zs}
+        assert len(dists) == len(DEFAULT_THRESHOLDS) + 1
+
+    def test_cached_arrays_are_read_only(self):
+        table = make_table()
+        dist = table.action_probs("n", "y", 0.5)
+        with pytest.raises(ValueError):
+            dist.raw[0] = 1.0
+        with pytest.raises(ValueError):
+            dist.mixed[1] = 0.0
+        assert table.action_probs("n", "y", 0.5).raw.tolist() == [0.5, 0.5]
 
 
 class TestSampling:
@@ -118,7 +169,7 @@ class TestSampling:
 class TestWeights:
     def test_uniform_under_equal_losses(self):
         table = make_table(thresholds=(0.2, 0.5, 0.8), dests=("a", "b"))
-        table.accumulate_loss("n", "y", np.full((3, 2), 7.5))
+        table.accumulate_loss("n", "y", 0, 0.0, np.full((3, 2), 7.5))
         table.refresh_dirty()
         w = table.weights("n", "y")
         assert np.allclose(w, 1.0 / 6.0)
@@ -127,7 +178,7 @@ class TestWeights:
         # losses {0, ln2/eta} -> weights {2/3, 1/3}
         eta = 0.05
         table = make_table(thresholds=(0.5,), dests=("a", "b"), eta=eta)
-        table.accumulate_loss("n", "y", np.array([[0.0, np.log(2) / eta]]))
+        table.accumulate_loss("n", "y", 0, 0.0, np.array([[0.0, np.log(2) / eta]]))
         table.refresh_dirty()
         w = table.weights("n", "y")
         assert w[0, 0] == pytest.approx(2.0 / 3.0)
@@ -137,11 +188,11 @@ class TestWeights:
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
         rng = np.random.default_rng(3)
         losses = rng.normal(0, 100, size=(11, 2))
-        table.accumulate_loss("n", "y", losses)
+        table.accumulate_loss("n", "y", 0, 0.0, losses)
         table.refresh_dirty()
         w1 = table.weights("n", "y").copy()
         table2 = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
-        table2.accumulate_loss("n", "y", losses + 1234.5)
+        table2.accumulate_loss("n", "y", 0, 0.0, losses + 1234.5)
         table2.refresh_dirty()
         w2 = table2.weights("n", "y")
         assert np.allclose(w1, w2, atol=1e-12)
@@ -150,7 +201,7 @@ class TestWeights:
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
         rng = np.random.default_rng(4)
         for _ in range(300):
-            table.accumulate_loss("n", "y", rng.normal(0, 50, size=(11, 2)))
+            table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 50, size=(11, 2)))
             table.refresh_dirty()
             w = table.weights("n", "y")
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
@@ -158,7 +209,7 @@ class TestWeights:
 
     def test_weights_keep_slot_start_values_until_refresh(self):
         table = make_table(thresholds=(0.5,), dests=("a", "b"))
-        table.accumulate_loss("n", "y", np.array([[0.0, 10.0]]))
+        table.accumulate_loss("n", "y", 0, 0.0, np.array([[0.0, 10.0]]))
         assert np.allclose(table.weights("n", "y"), 0.5)
         assert table.action_probs("n", "y", 0.0).raw[1:] == pytest.approx([0.5, 0.5])
         table.refresh_dirty()
@@ -166,7 +217,7 @@ class TestWeights:
 
     def test_extreme_losses_do_not_overflow(self):
         table = make_table(thresholds=(0.5,), dests=("a", "b"), eta=1.0)
-        table.accumulate_loss("n", "y", np.array([[0.0, 1e9]]))
+        table.accumulate_loss("n", "y", 0, 0.0, np.array([[0.0, 1e9]]))
         table.refresh_dirty()
         w = table.weights("n", "y")
         assert np.isfinite(w).all()
@@ -177,7 +228,7 @@ class TestAccumulate:
     def test_zero_vector_is_noop(self):
         table = make_table()
         before = table.weights("n", "y").copy()
-        table.accumulate_loss("n", "y", np.zeros((2, 1)))
+        table.accumulate_loss("n", "y", 0, 0.0, np.zeros((2, 1)))
         table.refresh_dirty()
         assert np.allclose(table.weights("n", "y"), before)
 
@@ -185,7 +236,7 @@ class TestAccumulate:
         table = make_table(thresholds=(0.2, 0.8), dests=("a",))
         delta = np.zeros((2, 1))
         delta[1, 0] = 5.0
-        table.accumulate_loss("n", "y", delta)
+        table.accumulate_loss("n", "y", 0, 0.0, delta)
         g = table.cum_loss("n", "y")
         assert g[0, 0] == 0.0 and g[1, 0] == 5.0
 
@@ -196,13 +247,32 @@ class TestAccumulate:
         for _ in range(100):
             step = rng.normal(0, 3, size=(2, 2))
             total += step
-            table.accumulate_loss("n", "y", step)
+            table.accumulate_loss("n", "y", 0, 0.0, step)
         assert np.allclose(table.cum_loss("n", "y"), total, atol=1e-9)
 
     def test_non_finite_loss_raises(self):
         table = make_table()
         with pytest.raises(ValueError):
-            table.accumulate_loss("n", "y", np.array([[np.nan], [1.0]]))
+            table.accumulate_loss("n", "y", 0, 0.0, np.array([[np.nan], [1.0]]))
+
+    @pytest.mark.parametrize("cut, terminate, offload", [
+        (1, np.nan, [1.0]),
+        (2, np.inf, [1.0]),
+        (1, 1.0, [-np.inf]),
+        (0, 1.0, [np.nan]),
+    ])
+    def test_non_finite_estimate_is_rejected_before_it_lands(self, cut, terminate, offload):
+        table = make_table()
+        with pytest.raises(ValueError):
+            table.accumulate_loss("n", "y", cut, terminate, np.array(offload))
+        assert table.cum_loss("n", "y").tolist() == [[0.0], [0.0]]
+
+    def test_values_outside_the_cut_do_not_land(self):
+        # cut 0 leaves no terminating expert, cut T no offloading one
+        table = make_table()
+        table.accumulate_loss("n", "y", 0, np.nan, np.array([2.0]))
+        table.accumulate_loss("n", "y", 2, 1.0, np.array([np.inf]))
+        assert table.cum_loss("n", "y").tolist() == [[3.0], [3.0]]
 
 
 class TestEntropy:
@@ -216,6 +286,6 @@ class TestEntropy:
         loss = np.ones((11, 2)) * 10
         loss[0, 0] = 0.0
         for _ in range(20):
-            table.accumulate_loss("n", "y", loss)
+            table.accumulate_loss("n", "y", 0, 0.0, loss)
         table.refresh_dirty()
         assert table.mean_entropy() < h0

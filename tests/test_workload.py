@@ -5,14 +5,11 @@ import pytest
 
 from hiroute.config import DEFAULT_MODEL_POOL, default_config
 from hiroute.engine import build_topology_from_config, build_workload
-from hiroute.topology import build_topology
 from hiroute.workload import (
-    ArrivalModel,
     ErrorTable,
     Job,
     ModelSpec,
     TraceFormatError,
-    Workload,
     best_loaded_accuracy,
     confidence_from_noise,
     dirichlet_mixtures,
@@ -163,6 +160,23 @@ class TestGeneration:
             jobs.extend(wl.generate_slot(t))
         hard = sum(j.is_hard(wl.model_ids) for j in jobs) / len(jobs)
         assert abs(hard - 0.11) < 0.02
+
+
+class TestConfidenceNoise:
+    @pytest.mark.parametrize("num_jobs", [0, 1, 20])
+    def test_slot_draw_equals_per_job_draws(self, num_jobs):
+        # one (jobs, nodes) draw per slot: the same values, and the same
+        # generator state afterwards, as one draw of num_nodes per job
+        batched, per_job = make_workload(seed=7), make_workload(seed=7)
+        num_nodes = 31
+        for t in range(1, 4):
+            batched.generate_slot(t)
+            per_job.generate_slot(t)
+            got = batched.confidence_noise(num_jobs, num_nodes)
+            want = [per_job._rng.standard_normal(num_nodes) for _ in range(num_jobs)]
+            assert got.shape == (num_jobs, num_nodes)
+            assert got.tolist() == [row.tolist() for row in want]
+            assert batched._rng.bit_generator.state == per_job._rng.bit_generator.state
 
 
 class TestDirichletMixtures:
