@@ -11,7 +11,7 @@ from .baselines import (
 )
 from .config import ConfigError, apply_overrides, default_config, load_config, merge_config
 from .control import QueueState, drift_penalty_diagnostic, queue_update
-from .engine import PathRecord, RegretTracker, RunSummary, SlotMetrics, run_experiment, run_single
+from .engine import PathRecord, RegretTracker, RunSummary, run_experiment, run_single
 from .losses import BaselineTable, DownstreamLossOracle, estimate, variance_pair
 from .placement import (
     Placement,

@@ -80,7 +80,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "distance_factor": 1.0,
         "record_paths": False,
         "record_regret": True,
-        "regret_checkpoints": None,  # null -> [2000, 4000, ..., total_jobs]
     },
     "output_dir": None,
     "sweep": None,  # {"axes": {dotted.key: [values, ...], ...}}
@@ -196,12 +195,6 @@ def _validate_run(r: Mapping, prefix: str) -> None:
            "must be a boolean")
     _check(isinstance(r["record_regret"], bool), f"{prefix}.record_regret",
            "must be a boolean")
-    if r["regret_checkpoints"] is not None:
-        cps = r["regret_checkpoints"]
-        _check(isinstance(cps, list) and all(isinstance(c, int) and c > 0 for c in cps)
-               and all(b > a for a, b in zip(cps, cps[1:])),
-               f"{prefix}.regret_checkpoints",
-               "must be a strictly increasing list of positive integers or null")
 
 
 def validate_config(cfg: Mapping[str, Any]) -> None:
@@ -290,10 +283,6 @@ def load_config(path: str) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return merge_config(raw)
-
-
-def dump_config(cfg: Mapping[str, Any]) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
 
 
 def _set_dotted(cfg: dict, dotted: str, value: Any) -> None:

@@ -7,7 +7,7 @@ growth sublinear in the horizon is what enforces the long-term cost caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Sequence
 
 from .topology import Topology
 
@@ -20,43 +20,40 @@ def queue_update(q_n: float, slot_cost: float, budget: float) -> float:
 
 
 def drift_penalty_diagnostic(
-    q: Mapping[str, float],
-    slot_costs: Mapping[str, float],
+    q: Sequence[float],
+    costs: Sequence[float],
+    nodes: Iterable[int],
     slot_errors: float,
     v: float,
 ) -> float:
     """Realized per-slot objective: queue-weighted cost plus error penalty.
 
-    Logged for diagnostics only; control acts through the queue-weighted
-    costs inside the loss estimates.
+    ``q`` and ``costs`` are indexed by node index; the weighted cost sums
+    over ``nodes`` in their order. Logged for diagnostics only; control acts
+    through the queue-weighted costs inside the loss estimates.
     """
-    weighted = sum(q.get(n, 0.0) * c for n, c in slot_costs.items())
+    weighted = sum(q[n] * costs[n] for n in nodes)
     return weighted + v * slot_errors
 
 
 @dataclass
 class QueueState:
-    """Queue values for every node in layers 2..K, all starting at zero."""
+    """One queue value per node index, all starting at zero; only the nodes
+    of layers 2..K (``nodes``, in index order) are queued, and entry nodes
+    stay at zero."""
 
-    values: dict[str, float]
+    values: list[float]
+    nodes: tuple[int, ...]
 
     @classmethod
     def initial(cls, topo: Topology) -> "QueueState":
-        values = {
-            node.node_id: 0.0 for node in topo.nodes() if node.layer > 1
-        }
-        return cls(values=values)
+        _, layers, _ = topo.index_tables()
+        values = [0.0] * sum(len(layer) for layer in layers)
+        return cls(values=values, nodes=tuple(i for layer in layers[1:] for i in layer))
 
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.values)
-
-    def apply_slot(
-        self, slot_costs: Mapping[str, float], budgets: Mapping[str, float]
-    ) -> None:
-        """Update every queue from the slot's total inbound costs."""
-        for node_id in self.values:
-            self.values[node_id] = queue_update(
-                self.values[node_id],
-                slot_costs.get(node_id, 0.0),
-                budgets[node_id],
-            )
+    def apply_slot(self, costs: Sequence[float], budgets: Sequence[float]) -> None:
+        """Update every queue from the slot's total inbound costs; both lists
+        are indexed by node index."""
+        values = self.values
+        for n in self.nodes:
+            values[n] = queue_update(values[n], costs[n], budgets[n])

@@ -9,13 +9,15 @@ fixed epoch grid when the greedy strategy is selected. All randomness flows
 from the run seed, so a (config, seed) pair reproduces its metrics stream
 byte for byte.
 
-The core, expert and baseline tables included, works on integer node
-indices; ids appear only at I/O (entry nodes, path records, regret, queues,
-placements). Every policy draws 0 to terminate or i to offload to the node's
-i-th destination, so one loop routes every job. Each placement epoch tables
-every (node, task)'s best-loaded accuracy and selected model, filled on first
-lookup, and a job keeps one record per node it is evaluated at: local error
-and action distribution. A slot draws its confidence noise in one call.
+The core works on integer node indices and model columns: expert and
+baseline tables, queues, slot costs, regret and each job's correctness bits.
+Node and model ids appear only at a job's entry node, in placements, and
+where a file or ``summary.json`` is written. Every policy draws 0 to
+terminate or i to offload to the node's i-th destination, so one loop routes
+every job. Each placement epoch tables every (node, task)'s best-loaded
+accuracy and selected model column, filled on first lookup, and a job keeps
+one record per node it is evaluated at: local error and action
+distribution. A slot draws its confidence noise in one call.
 Learning builds no T×D matrix per job: a job's expert losses, baselines and
 estimates at a node are ``(terminate, offload_row)`` pairs under its cut,
 and the action distributions it reads are shared by every job of the slot
@@ -69,22 +71,6 @@ from .workload import (
 
 
 @dataclass
-class SlotMetrics:
-    """One row of the per-slot metrics stream."""
-
-    slot: int
-    jobs: int
-    errors: int
-    hard_jobs: int
-    oracle_hits: int
-    feedback: int
-    mean_entropy: float
-    drift_penalty: float
-    node_costs: dict[str, float]
-    node_queues: dict[str, float]
-
-
-@dataclass
 class PathRecord:
     """Realized routing of one job, kept for replay checks."""
 
@@ -123,32 +109,33 @@ class RunSummary:
 
 
 class RegretTracker:
-    """Streaming hindsight regret per (node id, task).
+    """Streaming hindsight regret per (node index, task).
 
     Accumulates each job's realized loss contribution and the full-feedback
     losses of every expert; regret at a checkpoint is the realized sum minus
     the best fixed expert's sum so far (found by exhaustive enumeration).
-    Sampling noise can make it negative; it is reported as-is. ``rows`` is
-    the number of thresholds of every expert grid.
+    Sampling noise can make it negative; it is reported as-is. ``entries``
+    holds the entry node indices, and ``rows`` is the number of thresholds of
+    every expert grid.
     """
 
-    def __init__(self, entry_ids: set[str], checkpoints: Iterable[int], rows: int) -> None:
-        self.entry_ids = entry_ids
+    def __init__(self, entries: set[int], checkpoints: Iterable[int], rows: int) -> None:
+        self.entries = entries
         self.checkpoints = set(checkpoints)
         self.rows = rows
-        self.realized: dict[tuple[str, str], float] = {}
-        self.expert_sums: dict[tuple[str, str], np.ndarray] = {}
+        self.realized: dict[tuple[int, str], float] = {}
+        self.expert_sums: dict[tuple[int, str], np.ndarray] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
         self.curve_entry: list[float] = []
         self.curve_total: list[float] = []
 
     def add(
-        self, node_id: str, task: str, realized: float, cut: int, terminate, offload
+        self, node: int, task: str, realized: float, cut: int, terminate, offload
     ) -> None:
         """Add one job's realized loss and its experts' losses at a node:
         ``terminate`` for rows ``[:cut]``, ``offload`` for rows ``[cut:]``."""
-        key = (node_id, task)
+        key = (node, task)
         self.realized[key] = self.realized.get(key, 0.0) + realized
         sums = self.expert_sums.get(key)
         if sums is None:
@@ -168,20 +155,21 @@ class RegretTracker:
             for key in self.realized:
                 r = self.regret(*key)
                 total += r
-                if key[0] in self.entry_ids:
+                if key[0] in self.entries:
                     entry_total += r
             self.curve_gamma.append(self.jobs_seen)
             self.curve_entry.append(entry_total)
             self.curve_total.append(total)
 
-    def regret(self, node_id: str, task: str) -> float:
-        key = (node_id, task)
+    def regret(self, node: int, task: str) -> float:
+        key = (node, task)
         return self.realized[key] - float(self.expert_sums[key].min())
 
-    def final_map(self) -> dict[str, dict[str, float]]:
+    def final_map(self, node_ids: tuple[str, ...]) -> dict[str, dict[str, float]]:
+        """Final regret per node id (``node_ids[node]``), then per task."""
         out: dict[str, dict[str, float]] = {}
-        for node_id, task in sorted(self.realized):
-            out.setdefault(node_id, {})[task] = self.regret(node_id, task)
+        for node, task in sorted(self.realized):
+            out.setdefault(node_ids[node], {})[task] = self.regret(node, task)
         return out
 
 
@@ -327,7 +315,6 @@ class _Run:
         # node tables: the core works on node indices; destinations are in
         # uplinks order, the order of every expert grid and action distribution
         self.node_ids, self.layers, self.dests = self.topo.index_tables()
-        self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
         self.layer_of = [k for k, layer in enumerate(self.layers, start=1) for _ in layer]
         self.terminal = frozenset(self.layers[-1])
         # the nodes every loss sweep reads besides the entry
@@ -339,7 +326,11 @@ class _Run:
             np.random.SeedSequence(entropy=seed, spawn_key=(3,))
         )
         self.queues = QueueState.initial(self.topo)
-        self.queue_nodes = sorted(self.queues.values)
+        # per node index; entry nodes have neither a budget nor a queue
+        self.budgets = [self.topo.resource_budget.get(n, 0.0) for n in self.node_ids]
+        # the queued nodes in output order (by id, n2_10 before n2_2): the
+        # metrics.csv columns and the summary's cost and queue maps
+        self.queued_by_id = tuple(sorted(self.queues.nodes, key=self.node_ids.__getitem__))
         self.epoch_slots = int(cfg["placement"]["epoch_slots"])
         self.switch_penalty = float(cfg["placement"]["switch_penalty"])
         self.placement_kind = cfg["placement"]["kind"]
@@ -394,13 +385,10 @@ class _Run:
 
         self.record_regret = bool(cfg["run"]["record_regret"]) and self.learning
         self.record_paths = bool(cfg["run"]["record_paths"])
-        checkpoints = cfg["run"]["regret_checkpoints"]
-        if checkpoints is None:
-            total = cfg["run"]["total_jobs"]
-            step = max(1, total // 10)
-            checkpoints = {*range(step, total + 1, step), total}
+        total = cfg["run"]["total_jobs"]
+        step = max(1, total // 10)
         self.regret = RegretTracker(
-            {n.node_id for n in self.topo.entry_nodes()}, checkpoints,
+            set(self.layers[0]), {*range(step, total + 1, step), total},
             len(resolve_thresholds(cfg)),
         )
         self.path_log: list[PathRecord] = []
@@ -412,7 +400,7 @@ class _Run:
         self.total_hard = 0
         self.total_hits = 0
         self.total_feedback = 0
-        self.total_cost = {n: 0.0 for n in self.queues.values}
+        self.total_cost = [0.0] * len(self.node_ids)
         self.slots_run = 0
 
         self.out_dir = out_dir
@@ -436,8 +424,8 @@ class _Run:
         return (
             ["slot", "jobs", "errors", "hard_jobs", "oracle_hits", "feedback",
              "mean_entropy", "drift_penalty"]
-            + [f"cost_{n}" for n in self.queue_nodes]
-            + [f"queue_{n}" for n in self.queue_nodes]
+            + [f"cost_{self.node_ids[n]}" for n in self.queued_by_id]
+            + [f"queue_{self.node_ids[n]}" for n in self.queued_by_id]
         )
 
     # ---- placement ------------------------------------------------------
@@ -472,7 +460,7 @@ class _Run:
             chosen = greedy_onload(ctx, self.topo.memory_budget[node_id], self.models)
             new_loaded[node_id] = chosen
             self.placement_log.append((t, node_id, tuple(sorted(chosen))))
-        self.placement = Placement(loaded=new_loaded, epoch=t)
+        self.placement = Placement(loaded=new_loaded)
         self.placement.check_feasible(self.topo, self.model_sizes)
         self._index_placement()
         self._first_epoch_done = True
@@ -512,10 +500,13 @@ class _Run:
         return b, self.table.action_probs(node, task, z)
 
     # ---- the slot loop ----------------------------------------------------
-    def run_slot(self, t: int, jobs: list[Job]) -> SlotMetrics:
+    def run_slot(self, t: int, jobs: list[Job]) -> None:
+        """Route, learn from and account for one slot's jobs, then update the
+        queues and write the slot's metrics row."""
         self.maybe_onload(t)
-        q_start = self.queues.snapshot()
-        queue = [q_start.get(n, 0.0) for n in self.node_ids]
+        # the queue values: learning and the drift diagnostic read them at
+        # their slot-start values, before apply_slot updates them in place
+        queue = self.queues.values
         costs = [0.0] * len(self.node_ids)
         slot_errors = 0
         slot_hard = 0
@@ -530,7 +521,7 @@ class _Run:
             for dest in path[1:]:
                 costs[dest] += hop_cost
             reached = path[-1] in self.terminal
-            hard = job.is_hard(self.model_ids)
+            hard = job.is_hard()
             slot_errors += exit_error
             slot_hard += int(hard)
             slot_hits += int(hard and reached)
@@ -560,10 +551,10 @@ class _Run:
                     self.regret.job_done()
             self.table.refresh_dirty()
 
-        slot_costs = {n: costs[self.node_index[n]] for n in self.queues.values}
-        self.queues.apply_slot(slot_costs, self.topo.resource_budget)
-        for node_id, cost in slot_costs.items():
-            self.total_cost[node_id] += cost
+        drift = drift_penalty_diagnostic(queue, costs, self.queues.nodes, slot_errors, self.v)
+        self.queues.apply_slot(costs, self.budgets)
+        for n in self.queues.nodes:
+            self.total_cost[n] += costs[n]
         self.total_jobs_done += len(jobs)
         self.total_errors += slot_errors
         self.total_hard += slot_hard
@@ -572,34 +563,20 @@ class _Run:
         self.slots_run = t
 
         entropy = self.table.mean_entropy() if self.table is not None else 0.0
-        metrics = SlotMetrics(
-            slot=t,
-            jobs=len(jobs),
-            errors=slot_errors,
-            hard_jobs=slot_hard,
-            oracle_hits=slot_hits,
-            feedback=slot_feedback,
-            mean_entropy=entropy,
-            drift_penalty=drift_penalty_diagnostic(q_start, slot_costs, slot_errors, self.v),
-            node_costs=slot_costs,
-            node_queues=self.queues.snapshot(),
-        )
         if self._metrics_writer is not None:
             self._metrics_writer.writerow(
-                [metrics.slot, metrics.jobs, metrics.errors, metrics.hard_jobs,
-                 metrics.oracle_hits, metrics.feedback,
-                 repr(metrics.mean_entropy), repr(metrics.drift_penalty)]
-                + [repr(metrics.node_costs[n]) for n in self.queue_nodes]
-                + [repr(metrics.node_queues[n]) for n in self.queue_nodes]
+                [t, len(jobs), slot_errors, slot_hard, slot_hits, slot_feedback,
+                 repr(entropy), repr(drift)]
+                + [repr(costs[n]) for n in self.queued_by_id]
+                + [repr(queue[n]) for n in self.queued_by_id]
             )
-        return metrics
 
     def _route(
         self, job: Job, noise: list[float]
     ) -> tuple[list[int], int, dict[int, NodeRecord]]:
         """Route one job; return its node path, its exit error and, for a
         learning policy, its record at every node it visited."""
-        node = self.node_index[job.entry_node]
+        node = self.node_ids.index(job.entry_node)  # entry nodes come first
         task = job.task_type
         path: list[int] = []
         records: dict[int, NodeRecord] = {}
@@ -675,7 +652,7 @@ class _Run:
                     realized = oracle.offload_cost[path[i + 1]]
                 else:
                     realized = self.v * local_error
-                self.regret.add(self.node_ids[node], task, realized, cut, *losses)
+                self.regret.add(node, task, realized, cut, *losses)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:
@@ -686,16 +663,16 @@ class _Run:
             error_rate=self.total_errors / max(1, self.total_jobs_done),
             hit_rate=(self.total_hits / self.total_hard) if self.total_hard else None,
             feedback_rate=self.total_feedback / max(1, self.total_jobs_done),
-            avg_cost={n: c / slots for n, c in sorted(self.total_cost.items())},
+            avg_cost={self.node_ids[n]: self.total_cost[n] / slots for n in self.queued_by_id},
             queue_over_horizon={
-                n: q / slots for n, q in sorted(self.queues.values.items())
+                self.node_ids[n]: self.queues.values[n] / slots for n in self.queued_by_id
             },
             total_jobs=self.total_jobs_done,
             total_slots=self.slots_run,
             final_mean_entropy=(
                 self.table.mean_entropy() if self.table is not None else 0.0
             ),
-            regret_final=self.regret.final_map() if self.record_regret else {},
+            regret_final=self.regret.final_map(self.node_ids) if self.record_regret else {},
             regret_curve={
                 "gamma": list(self.regret.curve_gamma),
                 "entry": list(self.regret.curve_entry),

@@ -18,10 +18,9 @@ from .workload import ErrorTable, ModelSpec
 
 @dataclass
 class Placement:
-    """Loaded model sets per node, and the slot at which they took effect."""
+    """Loaded model sets per node id."""
 
     loaded: dict[str, frozenset[str]]
-    epoch: int = 0
 
     def check_feasible(self, topo: Topology, models: Mapping[str, float]) -> None:
         """Raise when any non-terminal node exceeds its memory budget."""
@@ -54,7 +53,6 @@ class PlacementContext:
         if total > 0:
             self.mixture = self.mixture / total
         self._sizes = {m.model_id: m.memory_size for m in error_table.models}
-        self._cols = {m.model_id: j for j, m in enumerate(error_table.models)}
 
     def size_of(self, model_id: str) -> float:
         return self._sizes[model_id]
@@ -63,7 +61,8 @@ class PlacementContext:
         """Per-task min expected error over the subset; empty set gives 1."""
         if not subset:
             return np.ones(len(self.error_table.tasks))
-        cols = [self._cols[m] for m in subset]
+        column = self.error_table.column
+        cols = [column[m] for m in subset]
         return self.error_table.matrix[:, cols].min(axis=1)
 
 
@@ -180,4 +179,4 @@ def baseline_placement(
             picked.add(choice)
             budget -= sizes[choice]
         loaded[node.node_id] = frozenset(picked)
-    return Placement(loaded=loaded, epoch=0)
+    return Placement(loaded=loaded)

@@ -8,6 +8,8 @@ Two sources feed the simulator with jobs:
 
 Either way a job freezes one correctness bit per model at creation time, so
 the ground truth seen at a node never depends on the path taken to reach it.
+The bits are a tuple in :class:`ErrorTable` column order (the model pool's
+order, or the trace header's), and model selection returns a column.
 """
 from __future__ import annotations
 
@@ -48,18 +50,18 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Job:
-    """One task instance with frozen per-model correctness bits."""
+    """One task instance with frozen correctness bits: one 0/1 per model, in
+    :class:`ErrorTable` column order."""
 
     job_id: str
-    arrival_slot: int
     task_type: str
     entry_node: str | None
     size_units: float
-    correctness: Mapping[str, int]
+    correctness: tuple[int, ...]
 
-    def is_hard(self, model_ids: Iterable[str]) -> bool:
+    def is_hard(self) -> bool:
         """True when no model answers this job correctly."""
-        return all(self.correctness.get(m, 0) == 0 for m in model_ids)
+        return 1 not in self.correctness
 
 
 @dataclass
@@ -78,7 +80,11 @@ class ArrivalModel:
 
 
 class ErrorTable:
-    """Expected error per (task, model), with unsupported modalities forced to 1."""
+    """Expected error per (task, model), with unsupported modalities forced to 1.
+
+    Column ``column[model_id]`` of ``matrix`` holds a model's errors, in the
+    order of ``models``.
+    """
 
     def __init__(
         self,
@@ -90,7 +96,7 @@ class ErrorTable:
         self.models = tuple(models)
         self.task_modality = dict(task_modality)
         self._task_index = {t: i for i, t in enumerate(self.tasks)}
-        self._model_index = {m.model_id: i for i, m in enumerate(self.models)}
+        self.column = {m.model_id: j for j, m in enumerate(self.models)}
         matrix = np.ones((len(self.tasks), len(self.models)))
         for j, model in enumerate(self.models):
             for i, task in enumerate(self.tasks):
@@ -100,7 +106,7 @@ class ErrorTable:
         self.matrix = matrix
 
     def error(self, task: str, model_id: str) -> float:
-        return float(self.matrix[self._task_index[task], self._model_index[model_id]])
+        return float(self.matrix[self._task_index[task], self.column[model_id]])
 
     def task_row(self, task: str) -> np.ndarray:
         return self.matrix[self._task_index[task]]
@@ -130,10 +136,11 @@ def confidence_from_noise(center: float, unit_noise: float, noise_std: float) ->
     return float(min(1.0, max(0.0, center + noise_std * unit_noise)))
 
 
-def select_model(table: ErrorTable, task: str, loaded: Iterable[str]) -> str | None:
+def select_model(table: ErrorTable, task: str, loaded: Iterable[str]) -> int | None:
     """Fixed selection rule: lowest expected error for the task, ties by id.
 
-    Returns None when no loaded model supports the task.
+    Returns the chosen model's column, or None when no loaded model supports
+    the task.
     """
     best_id: str | None = None
     best_err = 1.0
@@ -144,18 +151,18 @@ def select_model(table: ErrorTable, task: str, loaded: Iterable[str]) -> str | N
         if err < best_err:
             best_err = err
             best_id = model_id
-    return best_id
+    return None if best_id is None else table.column[best_id]
 
 
-def inference_error(job: Job, selected: str | None) -> int:
-    """Realized 0/1 error of answering ``job`` with the ``selected`` model.
+def inference_error(job: Job, column: int | None) -> int:
+    """Realized 0/1 error of answering ``job`` with the model of ``column``.
 
-    ``selected`` is :func:`select_model`'s choice at the answering node;
-    None (nothing loaded supports the task) always fails.
+    ``column`` is :func:`select_model`'s choice at the answering node; None
+    (nothing loaded supports the task) always fails.
     """
-    if selected is None:
+    if column is None:
         return 1
-    return 1 - int(job.correctness.get(selected, 0))
+    return 1 - job.correctness[column]
 
 
 @dataclass
@@ -209,27 +216,23 @@ class Workload:
             entry = self._entry_ids[int(rng.integers(len(self._entry_ids)))]
             cdf = self._task_cdf[entry]
             task = self.tasks[int(cdf.searchsorted(rng.random(), side="right"))]
-            jobs.append(self._make_job(task, entry, t, rng))
+            jobs.append(self._make_job(task, entry, rng))
         return jobs
 
-    def _make_job(
-        self, task: str, entry: str, t: int, rng: np.random.Generator
-    ) -> Job:
+    def _make_job(self, task: str, entry: str, rng: np.random.Generator) -> Job:
         job_id = f"j{self._counter:07d}"
         self._counter += 1
         if self._job_sampler is not None:
             proto = self._job_sampler(task, rng)
             size = proto.size_units
-            bits = dict(proto.correctness)
+            bits = proto.correctness
         else:
             lo, hi = self.task_size_ranges[task]
             size = float(rng.uniform(lo, hi))
             draws = rng.random(len(self.models))
-            correct = draws >= self.error_table.task_row(task)
-            bits = dict(zip(self.model_ids, correct.astype(int).tolist()))
+            bits = tuple((draws >= self.error_table.task_row(task)).astype(int).tolist())
         return Job(
             job_id=job_id,
-            arrival_slot=t,
             task_type=task,
             entry_node=entry,
             size_units=size,
@@ -405,9 +408,9 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
     """Read a JSONL trace: a header object listing models, then job records.
 
     Returns the models, the jobs and each task's recorded modality. Job
-    records carry binary correctness per model, and every record of a task
-    must carry the same modality. Violations raise :class:`TraceFormatError`
-    naming the offending line.
+    records carry binary correctness for every model, and every record of a
+    task must carry the same modality. A job keeps its bits in header order.
+    Violations raise :class:`TraceFormatError` naming the offending line.
     """
     models: list[ModelSpec] = []
     jobs: list[Job] = []
@@ -434,7 +437,9 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"line 1: bad model entry: {exc}") from exc
-    known = {m.model_id for m in models}
+    column = {m.model_id: j for j, m in enumerate(models)}
+    if len(column) < len(models):
+        raise TraceFormatError("line 1: duplicate model id in header")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -454,9 +459,9 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
         size = record["size_units"]
         if not isinstance(size, (int, float)) or size <= 0:
             raise TraceFormatError(f"line {lineno}: size_units must be positive")
-        bits: dict[str, int] = {}
+        bits: list[int | None] = [None] * len(models)
         for model_id, value in record["correctness"].items():
-            if model_id not in known:
+            if model_id not in column:
                 raise TraceFormatError(
                     f"line {lineno}: unknown model_id {model_id!r} in correctness"
                 )
@@ -464,8 +469,8 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
                 raise TraceFormatError(
                     f"line {lineno}: correctness values must be 0 or 1, got {value!r}"
                 )
-            bits[model_id] = int(value)
-        missing = known - set(bits)
+            bits[column[model_id]] = int(value)
+        missing = [m.model_id for m, bit in zip(models, bits) if bit is None]
         if missing:
             raise TraceFormatError(
                 f"line {lineno}: correctness missing models {sorted(missing)}"
@@ -473,11 +478,10 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
         jobs.append(
             Job(
                 job_id=str(record["job_id"]),
-                arrival_slot=-1,
                 task_type=task,
                 entry_node=None,
                 size_units=float(size),
-                correctness=bits,
+                correctness=tuple(bits),
             )
         )
     return models, jobs, modality
@@ -499,9 +503,9 @@ def empirical_error_prob(
         m.model_id: {t: [0, 0] for t in tasks} for m in models
     }
     for job in jobs:
-        for model_id, bit in job.correctness.items():
-            tally = counts[model_id][job.task_type]
-            tally[0] += 1 - int(bit)
+        for model, bit in zip(models, job.correctness):
+            tally = counts[model.model_id][job.task_type]
+            tally[0] += 1 - bit
             tally[1] += 1
     out: list[ModelSpec] = []
     for model in models:

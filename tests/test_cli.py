@@ -9,7 +9,6 @@ from hiroute.config import (
     ConfigError,
     apply_overrides,
     default_config,
-    dump_config,
     load_config,
     merge_config,
 )
@@ -34,7 +33,7 @@ def small_cfg_file(tmp_path, **extra):
 class TestConfig:
     def test_round_trip_identity(self):
         cfg = default_config()
-        again = merge_config(json.loads(dump_config(cfg)))
+        again = merge_config(json.loads(json.dumps(cfg)))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
@@ -48,6 +47,12 @@ class TestConfig:
         # a slot length that only rescaled static calibration is rejected
         with pytest.raises(ConfigError, match="topology.slot_duration: unknown key"):
             merge_config({"topology": {"slot_duration": 2.0}})
+
+    def test_regret_checkpoints_key_removed(self):
+        # the regret curves are sampled every total_jobs // 10 jobs and at the
+        # end; no other checkpoint list is accepted
+        with pytest.raises(ConfigError, match="run.regret_checkpoints: unknown key"):
+            merge_config({"run": {"regret_checkpoints": [100, 200]}})
 
     def test_type_and_range_checks(self):
         with pytest.raises(ConfigError, match="exploration_rate"):

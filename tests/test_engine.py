@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hiroute.baselines import calibrate_offload_prob
 from hiroute.config import default_config
 from hiroute.engine import (
     RegretTracker,
-    SlotMetrics,
     _Run,
     build_topology_from_config,
     build_workload,
@@ -42,14 +42,15 @@ def small_config(**overrides):
 
 
 def read_metrics(path):
-    """Parse a metrics.csv back into one SlotMetrics per slot."""
+    """Parse a metrics.csv back into one record per slot: the counts, the two
+    float columns, and per-node costs and queues keyed by node id."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     out = []
     for row in rows:
         cells = dict(zip(header, row))
-        out.append(SlotMetrics(
-            *(int(cells[k]) for k in header[:6]),
+        out.append(SimpleNamespace(
+            **{k: int(cells[k]) for k in header[:6]},
             mean_entropy=float(cells["mean_entropy"]),
             drift_penalty=float(cells["drift_penalty"]),
             node_costs={k[5:]: float(v) for k, v in cells.items() if k.startswith("cost_")},
@@ -70,12 +71,12 @@ def run_with_paths(cfg, seed=0):
 
 class TestHardTagging:
     def test_all_zero_is_hard(self):
-        job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 0})
-        assert job.is_hard(["m0", "m1"])
+        job = Job("j", "a", "n1_0", 1.0, (0, 0))
+        assert job.is_hard()
 
     def test_any_one_is_not_hard(self):
-        job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 1})
-        assert not job.is_hard(["m0", "m1"])
+        job = Job("j", "a", "n1_0", 1.0, (0, 1))
+        assert not job.is_hard()
 
 
 class TestRunSlotInvariants:
@@ -289,7 +290,7 @@ class TestPlacementTables:
                     )
                     assert run.selected[i][task] == select_model(table, task, loaded[node_id])
         # the tie and a loaded set that supports no model of a task both occur
-        assert "m05" in run.selected[0].values()
+        assert table.column["m05"] in run.selected[0].values()
         assert None in run.selected[1].values()
 
     def test_entries_built_on_first_lookup_through_engine_names(self, monkeypatch):
@@ -301,13 +302,13 @@ class TestPlacementTables:
         monkeypatch.setattr(hiroute.engine, "best_loaded_accuracy",
                             lambda *args: calls.append("accuracy") or 0.5)
         monkeypatch.setattr(hiroute.engine, "select_model",
-                            lambda *args: calls.append("model") or "m05")
+                            lambda *args: calls.append("model") or 5)
         run._index_placement()
         assert calls == []
         task = run.workload.tasks[3]
         for _ in range(3):
             assert run.accuracy[2][task] == 0.5
-            assert run.selected[2][task] == "m05"
+            assert run.selected[2][task] == 5
         assert calls == ["accuracy", "model"]
 
 
@@ -387,8 +388,9 @@ class TestRegretOracle:
     def test_best_expert_matches_bruteforce_over_logs(self):
         # a hand-made log of (job, key, realized loss, expert loss matrix)
         rng = np.random.default_rng(5)
-        keys = [("n1_0", "a"), ("n1_0", "b"), ("n2_0", "a")]
-        tracker = RegretTracker({"n1_0"}, checkpoints=[10, 40], rows=3)
+        node_ids = ("n1_0", "n2_0")
+        keys = [(0, "a"), (0, "b"), (1, "a")]
+        tracker = RegretTracker({0}, checkpoints=[10, 40], rows=3)
         log = []
         for job in range(40):
             for key in keys:
@@ -414,7 +416,7 @@ class TestRegretOracle:
 
         regret, best = brute(40)
         for (node, task), value in regret.items():
-            assert tracker.final_map()[node][task] == pytest.approx(value)
+            assert tracker.final_map(node_ids)[node_ids[node]][task] == pytest.approx(value)
             sums = tracker.expert_sums[(node, task)]
             assert np.unravel_index(sums.argmin(), sums.shape) == best[(node, task)]
         assert tracker.curve_gamma == [10, 40]
@@ -424,7 +426,7 @@ class TestRegretOracle:
             regret, _ = brute(gamma)
             assert total == pytest.approx(sum(regret.values()))
             assert entry == pytest.approx(
-                sum(v for (node, _), v in regret.items() if node == "n1_0")
+                sum(v for (node, _), v in regret.items() if node == 0)
             )
 
 
@@ -465,8 +467,10 @@ class TestTraceMode:
         while len(jobs) < 100:
             t += 1
             jobs.extend(wl.generate_slot(t))
+        recorded = {(int(k % 3 == 0), int(k % 2 == 0)) for k in range(400)}
         for job in jobs:
-            assert set(job.correctness) == {"small", "big"}
+            # one bit per header model, small then big
+            assert job.correctness in recorded
 
     def test_recorded_modality_kept_for_large_text_payload(self, tmp_path):
         # a 12-unit text payload is as large as a vision one; the task must
@@ -495,7 +499,7 @@ class TestTraceMode:
             t += 1
             jobs = wl.generate_slot(t)
         selected = select_model(wl.error_table, "q0", {"small"})
-        assert selected == "small"
+        assert selected == wl.error_table.column["small"]
         assert inference_error(jobs[0], selected) == 0
 
     def test_static_calibration_uses_recorded_sizes(self, tmp_path):

@@ -5,7 +5,9 @@ updates them in the same change, says why, and reports the acceptance
 numbers per seed before and after.
 """
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from hiroute.config import default_config
@@ -136,3 +138,60 @@ def test_summary_json_hash(policy, depth, digests):
 @pytest.mark.parametrize("policy, depth", list(GOLDEN))
 def test_placements_csv_hash(policy, depth, digests):
     assert digests(policy, depth)[2] == GOLDEN[(policy, depth)][2]
+
+
+# A trace run with paths recorded. The header lists its models out of id
+# order, "asmall" has no error_prob (its rates come from the recorded bits),
+# and q3 is a vision task that "asmall" cannot serve.
+TRACE_MODELS = [
+    {"id": "zbig", "size": 40, "modalities": ["text", "vision"],
+     "error_prob": {"q0": 0.05, "q1": 0.2, "q2": 0.3, "q3": 0.1}},
+    {"id": "asmall", "size": 2, "modalities": ["text"]},
+    {"id": "mmid", "size": 8, "modalities": ["text", "vision"],
+     "error_prob": {"q0": 0.15, "q1": 0.45, "q2": 0.3}},
+]
+TRACE_ERROR = {  # per task, the rate at which zbig, asmall, mmid answer wrongly
+    "q0": (0.05, 0.3, 0.15), "q1": (0.2, 0.7, 0.45),
+    "q2": (0.3, 0.6, 0.3), "q3": (0.1, 1.0, 0.25),
+}
+TRACE_FILES = FILES + ("paths.jsonl",)
+TRACE_GOLDEN = {
+    "metrics.csv": "ed9bbd9229037393bd221d25a3273c768c634b2da40ae031c08ba389640447bf",
+    "summary.json": "664d637a9817d8166bfd88e87eb7dc117c6c76ea83ce88a2944e1377a9b4b454",
+    "placements.csv": "b0446be48a279ca888a0adaa6fee4c13d855c7faa11e90a1246d6256b44f58de",
+    "paths.jsonl": "ccf270b3b874842661b8db5dda256220308c3f943b757757ddb664355cb55355",
+}
+
+
+def write_trace(path):
+    """600 records; each record lists its bits in id order, not header order."""
+    rng = np.random.default_rng(17)
+    lines = [json.dumps({"models": TRACE_MODELS})]
+    for k in range(600):
+        task = f"q{k % 4}"
+        wrong = dict(zip(("zbig", "asmall", "mmid"), TRACE_ERROR[task]))
+        lines.append(json.dumps({
+            "job_id": f"r{k}", "task_type": task,
+            "modality": "vision" if task == "q3" else "text",
+            "size_units": 12.0 if task == "q3" else 1.0 + (k % 5) * 0.5,
+            "correctness": {m: int(rng.random() >= wrong[m]) for m in sorted(wrong)},
+        }))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_trace_run_hashes(tmp_path):
+    write_trace(tmp_path / "trace.jsonl")
+    cfg = default_config()
+    cfg["topology"]["layer_sizes"], cfg["topology"]["memory_budgets"] = (
+        TOPOLOGIES["3-12-2-1"]
+    )
+    cfg["workload"]["kind"] = "trace"
+    cfg["workload"]["trace_path"] = str(tmp_path / "trace.jsonl")
+    cfg["run"]["total_jobs"] = 2000
+    cfg["run"]["record_paths"] = True
+    out = tmp_path / "out"
+    run_single(cfg, 0, str(out))
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TRACE_FILES
+    }
+    assert digests == TRACE_GOLDEN

@@ -434,7 +434,7 @@ class TestPairsMatchFullMatrices:
         grid = ExpertGrid(DEFAULT_THRESHOLDS, ("a", "b", "c"))
         experts = ExpertTable({"n": grid}, ["y"], learning_rate=0.1, exploration_rate=0.1)
         baselines = BaselineTable({"n": grid}, ["y"], ema_rate=0.1)
-        tracker = RegretTracker({"n"}, [], rows=self.T)
+        tracker = RegretTracker({0}, [], rows=self.T)
         cum = np.zeros(grid.shape)
         sums = None
         violations = 0
@@ -452,9 +452,9 @@ class TestPairsMatchFullMatrices:
             # the pairs
             experts.accumulate_loss("n", "y", cut, estimate(losses[0], beta[0], rho, fb),
                                     estimate(losses[1], beta[1], rho, fb))
-            tracker.add("n", "y", 0.0, cut, *losses)
+            tracker.add(0, "y", 0.0, cut, *losses)
             baselines.count_violations("n", cut, beta, losses)
             assert experts.cum_loss("n", "y").tobytes() == cum.tobytes()
-            assert tracker.expert_sums[("n", "y")].tobytes() == sums.tobytes()
+            assert tracker.expert_sums[(0, "y")].tobytes() == sums.tobytes()
             assert baselines.condition_violations == violations
         assert violations > 0

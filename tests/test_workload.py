@@ -78,17 +78,17 @@ class TestConfidence:
 class TestInferenceError:
     def test_empty_placement_always_fails(self):
         _, table = toy_table()
-        job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 1, "m1": 1, "mv": 1})
+        job = Job("j", "a", "n1_0", 1.0, (1, 1, 1))
         assert select_model(table, "a", []) is None
         assert inference_error(job, select_model(table, "a", [])) == 1
 
     def test_selection_rule_prefers_lowest_expected_error(self):
         _, table = toy_table()
         # m1 has error 0.1 on task a vs m0's 0.3; job correct under m1 only
-        job = Job("j", 0, "a", "n1_0", 1.0, {"m0": 0, "m1": 1, "mv": 0})
-        assert select_model(table, "a", ["m0", "m1"]) == "m1"
+        job = Job("j", "a", "n1_0", 1.0, (0, 1, 0))
+        assert select_model(table, "a", ["m0", "m1"]) == table.column["m1"] == 1
         assert inference_error(job, select_model(table, "a", ["m0", "m1"])) == 0
-        assert inference_error(job, "m0") == 1
+        assert inference_error(job, table.column["m0"]) == 1
 
     def test_selection_tie_breaks_by_lowest_id(self):
         models = [
@@ -96,7 +96,23 @@ class TestInferenceError:
             ModelSpec("m0", 1.0, frozenset(["text"]), {"a": 0.2}),
         ]
         table = ErrorTable(["a"], models, {"a": "text"})
-        assert select_model(table, "a", ["m0", "m1"]) == "m0"
+        assert select_model(table, "a", ["m0", "m1"]) == table.column["m0"] == 1
+
+    def test_tie_break_by_id_reads_the_chosen_column(self):
+        # columns run zb, ma, ab (not id order); ab and zb tie on task a, so
+        # the rule picks ab, the lowest id, which is the last column, and the
+        # job's bit there decides the error
+        models = [
+            ModelSpec("zb", 1.0, frozenset(["text"]), {"a": 0.2}),
+            ModelSpec("ma", 1.0, frozenset(["text"]), {"a": 0.5}),
+            ModelSpec("ab", 1.0, frozenset(["text"]), {"a": 0.2}),
+        ]
+        table = ErrorTable(["a"], models, {"a": "text"})
+        column = select_model(table, "a", ["zb", "ma", "ab"])
+        assert column == 2
+        assert inference_error(Job("j", "a", "n1_0", 1.0, (1, 1, 0)), column) == 1
+        assert inference_error(Job("j", "a", "n1_0", 1.0, (0, 0, 1)), column) == 0
+        assert select_model(table, "a", ["zb", "ma"]) == 0
 
     def test_best_loaded_accuracy(self):
         _, table = toy_table()
@@ -122,8 +138,8 @@ class TestGeneration:
         b = make_workload(seed=3)
         for t in range(1, 30):
             ja, jb = a.generate_slot(t), b.generate_slot(t)
-            assert [(j.job_id, j.task_type, j.entry_node, j.size_units, dict(j.correctness)) for j in ja] == \
-                   [(j.job_id, j.task_type, j.entry_node, j.size_units, dict(j.correctness)) for j in jb]
+            assert [(j.job_id, j.task_type, j.entry_node, j.size_units, j.correctness) for j in ja] == \
+                   [(j.job_id, j.task_type, j.entry_node, j.size_units, j.correctness) for j in jb]
 
     def test_jobs_carry_complete_correctness(self):
         wl = make_workload()
@@ -133,8 +149,8 @@ class TestGeneration:
             t += 1
             jobs.extend(wl.generate_slot(t))
         for job in jobs:
-            assert set(job.correctness) == set(wl.model_ids)
-            assert all(v in (0, 1) for v in job.correctness.values())
+            assert len(job.correctness) == len(wl.model_ids)
+            assert all(v in (0, 1) for v in job.correctness)
             assert job.size_units > 0
 
     def test_empirical_mixture_matches_draw(self):
@@ -158,7 +174,7 @@ class TestGeneration:
         while len(jobs) < 20_000:
             t += 1
             jobs.extend(wl.generate_slot(t))
-        hard = sum(j.is_hard(wl.model_ids) for j in jobs) / len(jobs)
+        hard = sum(j.is_hard() for j in jobs) / len(jobs)
         assert abs(hard - 0.11) < 0.02
 
 
@@ -246,8 +262,18 @@ class TestTrace:
         assert [m.model_id for m in models] == ["m0", "m1"]
         assert len(jobs) == 3
         assert modality == {"qa": "text"}
-        assert jobs[0].correctness == {"m0": 0, "m1": 1}
-        assert jobs[1].correctness == {"m0": 1, "m1": 1}
+        assert jobs[0].correctness == (0, 1)
+        assert jobs[1].correctness == (1, 1)
+
+    def test_bits_kept_in_header_order(self, tmp_path):
+        header = {"models": [
+            {"id": "zz", "size": 1, "modalities": ["text"]},
+            {"id": "aa", "size": 1, "modalities": ["text"]},
+        ]}
+        records = [{"job_id": "x", "task_type": "qa", "modality": "text",
+                    "size_units": 1.0, "correctness": {"aa": 1, "zz": 0}}]
+        _, jobs, _ = load_trace(write_trace(tmp_path, records, header))
+        assert jobs[0].correctness == (0, 1)
 
     def test_non_binary_correctness_rejected(self, tmp_path):
         records = [{"job_id": "x", "task_type": "qa", "modality": "text",
@@ -261,6 +287,26 @@ class TestTrace:
                     "size_units": 1.0, "correctness": {"m0": 1, "m1": 1, "zz": 0}}]
         path = write_trace(tmp_path, records)
         with pytest.raises(TraceFormatError, match="unknown model_id"):
+            load_trace(path)
+
+    def test_missing_model_names_line(self, tmp_path):
+        records = [
+            {"job_id": "x", "task_type": "qa", "modality": "text",
+             "size_units": 1.0, "correctness": {"m0": 1, "m1": 1}},
+            {"job_id": "y", "task_type": "qa", "modality": "text",
+             "size_units": 1.0, "correctness": {"m1": 1}},
+        ]
+        path = write_trace(tmp_path, records)
+        with pytest.raises(TraceFormatError, match=r"line 3: correctness missing models \['m0'\]"):
+            load_trace(path)
+
+    def test_duplicate_model_id_rejected(self, tmp_path):
+        header = {"models": [
+            {"id": "m0", "size": 1, "modalities": ["text"]},
+            {"id": "m0", "size": 2, "modalities": ["text"]},
+        ]}
+        path = write_trace(tmp_path, [], header)
+        with pytest.raises(TraceFormatError, match="line 1: duplicate model id"):
             load_trace(path)
 
     def test_missing_field_names_line(self, tmp_path):
