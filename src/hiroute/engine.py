@@ -9,10 +9,13 @@ fixed epoch grid when the greedy strategy is selected. All randomness flows
 from the run seed, so a (config, seed) pair reproduces its metrics stream
 byte for byte.
 
-The core works on integer node indices and model columns: expert and
-baseline tables, queues, slot costs, regret and each job's correctness bits.
-Node and model ids appear only at a job's entry node, in placements, and
-where a file or ``summary.json`` is written. Every policy draws 0 to
+The core works on integers: node indices, task indices and model columns.
+A job carries its sequence number, task index and entry node index; the
+expert, baseline, regret and per-epoch placement tables and the epoch task
+histograms are keyed by (node, task) index, and placements are sets of
+model columns. Ids are looked up only where the catalog, the mixtures and
+the trace are read, and where ``metrics.csv``, ``paths.jsonl``,
+``placements.csv`` or ``summary.json`` is written. Every policy draws 0 to
 terminate or i to offload to the node's i-th destination, so one loop routes
 every job. Each placement epoch tables every (node, task)'s best-loaded
 accuracy and selected model column, filled on first lookup, and a job keeps
@@ -72,7 +75,7 @@ from .workload import (
 
 @dataclass
 class PathRecord:
-    """Realized routing of one job, kept for replay checks."""
+    """Realized routing of one job, as written to ``paths.jsonl``."""
 
     job_id: str
     slot: int
@@ -109,7 +112,7 @@ class RunSummary:
 
 
 class RegretTracker:
-    """Streaming hindsight regret per (node index, task).
+    """Streaming hindsight regret per (node index, task index).
 
     Accumulates each job's realized loss contribution and the full-feedback
     losses of every expert; regret at a checkpoint is the realized sum minus
@@ -123,15 +126,15 @@ class RegretTracker:
         self.entries = entries
         self.checkpoints = set(checkpoints)
         self.rows = rows
-        self.realized: dict[tuple[int, str], float] = {}
-        self.expert_sums: dict[tuple[int, str], np.ndarray] = {}
+        self.realized: dict[tuple[int, int], float] = {}
+        self.expert_sums: dict[tuple[int, int], np.ndarray] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
         self.curve_entry: list[float] = []
         self.curve_total: list[float] = []
 
     def add(
-        self, node: int, task: str, realized: float, cut: int, terminate, offload
+        self, node: int, task: int, realized: float, cut: int, terminate, offload
     ) -> None:
         """Add one job's realized loss and its experts' losses at a node:
         ``terminate`` for rows ``[:cut]``, ``offload`` for rows ``[cut:]``."""
@@ -161,15 +164,17 @@ class RegretTracker:
             self.curve_entry.append(entry_total)
             self.curve_total.append(total)
 
-    def regret(self, node: int, task: str) -> float:
+    def regret(self, node: int, task: int) -> float:
         key = (node, task)
         return self.realized[key] - float(self.expert_sums[key].min())
 
-    def final_map(self, node_ids: tuple[str, ...]) -> dict[str, dict[str, float]]:
-        """Final regret per node id (``node_ids[node]``), then per task."""
+    def final_map(
+        self, node_ids: tuple[str, ...], task_ids: tuple[str, ...]
+    ) -> dict[str, dict[str, float]]:
+        """Final regret per node id (``node_ids[node]``), then per task id."""
         out: dict[str, dict[str, float]] = {}
         for node, task in sorted(self.realized):
-            out.setdefault(node_ids[node], {})[task] = self.regret(node, task)
+            out.setdefault(node_ids[node], {})[task_ids[task]] = self.regret(node, task)
         return out
 
 
@@ -190,6 +195,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     noise come from the run seed.
     """
     w = cfg["workload"]
+    # entry node indices come first; arrivals pick them in id order
     entry_ids = [n.node_id for n in topo.entry_nodes()]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     if w["kind"] == "synthetic":
@@ -218,14 +224,14 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     else:
         models, trace_jobs, modality = load_trace(w["trace_path"])
         sampler = TraceJobSampler(trace_jobs)
-        tasks = sampler.tasks()
+        tasks = sampler.tasks
         models = empirical_error_prob(models, trace_jobs, modality)
         hard_tasks = []
         task_sizes = {}  # trace jobs keep their recorded sizes
     mixtures = dirichlet_mixtures(
         tasks=tasks,
         hard_tasks=hard_tasks,
-        entry_ids=entry_ids,
+        num_entries=len(entry_ids),
         hard_fraction=w["hard_task_fraction"] if w["kind"] == "synthetic" else 0.0,
         alpha=w["mixture_concentration"],
         rng=rng,
@@ -247,6 +253,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         task_modality=modality,
         models=models,
         arrivals=arrivals,
+        entry_order=sorted(range(len(entry_ids)), key=entry_ids.__getitem__),
         noise_std=w["confidence_noise_std"],
         task_size_ranges=task_sizes,
         seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(2,)).generate_state(1)[0]),
@@ -283,18 +290,18 @@ def resolve_learning_rate(cfg: Mapping[str, Any], max_grid_size: int) -> float:
 
 
 class _PerTask(dict):
-    """``fn(table, task, loaded)`` per task of one node's loaded set,
-    computed on the task's first lookup."""
+    """``fn(table, task, loaded)`` per task index of one node's loaded
+    columns, computed on the task's first lookup."""
 
     __slots__ = ("fn", "table", "loaded")
 
-    def __init__(self, fn, table, loaded: frozenset[str]) -> None:
+    def __init__(self, fn, table, loaded: frozenset[int]) -> None:
         super().__init__()
         self.fn = fn
         self.table = table
         self.loaded = loaded
 
-    def __missing__(self, task: str):
+    def __missing__(self, task: int):
         value = self[task] = self.fn(self.table, task, self.loaded)
         return value
 
@@ -309,9 +316,7 @@ class _Run:
         self.topo = build_topology_from_config(cfg)
         self.workload = build_workload(cfg, self.topo, seed)
         self.error_table = self.workload.error_table
-        self.model_ids = self.workload.model_ids
-        self.models = self.workload.models
-        self.model_sizes = {m.model_id: m.memory_size for m in self.models}
+        self.task_ids = self.workload.tasks
         # node tables: the core works on node indices; destinations are in
         # uplinks order, the order of every expert grid and action distribution
         self.node_ids, self.layers, self.dests = self.topo.index_tables()
@@ -328,27 +333,28 @@ class _Run:
         self.queues = QueueState.initial(self.topo)
         # per node index; entry nodes have neither a budget nor a queue
         self.budgets = [self.topo.resource_budget.get(n, 0.0) for n in self.node_ids]
+        # per node index; None at the unbounded terminal nodes
+        self.memory_budgets = [self.topo.memory_budget.get(n) for n in self.node_ids]
         # the queued nodes in output order (by id, n2_10 before n2_2): the
         # metrics.csv columns and the summary's cost and queue maps
         self.queued_by_id = tuple(sorted(self.queues.nodes, key=self.node_ids.__getitem__))
         self.epoch_slots = int(cfg["placement"]["epoch_slots"])
         self.switch_penalty = float(cfg["placement"]["switch_penalty"])
         self.placement_kind = cfg["placement"]["kind"]
-        self.placement = Placement(loaded={n: frozenset() for n in self.node_ids})
-        self.placement_log: list[tuple[int, str, tuple[str, ...]]] = []
-        self._epoch_histogram: dict[int, dict[str, int]] = {}
+        self.placement = Placement(loaded=[frozenset()] * len(self.node_ids))
+        # (epoch slot, node index, loaded columns) per node and epoch
+        self.placement_log: list[tuple[int, int, frozenset[int]]] = []
+        self._new_histogram()
         self._first_epoch_done = False
 
         if self.placement_kind in ("random_fixed", "layer_diverse"):
-            fixed = baseline_placement(
+            self.placement = baseline_placement(
                 self.placement_kind,
                 self.topo,
-                self.models,
+                self.error_table,
                 seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(4,)).generate_state(1)[0]),
             )
-            self.placement = fixed
-            for node_id in self.node_ids:
-                self.placement_log.append((0, node_id, tuple(sorted(fixed.loaded[node_id]))))
+            self.placement_log += [(0, i, m) for i, m in enumerate(self.placement.loaded)]
         self._index_placement()
 
         self.variant: EstimatorVariant | None = None
@@ -359,20 +365,18 @@ class _Run:
             self.variant = variant_flags(self.policy)
             thresholds = resolve_thresholds(cfg)
             grids = {
-                i: ExpertGrid(thresholds, tuple(self.node_ids[d] for d in dests))
-                for i, dests in enumerate(self.dests)
-                if dests
+                i: ExpertGrid(thresholds, dests) for i, dests in enumerate(self.dests) if dests
             }
             max_size = max(g.size for g in grids.values())
             self.table = ExpertTable(
                 grids=grids,
-                tasks=self.workload.tasks,
+                num_tasks=len(self.task_ids),
                 learning_rate=resolve_learning_rate(cfg, max_size),
                 exploration_rate=cfg["learning"]["exploration_rate"],
             )
             self.baselines = BaselineTable(
                 grids=grids,
-                tasks=self.workload.tasks,
+                num_tasks=len(self.task_ids),
                 ema_rate=cfg["learning"]["baseline_ema_rate"],
             )
         else:
@@ -391,7 +395,6 @@ class _Run:
             set(self.layers[0]), {*range(step, total + 1, step), total},
             len(resolve_thresholds(cfg)),
         )
-        self.path_log: list[PathRecord] = []
         self.baseline_epoch_log: list[dict[str, Any]] = []
 
         # Totals
@@ -440,31 +443,26 @@ class _Run:
             return
         if t % self.epoch_slots != 1:
             return
-        new_loaded: dict[str, frozenset[str]] = {}
-        for i, node_id in enumerate(self.node_ids):
+        everything = frozenset(range(len(self.error_table.models)))
+        new_loaded: list[frozenset[int]] = []
+        for i, budget in enumerate(self.memory_budgets):
             if i in self.terminal:
-                new_loaded[node_id] = frozenset()
+                new_loaded.append(frozenset())
                 continue
-            mixture = self._mixture_for(i)
-            previous = (
-                frozenset(self.model_ids)
-                if not self._first_epoch_done
-                else self.placement.loaded.get(node_id, frozenset())
-            )
             ctx = PlacementContext(
-                arrival_mixture=mixture,
+                mixture=self._mixture_for(i),
                 error_table=self.error_table,
                 switch_penalty=self.switch_penalty,
-                previous=previous,
+                previous=self.placement.loaded[i] if self._first_epoch_done else everything,
             )
-            chosen = greedy_onload(ctx, self.topo.memory_budget[node_id], self.models)
-            new_loaded[node_id] = chosen
-            self.placement_log.append((t, node_id, tuple(sorted(chosen))))
+            chosen = greedy_onload(ctx, budget)
+            new_loaded.append(chosen)
+            self.placement_log.append((t, i, chosen))
         self.placement = Placement(loaded=new_loaded)
-        self.placement.check_feasible(self.topo, self.model_sizes)
+        self.placement.check_feasible(self.memory_budgets, self.error_table.sizes)
         self._index_placement()
         self._first_epoch_done = True
-        self._epoch_histogram = {}
+        self._new_histogram()
 
     def _index_placement(self) -> None:
         """Best-loaded accuracy and selected model per (node, task), for the
@@ -472,29 +470,30 @@ class _Run:
         node depend only on these and on the job's own draws. Each entry is
         computed on its first lookup in the epoch."""
         table = self.error_table
-        self.accuracy: list[_PerTask] = []
-        self.selected: list[_PerTask] = []
-        for node_id in self.node_ids:
-            loaded = self.placement.loaded.get(node_id, frozenset())
-            self.accuracy.append(_PerTask(best_loaded_accuracy, table, loaded))
-            self.selected.append(_PerTask(select_model, table, loaded))
+        loaded = self.placement.loaded
+        self.accuracy = [_PerTask(best_loaded_accuracy, table, m) for m in loaded]
+        self.selected = [_PerTask(select_model, table, m) for m in loaded]
 
-    def _mixture_for(self, index: int) -> dict[str, float]:
-        if index in self.layers[0]:
-            probs = self.workload.arrivals.task_mixture[self.node_ids[index]]
-            return {t: float(p) for t, p in zip(self.workload.tasks, probs)}
-        hist = self._epoch_histogram.get(index)
-        if not hist:
-            uniform = 1.0 / len(self.workload.tasks)
-            return {t: uniform for t in self.workload.tasks}
-        total = sum(hist.values())
-        return {t: c / total for t, c in hist.items()}
+    def _new_histogram(self) -> None:
+        """Zero the epoch's arrival counts per (node, task) index."""
+        self._epoch_histogram = [[0] * len(self.task_ids) for _ in self.node_ids]
+
+    def _mixture_for(self, node: int) -> np.ndarray:
+        """The task mixture a node's placement plans for: the arrival mixture
+        at an entry node, else the epoch's arrivals (uniform if none)."""
+        if node in self.layers[0]:
+            return self.workload.arrivals.task_mixture[node]
+        counts = self._epoch_histogram[node]
+        total = sum(counts)
+        if not total:
+            return np.full(len(counts), 1.0 / len(counts))
+        return np.array(counts) / total
 
     # ---- per-job node records ----------------------------------------------
     def _evaluate(self, job: Job, node: int, noise: list[float]) -> NodeRecord:
         """The job's record at a non-terminal node: local error and the
         slot-start action distribution at the job's confidence."""
-        task = job.task_type
+        task = job.task
         z = confidence_from_noise(self.accuracy[node][task], noise[node], self.noise_std)
         b = inference_error(job, self.selected[node][task])
         return b, self.table.action_probs(node, task, z)
@@ -527,22 +526,8 @@ class _Run:
             slot_hits += int(hard and reached)
             slot_feedback += int(reached)
             routed.append((job, path, reached, noise, records))
-            if self.record_paths:
-                record = PathRecord(
-                    job_id=job.job_id,
-                    slot=t,
-                    task=job.task_type,
-                    path=tuple(self.node_ids[i] for i in path),
-                    exit_layer=self.layer_of[path[-1]],
-                    reached_oracle=reached,
-                    size_units=job.size_units,
-                    exit_error=exit_error,
-                    hard=hard,
-                )
-                self.path_log.append(record)
-                if self._paths_file is not None:
-                    line = json.dumps(dataclasses.asdict(record), sort_keys=True)
-                    self._paths_file.write(line + "\n")
+            if self._paths_file is not None:
+                self._write_path(t, job, path, reached, exit_error, hard)
 
         if self.learning:
             for job, path, reached, noise, records in routed:
@@ -571,13 +556,30 @@ class _Run:
                 + [repr(queue[n]) for n in self.queued_by_id]
             )
 
+    def _write_path(
+        self, t: int, job: Job, path: list[int], reached: bool, exit_error: int, hard: bool
+    ) -> None:
+        """Write the job's line of ``paths.jsonl``, with ids for indices."""
+        record = PathRecord(
+            job_id=f"j{job.seq:07d}",
+            slot=t,
+            task=self.task_ids[job.task],
+            path=tuple(self.node_ids[i] for i in path),
+            exit_layer=self.layer_of[path[-1]],
+            reached_oracle=reached,
+            size_units=job.size_units,
+            exit_error=exit_error,
+            hard=hard,
+        )
+        self._paths_file.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
+
     def _route(
         self, job: Job, noise: list[float]
     ) -> tuple[list[int], int, dict[int, NodeRecord]]:
         """Route one job; return its node path, its exit error and, for a
         learning policy, its record at every node it visited."""
-        node = self.node_ids.index(job.entry_node)  # entry nodes come first
-        task = job.task_type
+        node = job.entry
+        task = job.task
         path: list[int] = []
         records: dict[int, NodeRecord] = {}
         while True:
@@ -585,8 +587,7 @@ class _Run:
             if node in self.terminal:
                 return path, 0, records
             if self.layer_of[node] > 1:
-                hist = self._epoch_histogram.setdefault(node, {})
-                hist[task] = hist.get(task, 0) + 1
+                self._epoch_histogram[node][task] += 1
             if self.learning:
                 records[node] = record = self._evaluate(job, node, noise)
                 action = record[1].sample(self.rng_route)
@@ -604,7 +605,7 @@ class _Run:
     ) -> None:
         assert self.table is not None and self.baselines is not None
         variant = self.variant
-        task = job.task_type
+        task = job.task
         hop_cost = job.size_units * self.distance_factor
         oracle = None
         if fb or self.record_regret:
@@ -672,7 +673,9 @@ class _Run:
             final_mean_entropy=(
                 self.table.mean_entropy() if self.table is not None else 0.0
             ),
-            regret_final=self.regret.final_map(self.node_ids) if self.record_regret else {},
+            regret_final=(
+                self.regret.final_map(self.node_ids, self.task_ids) if self.record_regret else {}
+            ),
             regret_curve={
                 "gamma": list(self.regret.curve_gamma),
                 "entry": list(self.regret.curve_entry),
@@ -694,21 +697,24 @@ class _Run:
                       newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["epoch_slot", "node_id", "model_ids"])
-                for slot, node_id, models in self.placement_log:
-                    writer.writerow([slot, node_id, "|".join(models)])
+                ids = self.error_table.model_ids
+                for slot, node, loaded in self.placement_log:
+                    columns = self.error_table.in_id_order(loaded)
+                    writer.writerow([slot, self.node_ids[node], "|".join(ids[c] for c in columns)])
             with open(os.path.join(self.out_dir, "summary.json"), "w",
                       encoding="utf-8") as fh:
                 json.dump(self.summary().to_dict(), fh, indent=2, sort_keys=True)
 
 
 def run_single(cfg: Mapping[str, Any], seed: int, out_dir: str | None = None) -> _Run:
-    """Run one seed to completion and return the closed run state."""
+    """Run one seed to completion and return the closed run state.
+
+    A nonpositive arrival rate is rejected before any output file is opened.
+    """
+    if cfg["workload"]["mean_jobs_per_slot"] <= 0:
+        raise ValueError("mean_jobs_per_slot must be positive to run an experiment")
     run = _Run(cfg, seed, out_dir)
     total = int(cfg["run"]["total_jobs"])
-    mean = cfg["workload"]["mean_jobs_per_slot"]
-    if mean <= 0:
-        run.close()
-        raise ValueError("mean_jobs_per_slot must be positive to run an experiment")
     t = 0
     while run.total_jobs_done < total:
         t += 1

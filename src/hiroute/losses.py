@@ -25,7 +25,7 @@ a T×D matrix; :func:`estimate` is applied to each part.
 """
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,33 +74,33 @@ class BaselineTable:
 
     def __init__(
         self,
-        grids: Mapping[Hashable, ExpertGrid],
-        tasks: Sequence[str],
+        grids: Mapping[int, ExpertGrid],
+        num_tasks: int,
         ema_rate: float,
     ) -> None:
         if not 0.0 < ema_rate <= 1.0:
             raise ValueError("EMA rate must lie in (0, 1]")
         self.grids = dict(grids)
         self.ema_rate = float(ema_rate)
-        # hidden state per (node, task): the local error rate and each
-        # destination's queue-free expected downstream loss (the
-        # queue-dependent share of the downstream loss is deliberately left
-        # out of the baseline: it is small, and chasing it through the
-        # estimate stream adds churn without information)
-        self._local_error: dict[tuple[Hashable, str], float] = {
-            (node, task): 0.0 for node in grids for task in tasks
+        # hidden state per (node index, task index), node-major: the local
+        # error rate and each destination's queue-free expected downstream
+        # loss (the queue-dependent share of the downstream loss is
+        # deliberately left out of the baseline: it is small, and chasing it
+        # through the estimate stream adds churn without information)
+        self._local_error: dict[tuple[int, int], float] = {
+            (node, task): 0.0 for node in grids for task in range(num_tasks)
         }
-        self._down_base: dict[tuple[Hashable, str], np.ndarray] = {
+        self._down_base: dict[tuple[int, int], np.ndarray] = {
             (node, task): np.zeros(len(grid.destinations))
             for node, grid in grids.items()
-            for task in tasks
+            for task in range(num_tasks)
         }
         self.condition_violations = 0  # times a used baseline fell outside (0, 2f]
 
     def plugin_values(
         self,
-        node: Hashable,
-        task: str,
+        node: int,
+        task: int,
         cut: int,
         queue_row: np.ndarray,
         hop_cost: float,
@@ -124,8 +124,8 @@ class BaselineTable:
 
     def update_hidden(
         self,
-        node: Hashable,
-        task: str,
+        node: int,
+        task: int,
         local_error: float,
         down_base: np.ndarray,
     ) -> None:
@@ -142,7 +142,7 @@ class BaselineTable:
 
     def count_violations(
         self,
-        node: Hashable,
+        node: int,
         cut: int,
         beta: tuple[float, np.ndarray],
         losses: tuple[float, np.ndarray],

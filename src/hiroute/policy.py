@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -41,10 +41,10 @@ _max = np.maximum.reduce
 
 @dataclass(frozen=True)
 class ExpertGrid:
-    """Joint expert space at one node: thresholds x uplink destinations."""
+    """Joint expert space at one node: thresholds x uplink destination indices."""
 
     thresholds: tuple[float, ...]
-    destinations: tuple[str, ...]
+    destinations: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.thresholds or not self.destinations:
@@ -113,7 +113,8 @@ class _TableEntry:
 
 
 class ExpertTable:
-    """Weights and cumulative losses for every (node, task) expert grid.
+    """Weights and cumulative losses for every (node, task) expert grid, keyed
+    by node index and task index, node-major.
 
     Weight refreshes happen between slots: ``accumulate_loss`` only adds to
     the cumulative losses, and ``refresh_dirty``, called once at the end of
@@ -126,8 +127,8 @@ class ExpertTable:
 
     def __init__(
         self,
-        grids: Mapping[Hashable, ExpertGrid],
-        tasks: Sequence[str],
+        grids: Mapping[int, ExpertGrid],
+        num_tasks: int,
         learning_rate: float,
         exploration_rate: float,
     ) -> None:
@@ -136,21 +137,21 @@ class ExpertTable:
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.grids = dict(grids)
-        self.tasks = tuple(tasks)
+        self.num_tasks = num_tasks
         self.learning_rate = float(learning_rate)
         self.exploration_rate = float(exploration_rate)
-        self._entries: dict[tuple[Hashable, str], _TableEntry] = {
+        self._entries: dict[tuple[int, int], _TableEntry] = {
             (node, task): _TableEntry(grid)
             for node, grid in self.grids.items()
-            for task in self.tasks
+            for task in range(num_tasks)
         }
-        self._dirty: dict[tuple[Hashable, str], None] = {}
+        self._dirty: dict[tuple[int, int], None] = {}
         self._entropy_sum = float(sum(e.entropy for e in self._entries.values()))
 
-    def cum_loss(self, node: Hashable, task: str) -> np.ndarray:
+    def cum_loss(self, node: int, task: int) -> np.ndarray:
         return self._entries[(node, task)].cum_loss
 
-    def update_weights(self, node: Hashable, task: str) -> np.ndarray:
+    def update_weights(self, node: int, task: int) -> np.ndarray:
         """Recompute the softmax of negated cumulative losses (stable form)."""
         entry = self._entries[(node, task)]
         scaled = -self.learning_rate * entry.cum_loss
@@ -164,10 +165,10 @@ class ExpertTable:
         self._entropy_sum += entry.entropy
         return w
 
-    def weights(self, node: Hashable, task: str) -> np.ndarray:
+    def weights(self, node: int, task: int) -> np.ndarray:
         return self._entries[(node, task)].weights
 
-    def action_probs(self, node: Hashable, task: str, z: float) -> ActionDistribution:
+    def action_probs(self, node: int, task: int, z: float) -> ActionDistribution:
         """Aggregate expert weights into action probabilities given confidence z.
 
         Experts whose threshold exceeds z vote for their destination; all
@@ -189,7 +190,7 @@ class ExpertTable:
         return dist
 
     def accumulate_loss(
-        self, node: Hashable, task: str, cut: int, terminate, offload
+        self, node: int, task: int, cut: int, terminate, offload
     ) -> None:
         """Add one job's estimated expert losses at (node, task).
 

@@ -70,14 +70,14 @@ def check_variance_ordering(grid: int = 60) -> CheckResult:
 
 def check_weight_simplex(rounds: int = 200) -> CheckResult:
     """Weights stay a strictly positive simplex under random accumulations."""
-    grid = ExpertGrid(thresholds=(0.0, 0.3, 0.7, 1.0), destinations=("a", "b"))
-    table = ExpertTable({"n": grid}, ["y"], learning_rate=0.05, exploration_rate=0.1)
+    grid = ExpertGrid(thresholds=(0.0, 0.3, 0.7, 1.0), destinations=(1, 2))
+    table = ExpertTable({0: grid}, 1, learning_rate=0.05, exploration_rate=0.1)
     rng = np.random.default_rng(11)
     for _ in range(rounds):
         # cut 0: every row takes the offload part, here a full matrix
-        table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 30, size=grid.shape))
+        table.accumulate_loss(0, 0, 0, 0.0, rng.normal(0, 30, size=grid.shape))
         table.refresh_dirty()
-        w = table.weights("n", "y")
+        w = table.weights(0, 0)
         if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w <= 0):
             return CheckResult("weight-simplex", False, "simplex violated")
     return CheckResult("weight-simplex", True, f"{rounds} random updates clean")
@@ -99,20 +99,14 @@ def check_submodularity(tables: int = 20, n_models: int = 4, n_tasks: int = 3) -
         table = ErrorTable(
             [f"t{j}" for j in range(n_tasks)], models, {f"t{j}": "text" for j in range(n_tasks)}
         )
-        mixture = rng.dirichlet(np.ones(n_tasks))
-        ctx = PlacementContext(
-            {f"t{j}": float(mixture[j]) for j in range(n_tasks)},
-            table,
-            switch_penalty=0.0,
-        )
-        ids = [m.model_id for m in models]
+        ctx = PlacementContext(rng.dirichlet(np.ones(n_tasks)), table, switch_penalty=0.0)
         for a_bits in range(2 ** n_models):
-            a_set = {ids[i] for i in range(n_models) if a_bits >> i & 1}
+            a_set = {i for i in range(n_models) if a_bits >> i & 1}
             for b_bits in range(2 ** n_models):
-                b_set = {ids[i] for i in range(n_models) if b_bits >> i & 1}
+                b_set = {i for i in range(n_models) if b_bits >> i & 1}
                 if not a_set <= b_set:
                     continue
-                for m in ids:
+                for m in range(n_models):
                     if m in b_set:
                         continue
                     if marginal_gain(ctx, m, a_set) < marginal_gain(ctx, m, b_set) - 1e-12:
@@ -209,20 +203,15 @@ def check_greedy_quality(instances: int = 60) -> CheckResult:
         table = ErrorTable(
             [f"t{j}" for j in range(n_tasks)], models, {f"t{j}": "text" for j in range(n_tasks)}
         )
-        mixture = rng.dirichlet(np.ones(n_tasks))
         ctx = PlacementContext(
-            {f"t{j}": float(mixture[j]) for j in range(n_tasks)},
-            table,
-            switch_penalty=float(rng.uniform(0, 0.15)),
+            rng.dirichlet(np.ones(n_tasks)), table, switch_penalty=float(rng.uniform(0, 0.15))
         )
         budget = float(rng.integers(2, 7))
-        got = utility(ctx, greedy_onload(ctx, budget, models))
+        got = utility(ctx, greedy_onload(ctx, budget))
         best = 0.0
-        ids = [m.model_id for m in models]
-        sizes = {m.model_id: m.memory_size for m in models}
         for bits in range(2 ** n_models):
-            subset = [ids[i] for i in range(n_models) if bits >> i & 1]
-            if sum(sizes[m] for m in subset) <= budget:
+            subset = [i for i in range(n_models) if bits >> i & 1]
+            if sum(table.sizes[m] for m in subset) <= budget:
                 best = max(best, utility(ctx, subset))
         if got < 0.5 * best - 1e-9 or got < best - 0.25 - 1e-9:
             return CheckResult(

@@ -8,14 +8,16 @@ Two sources feed the simulator with jobs:
 
 Either way a job freezes one correctness bit per model at creation time, so
 the ground truth seen at a node never depends on the path taken to reach it.
-The bits are a tuple in :class:`ErrorTable` column order (the model pool's
-order, or the trace header's), and model selection returns a column.
+A job is integers and floats only: task index, entry node index, and bits in
+:class:`ErrorTable` column order (the model pool's order, or the trace
+header's). Task, model and entry-node ids are read here, from the catalog,
+the mixtures and the trace, and turned into indices once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,12 +52,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Job:
-    """One task instance with frozen correctness bits: one 0/1 per model, in
+    """One task instance: its sequence number in the run, task index, entry
+    node index, size, and frozen correctness bits, one 0/1 per model in
     :class:`ErrorTable` column order."""
 
-    job_id: str
-    task_type: str
-    entry_node: str | None
+    seq: int
+    task: int
+    entry: int
     size_units: float
     correctness: tuple[int, ...]
 
@@ -69,21 +72,24 @@ class ArrivalModel:
     """Stationary arrival process: Poisson slot counts, fixed per-node mixtures."""
 
     mean_jobs_per_slot: float
-    task_mixture: dict[str, np.ndarray]  # entry node id -> probs over tasks
+    task_mixture: list[np.ndarray]  # entry node index -> probs over task indices
 
     def __post_init__(self) -> None:
         if self.mean_jobs_per_slot < 0:
             raise ValueError("mean_jobs_per_slot must be nonnegative")
-        for node, probs in self.task_mixture.items():
+        for entry, probs in enumerate(self.task_mixture):
             if abs(float(np.sum(probs)) - 1.0) > 1e-9 or np.any(probs < 0):
-                raise ValueError(f"task mixture at {node} is not a probability vector")
+                raise ValueError(f"task mixture at entry {entry} is not a probability vector")
 
 
 class ErrorTable:
-    """Expected error per (task, model), with unsupported modalities forced to 1.
+    """Expected error per (task index, model column), with unsupported
+    modalities forced to 1.
 
-    Column ``column[model_id]`` of ``matrix`` holds a model's errors, in the
-    order of ``models``.
+    Row i of ``matrix`` is task ``tasks[i]``, column j model ``models[j]``,
+    whose id is ``model_ids[j]`` and memory size ``sizes[j]``. ``by_id``
+    lists the columns in model-id order: the order of every tie-break and of
+    every sum over a set of models.
     """
 
     def __init__(
@@ -95,8 +101,9 @@ class ErrorTable:
         self.tasks = tuple(tasks)
         self.models = tuple(models)
         self.task_modality = dict(task_modality)
-        self._task_index = {t: i for i, t in enumerate(self.tasks)}
-        self.column = {m.model_id: j for j, m in enumerate(self.models)}
+        self.model_ids = tuple(m.model_id for m in self.models)
+        self.sizes = tuple(m.memory_size for m in self.models)
+        self.by_id = tuple(sorted(range(len(self.models)), key=self.model_ids.__getitem__))
         matrix = np.ones((len(self.tasks), len(self.models)))
         for j, model in enumerate(self.models):
             for i, task in enumerate(self.tasks):
@@ -105,26 +112,23 @@ class ErrorTable:
                 matrix[i, j] = model.error_prob.get(task, 1.0)
         self.matrix = matrix
 
-    def error(self, task: str, model_id: str) -> float:
-        return float(self.matrix[self._task_index[task], self.column[model_id]])
+    def error(self, task: int, column: int) -> float:
+        return float(self.matrix[task, column])
 
-    def task_row(self, task: str) -> np.ndarray:
-        return self.matrix[self._task_index[task]]
-
-    def model_ids(self) -> tuple[str, ...]:
-        return tuple(m.model_id for m in self.models)
+    def in_id_order(self, columns: Collection[int]) -> list[int]:
+        """The given columns, in model-id order."""
+        return [c for c in self.by_id if c in columns]
 
 
 def best_loaded_accuracy(
-    table: ErrorTable, task: str, loaded: Iterable[str]
+    table: ErrorTable, task: int, loaded: Iterable[int]
 ) -> float:
-    """Highest expected accuracy among loaded models that support the task.
-
-    Returns 0 when nothing loaded supports the task's modality.
+    """Highest expected accuracy among the loaded columns that support the
+    task. Returns 0 when nothing loaded supports the task's modality.
     """
     best = 0.0
-    for model_id in loaded:
-        err = table.error(task, model_id)
+    for column in loaded:
+        err = table.error(task, column)
         if err >= 1.0:
             continue  # unsupported or hopeless
         best = max(best, 1.0 - err)
@@ -136,22 +140,22 @@ def confidence_from_noise(center: float, unit_noise: float, noise_std: float) ->
     return float(min(1.0, max(0.0, center + noise_std * unit_noise)))
 
 
-def select_model(table: ErrorTable, task: str, loaded: Iterable[str]) -> int | None:
+def select_model(table: ErrorTable, task: int, loaded: Collection[int]) -> int | None:
     """Fixed selection rule: lowest expected error for the task, ties by id.
 
-    Returns the chosen model's column, or None when no loaded model supports
-    the task.
+    Returns the chosen column, or None when no loaded model supports the
+    task.
     """
-    best_id: str | None = None
+    best: int | None = None
     best_err = 1.0
-    for model_id in sorted(loaded):
-        err = table.error(task, model_id)
+    for column in table.in_id_order(loaded):
+        err = table.error(task, column)
         if err >= 1.0:
             continue
         if err < best_err:
             best_err = err
-            best_id = model_id
-    return None if best_id is None else table.column[best_id]
+            best = column
+    return best
 
 
 def inference_error(job: Job, column: int | None) -> int:
@@ -175,7 +179,11 @@ class WorkloadStats:
 
 class Workload:
     """A job source bound to one run: arrivals, sizes, correctness, confidence
-    (``noise_std`` scales the Gaussian noise around the best loaded accuracy)."""
+    (``noise_std`` scales the Gaussian noise around the best loaded accuracy).
+
+    ``entry_order`` lists the entry node indices in the order the arrival
+    draw picks from, sorted by node id (``n1_10`` before ``n1_2``).
+    """
 
     def __init__(
         self,
@@ -183,6 +191,7 @@ class Workload:
         task_modality: Mapping[str, str],
         models: Sequence[ModelSpec],
         arrivals: ArrivalModel,
+        entry_order: Sequence[int],
         noise_std: float,
         task_size_ranges: Mapping[str, tuple[float, float]],
         seed: int,
@@ -194,50 +203,41 @@ class Workload:
         self.models = tuple(models)
         self.arrivals = arrivals
         self.noise_std = noise_std
-        self.task_size_ranges = dict(task_size_ranges)
+        self._size_ranges = [task_size_ranges.get(t) for t in self.tasks]
         self.error_table = ErrorTable(self.tasks, self.models, self.task_modality)
         self._job_sampler = job_sampler
         self.design_mixture = design_mixture
         seq = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(seq)
-        self._entry_ids = sorted(arrivals.task_mixture)
+        self._entry_order = tuple(entry_order)
         # one task CDF per entry node, built as rng.choice(p=...) builds it
-        cdfs = {entry: np.cumsum(p) for entry, p in arrivals.task_mixture.items()}
-        self._task_cdf = {entry: cdf / cdf[-1] for entry, cdf in cdfs.items()}
-        self.model_ids = self.error_table.model_ids()
+        cdfs = [np.cumsum(p) for p in arrivals.task_mixture]
+        self._task_cdf = [cdf / cdf[-1] for cdf in cdfs]
         self._counter = 0
 
     def generate_slot(self, t: int) -> list[Job]:
         """Draw the slot's arrivals: count, entry nodes, tasks, sizes, bits."""
         rng = self._rng
         count = int(rng.poisson(self.arrivals.mean_jobs_per_slot))
+        entries = self._entry_order
         jobs: list[Job] = []
         for _ in range(count):
-            entry = self._entry_ids[int(rng.integers(len(self._entry_ids)))]
-            cdf = self._task_cdf[entry]
-            task = self.tasks[int(cdf.searchsorted(rng.random(), side="right"))]
+            entry = entries[int(rng.integers(len(entries)))]
+            task = int(self._task_cdf[entry].searchsorted(rng.random(), side="right"))
             jobs.append(self._make_job(task, entry, rng))
         return jobs
 
-    def _make_job(self, task: str, entry: str, rng: np.random.Generator) -> Job:
-        job_id = f"j{self._counter:07d}"
+    def _make_job(self, task: int, entry: int, rng: np.random.Generator) -> Job:
+        seq = self._counter
         self._counter += 1
         if self._job_sampler is not None:
-            proto = self._job_sampler(task, rng)
-            size = proto.size_units
-            bits = proto.correctness
+            size, bits = self._job_sampler(task, rng)
         else:
-            lo, hi = self.task_size_ranges[task]
+            lo, hi = self._size_ranges[task]
             size = float(rng.uniform(lo, hi))
             draws = rng.random(len(self.models))
-            bits = tuple((draws >= self.error_table.task_row(task)).astype(int).tolist())
-        return Job(
-            job_id=job_id,
-            task_type=task,
-            entry_node=entry,
-            size_units=size,
-            correctness=bits,
-        )
+            bits = tuple((draws >= self.error_table.matrix[task]).astype(int).tolist())
+        return Job(seq, task, entry, size, bits)
 
     def confidence_noise(self, num_jobs: int, num_nodes: int) -> np.ndarray:
         """Pre-draw one unit-normal per (job, node) of a slot, so a job's
@@ -254,14 +254,14 @@ class Workload:
         zero-mean noise around it. A trace task's size is the mean of its
         recorded sizes, since jobs are drawn uniformly from the task's pool.
         """
-        rate = self.arrivals.mean_jobs_per_slot / max(1, len(self._entry_ids))
+        rate = self.arrivals.mean_jobs_per_slot / max(1, len(self._entry_order))
         mean_mass = np.asarray(self.design_mixture, dtype=float)
         mean_size = 0.0
-        for i, task in enumerate(self.tasks):
+        for i in range(len(self.tasks)):
             if self._job_sampler is not None:
-                task_size = self._job_sampler.mean_size(task)
+                task_size = self._job_sampler.mean_size(i)
             else:
-                lo, hi = self.task_size_ranges[task]
+                lo, hi = self._size_ranges[i]
                 task_size = (lo + hi) / 2.0
             mean_size += float(mean_mass[i]) * task_size
         return WorkloadStats(arrival_rate_per_entry=rate, mean_job_size=mean_size)
@@ -270,12 +270,12 @@ class Workload:
 def dirichlet_mixtures(
     tasks: Sequence[str],
     hard_tasks: Sequence[str],
-    entry_ids: Sequence[str],
+    num_entries: int,
     hard_fraction: float,
     alpha: float,
     rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Per-entry-node task mixtures, with hard-task mass pinned exactly.
+) -> list[np.ndarray]:
+    """Task mixtures by entry node index, with hard-task mass pinned exactly.
 
     Easy and hard task groups each get an independent Dirichlet(alpha) draw;
     the groups are then scaled to (1 - hard_fraction) and hard_fraction so the
@@ -284,8 +284,8 @@ def dirichlet_mixtures(
     hard = [t for t in tasks if t in set(hard_tasks)]
     easy = [t for t in tasks if t not in set(hard_tasks)]
     index = {t: i for i, t in enumerate(tasks)}
-    mixtures: dict[str, np.ndarray] = {}
-    for entry in entry_ids:
+    mixtures: list[np.ndarray] = []
+    for _ in range(num_entries):
         probs = np.zeros(len(tasks))
         if easy:
             weights = rng.dirichlet(np.full(len(easy), alpha))
@@ -297,7 +297,7 @@ def dirichlet_mixtures(
             scale = hard_fraction if easy else 1.0
             for t, w in zip(hard, weights):
                 probs[index[t]] = scale * w
-        mixtures[entry] = probs / probs.sum()
+        mixtures.append(probs / probs.sum())
     return mixtures
 
 
@@ -404,16 +404,24 @@ def synthetic_catalog(
     return tasks, modality, models, tiers
 
 
-def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
+class TraceRecord(NamedTuple):
+    """One recorded job of a trace, with its bits in header order."""
+
+    task_type: str
+    size_units: float
+    correctness: tuple[int, ...]
+
+
+def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str, str]]:
     """Read a JSONL trace: a header object listing models, then job records.
 
-    Returns the models, the jobs and each task's recorded modality. Job
+    Returns the models, the records and each task's recorded modality. Job
     records carry binary correctness for every model, and every record of a
-    task must carry the same modality. A job keeps its bits in header order.
-    Violations raise :class:`TraceFormatError` naming the offending line.
+    task must carry the same modality. Violations raise
+    :class:`TraceFormatError` naming the offending line.
     """
     models: list[ModelSpec] = []
-    jobs: list[Job] = []
+    jobs: list[TraceRecord] = []
     modality: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -475,15 +483,7 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[Job], dict[str, str]]:
             raise TraceFormatError(
                 f"line {lineno}: correctness missing models {sorted(missing)}"
             )
-        jobs.append(
-            Job(
-                job_id=str(record["job_id"]),
-                task_type=task,
-                entry_node=None,
-                size_units=float(size),
-                correctness=tuple(bits),
-            )
-        )
+        jobs.append(TraceRecord(task, float(size), tuple(bits)))
     return models, jobs, modality
 
 
@@ -495,7 +495,7 @@ def _parse_json_line(line: str, lineno: int):
 
 
 def empirical_error_prob(
-    models: Sequence[ModelSpec], jobs: Sequence[Job], task_modality: Mapping[str, str]
+    models: Sequence[ModelSpec], jobs: Sequence[TraceRecord], task_modality: Mapping[str, str]
 ) -> list[ModelSpec]:
     """Fill missing per-task error rates from observed trace correctness."""
     tasks = sorted({j.task_type for j in jobs})
@@ -529,20 +529,21 @@ def empirical_error_prob(
 
 
 class TraceJobSampler:
-    """Samples recorded jobs (with replacement) from per-task pools."""
+    """Samples recorded jobs (with replacement) from per-task pools, one per
+    task index; ``tasks`` are the recorded task ids, sorted."""
 
-    def __init__(self, jobs: Sequence[Job]) -> None:
-        self.pools: dict[str, list[Job]] = {}
+    def __init__(self, jobs: Sequence[TraceRecord]) -> None:
+        pools: dict[str, list[tuple[float, tuple[int, ...]]]] = {}
         for job in jobs:
-            self.pools.setdefault(job.task_type, []).append(job)
+            pools.setdefault(job.task_type, []).append((job.size_units, job.correctness))
+        self.tasks = sorted(pools)
+        self.pools = [pools[t] for t in self.tasks]
 
-    def tasks(self) -> list[str]:
-        return sorted(self.pools)
-
-    def mean_size(self, task: str) -> float:
+    def mean_size(self, task: int) -> float:
         pool = self.pools[task]
-        return sum(job.size_units for job in pool) / len(pool)
+        return sum(size for size, _ in pool) / len(pool)
 
-    def __call__(self, task: str, rng: np.random.Generator) -> Job:
+    def __call__(self, task: int, rng: np.random.Generator) -> tuple[float, tuple[int, ...]]:
+        """One recorded (size, correctness bits) pair of the task."""
         pool = self.pools[task]
         return pool[int(rng.integers(len(pool)))]

@@ -204,16 +204,14 @@ def test_c07_submodularity_and_greedy():
         ]
         table = ErrorTable([f"t{j}" for j in range(n_tasks)], models,
                            {f"t{j}": "text" for j in range(n_tasks)})
-        mix = rng.dirichlet(np.ones(n_tasks))
-        ctx = PlacementContext({f"t{j}": mix[j] for j in range(n_tasks)}, table, 0.0)
-        ids = [m.model_id for m in models]
+        ctx = PlacementContext(rng.dirichlet(np.ones(n_tasks)), table, 0.0)
         for a_bits in range(2 ** n):
-            a_set = {ids[i] for i in range(n) if a_bits >> i & 1}
+            a_set = {i for i in range(n) if a_bits >> i & 1}
             for b_bits in range(2 ** n):
                 if a_bits & b_bits != a_bits:
                     continue
-                b_set = {ids[i] for i in range(n) if b_bits >> i & 1}
-                for m in ids:
+                b_set = {i for i in range(n) if b_bits >> i & 1}
+                for m in range(n):
                     if m in b_set:
                         continue
                     if marginal_gain(ctx, m, a_set) < marginal_gain(ctx, m, b_set) - 1e-12:
@@ -231,17 +229,14 @@ def test_c07_submodularity_and_greedy():
         table = ErrorTable([f"t{j}" for j in range(n_tasks)], models,
                            {f"t{j}": "text" for j in range(n_tasks)})
         mix = rng.dirichlet(np.ones(n_tasks))
-        prev = {f"m{i}" for i in range(n) if rng.random() < 0.3}
-        ctx = PlacementContext({f"t{j}": mix[j] for j in range(n_tasks)}, table,
-                               float(rng.uniform(0, 0.15)), prev)
+        prev = {i for i in range(n) if rng.random() < 0.3}
+        ctx = PlacementContext(mix, table, float(rng.uniform(0, 0.15)), prev)
         budget = float(rng.integers(2, 9))
-        got = utility(ctx, greedy_onload(ctx, budget, models))
-        sizes = {m.model_id: m.memory_size for m in models}
-        ids = sorted(sizes)
+        got = utility(ctx, greedy_onload(ctx, budget))
         best = 0.0
         for bits in range(2 ** n):
-            subset = [ids[i] for i in range(n) if bits >> i & 1]
-            if sum(sizes[m] for m in subset) <= budget:
+            subset = [i for i in range(n) if bits >> i & 1]
+            if sum(table.sizes[m] for m in subset) <= budget:
                 best = max(best, utility(ctx, subset))
         if got < 0.5 * best - 1e-9 or got < best - 0.25 - 1e-9:
             greedy_ok = False

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -157,6 +158,24 @@ class TestCmdSweep:
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "1/2 cells succeeded" in out
+
+    def test_failed_cell_leaves_no_run_for_report(self, tmp_path, capsys):
+        cfg = {
+            "run": {"total_jobs": 100, "seeds": [0]},
+            "sweep": {"axes": {"workload.mean_jobs_per_slot": [1.0, 0.0]}},
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(path), "--out", str(out_dir)]) == 2
+        # only the cell that ran left a summary for `report` to count
+        (summary,) = out_dir.glob("**/summary.json")
+        assert "mean_jobs_per_slot-1-0" in str(summary)
+        assert main(["report", "--out", str(out_dir)]) == 0
+        with open(out_dir / "report_table.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert int(row["runs"]) == 1
+        assert float(row["error_rate_mean"]) == json.loads(summary.read_text())["error_rate"]
 
 
 class TestCmdValidate:

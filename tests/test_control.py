@@ -41,9 +41,9 @@ class TestRealizedCost:
             cfg["run"]["distance_factor"] = 2.0
             cfg["topology"]["layer_sizes"] = layer_sizes
             cfg["topology"]["memory_budgets"] = memory_budgets
-            run, metrics = run_with_paths(cfg)
+            run, metrics, paths = run_with_paths(cfg)
             inbound = {}
-            for rec in run.path_log:
+            for rec in paths:
                 for dest in rec.path[1:]:
                     key = (rec.slot, dest)
                     inbound[key] = inbound.get(key, 0.0) + rec.size_units

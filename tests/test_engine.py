@@ -60,51 +60,55 @@ def read_metrics(path):
 
 
 def run_with_paths(cfg, seed=0):
-    """Run one seed with path recording; return the run and its metrics rows."""
+    """Run one seed with path recording; return the run, its metrics rows and
+    its ``paths.jsonl`` records (node ids, as written)."""
     cfg = copy.deepcopy(cfg)
     cfg["run"]["record_paths"] = True
     with tempfile.TemporaryDirectory() as out:
         run = run_single(cfg, seed, out)
         metrics = read_metrics(os.path.join(out, "metrics.csv"))
-    return run, metrics
+        with open(os.path.join(out, "paths.jsonl"), encoding="utf-8") as fh:
+            paths = [SimpleNamespace(**json.loads(line)) for line in fh]
+    return run, metrics, paths
 
 
 class TestHardTagging:
     def test_all_zero_is_hard(self):
-        job = Job("j", "a", "n1_0", 1.0, (0, 0))
+        job = Job(0, 0, 0, 1.0, (0, 0))
         assert job.is_hard()
 
     def test_any_one_is_not_hard(self):
-        job = Job("j", "a", "n1_0", 1.0, (0, 1))
+        job = Job(0, 0, 0, 1.0, (0, 1))
         assert not job.is_hard()
 
 
 class TestRunSlotInvariants:
     def test_pure_local_exits_at_entry(self):
-        run, metrics = run_with_paths(small_config(policy="pure_local"))
+        _, metrics, paths = run_with_paths(small_config(policy="pure_local"))
         assert all(m.feedback == 0 for m in metrics)
-        assert all(rec.exit_layer == 1 for rec in run.path_log)
-        assert all(len(rec.path) == 1 for rec in run.path_log)
+        assert len(paths) == 600
+        assert all(rec.exit_layer == 1 for rec in paths)
+        assert all(len(rec.path) == 1 for rec in paths)
 
     def test_paths_strictly_ascend_one_layer_at_a_time(self):
-        run, _ = run_with_paths(small_config())
-        for rec in run.path_log:
+        run, _, paths = run_with_paths(small_config())
+        for rec in paths:
             layers = [run.topo.layer_of(n) for n in rec.path]
             assert layers == list(range(1, len(layers) + 1))
             assert rec.exit_layer <= run.topo.num_layers
 
     def test_terminal_jobs_have_zero_error_and_feedback(self):
-        run, _ = run_with_paths(small_config())
-        for rec in run.path_log:
+        run, _, paths = run_with_paths(small_config())
+        for rec in paths:
             if rec.reached_oracle:
                 assert rec.exit_error == 0
                 assert rec.exit_layer == run.topo.num_layers
 
     def test_slot_costs_match_replayed_paths(self):
         cfg = small_config()
-        run, metrics = run_with_paths(cfg)
+        _, metrics, paths = run_with_paths(cfg)
         by_slot = {}
-        for rec in run.path_log:
+        for rec in paths:
             for i, dest in enumerate(rec.path[1:]):
                 by_slot.setdefault(rec.slot, {}).setdefault(dest, 0.0)
                 by_slot[rec.slot][dest] += rec.size_units
@@ -114,17 +118,17 @@ class TestRunSlotInvariants:
                 assert cost == pytest.approx(expected.get(node, 0.0))
 
     def test_cost_conservation(self):
-        run, metrics = run_with_paths(small_config())
+        _, metrics, paths = run_with_paths(small_config())
         total_inbound = sum(sum(m.node_costs.values()) for m in metrics)
         total_hops = sum(
-            rec.size_units * (len(rec.path) - 1) for rec in run.path_log
+            rec.size_units * (len(rec.path) - 1) for rec in paths
         )
         assert total_inbound == pytest.approx(total_hops)
 
     def test_feedback_counts_match_paths(self):
-        run, metrics = run_with_paths(small_config())
+        _, metrics, paths = run_with_paths(small_config())
         assert sum(m.feedback for m in metrics) == sum(
-            rec.reached_oracle for rec in run.path_log
+            rec.reached_oracle for rec in paths
         )
         for m in metrics:
             assert m.feedback <= m.jobs
@@ -146,7 +150,7 @@ class TestRunSlotInvariants:
 
         def spy_accumulate(self, node, task, cut, terminate, offload):
             job, path, fb = learning[-1]
-            calls.append(fb and node in path and task == job.task_type)
+            calls.append(fb and node in path and task == job.task)
             return accumulate(self, node, task, cut, terminate, offload)
 
         monkeypatch.setattr(_Run, "_learn_from", spy_learn)
@@ -156,18 +160,18 @@ class TestRunSlotInvariants:
 
     def test_vr_variant_accumulates_on_visits_without_feedback(self):
         cfg = small_config()
-        run, _ = run_with_paths(cfg)
+        run, _, _ = run_with_paths(cfg)
         # visited-but-unfed jobs contribute the baseline; with live queues the
         # baseline is typically nonzero once any learning happened
         touched = sum(
-            1 for node in run.table.grids for task in run.table.tasks
+            1 for node in run.table.grids for task in range(run.table.num_tasks)
             if not np.allclose(run.table.cum_loss(node, task), 0.0)
         )
         assert touched > 0
 
     def test_queue_snapshot_discipline(self):
         # drift diagnostic uses slot-start queues: first slot always sees zeros
-        run, metrics = run_with_paths(small_config())
+        run, metrics, _ = run_with_paths(small_config())
         assert metrics[0].drift_penalty == pytest.approx(
             run.v * metrics[0].errors
         )
@@ -269,28 +273,27 @@ class TestPlacementTables:
     def test_tables_match_reference_functions(self):
         run = _Run(small_config(), 0, None)
         table = run.error_table
-        ids = list(table.model_ids())
+        m05, m08 = table.model_ids.index("m05"), table.model_ids.index("m08")
         # two models with equal errors everywhere: selection breaks the tie
         # by id, and the accuracy is the same either way
-        table.matrix[:, ids.index("m05")] = table.matrix[:, ids.index("m08")]
+        table.matrix[:, m05] = table.matrix[:, m08]
         rng = np.random.default_rng(4)
+        columns = range(len(table.model_ids))
         for _ in range(20):
-            loaded = {}
-            for node_id in run.node_ids:
-                k = int(rng.integers(0, len(ids) + 1))
-                loaded[node_id] = frozenset(rng.choice(ids, size=k, replace=False).tolist())
-            loaded[run.node_ids[0]] = frozenset({"m05", "m08"})
-            loaded[run.node_ids[1]] = frozenset()
+            loaded = []
+            for _ in run.node_ids:
+                k = int(rng.integers(0, len(columns) + 1))
+                loaded.append(frozenset(rng.choice(columns, size=k, replace=False).tolist()))
+            loaded[0] = frozenset({m05, m08})
+            loaded[1] = frozenset()
             run.placement = Placement(loaded=loaded)
             run._index_placement()
-            for i, node_id in enumerate(run.node_ids):
-                for task in run.workload.tasks:
-                    assert run.accuracy[i][task] == best_loaded_accuracy(
-                        table, task, loaded[node_id]
-                    )
-                    assert run.selected[i][task] == select_model(table, task, loaded[node_id])
+            for i in range(len(run.node_ids)):
+                for task in range(len(run.task_ids)):
+                    assert run.accuracy[i][task] == best_loaded_accuracy(table, task, loaded[i])
+                    assert run.selected[i][task] == select_model(table, task, loaded[i])
         # the tie and a loaded set that supports no model of a task both occur
-        assert table.column["m05"] in run.selected[0].values()
+        assert m05 in run.selected[0].values()
         assert None in run.selected[1].values()
 
     def test_entries_built_on_first_lookup_through_engine_names(self, monkeypatch):
@@ -305,7 +308,7 @@ class TestPlacementTables:
                             lambda *args: calls.append("model") or 5)
         run._index_placement()
         assert calls == []
-        task = run.workload.tasks[3]
+        task = 3
         for _ in range(3):
             assert run.accuracy[2][task] == 0.5
             assert run.selected[2][task] == 5
@@ -315,7 +318,7 @@ class TestPlacementTables:
 class TestPlacementEpochs:
     def test_greedy_refreshes_on_epoch_grid(self):
         cfg = small_config()
-        run, _ = run_with_paths(cfg)
+        run, _, _ = run_with_paths(cfg)
         slots = sorted({slot for slot, _, _ in run.placement_log})
         assert slots[0] == 1
         assert all((s % cfg["placement"]["epoch_slots"]) == 1 for s in slots)
@@ -323,17 +326,19 @@ class TestPlacementEpochs:
 
     def test_placements_feasible_every_epoch(self):
         cfg = small_config()
-        run, _ = run_with_paths(cfg)
-        sizes = run.model_sizes
-        for slot, node_id, models in run.placement_log:
+        run, _, _ = run_with_paths(cfg)
+        sizes = run.error_table.sizes
+        for slot, node, columns in run.placement_log:
+            node_id = run.node_ids[node]
             if run.topo.is_terminal(node_id):
+                assert columns == frozenset()
                 continue
-            assert sum(sizes[m] for m in models) <= run.topo.memory_budget[node_id] + 1e-9
+            assert sum(sizes[c] for c in columns) <= run.topo.memory_budget[node_id] + 1e-9
 
     def test_static_placement_fixed(self):
         cfg = small_config()
         cfg["placement"]["kind"] = "random_fixed"
-        run, _ = run_with_paths(cfg)
+        run, _, _ = run_with_paths(cfg)
         slots = {slot for slot, _, _ in run.placement_log}
         assert slots == {0}
 
@@ -374,12 +379,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_single(cfg, 0)
 
+    def test_zero_rate_writes_no_files(self, tmp_path):
+        # the rate is rejected before any output is opened, so no zero-job
+        # summary.json is left for `hiroute report` to count as a run
+        cfg = small_config()
+        cfg["workload"]["mean_jobs_per_slot"] = 0.0
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="mean_jobs_per_slot"):
+            run_single(cfg, 0, str(out))
+        assert not (out / "summary.json").exists()
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestRegretOracle:
     def test_single_expert_degenerate_enumeration(self):
         cfg = small_config()
         cfg["learning"]["thresholds"] = [0.5]
-        run, _ = run_with_paths(cfg)
+        run, _, _ = run_with_paths(cfg)
         # with one threshold per destination the hindsight minimum is over
         # |destinations| experts only; regret can be negative via sampling
         for (node, task), sums in run.regret.expert_sums.items():
@@ -389,7 +405,8 @@ class TestRegretOracle:
         # a hand-made log of (job, key, realized loss, expert loss matrix)
         rng = np.random.default_rng(5)
         node_ids = ("n1_0", "n2_0")
-        keys = [(0, "a"), (0, "b"), (1, "a")]
+        task_ids = ("a", "b")
+        keys = [(0, 0), (0, 1), (1, 0)]
         tracker = RegretTracker({0}, checkpoints=[10, 40], rows=3)
         log = []
         for job in range(40):
@@ -416,7 +433,8 @@ class TestRegretOracle:
 
         regret, best = brute(40)
         for (node, task), value in regret.items():
-            assert tracker.final_map(node_ids)[node_ids[node]][task] == pytest.approx(value)
+            final = tracker.final_map(node_ids, task_ids)
+            assert final[node_ids[node]][task_ids[task]] == pytest.approx(value)
             sums = tracker.expert_sums[(node, task)]
             assert np.unravel_index(sums.argmin(), sums.shape) == best[(node, task)]
         assert tracker.curve_gamma == [10, 40]
@@ -492,14 +510,15 @@ class TestTraceMode:
         topo = build_topology_from_config(cfg)
         wl = build_workload(cfg, topo, 0)
         assert wl.task_modality == {"q0": "text"}
-        assert wl.error_table.error("q0", "small") == 0.0
+        assert wl.error_table.model_ids == ("small", "big")
+        assert wl.error_table.error(0, 0) == 0.0
         jobs = []
         t = 0
         while not jobs:
             t += 1
             jobs = wl.generate_slot(t)
-        selected = select_model(wl.error_table, "q0", {"small"})
-        assert selected == wl.error_table.column["small"]
+        selected = select_model(wl.error_table, 0, {0, 1})
+        assert selected == 0
         assert inference_error(jobs[0], selected) == 0
 
     def test_static_calibration_uses_recorded_sizes(self, tmp_path):

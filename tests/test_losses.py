@@ -105,13 +105,13 @@ def expand(shape, cut, pair):
 
 
 def baseline_table(ema_rate=0.1):
-    grid = ExpertGrid(thresholds=(0.2, 0.8), destinations=("u0", "u1"))
-    return BaselineTable({"n": grid}, ["y"], ema_rate=ema_rate)
+    grid = ExpertGrid(thresholds=(0.2, 0.8), destinations=(1, 2))
+    return BaselineTable({0: grid}, 1, ema_rate=ema_rate)
 
 
 def plugin(table, queue_row=(0.0, 0.0)):
     """Baseline matrix with the 0.8-threshold expert offloading (cut 1)."""
-    return expand((2, 2), 1, table.plugin_values("n", "y", 1, np.array(queue_row),
+    return expand((2, 2), 1, table.plugin_values(0, 0, 1, np.array(queue_row),
                                                  hop_cost=2.0, error_weight=70.0))
 
 
@@ -122,7 +122,7 @@ class TestBaselineTable:
     def test_single_ema_step(self):
         # zero start, rate 0.1: local error 1 -> 0.1, downstream 8 -> 0.8
         table = baseline_table()
-        table.update_hidden("n", "y", local_error=1.0, down_base=np.array([8.0, 4.0]))
+        table.update_hidden(0, 0, local_error=1.0, down_base=np.array([8.0, 4.0]))
         beta = plugin(table)
         assert beta[0, 0] == pytest.approx(70.0 * 0.1)
         assert beta[1, 0] == pytest.approx(0.8)
@@ -131,21 +131,21 @@ class TestBaselineTable:
     def test_geometric_convergence_to_stationary_target(self):
         table = baseline_table()
         for _ in range(400):
-            table.update_hidden("n", "y", 1.0, np.array([8.0, 4.0]))
+            table.update_hidden(0, 0, 1.0, np.array([8.0, 4.0]))
         assert plugin(table)[1, 0] == pytest.approx(8.0, abs=1e-6)
         assert plugin(table)[0, 0] == pytest.approx(70.0, abs=1e-6)
         # the gap to the target shrinks by (1 - rate) per step
         table2 = baseline_table()
         gaps = []
         for _ in range(5):
-            table2.update_hidden("n", "y", 1.0, np.array([8.0, 4.0]))
+            table2.update_hidden(0, 0, 1.0, np.array([8.0, 4.0]))
             gaps.append(8.0 - plugin(table2)[1, 0])
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert all(r == pytest.approx(0.9, abs=1e-9) for r in ratios)
 
     def test_queue_aware_plugin_tracks_live_queue(self):
         table = baseline_table(ema_rate=0.5)
-        table.update_hidden("n", "y", local_error=1.0, down_base=np.array([2.0, 6.0]))
+        table.update_hidden(0, 0, local_error=1.0, down_base=np.array([2.0, 6.0]))
         beta = plugin(table, queue_row=(10.0, 0.0))
         # local experts: 70 * EMA(b); offload experts: q*c + EMA(base)
         # (the EMA carries the 0.5 rate from a zero start)
@@ -159,11 +159,11 @@ class TestBaselineTable:
         # cut 1 of 2 rows: the one offload row counts each destination once
         table = baseline_table()
         f = (1.0, np.array([1.0, 1.0]))
-        table.count_violations("n", 1, (0.5, np.array([0.5, 0.5])), f)  # inside (0, 2f]
+        table.count_violations(0, 1, (0.5, np.array([0.5, 0.5])), f)  # inside (0, 2f]
         assert table.condition_violations == 0
-        table.count_violations("n", 1, (0.5, np.array([3.0, 0.5])), f)  # beta > 2f
+        table.count_violations(0, 1, (0.5, np.array([3.0, 0.5])), f)  # beta > 2f
         assert table.condition_violations == 1
-        table.count_violations("n", 1, (0.5, np.array([0.5, 0.0])), f)  # beta = 0
+        table.count_violations(0, 1, (0.5, np.array([0.5, 0.0])), f)  # beta = 0
         assert table.condition_violations == 2
 
 
@@ -306,7 +306,7 @@ class TestExpectedLoss:
 
 class TestExpertLoss:
     def grid(self):
-        return ExpertGrid(thresholds=(0.0, 0.4, 1.0), destinations=("n2_0",))
+        return ExpertGrid(thresholds=(0.0, 0.4, 1.0), destinations=(1,))
 
     def topo(self):
         return build_topology([1, 1], [10, None], 0.4)
@@ -335,7 +335,7 @@ class TestExpertLoss:
         # error) unless the threshold exceeds the confidence, else pay the
         # queue-weighted hop plus the destination's expected loss
         topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
-        grid = ExpertGrid(thresholds=(0.0, 0.3, 0.5, 0.6, 1.0), destinations=("n2_0",))
+        grid = ExpertGrid(thresholds=(0.0, 0.3, 0.5, 0.6, 1.0), destinations=(1,))
         q = {"n2_0": 1.5, "n3_0": 0.5}
         views = chain_views({"n1_0": 0.5, "n2_0": 0.3}, errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5}, thresholds=grid.thresholds)
@@ -350,7 +350,7 @@ class TestExpertLoss:
 
     def test_zero_downstream_keeps_queue_cost_only(self):
         topo = build_topology([1, 1, 1], [10, 10, None], 0.4)
-        grid = ExpertGrid(thresholds=(1.0,), destinations=("n2_0",))
+        grid = ExpertGrid(thresholds=(1.0,), destinations=(1,))
         views = chain_views({"n1_0": 0.5, "n2_0": 0.5},
                             errors={"n1_0": 1, "n2_0": 1},
                             confidences={"n1_0": 0.5, "n2_0": 0.5},
@@ -367,29 +367,29 @@ class TestCutMatchesThresholdMask:
         # both read the cut that action_probs stored; each must equal the
         # construction from the mask of thresholds above the confidence
         topo = build_topology([1, 3, 1], [10, 10, None], 0.4)
-        ids, _, dests = topo.index_tables()
-        grid = ExpertGrid(DEFAULT_THRESHOLDS, tuple(ids[d] for d in dests[0]))
+        _, _, dests = topo.index_tables()
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, dests[0])
         thresholds = np.asarray(DEFAULT_THRESHOLDS)
-        experts = ExpertTable({0: grid}, ["y"], learning_rate=0.1, exploration_rate=0.1)
-        experts.accumulate_loss(0, "y", 0, 0.0,
+        experts = ExpertTable({0: grid}, 1, learning_rate=0.1, exploration_rate=0.1)
+        experts.accumulate_loss(0, 0, 0, 0.0,
                                 np.random.default_rng(8).normal(0, 5, size=grid.shape))
         experts.refresh_dirty()
-        baselines = BaselineTable({0: grid}, ["y"], ema_rate=0.3)
-        baselines.update_hidden(0, "y", 1.0, np.array([4.0, 1.0, 2.5]))
+        baselines = BaselineTable({0: grid}, 1, ema_rate=0.3)
+        baselines.update_hidden(0, 0, 1.0, np.array([4.0, 1.0, 2.5]))
         rng = np.random.default_rng(9)
         zs = (*rng.uniform(0, 1, size=40), *DEFAULT_THRESHOLDS, 0.0, 1.0)
         for z in zs:
             mask = thresholds > z
-            dist = experts.action_probs(0, "y", float(z))
+            dist = experts.action_probs(0, 0, float(z))
             queue_row = rng.uniform(0, 3, size=3)
             for zero_downstream in (False, True):
                 offload_row = queue_row * 2.0
                 if not zero_downstream:
-                    offload_row = offload_row + baselines._down_base[(0, "y")]
+                    offload_row = offload_row + baselines._down_base[(0, 0)]
                 want = np.where(mask[:, None], offload_row[None, :],
-                                70.0 * baselines._local_error[(0, "y")])
+                                70.0 * baselines._local_error[(0, 0)])
                 got = expand(grid.shape, dist.cut, baselines.plugin_values(
-                    0, "y", dist.cut, queue_row, hop_cost=2.0, error_weight=70.0,
+                    0, 0, dist.cut, queue_row, hop_cost=2.0, error_weight=70.0,
                     zero_downstream=zero_downstream,
                 ))
                 assert np.array_equal(got, want)
@@ -431,9 +431,9 @@ class TestPairsMatchFullMatrices:
                 (beta_stop, beta_row)
 
     def test_accumulated_estimates_regret_sums_and_violations(self):
-        grid = ExpertGrid(DEFAULT_THRESHOLDS, ("a", "b", "c"))
-        experts = ExpertTable({"n": grid}, ["y"], learning_rate=0.1, exploration_rate=0.1)
-        baselines = BaselineTable({"n": grid}, ["y"], ema_rate=0.1)
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, (1, 2, 3))
+        experts = ExpertTable({0: grid}, 1, learning_rate=0.1, exploration_rate=0.1)
+        baselines = BaselineTable({0: grid}, 1, ema_rate=0.1)
         tracker = RegretTracker({0}, [], rows=self.T)
         cum = np.zeros(grid.shape)
         sums = None
@@ -450,11 +450,11 @@ class TestPairsMatchFullMatrices:
             sums = f.copy() if sums is None else sums + f
             violations += int((~((b > 0.0) & (b <= 2.0 * f))).sum())
             # the pairs
-            experts.accumulate_loss("n", "y", cut, estimate(losses[0], beta[0], rho, fb),
+            experts.accumulate_loss(0, 0, cut, estimate(losses[0], beta[0], rho, fb),
                                     estimate(losses[1], beta[1], rho, fb))
-            tracker.add(0, "y", 0.0, cut, *losses)
-            baselines.count_violations("n", cut, beta, losses)
-            assert experts.cum_loss("n", "y").tobytes() == cum.tobytes()
-            assert tracker.expert_sums[(0, "y")].tobytes() == sums.tobytes()
+            tracker.add(0, 0, 0.0, cut, *losses)
+            baselines.count_violations(0, cut, beta, losses)
+            assert experts.cum_loss(0, 0).tobytes() == cum.tobytes()
+            assert tracker.expert_sums[(0, 0)].tobytes() == sums.tobytes()
             assert baselines.condition_violations == violations
         assert violations > 0

@@ -13,9 +13,9 @@ from hiroute.policy import (
 # every row takes the offload part, which broadcasts
 
 
-def make_table(thresholds=(0.3, 0.7), dests=("u0",), eta=0.1, lam=0.1):
+def make_table(thresholds=(0.3, 0.7), dests=(1,), eta=0.1, lam=0.1):
     grid = ExpertGrid(thresholds=thresholds, destinations=dests)
-    return ExpertTable({"n": grid}, ["y"], learning_rate=eta, exploration_rate=lam)
+    return ExpertTable({0: grid}, 1, learning_rate=eta, exploration_rate=lam)
 
 
 class TestExpertGrid:
@@ -23,59 +23,59 @@ class TestExpertGrid:
         assert DEFAULT_THRESHOLDS == tuple(round(0.1 * i, 1) for i in range(11))
 
     def test_size(self):
-        grid = ExpertGrid(DEFAULT_THRESHOLDS, ("a", "b"))
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, (1, 2))
         assert grid.size == 22
         assert grid.shape == (11, 2)
 
     def test_rejects_unsorted_thresholds(self):
         with pytest.raises(ValueError):
-            ExpertGrid((0.5, 0.2), ("a",))
+            ExpertGrid((0.5, 0.2), (1,))
 
 
 class TestActionProbs:
     def test_hand_enumeration_two_thresholds(self):
         # uniform weights over {(0.3, u0), (0.7, u0)}; z=0.5: only 0.7 > z
         table = make_table()
-        dist = table.action_probs("n", "y", 0.5)
+        dist = table.action_probs(0, 0, 0.5)
         assert dist.raw[1:].sum() == pytest.approx(0.5)
         assert dist.raw[0] == pytest.approx(0.5)
 
     def test_confidence_above_all_thresholds_terminates(self):
         table = make_table(lam=0.1)
-        dist = table.action_probs("n", "y", 1.0)
+        dist = table.action_probs(0, 0, 1.0)
         assert dist.raw[0] == pytest.approx(1.0)
         assert dist.mixed[0] == pytest.approx(1 - 0.1 + 0.1 / 2)
 
     def test_exploration_floor(self):
         table = make_table(lam=0.1)
         for z in np.linspace(0, 1, 21):
-            dist = table.action_probs("n", "y", float(z))
+            dist = table.action_probs(0, 0, float(z))
             assert np.all(dist.mixed >= 0.05 - 1e-12)
 
     def test_partition_identity(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
         rng = np.random.default_rng(0)
-        table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 5, size=(11, 2)))
+        table.accumulate_loss(0, 0, 0, 0.0, rng.normal(0, 5, size=(11, 2)))
         table.refresh_dirty()
         for z in np.linspace(0, 1, 31):
-            dist = table.action_probs("n", "y", float(z))
+            dist = table.action_probs(0, 0, float(z))
             assert dist.raw.sum() == pytest.approx(1.0, abs=1e-12)
             assert dist.mixed.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_threshold_mask_reference(self):
         # the cut at bisect_right(thresholds, z) selects exactly the experts
         # whose threshold exceeds z, and sums them to the same bits
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b", "c"), lam=0.07)
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2, 3), lam=0.07)
         rng = np.random.default_rng(12)
         for _ in range(50):
-            table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 40, size=(11, 3)))
+            table.accumulate_loss(0, 0, 0, 0.0, rng.normal(0, 40, size=(11, 3)))
             table.refresh_dirty()
-            w = table.weights("n", "y")
+            w = table.weights(0, 0)
             for z in (*rng.uniform(0, 1, size=10), *DEFAULT_THRESHOLDS, 0.0, 1.0):
                 mask = np.asarray(DEFAULT_THRESHOLDS) > z
                 raw = np.concatenate(([float(w[~mask, :].sum())], w[mask, :].sum(axis=0)))
                 mixed = (1.0 - 0.07) * raw + 0.07 / 4
-                dist = table.action_probs("n", "y", float(z))
+                dist = table.action_probs(0, 0, float(z))
                 assert dist.cut == int((~mask).sum())
                 assert dist.raw.tolist() == raw.tolist()
                 assert dist.mixed.tolist() == mixed.tolist()
@@ -84,48 +84,48 @@ class TestActionProbs:
 class TestDistributionCache:
     def reference(self, table, z):
         # the distribution of the table's current weights, built from scratch
-        w = table.weights("n", "y")
+        w = table.weights(0, 0)
         mask = np.asarray(DEFAULT_THRESHOLDS) > z
         return np.concatenate(([float(w[~mask, :].sum())], w[mask, :].sum(axis=0)))
 
     def test_refresh_drops_cached_distributions(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
         rng = np.random.default_rng(5)
         zs = rng.uniform(0, 1, size=8)
         for _ in range(20):
             for z in zs:
-                assert table.action_probs("n", "y", float(z)).raw.tolist() == \
+                assert table.action_probs(0, 0, float(z)).raw.tolist() == \
                     self.reference(table, z).tolist()
-            table.accumulate_loss("n", "y", int(rng.integers(12)), float(rng.normal(0, 9)),
+            table.accumulate_loss(0, 0, int(rng.integers(12)), float(rng.normal(0, 9)),
                                   rng.normal(0, 9, size=2))
             table.refresh_dirty()
 
     def test_shared_within_a_cut_until_refresh(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
-        first = table.action_probs("n", "y", 0.33)
-        assert table.action_probs("n", "y", 0.38) is first  # same cut, 4
-        assert table.action_probs("n", "y", 0.41) is not first
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
+        first = table.action_probs(0, 0, 0.33)
+        assert table.action_probs(0, 0, 0.38) is first  # same cut, 4
+        assert table.action_probs(0, 0, 0.41) is not first
         # accumulating leaves the slot-start weights, and their distribution
-        table.accumulate_loss("n", "y", 4, 1.0, np.array([0.0, 3.0]))
-        assert table.action_probs("n", "y", 0.33) is first
+        table.accumulate_loss(0, 0, 4, 1.0, np.array([0.0, 3.0]))
+        assert table.action_probs(0, 0, 0.33) is first
         table.refresh_dirty()
-        assert table.action_probs("n", "y", 0.33) is not first
+        assert table.action_probs(0, 0, 0.33) is not first
 
     def test_at_most_one_distribution_per_cut(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
         # z below the 0.0 threshold gives cut 0, z = 1 gives cut T
         zs = np.linspace(-0.05, 1, 301)
-        dists = {id(table.action_probs("n", "y", float(z))) for z in zs}
+        dists = {id(table.action_probs(0, 0, float(z))) for z in zs}
         assert len(dists) == len(DEFAULT_THRESHOLDS) + 1
 
     def test_cached_arrays_are_read_only(self):
         table = make_table()
-        dist = table.action_probs("n", "y", 0.5)
+        dist = table.action_probs(0, 0, 0.5)
         with pytest.raises(ValueError):
             dist.raw[0] = 1.0
         with pytest.raises(ValueError):
             dist.mixed[1] = 0.0
-        assert table.action_probs("n", "y", 0.5).raw.tolist() == [0.5, 0.5]
+        assert table.action_probs(0, 0, 0.5).raw.tolist() == [0.5, 0.5]
 
 
 class TestSampling:
@@ -168,58 +168,58 @@ class TestSampling:
 
 class TestWeights:
     def test_uniform_under_equal_losses(self):
-        table = make_table(thresholds=(0.2, 0.5, 0.8), dests=("a", "b"))
-        table.accumulate_loss("n", "y", 0, 0.0, np.full((3, 2), 7.5))
+        table = make_table(thresholds=(0.2, 0.5, 0.8), dests=(1, 2))
+        table.accumulate_loss(0, 0, 0, 0.0, np.full((3, 2), 7.5))
         table.refresh_dirty()
-        w = table.weights("n", "y")
+        w = table.weights(0, 0)
         assert np.allclose(w, 1.0 / 6.0)
 
     def test_closed_form_two_experts(self):
         # losses {0, ln2/eta} -> weights {2/3, 1/3}
         eta = 0.05
-        table = make_table(thresholds=(0.5,), dests=("a", "b"), eta=eta)
-        table.accumulate_loss("n", "y", 0, 0.0, np.array([[0.0, np.log(2) / eta]]))
+        table = make_table(thresholds=(0.5,), dests=(1, 2), eta=eta)
+        table.accumulate_loss(0, 0, 0, 0.0, np.array([[0.0, np.log(2) / eta]]))
         table.refresh_dirty()
-        w = table.weights("n", "y")
+        w = table.weights(0, 0)
         assert w[0, 0] == pytest.approx(2.0 / 3.0)
         assert w[0, 1] == pytest.approx(1.0 / 3.0)
 
     def test_shift_invariance(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
         rng = np.random.default_rng(3)
         losses = rng.normal(0, 100, size=(11, 2))
-        table.accumulate_loss("n", "y", 0, 0.0, losses)
+        table.accumulate_loss(0, 0, 0, 0.0, losses)
         table.refresh_dirty()
-        w1 = table.weights("n", "y").copy()
-        table2 = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
-        table2.accumulate_loss("n", "y", 0, 0.0, losses + 1234.5)
+        w1 = table.weights(0, 0).copy()
+        table2 = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
+        table2.accumulate_loss(0, 0, 0, 0.0, losses + 1234.5)
         table2.refresh_dirty()
-        w2 = table2.weights("n", "y")
+        w2 = table2.weights(0, 0)
         assert np.allclose(w1, w2, atol=1e-12)
 
     def test_simplex_after_updates(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
         rng = np.random.default_rng(4)
         for _ in range(300):
-            table.accumulate_loss("n", "y", 0, 0.0, rng.normal(0, 50, size=(11, 2)))
+            table.accumulate_loss(0, 0, 0, 0.0, rng.normal(0, 50, size=(11, 2)))
             table.refresh_dirty()
-            w = table.weights("n", "y")
+            w = table.weights(0, 0)
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(w > 0)
 
     def test_weights_keep_slot_start_values_until_refresh(self):
-        table = make_table(thresholds=(0.5,), dests=("a", "b"))
-        table.accumulate_loss("n", "y", 0, 0.0, np.array([[0.0, 10.0]]))
-        assert np.allclose(table.weights("n", "y"), 0.5)
-        assert table.action_probs("n", "y", 0.0).raw[1:] == pytest.approx([0.5, 0.5])
+        table = make_table(thresholds=(0.5,), dests=(1, 2))
+        table.accumulate_loss(0, 0, 0, 0.0, np.array([[0.0, 10.0]]))
+        assert np.allclose(table.weights(0, 0), 0.5)
+        assert table.action_probs(0, 0, 0.0).raw[1:] == pytest.approx([0.5, 0.5])
         table.refresh_dirty()
-        assert table.weights("n", "y")[0, 0] > 0.5
+        assert table.weights(0, 0)[0, 0] > 0.5
 
     def test_extreme_losses_do_not_overflow(self):
-        table = make_table(thresholds=(0.5,), dests=("a", "b"), eta=1.0)
-        table.accumulate_loss("n", "y", 0, 0.0, np.array([[0.0, 1e9]]))
+        table = make_table(thresholds=(0.5,), dests=(1, 2), eta=1.0)
+        table.accumulate_loss(0, 0, 0, 0.0, np.array([[0.0, 1e9]]))
         table.refresh_dirty()
-        w = table.weights("n", "y")
+        w = table.weights(0, 0)
         assert np.isfinite(w).all()
         assert w.sum() == pytest.approx(1.0)
 
@@ -227,33 +227,33 @@ class TestWeights:
 class TestAccumulate:
     def test_zero_vector_is_noop(self):
         table = make_table()
-        before = table.weights("n", "y").copy()
-        table.accumulate_loss("n", "y", 0, 0.0, np.zeros((2, 1)))
+        before = table.weights(0, 0).copy()
+        table.accumulate_loss(0, 0, 0, 0.0, np.zeros((2, 1)))
         table.refresh_dirty()
-        assert np.allclose(table.weights("n", "y"), before)
+        assert np.allclose(table.weights(0, 0), before)
 
     def test_single_expert_only(self):
-        table = make_table(thresholds=(0.2, 0.8), dests=("a",))
+        table = make_table(thresholds=(0.2, 0.8), dests=(1,))
         delta = np.zeros((2, 1))
         delta[1, 0] = 5.0
-        table.accumulate_loss("n", "y", 0, 0.0, delta)
-        g = table.cum_loss("n", "y")
+        table.accumulate_loss(0, 0, 0, 0.0, delta)
+        g = table.cum_loss(0, 0)
         assert g[0, 0] == 0.0 and g[1, 0] == 5.0
 
     def test_cum_loss_is_running_sum(self):
-        table = make_table(thresholds=(0.2, 0.8), dests=("a", "b"))
+        table = make_table(thresholds=(0.2, 0.8), dests=(1, 2))
         rng = np.random.default_rng(8)
         total = np.zeros((2, 2))
         for _ in range(100):
             step = rng.normal(0, 3, size=(2, 2))
             total += step
-            table.accumulate_loss("n", "y", 0, 0.0, step)
-        assert np.allclose(table.cum_loss("n", "y"), total, atol=1e-9)
+            table.accumulate_loss(0, 0, 0, 0.0, step)
+        assert np.allclose(table.cum_loss(0, 0), total, atol=1e-9)
 
     def test_non_finite_loss_raises(self):
         table = make_table()
         with pytest.raises(ValueError):
-            table.accumulate_loss("n", "y", 0, 0.0, np.array([[np.nan], [1.0]]))
+            table.accumulate_loss(0, 0, 0, 0.0, np.array([[np.nan], [1.0]]))
 
     @pytest.mark.parametrize("cut, terminate, offload", [
         (1, np.nan, [1.0]),
@@ -264,28 +264,28 @@ class TestAccumulate:
     def test_non_finite_estimate_is_rejected_before_it_lands(self, cut, terminate, offload):
         table = make_table()
         with pytest.raises(ValueError):
-            table.accumulate_loss("n", "y", cut, terminate, np.array(offload))
-        assert table.cum_loss("n", "y").tolist() == [[0.0], [0.0]]
+            table.accumulate_loss(0, 0, cut, terminate, np.array(offload))
+        assert table.cum_loss(0, 0).tolist() == [[0.0], [0.0]]
 
     def test_values_outside_the_cut_do_not_land(self):
         # cut 0 leaves no terminating expert, cut T no offloading one
         table = make_table()
-        table.accumulate_loss("n", "y", 0, np.nan, np.array([2.0]))
-        table.accumulate_loss("n", "y", 2, 1.0, np.array([np.inf]))
-        assert table.cum_loss("n", "y").tolist() == [[3.0], [3.0]]
+        table.accumulate_loss(0, 0, 0, np.nan, np.array([2.0]))
+        table.accumulate_loss(0, 0, 2, 1.0, np.array([np.inf]))
+        assert table.cum_loss(0, 0).tolist() == [[3.0], [3.0]]
 
 
 class TestEntropy:
     def test_starts_at_log_size(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"))
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
         assert table.mean_entropy() == pytest.approx(np.log(22))
 
     def test_decreases_as_weights_concentrate(self):
-        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=("a", "b"), eta=0.5)
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2), eta=0.5)
         h0 = table.mean_entropy()
         loss = np.ones((11, 2)) * 10
         loss[0, 0] = 0.0
         for _ in range(20):
-            table.accumulate_loss("n", "y", 0, 0.0, loss)
+            table.accumulate_loss(0, 0, 0, 0.0, loss)
         table.refresh_dirty()
         assert table.mean_entropy() < h0

@@ -34,3 +34,21 @@ def test_every_traced_boundary_resolves():
     finally:
         tracer.uninstall()
     assert inspect.getattr_static(_Run, "_route") is route
+
+
+def test_every_traced_boundary_is_called():
+    # a boundary that still resolves but that the run no longer goes through
+    # would report zero calls; only validation and tests query expected_loss
+    tracer_module = load_tracer_module()
+    tracer = tracer_module.Tracer(hiroute)
+    tracer.install()
+    try:
+        for policy in ("vr_ly_exp4", "random"):
+            cfg = hiroute.merge_config({"policy": policy, "run": {"total_jobs": 200}})
+            hiroute.run_single(cfg, 0)
+    finally:
+        tracer.uninstall()
+    uncalled = {name for name, stats in tracer.spans.items() if stats.calls == 0}
+    assert uncalled == {"losses.DownstreamLossOracle.expected_loss"}
+    # ErrorTable.error stays the lookup behind the per-epoch placement tables
+    assert tracer.counts["workload.ErrorTable.error"] > 0

@@ -21,6 +21,7 @@ from hiroute.workload import (
 
 
 def toy_table():
+    """Tasks a, b, v are rows 0, 1, 2; models m0, m1, mv columns 0, 1, 2."""
     models = [
         ModelSpec("m0", 2.0, frozenset(["text"]), {"a": 0.3, "b": 0.5}),
         ModelSpec("m1", 4.0, frozenset(["text"]), {"a": 0.1, "b": 0.6}),
@@ -33,20 +34,20 @@ def toy_table():
 class TestErrorTable:
     def test_unsupported_modality_forced_to_one(self):
         _, table = toy_table()
-        assert table.error("v", "m0") == 1.0
-        assert table.error("v", "m1") == 1.0
-        assert table.error("v", "mv") == 0.2
+        assert table.error(2, 0) == 1.0
+        assert table.error(2, 1) == 1.0
+        assert table.error(2, 2) == 0.2
 
     def test_missing_entry_treated_as_hopeless(self):
         _, table = toy_table()
-        assert table.error("b", "mv") == 1.0
+        assert table.error(1, 2) == 1.0
 
 
 class TestConfidence:
     def test_no_capable_model_centers_at_zero(self):
         _, table = toy_table()
         rng = np.random.default_rng(0)
-        center = best_loaded_accuracy(table, "v", ["m0", "m1"])
+        center = best_loaded_accuracy(table, 2, [0, 1])
         zs = [
             confidence_from_noise(center, float(rng.standard_normal()), 0.01)
             for _ in range(200)
@@ -56,9 +57,9 @@ class TestConfidence:
     def test_zero_noise_is_deterministic_plugin(self):
         _, table = toy_table()
         # best loaded model has error 0.3 -> accuracy 0.7; adding m1 (0.1) -> 0.9
-        z = confidence_from_noise(best_loaded_accuracy(table, "a", ["m0"]), 5.0, 0.0)
+        z = confidence_from_noise(best_loaded_accuracy(table, 0, [0]), 5.0, 0.0)
         assert z == pytest.approx(0.7)
-        z = confidence_from_noise(best_loaded_accuracy(table, "a", ["m0", "m1"]), 5.0, 0.0)
+        z = confidence_from_noise(best_loaded_accuracy(table, 0, [0, 1]), 5.0, 0.0)
         assert z == pytest.approx(0.9)
 
     def test_monte_carlo_mean_in_clamp_free_region(self):
@@ -78,17 +79,17 @@ class TestConfidence:
 class TestInferenceError:
     def test_empty_placement_always_fails(self):
         _, table = toy_table()
-        job = Job("j", "a", "n1_0", 1.0, (1, 1, 1))
-        assert select_model(table, "a", []) is None
-        assert inference_error(job, select_model(table, "a", [])) == 1
+        job = Job(0, 0, 0, 1.0, (1, 1, 1))
+        assert select_model(table, 0, []) is None
+        assert inference_error(job, select_model(table, 0, [])) == 1
 
     def test_selection_rule_prefers_lowest_expected_error(self):
         _, table = toy_table()
         # m1 has error 0.1 on task a vs m0's 0.3; job correct under m1 only
-        job = Job("j", "a", "n1_0", 1.0, (0, 1, 0))
-        assert select_model(table, "a", ["m0", "m1"]) == table.column["m1"] == 1
-        assert inference_error(job, select_model(table, "a", ["m0", "m1"])) == 0
-        assert inference_error(job, table.column["m0"]) == 1
+        job = Job(0, 0, 0, 1.0, (0, 1, 0))
+        assert select_model(table, 0, [0, 1]) == 1
+        assert inference_error(job, select_model(table, 0, [0, 1])) == 0
+        assert inference_error(job, 0) == 1
 
     def test_selection_tie_breaks_by_lowest_id(self):
         models = [
@@ -96,7 +97,8 @@ class TestInferenceError:
             ModelSpec("m0", 1.0, frozenset(["text"]), {"a": 0.2}),
         ]
         table = ErrorTable(["a"], models, {"a": "text"})
-        assert select_model(table, "a", ["m0", "m1"]) == table.column["m0"] == 1
+        assert table.model_ids[1] == "m0"
+        assert select_model(table, 0, [0, 1]) == 1
 
     def test_tie_break_by_id_reads_the_chosen_column(self):
         # columns run zb, ma, ab (not id order); ab and zb tie on task a, so
@@ -108,16 +110,17 @@ class TestInferenceError:
             ModelSpec("ab", 1.0, frozenset(["text"]), {"a": 0.2}),
         ]
         table = ErrorTable(["a"], models, {"a": "text"})
-        column = select_model(table, "a", ["zb", "ma", "ab"])
+        assert table.by_id == (2, 1, 0)
+        column = select_model(table, 0, {0, 1, 2})
         assert column == 2
-        assert inference_error(Job("j", "a", "n1_0", 1.0, (1, 1, 0)), column) == 1
-        assert inference_error(Job("j", "a", "n1_0", 1.0, (0, 0, 1)), column) == 0
-        assert select_model(table, "a", ["zb", "ma"]) == 0
+        assert inference_error(Job(0, 0, 0, 1.0, (1, 1, 0)), column) == 1
+        assert inference_error(Job(0, 0, 0, 1.0, (0, 0, 1)), column) == 0
+        assert select_model(table, 0, {0, 1}) == 0
 
     def test_best_loaded_accuracy(self):
         _, table = toy_table()
-        assert best_loaded_accuracy(table, "a", ["m0", "mv"]) == pytest.approx(0.7)
-        assert best_loaded_accuracy(table, "v", ["m0", "m1"]) == 0.0
+        assert best_loaded_accuracy(table, 0, [0, 2]) == pytest.approx(0.7)
+        assert best_loaded_accuracy(table, 2, [0, 1]) == 0.0
 
 
 def make_workload(seed=0, mean=2.0):
@@ -138,8 +141,7 @@ class TestGeneration:
         b = make_workload(seed=3)
         for t in range(1, 30):
             ja, jb = a.generate_slot(t), b.generate_slot(t)
-            assert [(j.job_id, j.task_type, j.entry_node, j.size_units, j.correctness) for j in ja] == \
-                   [(j.job_id, j.task_type, j.entry_node, j.size_units, j.correctness) for j in jb]
+            assert ja == jb
 
     def test_jobs_carry_complete_correctness(self):
         wl = make_workload()
@@ -149,19 +151,18 @@ class TestGeneration:
             t += 1
             jobs.extend(wl.generate_slot(t))
         for job in jobs:
-            assert len(job.correctness) == len(wl.model_ids)
+            assert len(job.correctness) == len(wl.error_table.model_ids)
             assert all(v in (0, 1) for v in job.correctness)
             assert job.size_units > 0
 
     def test_empirical_mixture_matches_draw(self):
         # per-node task frequencies within multinomial bounds over 10^4 slots
         wl = make_workload(seed=11, mean=2.0)
-        counts = {n: np.zeros(len(wl.tasks)) for n in wl.arrivals.task_mixture}
-        index = {t: i for i, t in enumerate(wl.tasks)}
+        counts = [np.zeros(len(wl.tasks)) for _ in wl.arrivals.task_mixture]
         for t in range(1, 10_001):
             for job in wl.generate_slot(t):
-                counts[job.entry_node][index[job.task_type]] += 1
-        for node, probs in wl.arrivals.task_mixture.items():
+                counts[job.entry][job.task] += 1
+        for node, probs in enumerate(wl.arrivals.task_mixture):
             n = counts[node].sum()
             emp = counts[node] / n
             bound = 3.0 * np.sqrt(probs * (1 - probs) / n) + 5e-3
@@ -199,18 +200,19 @@ class TestDirichletMixtures:
     def test_mass_split_pinned(self):
         rng = np.random.default_rng(0)
         mix = dirichlet_mixtures(
-            ["h", "a", "b"], ["h"], ["e0", "e1"], hard_fraction=0.11, alpha=1.0, rng=rng
+            ["h", "a", "b"], ["h"], 2, hard_fraction=0.11, alpha=1.0, rng=rng
         )
-        for probs in mix.values():
+        assert len(mix) == 2
+        for probs in mix:
             assert probs.sum() == pytest.approx(1.0)
             assert probs[0] == pytest.approx(0.11)
 
     def test_distinct_mixtures_per_entry(self):
         rng = np.random.default_rng(0)
         mix = dirichlet_mixtures(
-            [f"t{i}" for i in range(10)], ["t0"], ["e0", "e1"], 0.11, 1.0, rng
+            [f"t{i}" for i in range(10)], ["t0"], 2, 0.11, 1.0, rng
         )
-        assert not np.allclose(mix["e0"], mix["e1"])
+        assert not np.allclose(mix[0], mix[1])
 
 
 class TestSyntheticCatalog:
@@ -224,8 +226,8 @@ class TestSyntheticCatalog:
         table = ErrorTable(tasks, models, modality)
         for t in hard:
             assert modality[t] == "text"
-            for m in models:
-                assert table.error(t, m.model_id) == 1.0
+            for column in range(len(models)):
+                assert table.error(tasks.index(t), column) == 1.0
 
     def test_structure_seed_fixes_catalog(self):
         a = synthetic_catalog(13, 0.38, 2, 2, DEFAULT_MODEL_POOL, structure_seed=9)
