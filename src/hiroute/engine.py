@@ -550,10 +550,9 @@ class _Run:
         entropy = self.table.mean_entropy() if self.table is not None else 0.0
         if self._metrics_writer is not None:
             self._metrics_writer.writerow(
-                [t, len(jobs), slot_errors, slot_hard, slot_hits, slot_feedback,
-                 repr(entropy), repr(drift)]
-                + [repr(costs[n]) for n in self.queued_by_id]
-                + [repr(queue[n]) for n in self.queued_by_id]
+                [t, len(jobs), slot_errors, slot_hard, slot_hits, slot_feedback, entropy, drift]
+                + [costs[n] for n in self.queued_by_id]
+                + [queue[n] for n in self.queued_by_id]
             )
 
     def _write_path(

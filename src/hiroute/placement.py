@@ -3,7 +3,10 @@
 The placement utility for a node is the expected accuracy of the best loaded
 model under the node's task mixture, minus a switching penalty proportional
 to newly loaded bytes. Its error-reduction part is submodular, so a density
-greedy with an early stop on negative gain fills the memory knapsack.
+greedy with an early stop on negative gain fills the memory knapsack. Its
+gains are error reductions below the chosen set's running per-task minimum,
+``max(m - error, 0)``, so a dominated column gains exactly 0; ``utility``
+still defines the best single model and the final comparison.
 """
 from __future__ import annotations
 
@@ -52,18 +55,13 @@ class PlacementContext:
         if total > 0:
             self.mixture = self.mixture / total
 
-    def min_error(self, subset: Sequence[int]) -> np.ndarray:
-        """Per-task min expected error over the columns; empty set gives 1."""
-        if not subset:
-            return np.ones(len(self.error_table.tasks))
-        return self.error_table.matrix[:, subset].min(axis=1)
-
 
 def utility(ctx: PlacementContext, subset: Collection[int]) -> float:
     """Expected best-model accuracy under the mixture, minus switching cost."""
     table = ctx.error_table
     chosen = table.in_id_order(subset)  # the penalty sums in id order
-    expected_acc = float(np.dot(ctx.mixture, 1.0 - ctx.min_error(chosen)))
+    errors = table.matrix[:, chosen].min(axis=1) if chosen else np.ones(len(table.tasks))
+    expected_acc = float(np.dot(ctx.mixture, 1.0 - errors))
     penalty = ctx.switch_penalty * sum(
         table.sizes[c] for c in chosen if c not in ctx.previous
     )
@@ -82,46 +80,48 @@ def greedy_onload(ctx: PlacementContext, budget: float) -> frozenset[int]:
     """Fill the memory knapsack with the table's models by descending
     marginal gain per unit size.
 
-    The density pass stops as soon as its densest feasible candidate has
-    negative gain, or nothing else fits; ties break toward the lowest model
-    id. The result is then compared against the best single feasible model —
-    the standard completion that protects against a dense small pick
-    blocking a high-value large one and underwrites the half-of-optimum
-    guarantee.
+    Each round scores every feasible column in one product against ``m``,
+    the per-task minimum error of the chosen set (ones when empty): the
+    mixture-weighted ``max(m - error, 0)``, less the switch penalty if new.
+    A column that lowers no task's error adds only exact zeros, so its error
+    gain is exactly 0 in any summation order. The pass stops when its densest
+    feasible candidate has negative gain, or nothing else fits; ties break
+    toward the lowest model id. ``utility`` then compares the result against
+    the best single feasible model — the standard completion that protects
+    against a dense small pick blocking a high-value large one and
+    underwrites the half-of-optimum guarantee.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    sizes = ctx.error_table.sizes
+    table = ctx.error_table
+    sizes = table.sizes
+    singles = [(utility(ctx, (c,)), c) for c in table.by_id if sizes[c] <= budget + 1e-12]
     chosen: set[int] = set()
     remaining = float(budget)
-    singles: dict[int, float] = {}  # first round: the utility of each model alone
+    m = np.ones(len(table.tasks))
     while True:
-        current = utility(ctx, chosen)  # each gain is marginal_gain(ctx, column, chosen)
-        best = None
-        best_density = -np.inf
-        best_gain = 0.0
-        for column in ctx.error_table.by_id:
-            if column in chosen or sizes[column] > remaining + 1e-12:
-                continue
-            value = utility(ctx, chosen | {column})
-            if not chosen:
-                singles[column] = value
-            gain = value - current
+        cands = [c for c in table.by_id if c not in chosen and sizes[c] <= remaining + 1e-12]
+        if not cands:
+            break
+        gains = np.dot(ctx.mixture, np.maximum(m[:, None] - table.matrix[:, cands], 0.0))
+        best, best_density, best_gain = None, -np.inf, 0.0
+        for column, gain in zip(cands, gains.tolist()):
+            if column not in ctx.previous:
+                gain -= ctx.switch_penalty * sizes[column]
             density = gain / sizes[column]
             if density > best_density + 1e-15:
                 best, best_density, best_gain = column, density, gain
-        if best is None:
-            break
-        if best_gain < 0:
+        if best is None or best_gain < 0:
             break
         chosen.add(best)
         remaining -= sizes[best]
+        m = np.minimum(m, table.matrix[:, best])
     result = frozenset(chosen)
     best_single = None
-    for column, value in singles.items():
+    for value, column in singles:
         if best_single is None or value > best_single[0] + 1e-15:
             best_single = (value, column)
-    if best_single is not None and best_single[0] > current + 1e-12:
+    if best_single is not None and best_single[0] > utility(ctx, result) + 1e-12:
         result = frozenset({best_single[1]})
     return result
 

@@ -26,6 +26,37 @@ def make_ctx(errors, sizes, mixture, penalty=0.0, previous=()):
     return PlacementContext(np.array([mixture[t] for t in tasks]), table, penalty, previous)
 
 
+def reference_greedy(ctx, budget):
+    """The textbook density greedy: one marginal_gain per candidate per
+    round, then the best single feasible model by utility."""
+    chosen, remaining = set(), float(budget)
+    sizes = ctx.error_table.sizes
+    pool = sorted(range(len(sizes)), key=ctx.error_table.model_ids.__getitem__)
+    while True:
+        best_id, best_density, best_gain = None, -np.inf, 0.0
+        for column in pool:
+            if column in chosen or sizes[column] > remaining + 1e-12:
+                continue
+            gain = marginal_gain(ctx, column, chosen)
+            density = gain / sizes[column]
+            if density > best_density + 1e-15:
+                best_id, best_density, best_gain = column, density, gain
+        if best_id is None or best_gain < 0:
+            break
+        chosen.add(best_id)
+        remaining -= sizes[best_id]
+    result = frozenset(chosen)
+    best_single = None
+    for column in pool:
+        if sizes[column] <= budget + 1e-12:
+            value = utility(ctx, {column})
+            if best_single is None or value > best_single[0] + 1e-15:
+                best_single = (value, column)
+    if best_single is not None and best_single[0] > utility(ctx, result) + 1e-12:
+        result = frozenset({best_single[1]})
+    return result
+
+
 class TestUtility:
     def test_empty_set_is_zero(self):
         ctx = make_ctx({"m0": {"a": 0.3}}, {"m0": 2.0}, {"a": 1.0}, penalty=0.1)
@@ -156,36 +187,9 @@ class TestGreedy:
             assert got >= best - 0.25 - 1e-9
 
     def test_matches_marginal_gain_reference(self):
-        # greedy_onload computes utility(chosen) once per round; the result
-        # must equal the textbook loop over marginal_gain and the best single
-        def reference(ctx, budget):
-            chosen, remaining = set(), float(budget)
-            sizes = ctx.error_table.sizes
-            pool = sorted(range(len(sizes)), key=ctx.error_table.model_ids.__getitem__)
-            while True:
-                best_id, best_density, best_gain = None, -np.inf, 0.0
-                for column in pool:
-                    if column in chosen or sizes[column] > remaining + 1e-12:
-                        continue
-                    gain = marginal_gain(ctx, column, chosen)
-                    density = gain / sizes[column]
-                    if density > best_density + 1e-15:
-                        best_id, best_density, best_gain = column, density, gain
-                if best_id is None or best_gain < 0:
-                    break
-                chosen.add(best_id)
-                remaining -= sizes[best_id]
-            result = frozenset(chosen)
-            best_single = None
-            for column in pool:
-                if sizes[column] <= budget + 1e-12:
-                    value = utility(ctx, {column})
-                    if best_single is None or value > best_single[0] + 1e-15:
-                        best_single = (value, column)
-            if best_single is not None and best_single[0] > utility(ctx, result) + 1e-12:
-                result = frozenset({best_single[1]})
-            return result
-
+        # greedy_onload scores each round's candidates in one gain product;
+        # the result must equal the textbook loop over marginal_gain and the
+        # best single
         rng = np.random.default_rng(8)
         for _ in range(500):
             n = int(rng.integers(1, 8))
@@ -200,7 +204,55 @@ class TestGreedy:
             ctx = make_ctx(errors, sizes, {f"t{j}": mix[j] for j in range(n_tasks)},
                            penalty=float(rng.uniform(0, 0.3)), previous=prev)
             budget = float(rng.integers(0, 10))
-            assert greedy_onload(ctx, budget) == reference(ctx, budget)
+            assert greedy_onload(ctx, budget) == reference_greedy(ctx, budget)
+
+    def test_tie_heavy_instances(self):
+        # coarse errors, equal sizes, uniform mixtures and penalties that can
+        # cancel an error gain exactly: a net gain that is 0 in real
+        # arithmetic may round either way in either form, so the chosen sets
+        # may differ, but never the utility
+        grid = [0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            n_tasks = int(rng.integers(1, 5))
+            errors = {
+                f"m{i}": {f"t{j}": float(rng.choice(grid)) for j in range(n_tasks)}
+                for i in range(n)
+            }
+            sizes = {f"m{i}": 1.0 for i in range(n)}
+            prev = {i for i in range(n) if rng.random() < 0.5}
+            ctx = make_ctx(errors, sizes, {f"t{j}": 1.0 for j in range(n_tasks)},
+                           penalty=float(rng.choice([0.0, 0.025, 0.05, 0.1, 0.2])),
+                           previous=prev)
+            budget = float(rng.integers(0, n + 1))
+            got = greedy_onload(ctx, budget)
+            assert len(got) <= budget
+            assert utility(ctx, got) == pytest.approx(
+                utility(ctx, reference_greedy(ctx, budget)), abs=1e-12
+            )
+
+    def test_dominated_previous_columns_gain_exactly_zero(self):
+        # column m0 dominates the others, and all are loaded already: once m0
+        # is chosen every other column gains exactly 0.0, never -1 ulp, so
+        # the greedy does not stop until the budget is full
+        grid = [0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            n = int(rng.integers(2, 8))
+            n_tasks = int(rng.integers(1, 5))
+            low = rng.integers(0, len(grid), size=n_tasks)  # m0's grid index per task
+            errors = {
+                f"m{i}": {
+                    f"t{j}": grid[int(rng.integers(low[j], len(grid))) if i else low[j]]
+                    for j in range(n_tasks)
+                }
+                for i in range(n)
+            }
+            ctx = make_ctx(errors, {f"m{i}": 1.0 for i in range(n)},
+                           {f"t{j}": 1.0 for j in range(n_tasks)},
+                           penalty=0.1, previous=set(range(n)))
+            assert greedy_onload(ctx, float(n)) == frozenset(range(n))
 
     def test_error_gain_nonincreasing_along_greedy_sequence(self):
         rng = np.random.default_rng(5)
