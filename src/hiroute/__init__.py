@@ -23,7 +23,7 @@ from .placement import (
     utility,
 )
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
-from .topology import NodeRef, Topology, TopologyError, build_topology
+from .topology import Topology, TopologyError, build_topology
 from .workload import (
     ArrivalModel,
     ErrorTable,

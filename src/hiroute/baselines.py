@@ -52,16 +52,16 @@ def static_action(
     return 1 + counter % num_dests
 
 
-def calibrate_offload_prob(
-    topo: Topology, stats: WorkloadStats, gamma: float
-) -> float:
+def calibrate_offload_prob(topo: Topology, stats: WorkloadStats) -> float:
     """Aggregate offload probability keeping layer-2 inbound within budget.
 
-    Each second-layer node serves |N1|/|N2| entry nodes, so an entry node's
-    effective outbound allowance is gamma * |N2| / |N1| per slot; dividing by
-    the expected cost an entry node would emit at full offload gives the
+    Each second-layer node serves |N1|/|N2| entry nodes, so with the
+    topology's per-slot resource budget gamma an entry node's effective
+    outbound allowance is gamma * |N2| / |N1| per slot; dividing by the
+    expected cost an entry node would emit at full offload gives the
     probability. Deeper layers see geometrically less traffic and are slack.
     """
+    gamma = topo.resource_budget[topo.layers[1][0]]
     share = gamma * len(topo.layers[1]) / len(topo.layers[0])
     expected_cost = stats.arrival_rate_per_entry * stats.mean_job_size
     if expected_cost <= 0:

@@ -47,9 +47,8 @@ class QueueState:
 
     @classmethod
     def initial(cls, topo: Topology) -> "QueueState":
-        _, layers, _ = topo.index_tables()
-        values = [0.0] * sum(len(layer) for layer in layers)
-        return cls(values=values, nodes=tuple(i for layer in layers[1:] for i in layer))
+        nodes = tuple(i for layer in topo.layers[1:] for i in layer)
+        return cls(values=[0.0] * topo.num_nodes, nodes=nodes)
 
     def apply_slot(self, costs: Sequence[float], budgets: Sequence[float]) -> None:
         """Update every queue from the slot's total inbound costs; both lists

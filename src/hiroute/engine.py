@@ -10,6 +10,8 @@ from the run seed, so a (config, seed) pair reproduces its metrics stream
 byte for byte.
 
 The core works on integers: node indices, task indices and model columns.
+Node ids, layers, destinations and budgets by node index are the tables
+``build_topology`` builds once from the config's ``topology`` section.
 A job carries its sequence number, task index and entry node index; the
 expert, baseline, regret and per-epoch placement tables and the epoch task
 histograms are keyed by (node, task) index, and placements are sets of
@@ -178,15 +180,6 @@ class RegretTracker:
         return out
 
 
-def build_topology_from_config(cfg: Mapping[str, Any]) -> Topology:
-    t = cfg["topology"]
-    return build_topology(
-        layer_sizes=t["layer_sizes"],
-        memory_budgets=t["memory_budgets"],
-        resource_budget=t["resource_budget"],
-    )
-
-
 def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workload:
     """Assemble the per-seed job source described by the config.
 
@@ -196,7 +189,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     """
     w = cfg["workload"]
     # entry node indices come first; arrivals pick them in id order
-    entry_ids = [n.node_id for n in topo.entry_nodes()]
+    entries = topo.entry_nodes()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     if w["kind"] == "synthetic":
         hard_count = w["hard_task_types"] if w["hard_task_fraction"] > 0 else 0
@@ -231,7 +224,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     mixtures = dirichlet_mixtures(
         tasks=tasks,
         hard_tasks=hard_tasks,
-        num_entries=len(entry_ids),
+        num_entries=len(entries),
         hard_fraction=w["hard_task_fraction"] if w["kind"] == "synthetic" else 0.0,
         alpha=w["mixture_concentration"],
         rng=rng,
@@ -253,7 +246,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         task_modality=modality,
         models=models,
         arrivals=arrivals,
-        entry_order=sorted(range(len(entry_ids)), key=entry_ids.__getitem__),
+        entry_order=sorted(entries, key=topo.node),
         noise_std=w["confidence_noise_std"],
         task_size_ranges=task_sizes,
         seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(2,)).generate_state(1)[0]),
@@ -313,15 +306,14 @@ class _Run:
         self.seed = seed
         self.policy = cfg["policy"]
         self.learning = self.policy in LEARNING_KINDS
-        self.topo = build_topology_from_config(cfg)
-        self.workload = build_workload(cfg, self.topo, seed)
+        topo = self.topo = build_topology(**cfg["topology"])
+        self.workload = build_workload(cfg, topo, seed)
         self.error_table = self.workload.error_table
         self.task_ids = self.workload.tasks
-        # node tables: the core works on node indices; destinations are in
-        # uplinks order, the order of every expert grid and action distribution
-        self.node_ids, self.layers, self.dests = self.topo.index_tables()
-        self.layer_of = [k for k, layer in enumerate(self.layers, start=1) for _ in layer]
-        self.terminal = frozenset(self.layers[-1])
+        # the topology's node tables, read by node index in the slot loop
+        self.node_ids, self.layers, self.dests = topo.node_ids, topo.layers, topo.dests
+        self.layer_of = topo.node_layer
+        self.terminal = frozenset(topo.terminal_nodes())
         # the nodes every loss sweep reads besides the entry
         self.middle = tuple(i for layer in self.layers[1:-1] for i in layer)
         self.noise_std = self.workload.noise_std
@@ -330,18 +322,14 @@ class _Run:
         self.rng_route = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(3,))
         )
-        self.queues = QueueState.initial(self.topo)
-        # per node index; entry nodes have neither a budget nor a queue
-        self.budgets = [self.topo.resource_budget.get(n, 0.0) for n in self.node_ids]
-        # per node index; None at the unbounded terminal nodes
-        self.memory_budgets = [self.topo.memory_budget.get(n) for n in self.node_ids]
+        self.queues = QueueState.initial(topo)
         # the queued nodes in output order (by id, n2_10 before n2_2): the
         # metrics.csv columns and the summary's cost and queue maps
-        self.queued_by_id = tuple(sorted(self.queues.nodes, key=self.node_ids.__getitem__))
+        self.queued_by_id = tuple(sorted(self.queues.nodes, key=topo.node))
         self.epoch_slots = int(cfg["placement"]["epoch_slots"])
         self.switch_penalty = float(cfg["placement"]["switch_penalty"])
         self.placement_kind = cfg["placement"]["kind"]
-        self.placement = Placement(loaded=[frozenset()] * len(self.node_ids))
+        self.placement = Placement(loaded=[frozenset()] * topo.num_nodes)
         # (epoch slot, node index, loaded columns) per node and epoch
         self.placement_log: list[tuple[int, int, frozenset[int]]] = []
         self._new_histogram()
@@ -350,7 +338,7 @@ class _Run:
         if self.placement_kind in ("random_fixed", "layer_diverse"):
             self.placement = baseline_placement(
                 self.placement_kind,
-                self.topo,
+                topo,
                 self.error_table,
                 seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(4,)).generate_state(1)[0]),
             )
@@ -361,6 +349,8 @@ class _Run:
         self.table: ExpertTable | None = None
         self.baselines: BaselineTable | None = None
         self.static_cfg: StaticPolicyConfig | None = None
+        self.regret: RegretTracker | None = None
+        self.record_regret = bool(cfg["run"]["record_regret"]) and self.learning
         if self.learning:
             self.variant = variant_flags(self.policy)
             thresholds = resolve_thresholds(cfg)
@@ -379,22 +369,20 @@ class _Run:
                 num_tasks=len(self.task_ids),
                 ema_rate=cfg["learning"]["baseline_ema_rate"],
             )
+            if self.record_regret:
+                total = cfg["run"]["total_jobs"]
+                step = max(1, total // 10)
+                self.regret = RegretTracker(
+                    set(topo.entry_nodes()), {*range(step, total + 1, step), total},
+                    len(thresholds),
+                )
         else:
             prob = cfg["static"]["offload_prob"]
             if prob is None:
-                prob = calibrate_offload_prob(
-                    self.topo, self.workload.stats(), cfg["topology"]["resource_budget"]
-                )
+                prob = calibrate_offload_prob(topo, self.workload.stats())
             self.static_cfg = StaticPolicyConfig(kind=self.policy, offload_prob=float(prob))
 
-        self.record_regret = bool(cfg["run"]["record_regret"]) and self.learning
         self.record_paths = bool(cfg["run"]["record_paths"])
-        total = cfg["run"]["total_jobs"]
-        step = max(1, total // 10)
-        self.regret = RegretTracker(
-            set(self.layers[0]), {*range(step, total + 1, step), total},
-            len(resolve_thresholds(cfg)),
-        )
         self.baseline_epoch_log: list[dict[str, Any]] = []
 
         # Totals
@@ -403,7 +391,7 @@ class _Run:
         self.total_hard = 0
         self.total_hits = 0
         self.total_feedback = 0
-        self.total_cost = [0.0] * len(self.node_ids)
+        self.total_cost = [0.0] * topo.num_nodes
         self.slots_run = 0
 
         self.out_dir = out_dir
@@ -445,7 +433,7 @@ class _Run:
             return
         everything = frozenset(range(len(self.error_table.models)))
         new_loaded: list[frozenset[int]] = []
-        for i, budget in enumerate(self.memory_budgets):
+        for i, budget in enumerate(self.topo.memory_budget):
             if i in self.terminal:
                 new_loaded.append(frozenset())
                 continue
@@ -459,7 +447,7 @@ class _Run:
             new_loaded.append(chosen)
             self.placement_log.append((t, i, chosen))
         self.placement = Placement(loaded=new_loaded)
-        self.placement.check_feasible(self.memory_budgets, self.error_table.sizes)
+        self.placement.check_feasible(self.topo.memory_budget, self.error_table.sizes)
         self._index_placement()
         self._first_epoch_done = True
         self._new_histogram()
@@ -537,7 +525,7 @@ class _Run:
             self.table.refresh_dirty()
 
         drift = drift_penalty_diagnostic(queue, costs, self.queues.nodes, slot_errors, self.v)
-        self.queues.apply_slot(costs, self.budgets)
+        self.queues.apply_slot(costs, self.topo.resource_budget)
         for n in self.queues.nodes:
             self.total_cost[n] += costs[n]
         self.total_jobs_done += len(jobs)

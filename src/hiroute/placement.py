@@ -151,14 +151,14 @@ def baseline_placement(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     loaded: list[frozenset[int]] = []
     for node in topo.nodes():
-        if node.layer == topo.num_layers:
+        if topo.is_terminal(node):
             loaded.append(frozenset())
             continue
         if kind == "random_fixed":
             candidates = table.by_id
         else:
-            candidates = groups[node.layer - 1]
-        budget = topo.memory_budget[node.node_id]
+            candidates = groups[topo.layer_of(node) - 1]
+        budget = topo.memory_budget[node]
         picked: set[int] = set()
         while True:
             feasible = [

@@ -1,63 +1,38 @@
-"""Layered node hierarchy: layer structure, uplink fan-out, per-node budgets.
+"""Layered node hierarchy as integer node tables, built once.
 
-Node ids are strings of the form ``n<layer>_<index>`` (1-based layers).
-Layer 1 nodes receive jobs; the single terminal layer answers every job it
-receives. Topologies are immutable after construction and safe to share
-across concurrently running experiments.
+Nodes are indices ``0..N-1``, layer by layer; node ``i`` has the id
+``node_ids[i]``, of the form ``n<layer>_<index>`` (1-based layers). Layer 1
+nodes receive jobs; the single terminal layer answers every job it receives.
+Fan-out is full: a node's destinations are every node of the next layer,
+sorted by id (``n2_10`` before ``n2_2``), which is the order of every expert
+grid and action distribution. Topologies are immutable after construction
+and safe to share across concurrently running experiments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 class TopologyError(ValueError):
     """Raised for structurally invalid hierarchies."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeRef:
-    """A node id together with the (1-based) layer it belongs to."""
-
-    node_id: str
-    layer: int
-
-
 @dataclass(frozen=True)
 class Topology:
     """A K-layer hierarchy with full fan-out between adjacent layers.
 
-    ``memory_budget`` covers layers 1..K-1 (the terminal layer is unbounded);
-    ``resource_budget`` covers layers 2..K (entry nodes receive no offloads).
+    Every per-node table is indexed by node index. ``memory_budget`` is None
+    at the unbounded terminal nodes; ``resource_budget`` is 0.0 at the entry
+    nodes, which receive no offloads.
     """
 
-    layers: tuple[tuple[str, ...], ...]
-    memory_budget: Mapping[str, float]
-    resource_budget: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        if len(self.layers) < 2:
-            raise TopologyError("a hierarchy needs at least 2 layers")
-        seen: set[str] = set()
-        for k, layer in enumerate(self.layers, start=1):
-            if not layer:
-                raise TopologyError(f"layer {k} is empty")
-            for node_id in layer:
-                if node_id in seen:
-                    raise TopologyError(f"duplicate node id {node_id!r}")
-                seen.add(node_id)
-        for k, layer in enumerate(self.layers, start=1):
-            for node_id in layer:
-                if k < self.num_layers:
-                    if node_id not in self.memory_budget:
-                        raise TopologyError(f"missing memory budget for {node_id}")
-                    if self.memory_budget[node_id] <= 0:
-                        raise TopologyError(f"nonpositive memory budget for {node_id}")
-                if k > 1:
-                    if node_id not in self.resource_budget:
-                        raise TopologyError(f"missing resource budget for {node_id}")
-                    if self.resource_budget[node_id] <= 0:
-                        raise TopologyError(f"nonpositive resource budget for {node_id}")
+    node_ids: tuple[str, ...]
+    layers: tuple[tuple[int, ...], ...]  # node indices per layer
+    dests: tuple[tuple[int, ...], ...]  # next-layer indices by id; () when terminal
+    node_layer: tuple[int, ...]  # 1-based layer of each node
+    memory_budget: tuple[float | None, ...]
+    resource_budget: tuple[float, ...]
 
     @property
     def num_layers(self) -> int:
@@ -65,57 +40,28 @@ class Topology:
 
     @property
     def num_nodes(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return len(self.node_ids)
 
-    def layer_of(self, node_id: str) -> int:
-        for k, layer in enumerate(self.layers, start=1):
-            if node_id in layer:
-                return k
-        raise TopologyError(f"unknown node id {node_id!r}")
+    def layer_of(self, node: int) -> int:
+        return self.node_layer[node]
 
-    def node(self, node_id: str) -> NodeRef:
-        return NodeRef(node_id, self.layer_of(node_id))
+    def node(self, node: int) -> str:
+        return self.node_ids[node]
 
-    def nodes(self) -> tuple[NodeRef, ...]:
-        return tuple(
-            NodeRef(node_id, k)
-            for k, layer in enumerate(self.layers, start=1)
-            for node_id in layer
-        )
+    def nodes(self) -> range:
+        return range(len(self.node_ids))
 
-    def entry_nodes(self) -> tuple[NodeRef, ...]:
-        return tuple(NodeRef(n, 1) for n in self.layers[0])
+    def entry_nodes(self) -> tuple[int, ...]:
+        return self.layers[0]
 
-    def terminal_nodes(self) -> tuple[NodeRef, ...]:
-        return tuple(NodeRef(n, self.num_layers) for n in self.layers[-1])
+    def terminal_nodes(self) -> tuple[int, ...]:
+        return self.layers[-1]
 
-    def is_terminal(self, node_id: str) -> bool:
-        return node_id in self.layers[-1]
+    def is_terminal(self, node: int) -> bool:
+        return not self.dests[node]
 
-    def uplinks(self, node: NodeRef | str) -> tuple[NodeRef, ...]:
-        """All nodes of the next layer, ordered by id for determinism.
-
-        Fan-out is always full: every next-layer node is a valid destination.
-        """
-        ref = self.node(node) if isinstance(node, str) else node
-        if ref.layer >= self.num_layers:
-            raise TopologyError(f"{ref.node_id} is terminal and has no uplinks")
-        return tuple(
-            NodeRef(n, ref.layer + 1) for n in sorted(self.layers[ref.layer])
-        )
-
-    def index_tables(self) -> tuple[tuple, tuple, tuple]:
-        """Node ids by index, in :meth:`nodes` order; each layer's node
-        indices; and each node's destination indices in :meth:`uplinks` order,
-        which sorts by id (``n2_10`` before ``n2_2``), empty when terminal."""
-        ids = tuple(node.node_id for node in self.nodes())
-        index = {node_id: i for i, node_id in enumerate(ids)}
-        layers = tuple(tuple(index[n] for n in layer) for layer in self.layers)
-        dests = tuple(
-            tuple(index[u.node_id] for u in self.uplinks(n)) if n.layer < self.num_layers else ()
-            for n in self.nodes()
-        )
-        return ids, layers, dests
+    def uplinks(self, node: int) -> tuple[int, ...]:
+        return self.dests[node]
 
 
 def build_topology(
@@ -141,22 +87,22 @@ def build_topology(
         if budget is None or budget <= 0:
             raise TopologyError(f"nonpositive memory budget at layer {k}")
 
-    layers = tuple(
-        tuple(f"n{k}_{i}" for i in range(size))
-        for k, size in enumerate(layer_sizes, start=1)
+    num_layers = len(layer_sizes)
+    node_ids = tuple(
+        f"n{k}_{i}" for k, size in enumerate(layer_sizes, start=1) for i in range(size)
     )
-    memory = {
-        node_id: float(memory_budgets[k - 1])  # type: ignore[arg-type]
-        for k, layer in enumerate(layers[:-1], start=1)
-        for node_id in layer
-    }
-    resource = {
-        node_id: float(resource_budget)
-        for layer in layers[1:]
-        for node_id in layer
-    }
+    node_layer = tuple(k for k, size in enumerate(layer_sizes, start=1) for _ in range(size))
+    starts = [sum(layer_sizes[:k]) for k in range(num_layers + 1)]
+    layers = tuple(tuple(range(starts[k], starts[k + 1])) for k in range(num_layers))
+    by_id = [tuple(sorted(layer, key=node_ids.__getitem__)) for layer in layers[1:]] + [()]
     return Topology(
+        node_ids=node_ids,
         layers=layers,
-        memory_budget=memory,
-        resource_budget=resource,
+        dests=tuple(by_id[k - 1] for k in node_layer),
+        node_layer=node_layer,
+        memory_budget=tuple(
+            float(memory_budgets[k - 1]) if k < num_layers else None  # type: ignore[arg-type]
+            for k in node_layer
+        ),
+        resource_budget=tuple(float(resource_budget) if k > 1 else 0.0 for k in node_layer),
     )

@@ -116,14 +116,14 @@ def check_submodularity(tables: int = 20, n_models: int = 4, n_tasks: int = 3) -
     return CheckResult("submodularity", True, f"{tables} random tables clean")
 
 
-def _routes(topo: Topology, node: str) -> list[tuple[str, ...]]:
-    """Every route from ``node``: it stops at its last node, or that node is
-    terminal."""
+def _routes(topo: Topology, node: int) -> list[tuple[int, ...]]:
+    """Every route of node indices from ``node``: it stops at its last node,
+    or that node is terminal."""
     if topo.is_terminal(node):
         return [(node,)]
     routes = [(node,)]
     for up in topo.uplinks(node):
-        routes += [(node, *rest) for rest in _routes(topo, up.node_id)]
+        routes += [(node, *rest) for rest in _routes(topo, up)]
     return routes
 
 
@@ -143,26 +143,25 @@ def check_loss_sweep() -> CheckResult:
     v = 70.0
     for sizes in layer_sizes:
         topo = build_topology(sizes, [10.0] * len(sizes), 0.4)
-        ids, layers, dests = topo.index_tables()
-        index = {node_id: i for i, node_id in enumerate(ids)}
+        layers, dests = topo.layers, topo.dests
         for _ in range(3):
             records = {}  # the job's NodeRecord at every non-terminal node
             for node in (i for layer in layers[:-1] for i in layer):
                 w = rng.dirichlet(np.ones(len(dests[node]) + 1))
                 lam = float(rng.uniform(0.01, 0.3))
                 records[node] = (int(rng.integers(2)), ActionDistribution(w, lam, 0))
-            queue = {n: float(rng.uniform(0, 5)) for layer in topo.layers[1:] for n in layer}
-            queue_row = [queue.get(n, 0.0) for n in ids]
+            queue = {n: float(rng.uniform(0, 5)) for layer in layers[1:] for n in layer}
+            queue_row = [queue.get(n, 0.0) for n in topo.nodes()]
             c = float(rng.uniform(0.5, 4))
             for entry in layers[0]:
                 oracle = DownstreamLossOracle(layers, entry, dests, records, queue_row, v, c)
                 for node in (entry, *(i for layer in layers[1:] for i in layer)):
                     want = np.zeros(3)  # reach prob, expected loss, queue-free loss
-                    for route in _routes(topo, ids[node]):
+                    for route in _routes(topo, node):
                         mixed, raw, hops = 1.0, 1.0, 0.0
                         for here, nxt in zip(route, route[1:]):
-                            dist = records[index[here]][1]
-                            i = dests[index[here]].index(index[nxt]) + 1  # 0 terminates
+                            dist = records[here][1]
+                            i = dests[here].index(nxt) + 1  # 0 terminates
                             mixed *= float(dist.mixed[i])
                             raw *= float(dist.raw[i])
                             hops += queue[nxt] * c
@@ -170,7 +169,7 @@ def check_loss_sweep() -> CheckResult:
                         if topo.is_terminal(last):
                             want += (mixed, raw * hops, 0.0)
                         else:
-                            local_error, dist = records[index[last]]
+                            local_error, dist = records[last]
                             raw *= float(dist.raw[0])
                             stop = v * local_error
                             want += (0.0, raw * (hops + stop), raw * stop)
@@ -180,7 +179,7 @@ def check_loss_sweep() -> CheckResult:
                         topo_name = "-".join(map(str, sizes))
                         return CheckResult(
                             "loss-sweep", False,
-                            f"{topo_name} at {ids[node]}: {got} != {tuple(want.tolist())}",
+                            f"{topo_name} at {topo.node(node)}: {got} != {tuple(want.tolist())}",
                         )
     return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 

@@ -43,7 +43,8 @@ class TestStaticAction:
 
     def test_round_robin_alternates_exactly(self):
         cfg = StaticPolicyConfig(kind="round_robin", offload_prob=1.0)
-        ids, _, dests = topo().index_tables()
+        t = topo()
+        ids, dests = t.node_ids, t.dests
         rng = np.random.default_rng(3)
         actions = [static_action(cfg, 0, len(dests[0]), rng) for _ in range(6)]
         assert [ids[dests[0][a - 1]] for a in actions] == [
@@ -64,26 +65,27 @@ class TestStaticAction:
         # same generator state afterwards. On 3-12-2-1 the uplinks' id order
         # (n2_10 before n2_2) differs from their index order.
         t = build_topology([3, 12, 2, 1], [30, 80, 150, None], 0.4)
-        ids, _, dests = t.index_tables()
+        ids, dests = t.node_ids, t.dests
         assert list(dests[0]) != sorted(dests[0])
         cfg = StaticPolicyConfig(kind=kind, offload_prob=0.7)
         counters = {}
 
-        def reference(node_id, rng):
-            uplinks = t.uplinks(node_id)
+        def reference(node, rng):
+            # the next layer's ids, sorted
+            uplinks = sorted(ids[i] for i in t.layers[t.layer_of(node)])
             if rng.random() >= 0.7:
                 return 0
             if kind == "random":
-                return uplinks[int(rng.integers(len(uplinks)))].node_id
-            counter = counters.get(node_id, 0)
-            counters[node_id] = counter + 1
-            return uplinks[counter % len(uplinks)].node_id
+                return uplinks[int(rng.integers(len(uplinks)))]
+            counter = counters.get(node, 0)
+            counters[node] = counter + 1
+            return uplinks[counter % len(uplinks)]
 
         ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
         picks = np.random.default_rng(6).integers(0, 17, size=3000)  # the non-terminal nodes
         for node in picks.tolist():
             action = static_action(cfg, node, len(dests[node]), ours)
-            want = reference(ids[node], theirs)
+            want = reference(node, theirs)
             assert (ids[dests[node][action - 1]] if action else 0) == want
         assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -96,31 +98,31 @@ class TestCalibration:
     def test_reference_setup_near_012(self):
         # rate x size = 1.667 per entry with a halving topology gives ~0.12
         stats = WorkloadStats(arrival_rate_per_entry=0.25, mean_job_size=20.0 / 3.0)
-        p = calibrate_offload_prob(topo(), stats, 0.4)
+        p = calibrate_offload_prob(topo(), stats)
         assert p == pytest.approx(0.12, abs=0.001)
 
     def test_zero_arrivals_caps_at_one(self):
         stats = WorkloadStats(arrival_rate_per_entry=0.0, mean_job_size=5.0)
-        assert calibrate_offload_prob(topo(), stats, 0.4) == 1.0
+        assert calibrate_offload_prob(topo(), stats) == 1.0
 
     def test_doubling_size_halves_probability(self):
         s1 = WorkloadStats(arrival_rate_per_entry=0.3, mean_job_size=4.0)
         s2 = WorkloadStats(arrival_rate_per_entry=0.3, mean_job_size=8.0)
-        p1 = calibrate_offload_prob(topo(), s1, 0.4)
-        p2 = calibrate_offload_prob(topo(), s2, 0.4)
+        p1 = calibrate_offload_prob(topo(), s1)
+        p2 = calibrate_offload_prob(topo(), s2)
         assert p2 == pytest.approx(p1 / 2)
 
     def test_calibration_saturates_binding_layer_budget(self):
         # inbound cost at a second-layer node under the calibrated probability
         # equals the per-slot budget (the binding constraint) by construction
         from hiroute.config import default_config
-        from hiroute.engine import build_topology_from_config, build_workload
+        from hiroute.engine import build_workload
 
         cfg = default_config()
-        t = build_topology_from_config(cfg)
+        t = build_topology(**cfg["topology"])
         stats = build_workload(cfg, t, 0).stats()
         gamma = cfg["topology"]["resource_budget"]
-        p = calibrate_offload_prob(t, stats, gamma)
+        p = calibrate_offload_prob(t, stats)
         fan_in = len(t.layers[0]) / len(t.layers[1])
         inbound = fan_in * stats.arrival_rate_per_entry * stats.mean_job_size * p
         assert inbound == pytest.approx(gamma, rel=0.1)

@@ -53,7 +53,7 @@ class TestRealizedCost:
                 for node, cost in m.node_costs.items():
                     assert cost == pytest.approx(2.0 * inbound.get((m.slot, node), 0.0))
                     queues[node] = queue_update(
-                        queues[node], cost, run.topo.resource_budget[node]
+                        queues[node], cost, run.topo.resource_budget[run.node_ids.index(node)]
                     )
                 assert m.node_queues == pytest.approx(queues)
 

@@ -16,7 +16,6 @@ from hiroute.config import default_config
 from hiroute.engine import (
     RegretTracker,
     _Run,
-    build_topology_from_config,
     build_workload,
     run_experiment,
     run_single,
@@ -24,6 +23,7 @@ from hiroute.engine import (
 from hiroute.losses import DownstreamLossOracle
 from hiroute.placement import Placement
 from hiroute.policy import ExpertTable
+from hiroute.topology import build_topology
 from hiroute.workload import Job, best_loaded_accuracy, inference_error, select_model
 
 
@@ -93,7 +93,7 @@ class TestRunSlotInvariants:
     def test_paths_strictly_ascend_one_layer_at_a_time(self):
         run, _, paths = run_with_paths(small_config())
         for rec in paths:
-            layers = [run.topo.layer_of(n) for n in rec.path]
+            layers = [run.topo.layer_of(run.node_ids.index(n)) for n in rec.path]
             assert layers == list(range(1, len(layers) + 1))
             assert rec.exit_layer <= run.topo.num_layers
 
@@ -329,11 +329,10 @@ class TestPlacementEpochs:
         run, _, _ = run_with_paths(cfg)
         sizes = run.error_table.sizes
         for slot, node, columns in run.placement_log:
-            node_id = run.node_ids[node]
-            if run.topo.is_terminal(node_id):
+            if run.topo.is_terminal(node):
                 assert columns == frozenset()
                 continue
-            assert sum(sizes[c] for c in columns) <= run.topo.memory_budget[node_id] + 1e-9
+            assert sum(sizes[c] for c in columns) <= run.topo.memory_budget[node] + 1e-9
 
     def test_static_placement_fixed(self):
         cfg = small_config()
@@ -478,7 +477,7 @@ class TestTraceMode:
         cfg = small_config()
         cfg["workload"]["kind"] = "trace"
         cfg["workload"]["trace_path"] = self.trace_path(tmp_path)
-        topo = build_topology_from_config(cfg)
+        topo = build_topology(**cfg["topology"])
         wl = build_workload(cfg, topo, 0)
         jobs = []
         t = 0
@@ -507,7 +506,7 @@ class TestTraceMode:
         cfg = small_config()
         cfg["workload"]["kind"] = "trace"
         cfg["workload"]["trace_path"] = str(path)
-        topo = build_topology_from_config(cfg)
+        topo = build_topology(**cfg["topology"])
         wl = build_workload(cfg, topo, 0)
         assert wl.task_modality == {"q0": "text"}
         assert wl.error_table.model_ids == ("small", "big")
@@ -537,9 +536,9 @@ class TestTraceMode:
         cfg = small_config()
         cfg["workload"]["kind"] = "trace"
         cfg["workload"]["trace_path"] = str(path)
-        topo = build_topology_from_config(cfg)
+        topo = build_topology(**cfg["topology"])
         stats = build_workload(cfg, topo, 0).stats()
         assert stats.mean_job_size == pytest.approx(12.0)
         # layer-2 allowance per entry node: 0.4 * 2 / 4, over 1.33 / 4 jobs of 12 units
-        prob = calibrate_offload_prob(topo, stats, cfg["topology"]["resource_budget"])
+        prob = calibrate_offload_prob(topo, stats)
         assert prob == pytest.approx(0.4 * 2 / 4 / (1.33 / 4 * 12.0))

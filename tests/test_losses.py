@@ -189,12 +189,12 @@ class Oracle:
     """The loss oracle of a job entering at n1_0, queried by node id."""
 
     def __init__(self, topo, views, queue, error_weight, hop_cost):
-        ids, layers, dests = topo.index_tables()
-        self.index = {node_id: i for i, node_id in enumerate(ids)}
+        self.index = {node_id: i for i, node_id in enumerate(topo.node_ids)}
         self.records = records = {self.index[n]: record for n, record in views.items()}
-        queue_row = [queue.get(n, 0.0) for n in ids]
+        queue_row = [queue.get(n, 0.0) for n in topo.node_ids]
         self.oracle = DownstreamLossOracle(
-            layers, self.index["n1_0"], dests, records, queue_row, error_weight, hop_cost
+            topo.layers, self.index["n1_0"], topo.dests, records, queue_row, error_weight,
+            hop_cost,
         )
 
     def reach_prob(self, node_id):
@@ -241,10 +241,10 @@ class TestReachProb:
 
         # the raw policy never offloads
         views = {
-            node_id: (0, ActionDistribution(
-                np.eye(len(topo.uplinks(node_id)) + 1)[0], exploration_rate=lam, cut=0
+            topo.node_ids[node]: (0, ActionDistribution(
+                np.eye(len(topo.dests[node]) + 1)[0], exploration_rate=lam, cut=0
             ))
-            for node_id in (*topo.layers[0], *topo.layers[1])
+            for node in (*topo.layers[0], *topo.layers[1])
         }
         oracle = Oracle(topo, views, {}, 1.0, 1.0)
         floor = (lam / 3) * (lam / 2)
@@ -367,7 +367,7 @@ class TestCutMatchesThresholdMask:
         # both read the cut that action_probs stored; each must equal the
         # construction from the mask of thresholds above the confidence
         topo = build_topology([1, 3, 1], [10, 10, None], 0.4)
-        _, _, dests = topo.index_tables()
+        dests = topo.dests
         grid = ExpertGrid(DEFAULT_THRESHOLDS, dests[0])
         thresholds = np.asarray(DEFAULT_THRESHOLDS)
         experts = ExpertTable({0: grid}, 1, learning_rate=0.1, exploration_rate=0.1)

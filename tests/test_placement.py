@@ -288,9 +288,6 @@ class TestBaselinePlacements:
         ]
         return ErrorTable(["a"], pool[::-1] if reverse else pool, {"a": "text"})
 
-    def budgets(self, topo):
-        return [topo.memory_budget.get(node.node_id) for node in topo.nodes()]
-
     def test_layer_groups_round_robin_sizes(self):
         groups = layer_groups(list(range(23)), 3)
         assert sorted(len(g) for g in groups) == [7, 8, 8]
@@ -300,7 +297,7 @@ class TestBaselinePlacements:
     def test_random_fixed_respects_budgets(self):
         topo, table = self.topo(), self.table()
         placement = baseline_placement("random_fixed", topo, table, seed=3)
-        budgets = self.budgets(topo)
+        budgets = topo.memory_budget
         placement.check_feasible(budgets, table.sizes)
         # budget-filling: nothing else fits on any non-terminal node
         for node, loaded in enumerate(placement.loaded):
@@ -318,7 +315,7 @@ class TestBaselinePlacements:
         loaded = [frozenset()] * topo.num_nodes
         loaded[1] = frozenset(range(23))
         with pytest.raises(ValueError, match="node 1"):
-            Placement(loaded).check_feasible(self.budgets(topo), table.sizes)
+            Placement(loaded).check_feasible(topo.memory_budget, table.sizes)
 
     def test_layer_diverse_uses_own_group_only(self):
         topo = self.topo()
@@ -329,8 +326,8 @@ class TestBaselinePlacements:
             ids = [table.model_ids[c] for c in groups[0]]
             assert ids == [f"m{i:02d}" for i in range(0, 23, 3)]
             for node, loaded in zip(topo.nodes(), placement.loaded):
-                if node.layer < topo.num_layers:
-                    assert loaded <= set(groups[node.layer - 1])
+                if not topo.is_terminal(node):
+                    assert loaded <= set(groups[topo.layer_of(node) - 1])
 
     def test_placements_deterministic_in_seed(self):
         topo = self.topo()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hiroute.config import DEFAULT_MODEL_POOL, default_config
-from hiroute.engine import build_topology_from_config, build_workload
+from hiroute.engine import build_workload
+from hiroute.topology import build_topology
 from hiroute.workload import (
     ErrorTable,
     Job,
@@ -126,8 +127,7 @@ class TestInferenceError:
 def make_workload(seed=0, mean=2.0):
     cfg = default_config()
     cfg["workload"]["mean_jobs_per_slot"] = mean
-    topo = build_topology_from_config(cfg)
-    return build_workload(cfg, topo, seed)
+    return build_workload(cfg, build_topology(**cfg["topology"]), seed)
 
 
 class TestGeneration:
