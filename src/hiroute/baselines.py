@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .topology import Topology
-from .workload import WorkloadStats
 
 STATIC_KINDS = ("pure_local", "random", "round_robin")
 LEARNING_KINDS = ("ly_exp4", "vr_ly_exp4", "vr_local_loss")
@@ -52,18 +51,21 @@ def static_action(
     return 1 + counter % num_dests
 
 
-def calibrate_offload_prob(topo: Topology, stats: WorkloadStats) -> float:
+def calibrate_offload_prob(
+    topo: Topology, arrival_rate_per_entry: float, mean_job_size: float
+) -> float:
     """Aggregate offload probability keeping layer-2 inbound within budget.
 
     Each second-layer node serves |N1|/|N2| entry nodes, so with the
     topology's per-slot resource budget gamma an entry node's effective
     outbound allowance is gamma * |N2| / |N1| per slot; dividing by the
-    expected cost an entry node would emit at full offload gives the
+    expected cost an entry node would emit at full offload (jobs per slot
+    per entry node times the workload's mean job size) gives the
     probability. Deeper layers see geometrically less traffic and are slack.
     """
     gamma = topo.resource_budget[topo.layers[1][0]]
     share = gamma * len(topo.layers[1]) / len(topo.layers[0])
-    expected_cost = stats.arrival_rate_per_entry * stats.mean_job_size
+    expected_cost = arrival_rate_per_entry * mean_job_size
     if expected_cost <= 0:
         return 1.0
     return min(1.0, share / expected_cost)

@@ -12,6 +12,7 @@ import math
 from typing import Any, Mapping
 
 from .baselines import LEARNING_KINDS, STATIC_KINDS
+from .workload import TEXT, VISION
 
 PLACEMENT_KINDS = ("greedy", "random_fixed", "layer_diverse")
 
@@ -160,6 +161,10 @@ def _validate_workload(w: Mapping, prefix: str) -> None:
         seen.add(m["id"])
         _check(_is_number(m["size"]) and m["size"] > 0,
                f"{prefix}.model_pool[{i}].size", "must be positive")
+        mods = m["modalities"]
+        _check(isinstance(mods, list) and mods and all(x in (TEXT, VISION) for x in mods),
+               f"{prefix}.model_pool[{i}].modalities",
+               "must be a non-empty list drawn from 'text' and 'vision'")
         _check(_is_number(m["base_error"]) and 0 <= m["base_error"] <= 1,
                f"{prefix}.model_pool[{i}].base_error", "must lie in [0, 1]")
 

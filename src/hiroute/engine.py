@@ -11,18 +11,20 @@ byte for byte.
 
 The core works on integers: node indices, task indices and model columns.
 Node ids, layers, destinations and budgets by node index are the tables
-``build_topology`` builds once from the config's ``topology`` section.
-A job carries its sequence number, task index and entry node index; the
-expert, baseline, regret and per-epoch placement tables and the epoch task
-histograms are keyed by (node, task) index, and placements are sets of
-model columns. Ids are looked up only where the catalog, the mixtures and
-the trace are read, and where ``metrics.csv``, ``paths.jsonl``,
-``placements.csv`` or ``summary.json`` is written. Every policy draws 0 to
-terminate or i to offload to the node's i-th destination, so one loop routes
-every job. Each placement epoch tables every (node, task)'s best-loaded
-accuracy and selected model column, filled on first lookup, and a job keeps
-one record per node it is evaluated at: local error and action
-distribution. A slot draws its confidence noise in one call.
+``build_topology`` builds once from the config's ``topology`` section; the
+error table, the task mixtures by entry node index and the mean job size
+are the tables ``workload.build_workload`` builds once per run from the
+``workload`` section. A job carries its sequence number, task index and
+entry node index; the expert, baseline, regret and per-epoch placement
+tables and the epoch task histograms are keyed by (node, task) index, and
+placements are sets of model columns. Ids are looked up only where
+``metrics.csv``, ``paths.jsonl``, ``placements.csv`` or ``summary.json`` is
+written. Every policy draws 0 to terminate or i to offload to the node's
+i-th destination, so one loop routes every job. Each placement epoch
+tables every (node, task)'s best-loaded accuracy and selected model column,
+filled on first lookup, and a job keeps one record per node it is evaluated
+at: local error and action distribution. A slot draws its confidence noise
+in one call.
 Learning builds no T×D matrix per job: a job's expert losses, baselines and
 estimates at a node are ``(terminate, offload_row)`` pairs under its cut,
 and the action distributions it reads are shared by every job of the slot
@@ -57,21 +59,14 @@ from .placement import (
     greedy_onload,
 )
 from .policy import DEFAULT_THRESHOLDS, ExpertGrid, ExpertTable
-from .topology import Topology, build_topology
+from .topology import build_topology
 from .workload import (
-    ArrivalModel,
     Job,
-    TraceJobSampler,
-    Workload,
     best_loaded_accuracy,
+    build_workload,
     confidence_from_noise,
-    dirichlet_mixtures,
-    empirical_error_prob,
     inference_error,
-    load_trace,
     select_model,
-    synthetic_catalog,
-    VISION,
 )
 
 
@@ -180,81 +175,6 @@ class RegretTracker:
         return out
 
 
-def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workload:
-    """Assemble the per-seed job source described by the config.
-
-    The task/model universe comes from the structure seed (identical across
-    seeds); mixtures, arrival counts, correctness bits, sizes, and confidence
-    noise come from the run seed.
-    """
-    w = cfg["workload"]
-    # entry node indices come first; arrivals pick them in id order
-    entries = topo.entry_nodes()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    if w["kind"] == "synthetic":
-        hard_count = w["hard_task_types"] if w["hard_task_fraction"] > 0 else 0
-        tasks, modality, models, tiers = synthetic_catalog(
-            num_task_types=w["num_task_types"],
-            vision_fraction=w["vision_fraction"],
-            hard_task_count=hard_count,
-            medium_task_count=w["medium_task_types"],
-            trap_task_count=w["trap_task_types"],
-            model_pool=w["model_pool"],
-            structure_seed=w["structure_seed"],
-        )
-        sampler = None
-        hard_tasks = [t for t, tier in tiers.items() if tier == "hard"]
-        # escalation-bound tiers carry short payloads; easy tasks span the
-        # full per-modality range
-        task_sizes = {}
-        for t in tasks:
-            if modality[t] == VISION:
-                task_sizes[t] = tuple(w["vision_size_range"])
-            elif tiers[t] in ("hard", "medium", "trap"):
-                task_sizes[t] = tuple(w["escalation_size_range"])
-            else:
-                task_sizes[t] = tuple(w["text_size_range"])
-    else:
-        models, trace_jobs, modality = load_trace(w["trace_path"])
-        sampler = TraceJobSampler(trace_jobs)
-        tasks = sampler.tasks
-        models = empirical_error_prob(models, trace_jobs, modality)
-        hard_tasks = []
-        task_sizes = {}  # trace jobs keep their recorded sizes
-    mixtures = dirichlet_mixtures(
-        tasks=tasks,
-        hard_tasks=hard_tasks,
-        num_entries=len(entries),
-        hard_fraction=w["hard_task_fraction"] if w["kind"] == "synthetic" else 0.0,
-        alpha=w["mixture_concentration"],
-        rng=rng,
-    )
-    arrivals = ArrivalModel(
-        mean_jobs_per_slot=w["mean_jobs_per_slot"],
-        task_mixture=mixtures,
-    )
-    hard_set = set(hard_tasks)
-    hard_frac = w["hard_task_fraction"] if (w["kind"] == "synthetic" and hard_set) else 0.0
-    design = np.zeros(len(tasks))
-    for i, t in enumerate(tasks):
-        if t in hard_set:
-            design[i] = hard_frac / len(hard_set)
-        else:
-            design[i] = (1.0 - hard_frac) / max(1, len(tasks) - len(hard_set))
-    return Workload(
-        tasks=tasks,
-        task_modality=modality,
-        models=models,
-        arrivals=arrivals,
-        entry_order=sorted(entries, key=topo.node),
-        noise_std=w["confidence_noise_std"],
-        task_size_ranges=task_sizes,
-        seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(2,)).generate_state(1)[0]),
-        design_mixture=design,
-        job_sampler=sampler,
-    )
-
-
 def resolve_thresholds(cfg: Mapping[str, Any]) -> tuple[float, ...]:
     th = cfg["learning"]["thresholds"]
     return tuple(th) if th is not None else DEFAULT_THRESHOLDS
@@ -309,7 +229,7 @@ class _Run:
         topo = self.topo = build_topology(**cfg["topology"])
         self.workload = build_workload(cfg, topo, seed)
         self.error_table = self.workload.error_table
-        self.task_ids = self.workload.tasks
+        self.task_ids = self.error_table.tasks
         # the topology's node tables, read by node index in the slot loop
         self.node_ids, self.layers, self.dests = topo.node_ids, topo.layers, topo.dests
         self.layer_of = topo.node_layer
@@ -379,7 +299,8 @@ class _Run:
         else:
             prob = cfg["static"]["offload_prob"]
             if prob is None:
-                prob = calibrate_offload_prob(topo, self.workload.stats())
+                rate = cfg["workload"]["mean_jobs_per_slot"] / len(topo.layers[0])
+                prob = calibrate_offload_prob(topo, rate, self.workload.mean_job_size)
             self.static_cfg = StaticPolicyConfig(kind=self.policy, offload_prob=float(prob))
 
         self.record_paths = bool(cfg["run"]["record_paths"])

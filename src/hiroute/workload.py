@@ -10,16 +10,23 @@ Either way a job freezes one correctness bit per model at creation time, so
 the ground truth seen at a node never depends on the path taken to reach it.
 A job is integers and floats only: task index, entry node index, and bits in
 :class:`ErrorTable` column order (the model pool's order, or the trace
-header's). Task, model and entry-node ids are read here, from the catalog,
-the mixtures and the trace, and turned into indices once.
+header's). :func:`build_workload` is the one place task, model and
+entry-node ids are read, from the catalog or the trace; it turns them into
+index tables once per run: the error table, per-task size ranges by task
+index, task mixtures by entry node index, the id-sorted entry draw order,
+and the mean job size that calibrates the static policies.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from .topology import Topology
 
 TEXT = "text"
 VISION = "vision"
@@ -43,8 +50,8 @@ class ModelSpec:
     error_prob: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.memory_size <= 0:
-            raise ValueError(f"model {self.model_id} has nonpositive size")
+        if not (math.isfinite(self.memory_size) and self.memory_size > 0):
+            raise ValueError(f"model {self.model_id} needs a positive finite size")
         for task, p in self.error_prob.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"error_prob out of [0,1] for ({self.model_id}, {task})")
@@ -169,46 +176,35 @@ def inference_error(job: Job, column: int | None) -> int:
     return 1 - job.correctness[column]
 
 
-@dataclass
-class WorkloadStats:
-    """Analytic arrival statistics used by static-policy calibration."""
-
-    arrival_rate_per_entry: float
-    mean_job_size: float
-
-
 class Workload:
     """A job source bound to one run: arrivals, sizes, correctness, confidence
     (``noise_std`` scales the Gaussian noise around the best loaded accuracy).
 
     ``entry_order`` lists the entry node indices in the order the arrival
     draw picks from, sorted by node id (``n1_10`` before ``n1_2``).
+    ``size_ranges`` holds each task index's uniform size range, or is None
+    when ``job_sampler`` draws recorded (size, bits) pairs instead.
+    ``mean_job_size`` is the expected size under the designed task mix.
     """
 
     def __init__(
         self,
-        tasks: Sequence[str],
-        task_modality: Mapping[str, str],
-        models: Sequence[ModelSpec],
+        error_table: ErrorTable,
         arrivals: ArrivalModel,
         entry_order: Sequence[int],
         noise_std: float,
-        task_size_ranges: Mapping[str, tuple[float, float]],
+        size_ranges: Sequence[tuple[float, float]] | None,
+        mean_job_size: float,
         seed: int,
-        design_mixture: np.ndarray,
         job_sampler=None,
     ) -> None:
-        self.tasks = tuple(tasks)
-        self.task_modality = dict(task_modality)
-        self.models = tuple(models)
+        self.error_table = error_table
         self.arrivals = arrivals
         self.noise_std = noise_std
-        self._size_ranges = [task_size_ranges.get(t) for t in self.tasks]
-        self.error_table = ErrorTable(self.tasks, self.models, self.task_modality)
+        self.mean_job_size = mean_job_size
+        self._size_ranges = size_ranges
         self._job_sampler = job_sampler
-        self.design_mixture = design_mixture
-        seq = np.random.SeedSequence(seed)
-        self._rng = np.random.default_rng(seq)
+        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
         self._entry_order = tuple(entry_order)
         # one task CDF per entry node, built as rng.choice(p=...) builds it
         cdfs = [np.cumsum(p) for p in arrivals.task_mixture]
@@ -235,8 +231,8 @@ class Workload:
         else:
             lo, hi = self._size_ranges[task]
             size = float(rng.uniform(lo, hi))
-            draws = rng.random(len(self.models))
-            bits = tuple((draws >= self.error_table.matrix[task]).astype(int).tolist())
+            errors = self.error_table.matrix[task]
+            bits = tuple((rng.random(errors.size) >= errors).astype(int).tolist())
         return Job(seq, task, entry, size, bits)
 
     def confidence_noise(self, num_jobs: int, num_nodes: int) -> np.ndarray:
@@ -246,30 +242,78 @@ class Workload:
         state, of the j-th of ``num_jobs`` draws of ``num_nodes`` each."""
         return self._rng.standard_normal((num_jobs, num_nodes))
 
-    def stats(self) -> WorkloadStats:
-        """Expected per-entry arrival rate and mean job size.
 
-        Uses the designed task distribution, so derived calibrations are
-        identical across seeds; the realized per-seed mixtures only add
-        zero-mean noise around it. A trace task's size is the mean of its
-        recorded sizes, since jobs are drawn uniformly from the task's pool.
-        """
-        rate = self.arrivals.mean_jobs_per_slot / max(1, len(self._entry_order))
-        mean_mass = np.asarray(self.design_mixture, dtype=float)
-        mean_size = 0.0
-        for i in range(len(self.tasks)):
-            if self._job_sampler is not None:
-                task_size = self._job_sampler.mean_size(i)
-            else:
-                lo, hi = self._size_ranges[i]
-                task_size = (lo + hi) / 2.0
-            mean_size += float(mean_mass[i]) * task_size
-        return WorkloadStats(arrival_rate_per_entry=rate, mean_job_size=mean_size)
+def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workload:
+    """Assemble the per-seed job source described by the config.
+
+    The task/model universe comes from the structure seed (identical across
+    seeds) or the trace; the mixtures come from spawn key 1 of the run seed,
+    and arrival counts, correctness bits, sizes and confidence noise from
+    spawn key 2. The mean job size weighs each task's mean size by the
+    designed task mix, not the per-seed mixtures, so a calibration derived
+    from it is identical across seeds. A trace task's mean size is the mean
+    of its recorded sizes, since jobs are drawn uniformly from its pool.
+    """
+    w = cfg["workload"]
+    entries = topo.entry_nodes()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    if w["kind"] == "synthetic":
+        hard_count = w["hard_task_types"] if w["hard_task_fraction"] > 0 else 0
+        tasks, modality, models, tiers = synthetic_catalog(
+            num_task_types=w["num_task_types"],
+            vision_fraction=w["vision_fraction"],
+            hard_task_count=hard_count,
+            medium_task_count=w["medium_task_types"],
+            trap_task_count=w["trap_task_types"],
+            model_pool=w["model_pool"],
+            structure_seed=w["structure_seed"],
+        )
+        sampler = None
+        hard = [i for i, t in enumerate(tasks) if tiers[t] == "hard"]
+        hard_fraction = w["hard_task_fraction"] if hard else 0.0
+        # escalation-bound tiers carry short payloads; easy tasks span the
+        # full per-modality range
+        size_ranges = [
+            tuple(w["vision_size_range"]) if modality[t] == VISION
+            else tuple(w["text_size_range"]) if tiers[t] == "easy"
+            else tuple(w["escalation_size_range"])
+            for t in tasks
+        ]
+        mean_sizes = [(lo + hi) / 2.0 for lo, hi in size_ranges]
+    else:
+        models, records, modality = load_trace(w["trace_path"])
+        sampler = TraceJobSampler(records)
+        tasks = sampler.tasks
+        models = empirical_error_prob(models, sampler, modality)
+        hard = []
+        hard_fraction = 0.0
+        size_ranges = None  # trace jobs keep their recorded sizes
+        mean_sizes = [sum(size for size, _ in pool) / len(pool) for pool in sampler.pools]
+    mixtures = dirichlet_mixtures(
+        len(tasks), hard, len(entries), hard_fraction, w["mixture_concentration"], rng
+    )
+    mean_job_size = 0.0
+    for i, size in enumerate(mean_sizes):
+        if i in hard:
+            mass = hard_fraction / len(hard)
+        else:
+            mass = (1.0 - hard_fraction) / (len(tasks) - len(hard))
+        mean_job_size += mass * size
+    return Workload(
+        error_table=ErrorTable(tasks, models, modality),
+        arrivals=ArrivalModel(w["mean_jobs_per_slot"], mixtures),
+        entry_order=sorted(entries, key=topo.node),
+        noise_std=w["confidence_noise_std"],
+        size_ranges=size_ranges,
+        mean_job_size=mean_job_size,
+        seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(2,)).generate_state(1)[0]),
+        job_sampler=sampler,
+    )
 
 
 def dirichlet_mixtures(
-    tasks: Sequence[str],
-    hard_tasks: Sequence[str],
+    num_tasks: int,
+    hard_tasks: Sequence[int],
     num_entries: int,
     hard_fraction: float,
     alpha: float,
@@ -277,26 +321,22 @@ def dirichlet_mixtures(
 ) -> list[np.ndarray]:
     """Task mixtures by entry node index, with hard-task mass pinned exactly.
 
-    Easy and hard task groups each get an independent Dirichlet(alpha) draw;
-    the groups are then scaled to (1 - hard_fraction) and hard_fraction so the
-    generator hits the configured hard share irrespective of the draws.
+    Easy and hard task indices each get an independent Dirichlet(alpha)
+    draw; the groups are then scaled to (1 - hard_fraction) and hard_fraction
+    so the generator hits the configured hard share irrespective of the
+    draws.
     """
-    hard = [t for t in tasks if t in set(hard_tasks)]
-    easy = [t for t in tasks if t not in set(hard_tasks)]
-    index = {t: i for i, t in enumerate(tasks)}
+    hard = sorted(hard_tasks)
+    easy = [i for i in range(num_tasks) if i not in hard]
     mixtures: list[np.ndarray] = []
     for _ in range(num_entries):
-        probs = np.zeros(len(tasks))
+        probs = np.zeros(num_tasks)
         if easy:
-            weights = rng.dirichlet(np.full(len(easy), alpha))
             scale = 1.0 - (hard_fraction if hard else 0.0)
-            for t, w in zip(easy, weights):
-                probs[index[t]] = scale * w
+            probs[easy] = scale * rng.dirichlet(np.full(len(easy), alpha))
         if hard:
-            weights = rng.dirichlet(np.full(len(hard), alpha))
             scale = hard_fraction if easy else 1.0
-            for t, w in zip(hard, weights):
-                probs[index[t]] = scale * w
+            probs[hard] = scale * rng.dirichlet(np.full(len(hard), alpha))
         mixtures.append(probs / probs.sum())
     return mixtures
 
@@ -432,15 +472,20 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str,
         raise TraceFormatError("line 1: header must carry a 'models' list")
     for entry in header["models"]:
         try:
+            if not isinstance(entry, dict):
+                raise TypeError("must be an object")
+            modalities, error_prob = entry["modalities"], entry.get("error_prob", {})
+            if not (isinstance(modalities, list) and modalities
+                    and all(m in (TEXT, VISION) for m in modalities)):
+                raise ValueError("modalities must be a non-empty list of 'text'/'vision'")
+            if not isinstance(error_prob, dict):
+                raise TypeError("error_prob must be an object")
             models.append(
                 ModelSpec(
                     model_id=str(entry["id"]),
                     memory_size=float(entry["size"]),
-                    modalities=frozenset(entry["modalities"]),
-                    error_prob={
-                        str(k): float(v)
-                        for k, v in entry.get("error_prob", {}).items()
-                    },
+                    modalities=frozenset(modalities),
+                    error_prob={str(k): float(v) for k, v in error_prob.items()},
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -465,8 +510,11 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str,
                 f"earlier as {recorded!r}"
             )
         size = record["size_units"]
-        if not isinstance(size, (int, float)) or size <= 0:
-            raise TraceFormatError(f"line {lineno}: size_units must be positive")
+        if (isinstance(size, bool) or not isinstance(size, (int, float))
+                or not math.isfinite(size) or size <= 0):
+            raise TraceFormatError(f"line {lineno}: size_units must be a positive finite number")
+        if not isinstance(record["correctness"], dict):
+            raise TraceFormatError(f"line {lineno}: correctness must be an object")
         bits: list[int | None] = [None] * len(models)
         for model_id, value in record["correctness"].items():
             if model_id not in column:
@@ -487,44 +535,28 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str,
     return models, jobs, modality
 
 
-def _parse_json_line(line: str, lineno: int):
+def _parse_json_line(line: str, lineno: int) -> dict:
     try:
-        return json.loads(line)
+        value = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise TraceFormatError(f"line {lineno}: expected a JSON object")
+    return value
 
 
 def empirical_error_prob(
-    models: Sequence[ModelSpec], jobs: Sequence[TraceRecord], task_modality: Mapping[str, str]
+    models: Sequence[ModelSpec], sampler: TraceJobSampler, task_modality: Mapping[str, str]
 ) -> list[ModelSpec]:
-    """Fill missing per-task error rates from observed trace correctness."""
-    tasks = sorted({j.task_type for j in jobs})
-    counts: dict[str, dict[str, list[int]]] = {
-        m.model_id: {t: [0, 0] for t in tasks} for m in models
-    }
-    for job in jobs:
-        for model, bit in zip(models, job.correctness):
-            tally = counts[model.model_id][job.task_type]
-            tally[0] += 1 - bit
-            tally[1] += 1
+    """Fill missing per-task error rates from the sampler's recorded bits."""
     out: list[ModelSpec] = []
-    for model in models:
+    for column, model in enumerate(models):
         errors = dict(model.error_prob)
-        for task in tasks:
-            if task in errors:
+        for task, pool in zip(sampler.tasks, sampler.pools):
+            if task in errors or task_modality[task] not in model.modalities:
                 continue
-            if task_modality[task] not in model.modalities:
-                continue
-            wrong, total = counts[model.model_id][task]
-            errors[task] = (wrong / total) if total else 1.0
-        out.append(
-            ModelSpec(
-                model_id=model.model_id,
-                memory_size=model.memory_size,
-                modalities=model.modalities,
-                error_prob=errors,
-            )
-        )
+            errors[task] = sum(1 - bits[column] for _, bits in pool) / len(pool)
+        out.append(dataclasses.replace(model, error_prob=errors))
     return out
 
 
@@ -538,10 +570,6 @@ class TraceJobSampler:
             pools.setdefault(job.task_type, []).append((job.size_units, job.correctness))
         self.tasks = sorted(pools)
         self.pools = [pools[t] for t in self.tasks]
-
-    def mean_size(self, task: int) -> float:
-        pool = self.pools[task]
-        return sum(size for size, _ in pool) / len(pool)
 
     def __call__(self, task: int, rng: np.random.Generator) -> tuple[float, tuple[int, ...]]:
         """One recorded (size, correctness bits) pair of the task."""

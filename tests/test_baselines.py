@@ -9,7 +9,6 @@ from hiroute.baselines import (
     variant_flags,
 )
 from hiroute.topology import build_topology
-from hiroute.workload import WorkloadStats
 
 
 def topo():
@@ -97,34 +96,31 @@ class TestStaticAction:
 class TestCalibration:
     def test_reference_setup_near_012(self):
         # rate x size = 1.667 per entry with a halving topology gives ~0.12
-        stats = WorkloadStats(arrival_rate_per_entry=0.25, mean_job_size=20.0 / 3.0)
-        p = calibrate_offload_prob(topo(), stats)
+        p = calibrate_offload_prob(topo(), 0.25, 20.0 / 3.0)
         assert p == pytest.approx(0.12, abs=0.001)
 
     def test_zero_arrivals_caps_at_one(self):
-        stats = WorkloadStats(arrival_rate_per_entry=0.0, mean_job_size=5.0)
-        assert calibrate_offload_prob(topo(), stats) == 1.0
+        assert calibrate_offload_prob(topo(), 0.0, 5.0) == 1.0
 
     def test_doubling_size_halves_probability(self):
-        s1 = WorkloadStats(arrival_rate_per_entry=0.3, mean_job_size=4.0)
-        s2 = WorkloadStats(arrival_rate_per_entry=0.3, mean_job_size=8.0)
-        p1 = calibrate_offload_prob(topo(), s1)
-        p2 = calibrate_offload_prob(topo(), s2)
+        p1 = calibrate_offload_prob(topo(), 0.3, 4.0)
+        p2 = calibrate_offload_prob(topo(), 0.3, 8.0)
         assert p2 == pytest.approx(p1 / 2)
 
     def test_calibration_saturates_binding_layer_budget(self):
         # inbound cost at a second-layer node under the calibrated probability
         # equals the per-slot budget (the binding constraint) by construction
         from hiroute.config import default_config
-        from hiroute.engine import build_workload
+        from hiroute.workload import build_workload
 
         cfg = default_config()
         t = build_topology(**cfg["topology"])
-        stats = build_workload(cfg, t, 0).stats()
+        rate = cfg["workload"]["mean_jobs_per_slot"] / len(t.layers[0])
+        size = build_workload(cfg, t, 0).mean_job_size
         gamma = cfg["topology"]["resource_budget"]
-        p = calibrate_offload_prob(t, stats)
+        p = calibrate_offload_prob(t, rate, size)
         fan_in = len(t.layers[0]) / len(t.layers[1])
-        inbound = fan_in * stats.arrival_rate_per_entry * stats.mean_job_size * p
+        inbound = fan_in * rate * size * p
         assert inbound == pytest.approx(gamma, rel=0.1)
 
 

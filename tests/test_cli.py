@@ -1,6 +1,8 @@
+import copy
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -15,6 +17,12 @@ from hiroute.config import (
 )
 
 
+def write_json(tmp_path, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
 def small_cfg_file(tmp_path, **extra):
     cfg = {
         "run": {"total_jobs": 300, "seeds": [0]},
@@ -26,9 +34,7 @@ def small_cfg_file(tmp_path, **extra):
             cfg[key].update(value)
         else:
             cfg[key] = value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
+    return write_json(tmp_path, cfg)
 
 
 class TestConfig:
@@ -81,6 +87,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exploration_rate"):
             apply_overrides(default_config(), ["learning.exploration_rate=1.5"])
 
+    @pytest.mark.parametrize("modalities", ["text", ["txt"], 5, [], ["text", None]])
+    def test_model_pool_modalities_checked(self, modalities):
+        pool = copy.deepcopy(default_config()["workload"]["model_pool"])
+        pool[1]["modalities"] = modalities
+        with pytest.raises(ConfigError, match=re.escape("workload.model_pool[1].modalities")):
+            merge_config({"workload": {"model_pool": pool}})
+
+    @pytest.mark.parametrize("load, message", [
+        pytest.param(lambda tmp: merge_config({"learning": {"learning_rate": 0}}),
+                     "learning.learning_rate", id="learning-rate-zero"),
+        pytest.param(lambda tmp: merge_config({"learning": {"learning_rate": -0.1}}),
+                     "learning.learning_rate", id="learning-rate-negative"),
+        pytest.param(lambda tmp: merge_config({"learning": {"thresholds": [0.2, 0.2, 0.6]}}),
+                     "learning.thresholds", id="thresholds-not-increasing"),
+        pytest.param(lambda tmp: merge_config({"learning": {"thresholds": [0.2, 1.5]}}),
+                     "learning.thresholds", id="thresholds-out-of-range"),
+        pytest.param(lambda tmp: merge_config({"static": {"offload_prob": 1.5}}),
+                     "static.offload_prob", id="offload-prob-above-one"),
+        pytest.param(lambda tmp: merge_config({"static": {"offload_prob": -0.1}}),
+                     "static.offload_prob", id="offload-prob-negative"),
+        pytest.param(lambda tmp: merge_config({"workload": {"kind": "trace"}}),
+                     "workload.trace_path: required", id="trace-without-path"),
+        pytest.param(lambda tmp: load_config(write_json(tmp, [1, 2])),
+                     "top level must be an object", id="top-level-not-an-object"),
+        pytest.param(lambda tmp: apply_overrides(default_config(), ["policy"]),
+                     "must look like key=value", id="override-without-equals"),
+        pytest.param(lambda tmp: apply_overrides(default_config(), ["learning=1"]),
+                     "learning: cannot override a whole section", id="override-whole-section"),
+        pytest.param(lambda tmp: apply_overrides(default_config(), ["learning.nope.deeper=1"]),
+                     "learning.nope.deeper: unknown key", id="override-unknown-nested-key"),
+    ])
+    def test_config_error_names_field(self, tmp_path, load, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load(tmp_path)
+
     def test_load_config_reports_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -111,6 +152,13 @@ class TestCmdRun:
         assert code == 1
         assert "exploration_rate" in capsys.readouterr().err
 
+    def test_missing_trace_exits_two(self, tmp_path, capsys):
+        path = small_cfg_file(tmp_path, workload={
+            "kind": "trace", "trace_path": str(tmp_path / "absent.jsonl"),
+        })
+        assert main(["run", "--config", path]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
     def test_seed_offset(self, tmp_path):
         path = small_cfg_file(tmp_path)
         out1 = str(tmp_path / "o1")
@@ -140,6 +188,20 @@ class TestCmdSweep:
         table = (out_dir / "sweep_table.csv").read_text().splitlines()
         assert len(table) == 1 + 4  # header + 2x2 cells
         assert "4/4 cells succeeded" in capsys.readouterr().out
+
+    def test_process_pool_writes_same_table(self, tmp_path):
+        cfg = {
+            "run": {"total_jobs": 100, "seeds": [0]},
+            "sweep": {"axes": {"policy": ["random", "vr_ly_exp4"]}},
+        }
+        path = write_json(tmp_path, cfg)
+        tables = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", path, "--out", str(out_dir), "--jobs", jobs]) == 0
+            tables.append((out_dir / "sweep_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 1 + 2
 
     def test_empty_sweep_exits_one(self, tmp_path, capsys):
         path = small_cfg_file(tmp_path)

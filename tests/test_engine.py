@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 import hiroute
-from hiroute.baselines import calibrate_offload_prob
 from hiroute.config import default_config
 from hiroute.engine import (
     RegretTracker,
     _Run,
-    build_workload,
     run_experiment,
     run_single,
 )
@@ -24,7 +22,13 @@ from hiroute.losses import DownstreamLossOracle
 from hiroute.placement import Placement
 from hiroute.policy import ExpertTable
 from hiroute.topology import build_topology
-from hiroute.workload import Job, best_loaded_accuracy, inference_error, select_model
+from hiroute.workload import (
+    Job,
+    best_loaded_accuracy,
+    build_workload,
+    inference_error,
+    select_model,
+)
 
 
 def small_config(**overrides):
@@ -508,7 +512,7 @@ class TestTraceMode:
         cfg["workload"]["trace_path"] = str(path)
         topo = build_topology(**cfg["topology"])
         wl = build_workload(cfg, topo, 0)
-        assert wl.task_modality == {"q0": "text"}
+        assert wl.error_table.task_modality == {"q0": "text"}
         assert wl.error_table.model_ids == ("small", "big")
         assert wl.error_table.error(0, 0) == 0.0
         jobs = []
@@ -533,12 +537,11 @@ class TestTraceMode:
         ]
         path = tmp_path / "trace.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in [header] + records))
-        cfg = small_config()
+        cfg = small_config(policy="random")
         cfg["workload"]["kind"] = "trace"
         cfg["workload"]["trace_path"] = str(path)
         topo = build_topology(**cfg["topology"])
-        stats = build_workload(cfg, topo, 0).stats()
-        assert stats.mean_job_size == pytest.approx(12.0)
+        assert build_workload(cfg, topo, 0).mean_job_size == pytest.approx(12.0)
         # layer-2 allowance per entry node: 0.4 * 2 / 4, over 1.33 / 4 jobs of 12 units
-        prob = calibrate_offload_prob(topo, stats)
+        prob = _Run(cfg, 0, None).static_cfg.offload_prob
         assert prob == pytest.approx(0.4 * 2 / 4 / (1.33 / 4 * 12.0))

@@ -179,9 +179,20 @@ def write_trace(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_trace_run_hashes(tmp_path):
+# The same trace under `random` with offload_prob calibrated from the
+# recorded mean job size (0.802 here, below the cap of 1).
+TRACE_RANDOM_GOLDEN = {
+    "metrics.csv": "8c87a5a17a8f1ff2641ca7ba3027155fa07d3c45e335dbe3c875203ac52f9e91",
+    "summary.json": "e159061cbe405bc965ff70ec86534cab436755523cd7c4d89a4e5d08f3939f78",
+    "placements.csv": "b0446be48a279ca888a0adaa6fee4c13d855c7faa11e90a1246d6256b44f58de",
+    "paths.jsonl": "9bd05281162266851536af4b11227188e7143e7cccf78f12464cb7ee8b86bc80",
+}
+
+
+def trace_run_digests(tmp_path, policy):
     write_trace(tmp_path / "trace.jsonl")
     cfg = default_config()
+    cfg["policy"] = policy
     cfg["topology"]["layer_sizes"], cfg["topology"]["memory_budgets"] = (
         TOPOLOGIES["3-12-2-1"]
     )
@@ -191,7 +202,14 @@ def test_trace_run_hashes(tmp_path):
     cfg["run"]["record_paths"] = True
     out = tmp_path / "out"
     run_single(cfg, 0, str(out))
-    digests = {
+    return {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TRACE_FILES
     }
-    assert digests == TRACE_GOLDEN
+
+
+def test_trace_run_hashes(tmp_path):
+    assert trace_run_digests(tmp_path, "vr_ly_exp4") == TRACE_GOLDEN
+
+
+def test_trace_calibrated_random_hashes(tmp_path):
+    assert trace_run_digests(tmp_path, "random") == TRACE_RANDOM_GOLDEN

@@ -2,7 +2,7 @@ import pytest
 
 import hiroute
 from hiroute.config import default_config
-from hiroute.engine import build_workload
+from hiroute.workload import build_workload
 from hiroute.topology import TopologyError, build_topology
 from hiroute.validation import check_loss_sweep
 from tests.test_tracer_contract import load_tracer_module

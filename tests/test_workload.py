@@ -1,10 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hiroute.config import DEFAULT_MODEL_POOL, default_config
-from hiroute.engine import build_workload
 from hiroute.topology import build_topology
 from hiroute.workload import (
     ErrorTable,
@@ -12,6 +12,7 @@ from hiroute.workload import (
     ModelSpec,
     TraceFormatError,
     best_loaded_accuracy,
+    build_workload,
     confidence_from_noise,
     dirichlet_mixtures,
     inference_error,
@@ -158,7 +159,7 @@ class TestGeneration:
     def test_empirical_mixture_matches_draw(self):
         # per-node task frequencies within multinomial bounds over 10^4 slots
         wl = make_workload(seed=11, mean=2.0)
-        counts = [np.zeros(len(wl.tasks)) for _ in wl.arrivals.task_mixture]
+        counts = [np.zeros(len(wl.error_table.tasks)) for _ in wl.arrivals.task_mixture]
         for t in range(1, 10_001):
             for job in wl.generate_slot(t):
                 counts[job.entry][job.task] += 1
@@ -199,9 +200,7 @@ class TestConfidenceNoise:
 class TestDirichletMixtures:
     def test_mass_split_pinned(self):
         rng = np.random.default_rng(0)
-        mix = dirichlet_mixtures(
-            ["h", "a", "b"], ["h"], 2, hard_fraction=0.11, alpha=1.0, rng=rng
-        )
+        mix = dirichlet_mixtures(3, [0], 2, hard_fraction=0.11, alpha=1.0, rng=rng)
         assert len(mix) == 2
         for probs in mix:
             assert probs.sum() == pytest.approx(1.0)
@@ -209,9 +208,7 @@ class TestDirichletMixtures:
 
     def test_distinct_mixtures_per_entry(self):
         rng = np.random.default_rng(0)
-        mix = dirichlet_mixtures(
-            [f"t{i}" for i in range(10)], ["t0"], 2, 0.11, 1.0, rng
-        )
+        mix = dirichlet_mixtures(10, [0], 2, 0.11, 1.0, rng)
         assert not np.allclose(mix[0], mix[1])
 
 
@@ -343,3 +340,83 @@ class TestTrace:
         models, jobs, _ = load_trace(path)
         assert len(models) == 23
         assert len({j.task_type for j in jobs}) == 114
+
+    def test_blank_lines_skipped(self, tmp_path):
+        record = {"job_id": "x", "task_type": "qa", "modality": "text",
+                  "size_units": 1.0, "correctness": {"m0": 1, "m1": 0}}
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(
+            [json.dumps(TRACE_HEADER), "", json.dumps(record), "   ", json.dumps(record), ""]
+        ))
+        _, jobs, _ = load_trace(str(path))
+        assert [j.correctness for j in jobs] == [(1, 0), (1, 0)]
+
+
+def write_lines(tmp_path, lines):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def record_line(**fields):
+    record = {"job_id": "x", "task_type": "qa", "modality": "text",
+              "size_units": 1.0, "correctness": {"m0": 1}}
+    record.update(fields)
+    return json.dumps(record)
+
+
+def header_line(**fields):
+    model = {"id": "m0", "size": 2, "modalities": ["text"]}
+    model.update(fields)
+    return json.dumps({"models": [model]})
+
+
+class TestMalformedTrace:
+    """Each malformed trace raises TraceFormatError naming its line."""
+
+    @pytest.mark.parametrize("lines, message", [
+        pytest.param([], "line 1: empty trace file", id="empty-file"),
+        pytest.param(['{"model": []}'], "line 1: header must carry a 'models' list",
+                     id="header-without-models"),
+        pytest.param(['{"models": {"id": "m0"}}'], "line 1: header must carry a 'models' list",
+                     id="models-not-a-list"),
+        pytest.param(['{"models": [{"id": "m0", "modalities": ["text"]}]}'],
+                     "line 1: bad model entry", id="model-without-size"),
+        pytest.param(['{"models": ["m0"]}'], "line 1: bad model entry", id="model-not-an-object"),
+        pytest.param([header_line(size=-1)], "line 1: bad model entry", id="nonpositive-model-size"),
+        pytest.param(['{"models": [{"id": "m0", "size": Infinity, "modalities": ["text"]}]}'],
+                     "line 1: bad model entry", id="infinite-model-size"),
+        pytest.param([header_line(modalities="text")], "line 1: bad model entry: modalities",
+                     id="string-modalities"),
+        pytest.param([header_line(modalities=["txt"])], "line 1: bad model entry: modalities",
+                     id="unknown-model-modality"),
+        pytest.param([header_line(error_prob=[0.2])], "line 1: bad model entry: error_prob",
+                     id="error-prob-not-an-object"),
+        pytest.param(["7"], "line 1: expected a JSON object", id="header-a-number"),
+        pytest.param([header_line(), "5"], "line 2: expected a JSON object", id="record-a-number"),
+        pytest.param([header_line(), "{not json"], "line 2: invalid JSON", id="record-invalid-json"),
+        pytest.param([header_line(), record_line(modality="audio")],
+                     "line 2: unknown modality 'audio'", id="unknown-record-modality"),
+        pytest.param([header_line(), record_line(correctness=[1])],
+                     "line 2: correctness must be an object", id="correctness-a-list"),
+        pytest.param([header_line(), record_line(correctness="1")],
+                     "line 2: correctness must be an object", id="correctness-a-string"),
+    ])
+    def test_rejected(self, tmp_path, lines, message):
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            load_trace(write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("size", ["0", "-2.5", "NaN", "Infinity", "-Infinity", "true",
+                                      "false", '"3"', "null"])
+    def test_bad_size_units_rejected(self, tmp_path, size):
+        good = record_line()
+        bad = record_line(size_units="SIZE").replace('"SIZE"', size)
+        path = write_lines(tmp_path, [header_line(), good, bad])
+        with pytest.raises(TraceFormatError, match="line 3: size_units must be a positive finite"):
+            load_trace(path)
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
+def test_model_spec_rejects_bad_memory_size(size):
+    with pytest.raises(ValueError, match="positive finite size"):
+        ModelSpec("m0", size, frozenset(["text"]))
