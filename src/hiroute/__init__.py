@@ -10,8 +10,8 @@ from .baselines import (
     variant_flags,
 )
 from .config import ConfigError, apply_overrides, default_config, load_config, merge_config
-from .control import QueueState, drift_penalty_diagnostic, queue_update
-from .engine import PathRecord, RegretTracker, RunSummary, run_experiment, run_single
+from .control import QueueState, drift_penalty_diagnostic
+from .engine import RegretTracker, RunSummary, run_experiment, run_single
 from .losses import BaselineTable, DownstreamLossOracle, estimate, variance_pair
 from .placement import (
     Placement,
@@ -25,10 +25,8 @@ from .placement import (
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, TopologyError, build_topology
 from .workload import (
-    ArrivalModel,
     ErrorTable,
     Job,
-    ModelSpec,
     TraceFormatError,
     Workload,
     inference_error,

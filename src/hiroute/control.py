@@ -12,13 +12,6 @@ from typing import Iterable, Sequence
 from .topology import Topology
 
 
-def queue_update(q_n: float, slot_cost: float, budget: float) -> float:
-    """One slot of queue evolution: max(q + cost - budget, 0)."""
-    if q_n < 0 or slot_cost < 0:
-        raise ValueError("queue value and slot cost must be nonnegative")
-    return max(q_n + slot_cost - budget, 0.0)
-
-
 def drift_penalty_diagnostic(
     q: Sequence[float],
     costs: Sequence[float],
@@ -51,8 +44,11 @@ class QueueState:
         return cls(values=[0.0] * topo.num_nodes, nodes=nodes)
 
     def apply_slot(self, costs: Sequence[float], budgets: Sequence[float]) -> None:
-        """Update every queue from the slot's total inbound costs; both lists
-        are indexed by node index."""
+        """Update every queue from the slot's total inbound costs, as
+        max(q + cost - budget, 0); both lists are indexed by node index."""
         values = self.values
         for n in self.nodes:
-            values[n] = queue_update(values[n], costs[n], budgets[n])
+            q, cost = values[n], costs[n]
+            if q < 0 or cost < 0:
+                raise ValueError("queue value and slot cost must be nonnegative")
+            values[n] = max(q + cost - budgets[n], 0.0)

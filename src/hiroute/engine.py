@@ -71,21 +71,6 @@ from .workload import (
 
 
 @dataclass
-class PathRecord:
-    """Realized routing of one job, as written to ``paths.jsonl``."""
-
-    job_id: str
-    slot: int
-    task: str
-    path: tuple[str, ...]
-    exit_layer: int
-    reached_oracle: bool
-    size_units: float
-    exit_error: int
-    hard: bool
-
-
-@dataclass
 class RunSummary:
     """Seed-level aggregates mirroring the benchmark's comparison columns."""
 
@@ -352,7 +337,7 @@ class _Run:
             return
         if t % self.epoch_slots != 1:
             return
-        everything = frozenset(range(len(self.error_table.models)))
+        everything = frozenset(range(len(self.error_table.model_ids)))
         new_loaded: list[frozenset[int]] = []
         for i, budget in enumerate(self.topo.memory_budget):
             if i in self.terminal:
@@ -391,7 +376,7 @@ class _Run:
         """The task mixture a node's placement plans for: the arrival mixture
         at an entry node, else the epoch's arrivals (uniform if none)."""
         if node in self.layers[0]:
-            return self.workload.arrivals.task_mixture[node]
+            return self.workload.task_mixture[node]
         counts = self._epoch_histogram[node]
         total = sum(counts)
         if not total:
@@ -468,18 +453,18 @@ class _Run:
         self, t: int, job: Job, path: list[int], reached: bool, exit_error: int, hard: bool
     ) -> None:
         """Write the job's line of ``paths.jsonl``, with ids for indices."""
-        record = PathRecord(
-            job_id=f"j{job.seq:07d}",
-            slot=t,
-            task=self.task_ids[job.task],
-            path=tuple(self.node_ids[i] for i in path),
-            exit_layer=self.layer_of[path[-1]],
-            reached_oracle=reached,
-            size_units=job.size_units,
-            exit_error=exit_error,
-            hard=hard,
-        )
-        self._paths_file.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
+        record = {
+            "job_id": f"j{job.seq:07d}",
+            "slot": t,
+            "task": self.task_ids[job.task],
+            "path": [self.node_ids[i] for i in path],
+            "exit_layer": self.layer_of[path[-1]],
+            "reached_oracle": reached,
+            "size_units": job.size_units,
+            "exit_error": exit_error,
+            "hard": hard,
+        }
+        self._paths_file.write(json.dumps(record, sort_keys=True) + "\n")
 
     def _route(
         self, job: Job, noise: list[float]

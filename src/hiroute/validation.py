@@ -18,7 +18,7 @@ from .losses import DownstreamLossOracle, estimate, variance_pair
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
-from .workload import ErrorTable, ModelSpec
+from .workload import ErrorTable
 
 
 @dataclass
@@ -83,22 +83,21 @@ def check_weight_simplex(rounds: int = 200) -> CheckResult:
     return CheckResult("weight-simplex", True, f"{rounds} random updates clean")
 
 
+def _table_of(errors: np.ndarray, sizes: list[float]) -> ErrorTable:
+    """An error table of tasks t0, t1, ... and models m0, m1, ..."""
+    n_tasks, n_models = errors.shape
+    return ErrorTable(
+        [f"t{j}" for j in range(n_tasks)], [f"m{i}" for i in range(n_models)], sizes, errors
+    )
+
+
 def check_submodularity(tables: int = 20, n_models: int = 4, n_tasks: int = 3) -> CheckResult:
     """Exhaustive diminishing-returns check of the error component."""
     rng = np.random.default_rng(23)
     for _ in range(tables):
-        models = [
-            ModelSpec(
-                model_id=f"m{i}",
-                memory_size=1.0,
-                modalities=frozenset(["text"]),
-                error_prob={f"t{j}": float(rng.uniform(0, 1)) for j in range(n_tasks)},
-            )
-            for i in range(n_models)
-        ]
-        table = ErrorTable(
-            [f"t{j}" for j in range(n_tasks)], models, {f"t{j}": "text" for j in range(n_tasks)}
-        )
+        # drawn model by model: row i of the draw is model i's errors
+        errors = rng.uniform(0, 1, (n_models, n_tasks)).T.copy()
+        table = _table_of(errors, [1.0] * n_models)
         ctx = PlacementContext(rng.dirichlet(np.ones(n_tasks)), table, switch_penalty=0.0)
         for a_bits in range(2 ** n_models):
             a_set = {i for i in range(n_models) if a_bits >> i & 1}
@@ -190,18 +189,12 @@ def check_greedy_quality(instances: int = 60) -> CheckResult:
     for _ in range(instances):
         n_models = int(rng.integers(3, 6))
         n_tasks = int(rng.integers(2, 4))
-        models = [
-            ModelSpec(
-                model_id=f"m{i}",
-                memory_size=float(rng.integers(1, 4)),
-                modalities=frozenset(["text"]),
-                error_prob={f"t{j}": float(rng.uniform(0, 1)) for j in range(n_tasks)},
-            )
-            for i in range(n_models)
-        ]
-        table = ErrorTable(
-            [f"t{j}" for j in range(n_tasks)], models, {f"t{j}": "text" for j in range(n_tasks)}
-        )
+        errors = np.empty((n_tasks, n_models))
+        sizes = []
+        for i in range(n_models):  # each model's size, then its errors
+            sizes.append(float(rng.integers(1, 4)))
+            errors[:, i] = rng.uniform(0, 1, n_tasks)
+        table = _table_of(errors, sizes)
         ctx = PlacementContext(
             rng.dirichlet(np.ones(n_tasks)), table, switch_penalty=float(rng.uniform(0, 0.15))
         )

@@ -18,10 +18,9 @@ and the mean job size that calibrates the static policies.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -34,27 +33,6 @@ VISION = "vision"
 
 class TraceFormatError(ValueError):
     """Raised when a trace file violates the JSONL schema."""
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One deployable model: memory footprint, modalities, expected errors.
-
-    ``error_prob`` maps task type to the Bernoulli error parameter. Tasks of
-    a modality the model does not support always fail (error 1).
-    """
-
-    model_id: str
-    memory_size: float
-    modalities: frozenset[str]
-    error_prob: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.memory_size) and self.memory_size > 0):
-            raise ValueError(f"model {self.model_id} needs a positive finite size")
-        for task, p in self.error_prob.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"error_prob out of [0,1] for ({self.model_id}, {task})")
 
 
 @dataclass(frozen=True)
@@ -74,49 +52,27 @@ class Job:
         return 1 not in self.correctness
 
 
-@dataclass
-class ArrivalModel:
-    """Stationary arrival process: Poisson slot counts, fixed per-node mixtures."""
-
-    mean_jobs_per_slot: float
-    task_mixture: list[np.ndarray]  # entry node index -> probs over task indices
-
-    def __post_init__(self) -> None:
-        if self.mean_jobs_per_slot < 0:
-            raise ValueError("mean_jobs_per_slot must be nonnegative")
-        for entry, probs in enumerate(self.task_mixture):
-            if abs(float(np.sum(probs)) - 1.0) > 1e-9 or np.any(probs < 0):
-                raise ValueError(f"task mixture at entry {entry} is not a probability vector")
-
-
 class ErrorTable:
-    """Expected error per (task index, model column), with unsupported
-    modalities forced to 1.
+    """Expected error per (task index, model column), 1 where the model
+    does not support the task's modality.
 
-    Row i of ``matrix`` is task ``tasks[i]``, column j model ``models[j]``,
-    whose id is ``model_ids[j]`` and memory size ``sizes[j]``. ``by_id``
-    lists the columns in model-id order: the order of every tie-break and of
-    every sum over a set of models.
+    Row i of ``matrix`` is task ``tasks[i]``, column j the model whose id is
+    ``model_ids[j]`` and memory size ``sizes[j]``. ``by_id`` lists the
+    columns in model-id order: the order of every tie-break and of every sum
+    over a set of models.
     """
 
     def __init__(
         self,
         tasks: Sequence[str],
-        models: Sequence[ModelSpec],
-        task_modality: Mapping[str, str],
+        model_ids: Sequence[str],
+        sizes: Sequence[float],
+        matrix: np.ndarray,
     ) -> None:
         self.tasks = tuple(tasks)
-        self.models = tuple(models)
-        self.task_modality = dict(task_modality)
-        self.model_ids = tuple(m.model_id for m in self.models)
-        self.sizes = tuple(m.memory_size for m in self.models)
-        self.by_id = tuple(sorted(range(len(self.models)), key=self.model_ids.__getitem__))
-        matrix = np.ones((len(self.tasks), len(self.models)))
-        for j, model in enumerate(self.models):
-            for i, task in enumerate(self.tasks):
-                if self.task_modality[task] not in model.modalities:
-                    continue
-                matrix[i, j] = model.error_prob.get(task, 1.0)
+        self.model_ids = tuple(model_ids)
+        self.sizes = tuple(sizes)
+        self.by_id = tuple(sorted(range(len(self.model_ids)), key=self.model_ids.__getitem__))
         self.matrix = matrix
 
     def error(self, task: int, column: int) -> float:
@@ -180,8 +136,11 @@ class Workload:
     """A job source bound to one run: arrivals, sizes, correctness, confidence
     (``noise_std`` scales the Gaussian noise around the best loaded accuracy).
 
-    ``entry_order`` lists the entry node indices in the order the arrival
-    draw picks from, sorted by node id (``n1_10`` before ``n1_2``).
+    Slot counts are Poisson with mean ``mean_jobs_per_slot``; a job's task
+    is drawn from ``task_mixture[entry]``, one probability vector over task
+    indices per entry node index. ``entry_order`` lists the entry node
+    indices in the order the arrival draw picks from, sorted by node id
+    (``n1_10`` before ``n1_2``).
     ``size_ranges`` holds each task index's uniform size range, or is None
     when ``job_sampler`` draws recorded (size, bits) pairs instead.
     ``mean_job_size`` is the expected size under the designed task mix.
@@ -190,7 +149,8 @@ class Workload:
     def __init__(
         self,
         error_table: ErrorTable,
-        arrivals: ArrivalModel,
+        mean_jobs_per_slot: float,
+        task_mixture: Sequence[np.ndarray],
         entry_order: Sequence[int],
         noise_std: float,
         size_ranges: Sequence[tuple[float, float]] | None,
@@ -199,7 +159,8 @@ class Workload:
         job_sampler=None,
     ) -> None:
         self.error_table = error_table
-        self.arrivals = arrivals
+        self.mean_jobs_per_slot = mean_jobs_per_slot
+        self.task_mixture = list(task_mixture)
         self.noise_std = noise_std
         self.mean_job_size = mean_job_size
         self._size_ranges = size_ranges
@@ -207,14 +168,14 @@ class Workload:
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
         self._entry_order = tuple(entry_order)
         # one task CDF per entry node, built as rng.choice(p=...) builds it
-        cdfs = [np.cumsum(p) for p in arrivals.task_mixture]
+        cdfs = [np.cumsum(p) for p in self.task_mixture]
         self._task_cdf = [cdf / cdf[-1] for cdf in cdfs]
         self._counter = 0
 
     def generate_slot(self, t: int) -> list[Job]:
         """Draw the slot's arrivals: count, entry nodes, tasks, sizes, bits."""
         rng = self._rng
-        count = int(rng.poisson(self.arrivals.mean_jobs_per_slot))
+        count = int(rng.poisson(self.mean_jobs_per_slot))
         entries = self._entry_order
         jobs: list[Job] = []
         for _ in range(count):
@@ -259,7 +220,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     if w["kind"] == "synthetic":
         hard_count = w["hard_task_types"] if w["hard_task_fraction"] > 0 else 0
-        tasks, modality, models, tiers = synthetic_catalog(
+        table, modality, tiers = synthetic_catalog(
             num_task_types=w["num_task_types"],
             vision_fraction=w["vision_fraction"],
             hard_task_count=hard_count,
@@ -268,6 +229,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
             model_pool=w["model_pool"],
             structure_seed=w["structure_seed"],
         )
+        tasks = table.tasks
         sampler = None
         hard = [i for i, t in enumerate(tasks) if tiers[t] == "hard"]
         hard_fraction = w["hard_task_fraction"] if hard else 0.0
@@ -284,7 +246,19 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         models, records, modality = load_trace(w["trace_path"])
         sampler = TraceJobSampler(records)
         tasks = sampler.tasks
-        models = empirical_error_prob(models, sampler, modality)
+        # the header's rate where it gives one, else the recorded one
+        matrix = np.ones((len(tasks), len(models)))
+        for j, model in enumerate(models):
+            for i, (task, pool) in enumerate(zip(tasks, sampler.pools)):
+                if modality[task] not in model.modalities:
+                    continue
+                rate = model.error_prob.get(task)
+                if rate is None:
+                    rate = sum(1 - bits[j] for _, bits in pool) / len(pool)
+                matrix[i, j] = rate
+        table = ErrorTable(
+            tasks, [m.model_id for m in models], [m.size for m in models], matrix
+        )
         hard = []
         hard_fraction = 0.0
         size_ranges = None  # trace jobs keep their recorded sizes
@@ -300,8 +274,9 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
             mass = (1.0 - hard_fraction) / (len(tasks) - len(hard))
         mean_job_size += mass * size
     return Workload(
-        error_table=ErrorTable(tasks, models, modality),
-        arrivals=ArrivalModel(w["mean_jobs_per_slot"], mixtures),
+        error_table=table,
+        mean_jobs_per_slot=w["mean_jobs_per_slot"],
+        task_mixture=mixtures,
         entry_order=sorted(entries, key=topo.node),
         noise_std=w["confidence_noise_std"],
         size_ranges=size_ranges,
@@ -350,8 +325,10 @@ def synthetic_catalog(
     structure_seed: int,
     trap_task_count: int = 0,
     small_model_cutoff: float = 12.0,
-) -> tuple[list[str], dict[str, str], list[ModelSpec], dict[str, str]]:
-    """Build the fixed task/model universe shared by every seed of a config.
+) -> tuple[ErrorTable, dict[str, str], dict[str, str]]:
+    """Build the fixed task/model universe shared by every seed of a config:
+    the error table (columns in model-pool order), and each task id's
+    modality and tier.
 
     Tasks fall into difficulty tiers. Hard tasks defeat every model (error
     1). Medium tasks are where escalation pays: small (edge-sized) models do
@@ -405,20 +382,16 @@ def synthetic_catalog(
                    for t in medium_tasks):
                 break
 
-    models: list[ModelSpec] = []
+    # hard tasks and unsupported modalities keep error 1
+    matrix = np.ones((len(tasks), len(model_pool)))
     n_niche = max(1, num_task_types // 6)
-    for spec in model_pool:
-        supported = frozenset(spec["modalities"])
+    for j, spec in enumerate(model_pool):
         small = float(spec["size"]) <= small_model_cutoff
         tilt = float(spec["base_error"]) - 0.35  # ranks models within a class
         niche = set(rng.choice(tasks, size=n_niche, replace=False).tolist())
-        errors: dict[str, float] = {}
-        for t in tasks:
-            if t in hard_tasks:
-                errors[t] = 1.0
+        for i, t in enumerate(tasks):
+            if t in hard_tasks or modality[t] not in spec["modalities"]:
                 continue
-            if modality[t] not in supported:
-                continue  # ErrorTable forces unsupported to 1
             d = difficulty[t]
             if small:
                 target = d
@@ -432,16 +405,21 @@ def synthetic_catalog(
             err = target + tilt * d + float(rng.uniform(0.0, 0.25)) * d
             if t in niche and t not in trap_tasks:
                 err -= 0.5 * d
-            errors[t] = float(min(0.98, max(0.02, err)))
-        models.append(
-            ModelSpec(
-                model_id=str(spec["id"]),
-                memory_size=float(spec["size"]),
-                modalities=supported,
-                error_prob=errors,
-            )
-        )
-    return tasks, modality, models, tiers
+            matrix[i, j] = min(0.98, max(0.02, err))
+    table = ErrorTable(
+        tasks, [str(s["id"]) for s in model_pool], [float(s["size"]) for s in model_pool], matrix
+    )
+    return table, modality, tiers
+
+
+class TraceModel(NamedTuple):
+    """One model of a trace header; ``error_prob`` maps task ids to the
+    header's expected error, where it gives one."""
+
+    model_id: str
+    size: float
+    modalities: frozenset[str]
+    error_prob: dict[str, float]
 
 
 class TraceRecord(NamedTuple):
@@ -452,15 +430,23 @@ class TraceRecord(NamedTuple):
     correctness: tuple[int, ...]
 
 
-def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str, str]]:
+def _positive_finite(value: Any) -> bool:
+    """True for a JSON number (not a boolean) that is finite and above 0."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def load_trace(path: str) -> tuple[list[TraceModel], list[TraceRecord], dict[str, str]]:
     """Read a JSONL trace: a header object listing models, then job records.
 
-    Returns the models, the records and each task's recorded modality. Job
-    records carry binary correctness for every model, and every record of a
-    task must carry the same modality. Violations raise
-    :class:`TraceFormatError` naming the offending line.
+    Returns the header's models, the records and each task's recorded
+    modality. A model's size must be a positive finite number and its
+    ``error_prob`` values numbers in [0, 1]. Job records carry a correctness
+    bit, the integer 0 or 1, for every model, and every record of a task
+    must carry the same modality. Violations raise :class:`TraceFormatError`
+    naming the offending line.
     """
-    models: list[ModelSpec] = []
+    models: list[TraceModel] = []
     jobs: list[TraceRecord] = []
     modality: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -480,14 +466,15 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str,
                 raise ValueError("modalities must be a non-empty list of 'text'/'vision'")
             if not isinstance(error_prob, dict):
                 raise TypeError("error_prob must be an object")
-            models.append(
-                ModelSpec(
-                    model_id=str(entry["id"]),
-                    memory_size=float(entry["size"]),
-                    modalities=frozenset(modalities),
-                    error_prob={str(k): float(v) for k, v in error_prob.items()},
-                )
-            )
+            if not _positive_finite(entry["size"]):
+                raise ValueError("size must be a positive finite number")
+            for task, p in error_prob.items():
+                if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+                    raise ValueError(f"error_prob of task {task!r} must be a number in [0, 1]")
+            models.append(TraceModel(
+                str(entry["id"]), float(entry["size"]), frozenset(modalities),
+                {str(k): float(v) for k, v in error_prob.items()},
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"line 1: bad model entry: {exc}") from exc
     column = {m.model_id: j for j, m in enumerate(models)}
@@ -510,8 +497,7 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str,
                 f"earlier as {recorded!r}"
             )
         size = record["size_units"]
-        if (isinstance(size, bool) or not isinstance(size, (int, float))
-                or not math.isfinite(size) or size <= 0):
+        if not _positive_finite(size):
             raise TraceFormatError(f"line {lineno}: size_units must be a positive finite number")
         if not isinstance(record["correctness"], dict):
             raise TraceFormatError(f"line {lineno}: correctness must be an object")
@@ -521,11 +507,11 @@ def load_trace(path: str) -> tuple[list[ModelSpec], list[TraceRecord], dict[str,
                 raise TraceFormatError(
                     f"line {lineno}: unknown model_id {model_id!r} in correctness"
                 )
-            if value not in (0, 1):
+            if type(value) is not int or value not in (0, 1):
                 raise TraceFormatError(
                     f"line {lineno}: correctness values must be 0 or 1, got {value!r}"
                 )
-            bits[column[model_id]] = int(value)
+            bits[column[model_id]] = value
         missing = [m.model_id for m, bit in zip(models, bits) if bit is None]
         if missing:
             raise TraceFormatError(
@@ -543,21 +529,6 @@ def _parse_json_line(line: str, lineno: int) -> dict:
     if not isinstance(value, dict):
         raise TraceFormatError(f"line {lineno}: expected a JSON object")
     return value
-
-
-def empirical_error_prob(
-    models: Sequence[ModelSpec], sampler: TraceJobSampler, task_modality: Mapping[str, str]
-) -> list[ModelSpec]:
-    """Fill missing per-task error rates from the sampler's recorded bits."""
-    out: list[ModelSpec] = []
-    for column, model in enumerate(models):
-        errors = dict(model.error_prob)
-        for task, pool in zip(sampler.tasks, sampler.pools):
-            if task in errors or task_modality[task] not in model.modalities:
-                continue
-            errors[task] = sum(1 - bits[column] for _, bits in pool) / len(pool)
-        out.append(dataclasses.replace(model, error_prob=errors))
-    return out
 
 
 class TraceJobSampler:

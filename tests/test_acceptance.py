@@ -16,7 +16,7 @@ from hiroute.config import default_config
 from hiroute.engine import run_experiment, run_single
 from hiroute.losses import estimate, variance_pair
 from hiroute.placement import PlacementContext, greedy_onload, marginal_gain, utility
-from hiroute.workload import ErrorTable, ModelSpec
+from hiroute.workload import ErrorTable
 
 SEEDS = [0, 1, 2, 3, 4]
 TOPOLOGIES = {
@@ -52,6 +52,10 @@ class RunCache:
         cfg["topology"]["memory_budgets"] = budgets
         if static_offload is not None:
             cfg["static"]["offload_prob"] = static_offload
+        # only c08 reads the regret curve, from the depth-3 greedy vr_ly_exp4
+        # runs; regret on or off writes the same metrics and other summary
+        # fields (tests/test_engine.py checks this)
+        cfg["run"]["record_regret"] = (policy, placement, depth) == ("vr_ly_exp4", "greedy", 3)
         with tempfile.TemporaryDirectory() as out:
             summary = run_single(cfg, seed, out).summary()
             with open(os.path.join(out, "metrics.csv"), newline="", encoding="utf-8") as fh:
@@ -197,13 +201,10 @@ def test_c07_submodularity_and_greedy():
     violations = 0
     for _ in range(100):
         n, n_tasks = 5, int(rng.integers(2, 4))
-        models = [
-            ModelSpec(f"m{i}", 1.0, frozenset(["text"]),
-                      {f"t{j}": float(rng.uniform(0, 1)) for j in range(n_tasks)})
-            for i in range(n)
-        ]
-        table = ErrorTable([f"t{j}" for j in range(n_tasks)], models,
-                           {f"t{j}": "text" for j in range(n_tasks)})
+        # drawn model by model: row i of the draw is model i's errors
+        errors = rng.uniform(0, 1, (n, n_tasks)).T.copy()
+        table = ErrorTable([f"t{j}" for j in range(n_tasks)], [f"m{i}" for i in range(n)],
+                           [1.0] * n, errors)
         ctx = PlacementContext(rng.dirichlet(np.ones(n_tasks)), table, 0.0)
         for a_bits in range(2 ** n):
             a_set = {i for i in range(n) if a_bits >> i & 1}
@@ -221,13 +222,13 @@ def test_c07_submodularity_and_greedy():
     for _ in range(500):
         n = int(rng.integers(3, 7))
         n_tasks = int(rng.integers(2, 4))
-        models = [
-            ModelSpec(f"m{i}", float(rng.integers(1, 4)), frozenset(["text"]),
-                      {f"t{j}": float(rng.uniform(0, 1)) for j in range(n_tasks)})
-            for i in range(n)
-        ]
-        table = ErrorTable([f"t{j}" for j in range(n_tasks)], models,
-                           {f"t{j}": "text" for j in range(n_tasks)})
+        errors = np.empty((n_tasks, n))
+        sizes = []
+        for i in range(n):  # each model's size, then its errors
+            sizes.append(float(rng.integers(1, 4)))
+            errors[:, i] = rng.uniform(0, 1, n_tasks)
+        table = ErrorTable([f"t{j}" for j in range(n_tasks)], [f"m{i}" for i in range(n)],
+                           sizes, errors)
         mix = rng.dirichlet(np.ones(n_tasks))
         prev = {i for i in range(n) if rng.random() < 0.3}
         ctx = PlacementContext(mix, table, float(rng.uniform(0, 0.15)), prev)

@@ -1,8 +1,15 @@
 import pytest
 
-from hiroute.control import QueueState, drift_penalty_diagnostic, queue_update
+from hiroute.control import QueueState, drift_penalty_diagnostic
 from hiroute.topology import build_topology
 from tests.test_engine import run_with_paths, small_config
+
+
+def queue_update(q, cost, budget):
+    """One slot of one queue, through QueueState.apply_slot."""
+    state = QueueState(values=[q], nodes=(0,))
+    state.apply_slot([cost], [budget])
+    return state.values[0]
 
 
 class TestQueueUpdate:
@@ -52,9 +59,8 @@ class TestRealizedCost:
             for m in metrics:
                 for node, cost in m.node_costs.items():
                     assert cost == pytest.approx(2.0 * inbound.get((m.slot, node), 0.0))
-                    queues[node] = queue_update(
-                        queues[node], cost, run.topo.resource_budget[run.node_ids.index(node)]
-                    )
+                    budget = run.topo.resource_budget[run.node_ids.index(node)]
+                    queues[node] = max(queues[node] + cost - budget, 0.0)
                 assert m.node_queues == pytest.approx(queues)
 
 

@@ -394,6 +394,28 @@ class TestRunExperiment:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestRegretIsDiagnostic:
+    @pytest.mark.parametrize("policy", ["vr_ly_exp4", "ly_exp4", "vr_local_loss"])
+    def test_regret_leaves_outputs_unchanged(self, tmp_path, policy):
+        # recording regret adds summary fields and nothing else: the metrics,
+        # the placements and every other summary field are the same bytes
+        outputs = {}
+        for record in (True, False):
+            cfg = small_config(policy=policy)
+            cfg["run"]["total_jobs"] = 1500
+            cfg["run"]["record_regret"] = record
+            out = tmp_path / str(record)
+            run_single(cfg, 1, str(out))
+            summary = json.loads((out / "summary.json").read_text())
+            outputs[record] = (
+                (out / "metrics.csv").read_bytes(),
+                (out / "placements.csv").read_bytes(),
+                {k: v for k, v in summary.items() if k not in ("regret_final", "regret_curve")},
+            )
+        assert outputs[True] == outputs[False]
+        assert json.loads((tmp_path / "True" / "summary.json").read_text())["regret_curve"]
+
+
 class TestRegretOracle:
     def test_single_expert_degenerate_enumeration(self):
         cfg = small_config()
@@ -512,8 +534,9 @@ class TestTraceMode:
         cfg["workload"]["trace_path"] = str(path)
         topo = build_topology(**cfg["topology"])
         wl = build_workload(cfg, topo, 0)
-        assert wl.error_table.task_modality == {"q0": "text"}
+        assert wl.error_table.tasks == ("q0",)
         assert wl.error_table.model_ids == ("small", "big")
+        # the text-only model keeps its recorded rate, not the unsupported 1
         assert wl.error_table.error(0, 0) == 0.0
         jobs = []
         t = 0

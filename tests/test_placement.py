@@ -11,7 +11,7 @@ from hiroute.placement import (
     utility,
 )
 from hiroute.topology import build_topology
-from hiroute.workload import ErrorTable, ModelSpec
+from tests.test_workload import table_of
 
 
 def make_ctx(errors, sizes, mixture, penalty=0.0, previous=()):
@@ -19,10 +19,7 @@ def make_ctx(errors, sizes, mixture, penalty=0.0, previous=()):
     columns follow the sorted model ids (m0, m1, ... is column 0, 1, ...),
     and ``previous`` holds columns."""
     tasks = sorted(mixture)
-    models = [
-        ModelSpec(m, sizes[m], frozenset(["text"]), errors[m]) for m in sorted(errors)
-    ]
-    table = ErrorTable(tasks, models, {t: "text" for t in tasks})
+    table = table_of(tasks, {m: errors[m] for m in sorted(errors)}, sizes)
     return PlacementContext(np.array([mixture[t] for t in tasks]), table, penalty, previous)
 
 
@@ -74,11 +71,8 @@ class TestUtility:
     def test_penalty_sums_sizes_in_id_order(self):
         # columns c, b, a: in id order the sizes sum to 0.6, in column order
         # to 0.6000000000000001
-        models = [
-            ModelSpec(m, size, frozenset(["text"]), {"t": 0.5})
-            for m, size in (("c", 0.1), ("b", 0.2), ("a", 0.3))
-        ]
-        ctx = PlacementContext(np.array([1.0]), ErrorTable(["t"], models, {"t": "text"}), 1.0)
+        table = table_of(["t"], {m: {"t": 0.5} for m in "cba"}, {"c": 0.1, "b": 0.2, "a": 0.3})
+        ctx = PlacementContext(np.array([1.0]), table, 1.0)
         assert utility(ctx, {0, 1, 2}) == 0.5 - (0.3 + 0.2 + 0.1)
 
 
@@ -282,11 +276,9 @@ class TestBaselinePlacements:
 
     def table(self, n=23, reverse=False):
         """Models m00..m22; with ``reverse`` the columns run against id order."""
-        pool = [
-            ModelSpec(f"m{i:02d}", 1.0 + (i % 5), frozenset(["text"]), {"a": 0.5})
-            for i in range(n)
-        ]
-        return ErrorTable(["a"], pool[::-1] if reverse else pool, {"a": "text"})
+        ids = [f"m{i:02d}" for i in range(n)]
+        sizes = {m: 1.0 + (i % 5) for i, m in enumerate(ids)}
+        return table_of(["a"], {m: {"a": 0.5} for m in (ids[::-1] if reverse else ids)}, sizes)
 
     def test_layer_groups_round_robin_sizes(self):
         groups = layer_groups(list(range(23)), 3)

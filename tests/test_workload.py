@@ -9,7 +9,6 @@ from hiroute.topology import build_topology
 from hiroute.workload import (
     ErrorTable,
     Job,
-    ModelSpec,
     TraceFormatError,
     best_loaded_accuracy,
     build_workload,
@@ -22,32 +21,55 @@ from hiroute.workload import (
 )
 
 
+def table_of(tasks, errors, sizes=None):
+    """An ErrorTable from {model id: {task: error}}, one column per model in
+    the dict's order; a task a model has no error for reads 1."""
+    ids = list(errors)
+    matrix = np.array([[errors[m].get(t, 1.0) for m in ids] for t in tasks])
+    return ErrorTable(tasks, ids, [sizes[m] if sizes else 1.0 for m in ids], matrix)
+
+
 def toy_table():
     """Tasks a, b, v are rows 0, 1, 2; models m0, m1, mv columns 0, 1, 2."""
-    models = [
-        ModelSpec("m0", 2.0, frozenset(["text"]), {"a": 0.3, "b": 0.5}),
-        ModelSpec("m1", 4.0, frozenset(["text"]), {"a": 0.1, "b": 0.6}),
-        ModelSpec("mv", 8.0, frozenset(["text", "vision"]), {"a": 0.4, "v": 0.2}),
-    ]
-    modality = {"a": "text", "b": "text", "v": "vision"}
-    return models, ErrorTable(["a", "b", "v"], models, modality)
+    return table_of(
+        ["a", "b", "v"],
+        {"m0": {"a": 0.3, "b": 0.5}, "m1": {"a": 0.1, "b": 0.6}, "mv": {"a": 0.4, "v": 0.2}},
+        {"m0": 2.0, "m1": 4.0, "mv": 8.0},
+    )
 
 
 class TestErrorTable:
-    def test_unsupported_modality_forced_to_one(self):
-        _, table = toy_table()
-        assert table.error(2, 0) == 1.0
-        assert table.error(2, 1) == 1.0
-        assert table.error(2, 2) == 0.2
+    def test_unsupported_modality_forced_to_one(self, tmp_path):
+        # synthetic: every text-only model fails every vision task
+        table, modality, _ = synthetic_catalog(13, 0.38, 2, 2, DEFAULT_MODEL_POOL, 1)
+        vision = [i for i, t in enumerate(table.tasks) if modality[t] == "vision"]
+        text_only = [j for j, spec in enumerate(DEFAULT_MODEL_POOL)
+                     if spec["modalities"] == ["text"]]
+        assert vision and text_only
+        assert (table.matrix[np.ix_(vision, text_only)] == 1.0).all()
+        # trace: a header rate for an unsupported task is ignored
+        header = {"models": [
+            {"id": "m0", "size": 2, "modalities": ["text"], "error_prob": {"v": 0.2}},
+            {"id": "mv", "size": 8, "modalities": ["text", "vision"], "error_prob": {"v": 0.3}},
+        ]}
+        records = [{"job_id": "x", "task_type": "v", "modality": "vision",
+                    "size_units": 12.0, "correctness": {"m0": 1, "mv": 1}}]
+        cfg = default_config()
+        cfg["workload"].update(kind="trace", trace_path=write_trace(tmp_path, records, header))
+        wl = build_workload(cfg, build_topology(**cfg["topology"]), 0)
+        assert wl.error_table.matrix.tolist() == [[1.0, 0.3]]
 
     def test_missing_entry_treated_as_hopeless(self):
-        _, table = toy_table()
-        assert table.error(1, 2) == 1.0
+        # the catalog writes no error for a hard task: every model reads 1
+        table, _, tiers = synthetic_catalog(13, 0.38, 2, 2, DEFAULT_MODEL_POOL, 1)
+        hard = [i for i, t in enumerate(table.tasks) if tiers[t] == "hard"]
+        assert hard
+        assert (table.matrix[hard] == 1.0).all()
 
 
 class TestConfidence:
     def test_no_capable_model_centers_at_zero(self):
-        _, table = toy_table()
+        table = toy_table()
         rng = np.random.default_rng(0)
         center = best_loaded_accuracy(table, 2, [0, 1])
         zs = [
@@ -57,7 +79,7 @@ class TestConfidence:
         assert max(zs) < 0.05
 
     def test_zero_noise_is_deterministic_plugin(self):
-        _, table = toy_table()
+        table = toy_table()
         # best loaded model has error 0.3 -> accuracy 0.7; adding m1 (0.1) -> 0.9
         z = confidence_from_noise(best_loaded_accuracy(table, 0, [0]), 5.0, 0.0)
         assert z == pytest.approx(0.7)
@@ -80,13 +102,13 @@ class TestConfidence:
 
 class TestInferenceError:
     def test_empty_placement_always_fails(self):
-        _, table = toy_table()
+        table = toy_table()
         job = Job(0, 0, 0, 1.0, (1, 1, 1))
         assert select_model(table, 0, []) is None
         assert inference_error(job, select_model(table, 0, [])) == 1
 
     def test_selection_rule_prefers_lowest_expected_error(self):
-        _, table = toy_table()
+        table = toy_table()
         # m1 has error 0.1 on task a vs m0's 0.3; job correct under m1 only
         job = Job(0, 0, 0, 1.0, (0, 1, 0))
         assert select_model(table, 0, [0, 1]) == 1
@@ -94,11 +116,7 @@ class TestInferenceError:
         assert inference_error(job, 0) == 1
 
     def test_selection_tie_breaks_by_lowest_id(self):
-        models = [
-            ModelSpec("m1", 1.0, frozenset(["text"]), {"a": 0.2}),
-            ModelSpec("m0", 1.0, frozenset(["text"]), {"a": 0.2}),
-        ]
-        table = ErrorTable(["a"], models, {"a": "text"})
+        table = table_of(["a"], {"m1": {"a": 0.2}, "m0": {"a": 0.2}})
         assert table.model_ids[1] == "m0"
         assert select_model(table, 0, [0, 1]) == 1
 
@@ -106,12 +124,7 @@ class TestInferenceError:
         # columns run zb, ma, ab (not id order); ab and zb tie on task a, so
         # the rule picks ab, the lowest id, which is the last column, and the
         # job's bit there decides the error
-        models = [
-            ModelSpec("zb", 1.0, frozenset(["text"]), {"a": 0.2}),
-            ModelSpec("ma", 1.0, frozenset(["text"]), {"a": 0.5}),
-            ModelSpec("ab", 1.0, frozenset(["text"]), {"a": 0.2}),
-        ]
-        table = ErrorTable(["a"], models, {"a": "text"})
+        table = table_of(["a"], {"zb": {"a": 0.2}, "ma": {"a": 0.5}, "ab": {"a": 0.2}})
         assert table.by_id == (2, 1, 0)
         column = select_model(table, 0, {0, 1, 2})
         assert column == 2
@@ -120,7 +133,7 @@ class TestInferenceError:
         assert select_model(table, 0, {0, 1}) == 0
 
     def test_best_loaded_accuracy(self):
-        _, table = toy_table()
+        table = toy_table()
         assert best_loaded_accuracy(table, 0, [0, 2]) == pytest.approx(0.7)
         assert best_loaded_accuracy(table, 2, [0, 1]) == 0.0
 
@@ -159,11 +172,11 @@ class TestGeneration:
     def test_empirical_mixture_matches_draw(self):
         # per-node task frequencies within multinomial bounds over 10^4 slots
         wl = make_workload(seed=11, mean=2.0)
-        counts = [np.zeros(len(wl.error_table.tasks)) for _ in wl.arrivals.task_mixture]
+        counts = [np.zeros(len(wl.error_table.tasks)) for _ in wl.task_mixture]
         for t in range(1, 10_001):
             for job in wl.generate_slot(t):
                 counts[job.entry][job.task] += 1
-        for node, probs in enumerate(wl.arrivals.task_mixture):
+        for node, probs in enumerate(wl.task_mixture):
             n = counts[node].sum()
             emp = counts[node] / n
             bound = 3.0 * np.sqrt(probs * (1 - probs) / n) + 5e-3
@@ -214,23 +227,23 @@ class TestDirichletMixtures:
 
 class TestSyntheticCatalog:
     def test_tiers_and_hard_errors(self):
-        tasks, modality, models, tiers = synthetic_catalog(
+        table, modality, tiers = synthetic_catalog(
             13, 0.38, 2, 2, DEFAULT_MODEL_POOL, structure_seed=1
         )
-        assert len(tasks) == 13
+        assert len(table.tasks) == 13
+        assert table.matrix.shape == (13, len(DEFAULT_MODEL_POOL))
         hard = [t for t, tier in tiers.items() if tier == "hard"]
         assert len(hard) == 2
-        table = ErrorTable(tasks, models, modality)
         for t in hard:
             assert modality[t] == "text"
-            for column in range(len(models)):
-                assert table.error(tasks.index(t), column) == 1.0
+            for column in range(len(table.model_ids)):
+                assert table.error(table.tasks.index(t), column) == 1.0
 
     def test_structure_seed_fixes_catalog(self):
         a = synthetic_catalog(13, 0.38, 2, 2, DEFAULT_MODEL_POOL, structure_seed=9)
         b = synthetic_catalog(13, 0.38, 2, 2, DEFAULT_MODEL_POOL, structure_seed=9)
         assert a[1] == b[1]
-        assert [m.error_prob for m in a[2]] == [m.error_prob for m in b[2]]
+        assert a[0].matrix.tolist() == b[0].matrix.tolist()
 
 
 TRACE_HEADER = {
@@ -392,6 +405,16 @@ class TestMalformedTrace:
                      id="unknown-model-modality"),
         pytest.param([header_line(error_prob=[0.2])], "line 1: bad model entry: error_prob",
                      id="error-prob-not-an-object"),
+        pytest.param([header_line(size=True)],
+                     "line 1: bad model entry: size must be a positive finite number",
+                     id="boolean-model-size"),
+        pytest.param([header_line(size="3")],
+                     "line 1: bad model entry: size must be a positive finite number",
+                     id="string-model-size"),
+        pytest.param([header_line(error_prob={"qa": 1.5})],
+                     "line 1: bad model entry: error_prob of task 'qa'", id="error-prob-above-one"),
+        pytest.param([header_line(error_prob={"qa": True})],
+                     "line 1: bad model entry: error_prob of task 'qa'", id="boolean-error-prob"),
         pytest.param(["7"], "line 1: expected a JSON object", id="header-a-number"),
         pytest.param([header_line(), "5"], "line 2: expected a JSON object", id="record-a-number"),
         pytest.param([header_line(), "{not json"], "line 2: invalid JSON", id="record-invalid-json"),
@@ -401,6 +424,12 @@ class TestMalformedTrace:
                      "line 2: correctness must be an object", id="correctness-a-list"),
         pytest.param([header_line(), record_line(correctness="1")],
                      "line 2: correctness must be an object", id="correctness-a-string"),
+        pytest.param([header_line(), record_line(correctness={"m0": True})],
+                     "line 2: correctness values must be 0 or 1, got True",
+                     id="boolean-correctness"),
+        pytest.param([header_line(), record_line(correctness={"m0": 0.0})],
+                     "line 2: correctness values must be 0 or 1, got 0.0",
+                     id="float-correctness"),
     ])
     def test_rejected(self, tmp_path, lines, message):
         with pytest.raises(TraceFormatError, match=re.escape(message)):
@@ -417,6 +446,8 @@ class TestMalformedTrace:
 
 
 @pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
-def test_model_spec_rejects_bad_memory_size(size):
-    with pytest.raises(ValueError, match="positive finite size"):
-        ModelSpec("m0", size, frozenset(["text"]))
+def test_model_spec_rejects_bad_memory_size(tmp_path, size):
+    # a header model's memory size; json writes NaN and Infinity as such
+    path = write_lines(tmp_path, [header_line(size=size)])
+    with pytest.raises(TraceFormatError, match="line 1: bad model entry: size must be"):
+        load_trace(path)
