@@ -28,7 +28,10 @@ in one call.
 Learning builds no T×D matrix per job: a job's expert losses, baselines and
 estimates at a node are ``(terminate, offload_row)`` pairs under its cut,
 and the action distributions it reads are shared by every job of the slot
-that has the same (node, task, cut).
+that has the same (node, task, cut). Only a job that gave feedback gets a
+per-job loss sweep; with ``run.record_regret`` on, every job is logged for
+the regret diagnostic, and the log is settled in one job-batched sweep at
+each regret checkpoint or when it fills.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +54,13 @@ from .baselines import (
     variant_flags,
 )
 from .control import QueueState, drift_penalty_diagnostic
-from .losses import BaselineTable, DownstreamLossOracle, NodeRecord, estimate
+from .losses import (
+    BaselineTable,
+    DownstreamLossOracle,
+    NodeRecord,
+    estimate,
+    sweep_offload_costs,
+)
 from .placement import (
     Placement,
     PlacementContext,
@@ -94,50 +103,152 @@ class RunSummary:
 
 
 class RegretTracker:
-    """Streaming hindsight regret per (node index, task index).
+    """Hindsight regret per (node index, task index), settled in job batches.
 
-    Accumulates each job's realized loss contribution and the full-feedback
-    losses of every expert; regret at a checkpoint is the realized sum minus
-    the best fixed expert's sum so far (found by exhaustive enumeration).
-    Sampling noise can make it negative; it is reported as-is. ``entries``
-    holds the entry node indices, and ``rows`` is the number of thresholds of
-    every expert grid.
+    Each job's realized loss at a node it visited is set against the
+    full-feedback losses of every expert there; regret at a checkpoint is the
+    realized sum minus the best fixed expert's sum so far (found by
+    exhaustive enumeration). Sampling noise can make it negative; it is
+    reported as-is. ``layers`` and ``dests`` are the topology's node tables,
+    ``rows`` the number of thresholds of every expert grid.
+
+    :meth:`add` only logs a job. :meth:`settle` runs one
+    :func:`sweep_offload_costs` over the logged jobs and adds their losses
+    to the sums, each sum still in job order, so the sums carry the bits
+    of adding one job at a time. :meth:`job_done` settles at every
+    checkpoint and whenever :attr:`LOG_CAP` jobs are logged. Each (node,
+    task) keeps one vector: its realized sum, then its expert sums row-major.
     """
 
-    def __init__(self, entries: set[int], checkpoints: Iterable[int], rows: int) -> None:
-        self.entries = entries
+    LOG_CAP = 1024
+
+    def __init__(
+        self, layers: tuple[tuple[int, ...], ...], dests: tuple[tuple[int, ...], ...],
+        error_weight: float, checkpoints: Iterable[int], rows: int,
+    ) -> None:
+        self.layers = layers
+        self.dests = dests
+        self.error_weight = float(error_weight)
+        self.entries = set(layers[0])
         self.checkpoints = set(checkpoints)
         self.rows = rows
-        self.realized: dict[tuple[int, int], float] = {}
-        self.expert_sums: dict[tuple[int, int], np.ndarray] = {}
+        # per destination tuple, each expert's threshold row and destination,
+        # row-major: the columns of a visit's expert losses
+        self._expert_cells = {
+            targets: (np.repeat(np.arange(rows), len(targets)), np.tile(targets, rows))
+            for targets in set(dests) if targets
+        }
+        self._sums: dict[tuple[int, int], np.ndarray] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
         self.curve_entry: list[float] = []
         self.curve_total: list[float] = []
+        # the log, in flat lists of Python numbers: per job its hop cost and
+        # queue snapshot; the snapshots, one row per slot; per middle node
+        # each job's local error and raw probabilities; per (node, task), in
+        # first-visit order, its visits as runs of (job, cut, local error,
+        # next node or -1 where the job stopped)
+        self._hop_costs: list[float] = []
+        self._queue_of: list[int] = []
+        self._queues: list[float] = []
+        self._last_queue: tuple[float, ...] | None = None
+        self._middle = [(node, [], []) for layer in layers[1:-1] for node in layer]
+        self._visits: dict[tuple[int, int], list[float]] = {}
 
     def add(
-        self, node: int, task: int, realized: float, cut: int, terminate, offload
+        self, task: int, path: list[int], records: Mapping[int, NodeRecord], hop_cost: float,
+        queue: tuple[float, ...],
     ) -> None:
-        """Add one job's realized loss and its experts' losses at a node:
-        ``terminate`` for rows ``[:cut]``, ``offload`` for rows ``[cut:]``."""
-        key = (node, task)
-        self.realized[key] = self.realized.get(key, 0.0) + realized
-        sums = self.expert_sums.get(key)
-        if sums is None:
-            sums = self.expert_sums[key] = np.empty((self.rows, np.shape(offload)[-1]))
-            sums[:cut] = terminate
-            sums[cut:] = offload
-        else:
-            sums[:cut] += terminate
-            sums[cut:] += offload
+        """Log one job: its node path, its records at the entry and every
+        middle node, its hop cost and the slot-start queue. ``queue`` must
+        not change afterwards; jobs of one slot share it."""
+        job = len(self._hop_costs)
+        self._hop_costs.append(hop_cost)
+        if queue is not self._last_queue:
+            self._queues.extend(queue)
+            self._last_queue = queue
+        self._queue_of.append(len(self._queues) // len(queue) - 1)
+        for node, local_errors, raws in self._middle:
+            local_error, dist = records[node]
+            local_errors.append(local_error)
+            raws.extend(dist.raw_list)
+        # a job that reached the terminal layer offloaded at every node before
+        fed = len(path) == len(self.layers)
+        last = len(path) - 1
+        visits = self._visits
+        for i, node in enumerate(path[:-1] if fed else path):
+            local_error, dist = records[node]
+            visit = (job, dist.cut, local_error, path[i + 1] if i < last else -1)
+            key = (node, task)
+            if key in visits:
+                visits[key].extend(visit)
+            else:
+                visits[key] = list(visit)
+
+    def settle(self) -> None:
+        """Add every logged job's losses to the sums and empty the log."""
+        jobs_logged = len(self._hop_costs)
+        if not jobs_logged:
+            return
+        costs = sweep_offload_costs(
+            self.layers, self.dests,
+            {node: _floats(errors) for node, errors, _ in self._middle},
+            {node: _floats(raws).reshape(jobs_logged, -1) for node, _, raws in self._middle},
+            _floats(self._queues).reshape(-1, len(self.dests))[self._queue_of],
+            _floats(self._hop_costs), self.error_weight,
+        ).T
+        # keys whose nodes share a destination tuple share their expert cells
+        by_targets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for key in self._visits:
+            by_targets.setdefault(self.dests[key[0]], []).append(key)
+        settled = {}
+        for targets, keys in by_targets.items():
+            # one (realized, experts row-major) row per visit, key by key
+            log = _floats([x for key in keys for x in self._visits[key]]).reshape(-1, 4)
+            jobs = log[:, 0].astype(np.intp)
+            nxt = log[:, 3].astype(np.intp)
+            terminate = self.error_weight * log[:, 2]
+            expert_row, expert_dest = self._expert_cells[targets]
+            block = np.empty((len(log), 1 + len(expert_row)))
+            block[:, 0] = np.where(nxt >= 0, costs[jobs, nxt], terminate)
+            # rows [:cut] terminate, rows [cut:] offload
+            block[:, 1:] = np.where(
+                expert_row < log[:, 1:2], terminate[:, None], costs[jobs[:, None], expert_dest]
+            )
+            start = 0
+            for key in keys:
+                stop = start + len(self._visits[key]) // 4
+                stack = block[start:stop]
+                prev = self._sums.get(key)
+                if prev is not None:
+                    stack = np.concatenate([prev[None], stack])
+                # rows are two or more wide, so reducing along axis 0 adds
+                # them in job order (numpy sums a lone column pairwise)
+                settled[key] = np.add.reduce(stack, axis=0)
+                start = stop
+        # new keys enter in first-visit order, as the checkpoint sums read them
+        for key in self._visits:
+            self._sums[key] = settled[key]
+        self._hop_costs.clear()
+        self._queue_of.clear()
+        self._queues.clear()
+        self._last_queue = None
+        for _, local_errors, raws in self._middle:
+            local_errors.clear()
+            raws.clear()
+        self._visits.clear()
 
     def job_done(self) -> None:
-        """Count one job, and snapshot the regret curves at a checkpoint."""
+        """Count one job; settle at a checkpoint or a full log, and snapshot
+        the regret curves at a checkpoint."""
         self.jobs_seen += 1
-        if self.jobs_seen in self.checkpoints:
+        checkpoint = self.jobs_seen in self.checkpoints
+        if checkpoint or len(self._hop_costs) >= self.LOG_CAP:
+            self.settle()
+        if checkpoint:
             entry_total = 0.0
             total = 0.0
-            for key in self.realized:
+            for key in self._sums:
                 r = self.regret(*key)
                 total += r
                 if key[0] in self.entries:
@@ -146,18 +257,34 @@ class RegretTracker:
             self.curve_entry.append(entry_total)
             self.curve_total.append(total)
 
+    @property
+    def realized(self) -> dict[tuple[int, int], float]:
+        """Settled realized loss sum per (node, task)."""
+        return {key: float(sums[0]) for key, sums in self._sums.items()}
+
+    @property
+    def expert_sums(self) -> dict[tuple[int, int], np.ndarray]:
+        """Settled expert loss sums per (node, task), thresholds by destinations."""
+        return {key: sums[1:].reshape(self.rows, -1) for key, sums in self._sums.items()}
+
     def regret(self, node: int, task: int) -> float:
-        key = (node, task)
-        return self.realized[key] - float(self.expert_sums[key].min())
+        sums = self._sums[(node, task)]
+        return float(sums[0]) - float(np.minimum.reduce(sums[1:]))
 
     def final_map(
         self, node_ids: tuple[str, ...], task_ids: tuple[str, ...]
     ) -> dict[str, dict[str, float]]:
         """Final regret per node id (``node_ids[node]``), then per task id."""
+        self.settle()
         out: dict[str, dict[str, float]] = {}
-        for node, task in sorted(self.realized):
+        for node, task in sorted(self._sums):
             out.setdefault(node_ids[node], {})[task_ids[task]] = self.regret(node, task)
         return out
+
+
+def _floats(values: list[float]) -> np.ndarray:
+    """A list of Python numbers as a float array."""
+    return np.fromiter(values, float, len(values))
 
 
 def resolve_thresholds(cfg: Mapping[str, Any]) -> tuple[float, ...]:
@@ -278,8 +405,8 @@ class _Run:
                 total = cfg["run"]["total_jobs"]
                 step = max(1, total // 10)
                 self.regret = RegretTracker(
-                    set(topo.entry_nodes()), {*range(step, total + 1, step), total},
-                    len(thresholds),
+                    self.layers, self.dests, self.v,
+                    {*range(step, total + 1, step), total}, len(thresholds),
                 )
         else:
             prob = cfg["static"]["offload_prob"]
@@ -424,8 +551,11 @@ class _Run:
                 self._write_path(t, job, path, reached, exit_error, hard)
 
         if self.learning:
+            # the regret log may settle after apply_slot has moved the
+            # queues on, so it keeps a copy of the slot-start queue
+            learn_queue = tuple(queue) if self.record_regret else queue
             for job, path, reached, noise, records in routed:
-                self._learn_from(job, path, reached, noise, records, queue)
+                self._learn_from(job, path, reached, noise, records, learn_queue)
                 if self.record_regret:
                     self.regret.job_done()
             self.table.refresh_dirty()
@@ -494,22 +624,24 @@ class _Run:
 
     def _learn_from(
         self, job: Job, path: list[int], fb: bool, noise: list[float],
-        records: dict[int, NodeRecord], queue: list[float],
+        records: dict[int, NodeRecord], queue: Sequence[float],
     ) -> None:
         assert self.table is not None and self.baselines is not None
         variant = self.variant
         task = job.task
         hop_cost = job.size_units * self.distance_factor
         oracle = None
+        # the sweeps read every middle node's slot-start distribution
         if fb or self.record_regret:
-            for node in (path[0], *self.middle):
+            for node in self.middle:
                 if node not in records:
                     records[node] = self._evaluate(job, node, noise)
+        if fb:
             oracle = DownstreamLossOracle(
                 self.layers, path[0], self.dests, records, queue, self.v, hop_cost
             )
         visited = path[:-1] if fb else path
-        for i, node in enumerate(visited):
+        for node in visited:
             dests = self.dests[node]
             local_error, dist = records[node]
             cut = dist.cut
@@ -537,16 +669,8 @@ class _Run:
             if fb and variant.use_baseline:
                 down_base = np.array([oracle.expected_loss_decomposition(d) for d in dests])
                 self.baselines.update_hidden(node, task, local_error, down_base)
-            if self.record_regret:
-                if not fb or variant.zero_downstream:
-                    losses = oracle.expert_loss_matrix(node)
-                # the realized loss of the action taken here: stop, or offload
-                # to the next node of the path
-                if i + 1 < len(path):
-                    realized = oracle.offload_cost[path[i + 1]]
-                else:
-                    realized = self.v * local_error
-                self.regret.add(node, task, realized, cut, *losses)
+        if self.record_regret:
+            self.regret.add(task, path, records, hop_cost, queue)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:

@@ -13,9 +13,16 @@ exactly unbiased over the feedback Bernoulli.
 node indices, from the deepest non-terminal layer up to the job's entry
 node. Per node it computes the probability of reaching the terminal layer,
 the expected downstream loss of standing there, and that loss with every
-queue at zero; the estimators and the regret diagnostic then look these
-values up. It and :class:`BaselineTable` read the threshold rule from the
-cut kept by the job's action distribution.
+queue at zero; the estimators then look these values up. It and
+:class:`BaselineTable` read the threshold rule from the cut kept by the
+job's action distribution. The engine builds it only for jobs that gave
+feedback.
+
+:func:`sweep_offload_costs` is the same backward sweep over a batch of jobs
+at once, for the regret diagnostic: a Python loop over nodes and
+destinations, numpy over jobs, with the oracle's float operations in the
+oracle's order, so each job's offload costs are the oracle's bit for bit.
+It computes only the offload costs, which are all the diagnostic reads.
 
 A job's expert losses, baselines and estimates at a node take D+1 distinct
 values: every expert of rows ``[:cut]`` terminates and pays one value, every
@@ -269,3 +276,41 @@ class DownstreamLossOracle:
             self.error_weight * local_error,
             np.array([costs[dest] for dest in self.dests[node]]),
         )
+
+
+def sweep_offload_costs(
+    layers: Sequence[Sequence[int]],
+    dests: Sequence[Sequence[int]],
+    local_errors: Mapping[int, np.ndarray],
+    raws: Mapping[int, np.ndarray],
+    queues: np.ndarray,
+    hop_costs: np.ndarray,
+    error_weight: float,
+) -> np.ndarray:
+    """The oracle's offload costs of a batch of jobs: one backward sweep.
+
+    For every node n strictly between the entry and terminal layers,
+    ``local_errors[n]`` holds each job's local error there and ``raws[n]``
+    each job's raw action probabilities (jobs × (1 + destinations)), from
+    the job's :data:`NodeRecord`. ``queues[j]`` is job j's slot-start queue
+    by node index and ``hop_costs[j]`` its hop cost. Returns a (nodes, jobs)
+    array whose row ``n`` holds, for every node of layers 2..K, what
+    :attr:`DownstreamLossOracle.offload_cost` holds at ``n``; entry-layer
+    rows are zero. Every value is computed with the oracle's operations in
+    the oracle's order, elementwise over jobs.
+    """
+    error_weight = float(error_weight)
+    costs = np.zeros((queues.shape[1], len(hop_costs)))
+    fbars: dict[int, np.ndarray] = {}
+    for k in range(len(layers) - 1, 0, -1):
+        for dest in layers[k]:
+            costs[dest] = queues[:, dest] * hop_costs + fbars.get(dest, 0.0)
+        if k == 1:
+            break
+        for node in layers[k - 1]:
+            raw = raws[node]
+            fbar = (error_weight * raw[:, 0]) * local_errors[node]
+            for i, dest in enumerate(dests[node], 1):
+                fbar = fbar + raw[:, i] * costs[dest]
+            fbars[node] = fbar
+    return costs

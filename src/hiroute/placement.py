@@ -89,13 +89,20 @@ def greedy_onload(ctx: PlacementContext, budget: float) -> frozenset[int]:
     toward the lowest model id. ``utility`` then compares the result against
     the best single feasible model — the standard completion that protects
     against a dense small pick blocking a high-value large one and
-    underwrites the half-of-optimum guarantee.
+    underwrites the half-of-optimum guarantee. The single models are scored
+    inline with ``utility``'s operations, and ``utility`` makes the final
+    comparison.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     table = ctx.error_table
     sizes = table.sizes
-    singles = [(utility(ctx, (c,)), c) for c in table.by_id if sizes[c] <= budget + 1e-12]
+    # utility of each single column, from the operands utility builds for it
+    singles = [
+        (float(np.dot(ctx.mixture, 1.0 - table.matrix[:, c]))
+         - ctx.switch_penalty * (0 if c in ctx.previous else sizes[c]), c)
+        for c in table.by_id if sizes[c] <= budget + 1e-12
+    ]
     chosen: set[int] = set()
     remaining = float(budget)
     m = np.ones(len(table.tasks))

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import DownstreamLossOracle, estimate, variance_pair
+from .losses import DownstreamLossOracle, estimate, sweep_offload_costs, variance_pair
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
@@ -135,7 +135,9 @@ def check_loss_sweep() -> CheckResult:
     (raw distribution) and the queue-free expected loss (the same with every
     queue at zero) are summed over every route. A middle layer of 10 or more
     nodes makes the id order of the destinations differ from their index
-    order.
+    order. The job-batched sweep then takes every draw's jobs at once, each
+    with its own entry, hop cost and queue, and must give each job's oracle
+    offload costs bit for bit.
     """
     layer_sizes = ([1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1, 1], [2, 12, 3, 1])
     rng = np.random.default_rng(3)
@@ -143,6 +145,7 @@ def check_loss_sweep() -> CheckResult:
     for sizes in layer_sizes:
         topo = build_topology(sizes, [10.0] * len(sizes), 0.4)
         layers, dests = topo.layers, topo.dests
+        jobs = []  # (records, queue row, hop cost, oracle) per entry and draw
         for _ in range(3):
             records = {}  # the job's NodeRecord at every non-terminal node
             for node in (i for layer in layers[:-1] for i in layer):
@@ -154,6 +157,7 @@ def check_loss_sweep() -> CheckResult:
             c = float(rng.uniform(0.5, 4))
             for entry in layers[0]:
                 oracle = DownstreamLossOracle(layers, entry, dests, records, queue_row, v, c)
+                jobs.append((records, queue_row, c, oracle))
                 for node in (entry, *(i for layer in layers[1:] for i in layer)):
                     want = np.zeros(3)  # reach prob, expected loss, queue-free loss
                     for route in _routes(topo, node):
@@ -180,6 +184,22 @@ def check_loss_sweep() -> CheckResult:
                             "loss-sweep", False,
                             f"{topo_name} at {topo.node(node)}: {got} != {tuple(want.tolist())}",
                         )
+        records, queues, hop_costs, oracles = zip(*jobs)
+        middle = [i for layer in layers[1:-1] for i in layer]
+        costs = sweep_offload_costs(
+            layers, dests,
+            {n: np.array([r[n][0] for r in records], dtype=float) for n in middle},
+            {n: np.array([r[n][1].raw for r in records]) for n in middle},
+            np.array(queues), np.array(hop_costs), v,
+        )
+        for j, oracle in enumerate(oracles):
+            for node, cost in oracle.offload_cost.items():
+                if costs[node, j] != cost:
+                    return CheckResult(
+                        "loss-sweep", False,
+                        f"{'-'.join(map(str, sizes))}, job {j} at {topo.node(node)}: "
+                        f"batched offload cost {costs[node, j]!r} != {cost!r}",
+                    )
     return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 
 

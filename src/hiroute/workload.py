@@ -441,10 +441,10 @@ def load_trace(path: str) -> tuple[list[TraceModel], list[TraceRecord], dict[str
 
     Returns the header's models, the records and each task's recorded
     modality. A model's size must be a positive finite number and its
-    ``error_prob`` values numbers in [0, 1]. Job records carry a correctness
-    bit, the integer 0 or 1, for every model, and every record of a task
-    must carry the same modality. Violations raise :class:`TraceFormatError`
-    naming the offending line.
+    ``error_prob`` values numbers in [0, 1], keyed by recorded task ids. Job
+    records carry a correctness bit, the integer 0 or 1, for every model,
+    and every record of a task must carry the same modality. Violations
+    raise :class:`TraceFormatError` naming the offending line.
     """
     models: list[TraceModel] = []
     jobs: list[TraceRecord] = []
@@ -518,6 +518,13 @@ def load_trace(path: str) -> tuple[list[TraceModel], list[TraceRecord], dict[str
                 f"line {lineno}: correctness missing models {sorted(missing)}"
             )
         jobs.append(TraceRecord(task, float(size), tuple(bits)))
+    for model in models:
+        for task in model.error_prob:
+            if task not in modality:
+                raise TraceFormatError(
+                    f"line 1: error_prob of model {model.model_id!r} names task {task!r}, "
+                    "which no record carries"
+                )
     return models, jobs, modality
 
 

@@ -20,7 +20,7 @@ from hiroute.engine import (
 )
 from hiroute.losses import DownstreamLossOracle
 from hiroute.placement import Placement
-from hiroute.policy import ExpertTable
+from hiroute.policy import ActionDistribution, ExpertTable
 from hiroute.topology import build_topology
 from hiroute.workload import (
     Job,
@@ -254,8 +254,8 @@ class TestSlotStartWeights:
 
 class TestLossMatrixBuilds:
     def test_each_expert_loss_matrix_built_once_per_visited_node(self, monkeypatch):
-        # with regret on, a fed job's full-feedback matrix serves both the
-        # estimate and the regret tracker
+        # with regret on, a fed job's full-feedback matrix is built for its
+        # estimate only: the regret log reads the batched sweep
         builds = {}
         oracles = []  # kept alive, so that id() names one job's oracle
         original = DownstreamLossOracle.expert_loss_matrix
@@ -416,6 +416,69 @@ class TestRegretIsDiagnostic:
         assert json.loads((tmp_path / "True" / "summary.json").read_text())["regret_curve"]
 
 
+class StreamingRegret:
+    """The per-job regret reference: one oracle sweep per job, and each
+    visited node's losses added to the sums at once."""
+
+    def __init__(self, layers, dests, error_weight, checkpoints, rows):
+        self.layers, self.dests, self.v = layers, dests, error_weight
+        self.entries = set(layers[0])
+        self.checkpoints = set(checkpoints)
+        self.rows = rows
+        self.realized = {}
+        self.expert_sums = {}
+        self.jobs_seen = 0
+        self.curve_gamma, self.curve_entry, self.curve_total = [], [], []
+
+    def add(self, task, path, records, hop_cost, queue):
+        oracle = DownstreamLossOracle(
+            self.layers, path[0], self.dests, records, queue, self.v, hop_cost
+        )
+        visited = path[:-1] if len(path) == len(self.layers) else path
+        for i, node in enumerate(visited):
+            local_error, dist = records[node]
+            cut = dist.cut
+            terminate, offload = oracle.expert_loss_matrix(node)
+            if i + 1 < len(path):
+                realized = oracle.offload_cost[path[i + 1]]
+            else:
+                realized = self.v * local_error
+            key = (node, task)
+            self.realized[key] = self.realized.get(key, 0.0) + realized
+            sums = self.expert_sums.get(key)
+            if sums is None:
+                sums = self.expert_sums[key] = np.empty((self.rows, len(offload)))
+                sums[:cut] = terminate
+                sums[cut:] = offload
+            else:
+                sums[:cut] += terminate
+                sums[cut:] += offload
+
+    def regret(self, node, task):
+        key = (node, task)
+        return self.realized[key] - float(self.expert_sums[key].min())
+
+    def job_done(self):
+        self.jobs_seen += 1
+        if self.jobs_seen in self.checkpoints:
+            entry_total = total = 0.0
+            for key in self.realized:
+                r = self.regret(*key)
+                total += r
+                if key[0] in self.entries:
+                    entry_total += r
+            self.curve_gamma.append(self.jobs_seen)
+            self.curve_entry.append(entry_total)
+            self.curve_total.append(total)
+
+
+BUDGETS = {
+    (4, 2, 1): [30, 100, None],
+    (16, 8, 4, 2, 1): [30, 80, 150, 200, None],
+    (3, 12, 2, 1): [30, 100, 150, None],
+}
+
+
 class TestRegretOracle:
     def test_single_expert_degenerate_enumeration(self):
         cfg = small_config()
@@ -426,39 +489,146 @@ class TestRegretOracle:
         for (node, task), sums in run.regret.expert_sums.items():
             assert sums.shape[0] == 1
 
+    @pytest.mark.parametrize("sizes,thresholds", [
+        *((sizes, None) for sizes in BUDGETS),
+        ((3, 12, 2, 1), [0.5]),  # one expert at each layer-3 node
+    ])
+    @pytest.mark.parametrize("policy", ["vr_ly_exp4", "ly_exp4", "vr_local_loss"])
+    def test_batched_settle_matches_per_job_reference(
+        self, monkeypatch, policy, sizes, thresholds
+    ):
+        # a log cap of 7 puts settles mid-slot and between checkpoints
+        monkeypatch.setattr(RegretTracker, "LOG_CAP", 7)
+        self.check_against_reference(monkeypatch, policy, sizes, thresholds)
+
+    @pytest.mark.parametrize("sizes", list(BUDGETS))
+    def test_checkpoint_settles_match_per_job_reference(self, monkeypatch, sizes):
+        # at the default cap every settle is a checkpoint's 150 jobs: long
+        # enough per (node, task) that a pairwise sum would change the bits
+        self.check_against_reference(monkeypatch, "vr_ly_exp4", sizes, None)
+
+    @staticmethod
+    def check_against_reference(monkeypatch, policy, sizes, thresholds):
+        """Every sum, the final regrets and the curves of a 1,500-job run
+        carry the bits of the per-job reference fed the same jobs."""
+        refs = {}
+        add, job_done = RegretTracker.add, RegretTracker.job_done
+
+        def reference(tracker):
+            if tracker not in refs:
+                refs[tracker] = StreamingRegret(
+                    tracker.layers, tracker.dests, tracker.error_weight,
+                    tracker.checkpoints, tracker.rows,
+                )
+            return refs[tracker]
+
+        def spy_add(self, *args):
+            reference(self).add(*args)
+            add(self, *args)
+
+        def spy_job_done(self):
+            reference(self).job_done()
+            job_done(self)
+
+        monkeypatch.setattr(RegretTracker, "add", spy_add)
+        monkeypatch.setattr(RegretTracker, "job_done", spy_job_done)
+        cfg = small_config(policy=policy)
+        cfg["topology"]["layer_sizes"] = list(sizes)
+        cfg["topology"]["memory_budgets"] = BUDGETS[sizes]
+        cfg["learning"]["thresholds"] = thresholds
+        cfg["run"]["total_jobs"] = 1500
+        run = run_single(cfg, 1)
+        tracker = run.regret
+        ref = refs[tracker]
+        assert list(tracker.expert_sums) == list(ref.expert_sums)
+        for key, sums in ref.expert_sums.items():
+            assert tracker.expert_sums[key].tobytes() == sums.tobytes()
+        assert tracker.realized == ref.realized
+        want = {}
+        for node, task in sorted(ref.realized):
+            want.setdefault(run.node_ids[node], {})[run.task_ids[task]] = ref.regret(node, task)
+        assert run.summary().regret_final == want
+        assert tracker.curve_gamma == ref.curve_gamma == [*range(150, 1501, 150)]
+        assert tracker.curve_entry == ref.curve_entry
+        assert tracker.curve_total == ref.curve_total
+
+    @pytest.mark.parametrize("policy", ["vr_ly_exp4", "ly_exp4", "vr_local_loss"])
+    def test_one_oracle_per_fed_job(self, monkeypatch, policy):
+        # regret on: the oracle serves the estimates of fed jobs only; the
+        # regret log is settled by the batched sweep
+        built = []
+        init = DownstreamLossOracle.__init__
+
+        def spy(self, *args):
+            built.append(args[1])
+            init(self, *args)
+
+        monkeypatch.setattr(DownstreamLossOracle, "__init__", spy)
+        cfg = small_config(policy=policy)
+        cfg["run"]["record_regret"] = True
+        run = run_single(cfg, 0)
+        assert run.regret is not None and run.regret.curve_gamma
+        assert 0 < len(built) == run.total_feedback < run.total_jobs_done
+
     def test_best_expert_matches_bruteforce_over_logs(self):
-        # a hand-made log of (job, key, realized loss, expert loss matrix)
+        # random jobs on 2-2-1: (job, key, realized loss, expert loss matrix)
+        # per visited node, from each job's own oracle sweep
         rng = np.random.default_rng(5)
-        node_ids = ("n1_0", "n2_0")
+        topo = build_topology([2, 2, 1], [10.0, 10.0, None], 0.4)
+        layers, dests = topo.layers, topo.dests
+        node_ids = topo.node_ids
         task_ids = ("a", "b")
-        keys = [(0, 0), (0, 1), (1, 0)]
-        tracker = RegretTracker({0}, checkpoints=[10, 40], rows=3)
+        rows, v = 3, 70.0
+        tracker = RegretTracker(layers, dests, v, checkpoints=[10, 40], rows=rows)
         log = []
+        queue = None
         for job in range(40):
-            for key in keys:
-                if rng.random() < 0.7:
-                    realized = float(rng.uniform(0, 10))
-                    losses = rng.uniform(0, 10, size=(3, 2))
-                    log.append((job, key, realized, losses))
-                    # cut 0: every row takes the offload part, the full matrix
-                    tracker.add(*key, realized, 0, 0.0, losses)
+            if job % 3 == 0:  # a new slot: a new queue snapshot
+                queue = (0.0, 0.0, *rng.uniform(0, 5, size=3).tolist())
+            task = int(rng.integers(2))
+            records = {
+                node: (int(rng.integers(2)), ActionDistribution(
+                    rng.dirichlet(np.ones(len(dests[node]) + 1)), 0.1,
+                    int(rng.integers(rows + 1)),
+                ))
+                for node in (int(rng.integers(2)), 2, 3)
+            }
+            entry = min(records)
+            path = [entry]
+            while path[-1] != 4 and rng.random() < 0.7:
+                path.append(dests[path[-1]][int(rng.integers(len(dests[path[-1]])))])
+            hop_cost = float(rng.uniform(0.5, 4))
+            oracle = DownstreamLossOracle(layers, entry, dests, records, queue, v, hop_cost)
+            for i, node in enumerate(path[:-1] if path[-1] == 4 else path):
+                local_error, dist = records[node]
+                terminate, offload = oracle.expert_loss_matrix(node)
+                losses = np.empty((rows, len(offload)))
+                losses[:dist.cut] = terminate
+                losses[dist.cut:] = offload
+                realized = (oracle.offload_cost[path[i + 1]] if i + 1 < len(path)
+                            else v * local_error)
+                log.append((job, (node, task), realized, losses))
+            tracker.add(task, path, records, hop_cost, queue)
             tracker.job_done()
 
         def brute(jobs):
             regret, best = {}, {}
-            for key in keys:
+            for key in {k for _, k, _, _ in log}:
                 entries = [(r, m) for j, k, r, m in log if k == key and j < jobs]
+                if not entries:
+                    continue
                 sums = {
                     (i, d): sum(m[i, d] for _, m in entries)
-                    for i in range(3) for d in range(2)
+                    for i in range(rows) for d in range(entries[0][1].shape[1])
                 }
                 best[key] = min(sums, key=sums.get)
                 regret[key] = sum(r for r, _ in entries) - sums[best[key]]
             return regret, best
 
         regret, best = brute(40)
+        assert len(regret) >= 6
+        final = tracker.final_map(node_ids, task_ids)
         for (node, task), value in regret.items():
-            final = tracker.final_map(node_ids, task_ids)
             assert final[node_ids[node]][task_ids[task]] == pytest.approx(value)
             sums = tracker.expert_sums[(node, task)]
             assert np.unravel_index(sums.argmin(), sums.shape) == best[(node, task)]
@@ -469,7 +639,7 @@ class TestRegretOracle:
             regret, _ = brute(gamma)
             assert total == pytest.approx(sum(regret.values()))
             assert entry == pytest.approx(
-                sum(v for (node, _), v in regret.items() if node == 0)
+                sum(v for (node, _), v in regret.items() if node in layers[0])
             )
 
 

@@ -434,7 +434,14 @@ class TestPairsMatchFullMatrices:
         grid = ExpertGrid(DEFAULT_THRESHOLDS, (1, 2, 3))
         experts = ExpertTable({0: grid}, 1, learning_rate=0.1, exploration_rate=0.1)
         baselines = BaselineTable({0: grid}, 1, ema_rate=0.1)
-        tracker = RegretTracker({0}, [], rows=self.T)
+        # one entry node offloading to three terminal nodes, with unit error
+        # weight and hop cost: a job that stops at the entry has the expert
+        # losses ``(local error, queue row)``. One tracker settles after every
+        # job, the other once at the end.
+        layers, dests = ((0,), (1, 2, 3)), ((1, 2, 3), (), (), ())
+        tracker = RegretTracker(layers, dests, 1.0, [], rows=self.T)
+        batched = RegretTracker(layers, dests, 1.0, [], rows=self.T)
+        uniform = np.full(self.D + 1, 1.0 / (self.D + 1))
         cum = np.zeros(grid.shape)
         sums = None
         violations = 0
@@ -452,9 +459,15 @@ class TestPairsMatchFullMatrices:
             # the pairs
             experts.accumulate_loss(0, 0, cut, estimate(losses[0], beta[0], rho, fb),
                                     estimate(losses[1], beta[1], rho, fb))
-            tracker.add(0, 0, 0.0, cut, *losses)
+            records = {0: (losses[0], ActionDistribution(uniform.copy(), 0.1, cut))}
+            queue = (0.0, *losses[1].tolist())
+            for regret in (tracker, batched):
+                regret.add(0, [0], records, 1.0, queue)
+            tracker.settle()
             baselines.count_violations(0, cut, beta, losses)
             assert experts.cum_loss(0, 0).tobytes() == cum.tobytes()
             assert tracker.expert_sums[(0, 0)].tobytes() == sums.tobytes()
             assert baselines.condition_violations == violations
         assert violations > 0
+        batched.settle()
+        assert batched.expert_sums[(0, 0)].tobytes() == sums.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hiroute.placement
 from hiroute.placement import (
     Placement,
     PlacementContext,
@@ -199,6 +200,23 @@ class TestGreedy:
                            penalty=float(rng.uniform(0, 0.3)), previous=prev)
             budget = float(rng.integers(0, 10))
             assert greedy_onload(ctx, budget) == reference_greedy(ctx, budget)
+
+    def test_utility_only_for_the_final_comparison(self, monkeypatch):
+        # the single models are scored inline; utility compares the result
+        calls = []
+
+        def counted(ctx, subset):
+            calls.append(subset)
+            return utility(ctx, subset)
+
+        monkeypatch.setattr(hiroute.placement, "utility", counted)
+        rng = np.random.default_rng(9)
+        errors = {f"m{i}": {"t0": float(rng.uniform(0, 1)), "t1": float(rng.uniform(0, 1))}
+                  for i in range(6)}
+        ctx = make_ctx(errors, {f"m{i}": 1.0 + i for i in range(6)}, {"t0": 0.3, "t1": 0.7},
+                       penalty=0.05, previous={2})
+        greedy_onload(ctx, 7.0)
+        assert len(calls) == 1
 
     def test_tie_heavy_instances(self):
         # coarse errors, equal sizes, uniform mixtures and penalties that can

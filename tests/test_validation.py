@@ -1,5 +1,8 @@
 import time
 
+import numpy as np
+
+from hiroute import validation
 from hiroute.validation import (
     check_greedy_quality,
     check_loss_sweep,
@@ -25,6 +28,21 @@ def test_suite_is_fast():
 def test_injected_baseline_sign_bug_is_caught():
     result = check_unbiasedness(inject="baseline-sign")
     assert not result.passed
+
+
+def test_batched_sweep_checked_bit_for_bit(monkeypatch):
+    # one job's offload cost one ulp off fails the loss-sweep check
+    sweep = validation.sweep_offload_costs
+
+    def one_ulp_off(*args):
+        costs = sweep(*args)
+        costs[-1, -1] = np.nextafter(costs[-1, -1], np.inf)
+        return costs
+
+    monkeypatch.setattr(validation, "sweep_offload_costs", one_ulp_off)
+    result = check_loss_sweep()
+    assert not result.passed
+    assert "batched offload cost" in result.detail
 
 
 def test_individual_checks():

@@ -415,6 +415,9 @@ class TestMalformedTrace:
                      "line 1: bad model entry: error_prob of task 'qa'", id="error-prob-above-one"),
         pytest.param([header_line(error_prob={"qa": True})],
                      "line 1: bad model entry: error_prob of task 'qa'", id="boolean-error-prob"),
+        pytest.param([header_line(error_prob={"Qa": 0.1}), record_line()],
+                     "line 1: error_prob of model 'm0' names task 'Qa', which no record carries",
+                     id="error-prob-unknown-task"),
         pytest.param(["7"], "line 1: expected a JSON object", id="header-a-number"),
         pytest.param([header_line(), "5"], "line 2: expected a JSON object", id="record-a-number"),
         pytest.param([header_line(), "{not json"], "line 2: invalid JSON", id="record-invalid-json"),
