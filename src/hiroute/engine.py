@@ -9,29 +9,17 @@ fixed epoch grid when the greedy strategy is selected. All randomness flows
 from the run seed, so a (config, seed) pair reproduces its metrics stream
 byte for byte.
 
-The core works on integers: node indices, task indices and model columns.
-Node ids, layers, destinations and budgets by node index are the tables
-``build_topology`` builds once from the config's ``topology`` section; the
-error table, the task mixtures by entry node index and the mean job size
-are the tables ``workload.build_workload`` builds once per run from the
-``workload`` section. A job carries its sequence number, task index and
-entry node index; the expert, baseline, regret and per-epoch placement
-tables and the epoch task histograms are keyed by (node, task) index, and
-placements are sets of model columns. Ids are looked up only where
-``metrics.csv``, ``paths.jsonl``, ``placements.csv`` or ``summary.json`` is
-written. Every policy draws 0 to terminate or i to offload to the node's
-i-th destination, so one loop routes every job. Each placement epoch
-tables every (node, task)'s best-loaded accuracy and selected model column,
-filled on first lookup, and a job keeps one record per node it is evaluated
-at: local error and action distribution. A slot draws its confidence noise
-in one call.
-Learning builds no T×D matrix per job: a job's expert losses, baselines and
-estimates at a node are ``(terminate, offload_row)`` pairs under its cut,
-and the action distributions it reads are shared by every job of the slot
-that has the same (node, task, cut). Only a job that gave feedback gets a
-per-job loss sweep; with ``run.record_regret`` on, every job is logged for
-the regret diagnostic, and the log is settled in one job-batched sweep at
-each regret checkpoint or when it fills.
+The core works on integers: node indices, task indices and model columns,
+from the tables ``build_topology`` and ``workload.build_workload`` build
+once per run; ids are looked up only where an output file is written. Every
+policy draws 0 to terminate or i to offload to the node's i-th destination,
+so one loop routes every job. A job keeps one record per node it is
+evaluated at, its local error and action distribution, and its expert
+losses, baselines and estimates at a node are ``(terminate, offload_row)``
+pairs under its cut. Only a job that gave feedback gets a per-job loss
+sweep. With ``run.record_regret`` on, every job is logged for the regret
+diagnostic, which alone evaluates a job without feedback at the middle
+nodes it skipped, and the log is settled in job-batched sweeps.
 """
 from __future__ import annotations
 
@@ -161,7 +149,10 @@ class RegretTracker:
     ) -> None:
         """Log one job: its node path, its records at the entry and every
         middle node, its hop cost and the slot-start queue. ``queue`` must
-        not change afterwards; jobs of one slot share it."""
+        not change afterwards; jobs of one slot share it. The engine's
+        ``records`` evaluate a middle node the job did not visit on lookup,
+        so for a job without feedback that work, done for the log only,
+        happens here."""
         job = len(self._hop_costs)
         self._hop_costs.append(hop_cost)
         if queue is not self._last_queue:
@@ -171,7 +162,7 @@ class RegretTracker:
         for node, local_errors, raws in self._middle:
             local_error, dist = records[node]
             local_errors.append(local_error)
-            raws.extend(dist.raw_list)
+            raws.extend(dist.raw)
         # a job that reached the terminal layer offloaded at every node before
         fed = len(path) == len(self.layers)
         last = len(path) - 1
@@ -314,20 +305,21 @@ def resolve_learning_rate(cfg: Mapping[str, Any], max_grid_size: int) -> float:
     return base * scale
 
 
-class _PerTask(dict):
-    """``fn(table, task, loaded)`` per task index of one node's loaded
-    columns, computed on the task's first lookup."""
+class _Lazy(dict):
+    """``fn(before, key, after)`` per key, computed on the key's first lookup:
+    per task index, a node's best-loaded accuracy or selected model column;
+    per node index, a job's :data:`NodeRecord`."""
 
-    __slots__ = ("fn", "table", "loaded")
+    __slots__ = ("fn", "before", "after")
 
-    def __init__(self, fn, table, loaded: frozenset[int]) -> None:
+    def __init__(self, fn, before, after) -> None:
         super().__init__()
         self.fn = fn
-        self.table = table
-        self.loaded = loaded
+        self.before = before
+        self.after = after
 
-    def __missing__(self, task: int):
-        value = self[task] = self.fn(self.table, task, self.loaded)
+    def __missing__(self, key: int):
+        value = self[key] = self.fn(self.before, key, self.after)
         return value
 
 
@@ -492,8 +484,8 @@ class _Run:
         computed on its first lookup in the epoch."""
         table = self.error_table
         loaded = self.placement.loaded
-        self.accuracy = [_PerTask(best_loaded_accuracy, table, m) for m in loaded]
-        self.selected = [_PerTask(select_model, table, m) for m in loaded]
+        self.accuracy = [_Lazy(best_loaded_accuracy, table, m) for m in loaded]
+        self.selected = [_Lazy(select_model, table, m) for m in loaded]
 
     def _new_histogram(self) -> None:
         """Zero the epoch's arrival counts per (node, task) index."""
@@ -604,7 +596,8 @@ class _Run:
         node = job.entry
         task = job.task
         path: list[int] = []
-        records: dict[int, NodeRecord] = {}
+        # a node the job does not visit is evaluated if a loss sweep reads it
+        records = _Lazy(self._evaluate, job, noise) if self.learning else {}
         while True:
             path.append(node)
             if node in self.terminal:
@@ -631,12 +624,12 @@ class _Run:
         task = job.task
         hop_cost = job.size_units * self.distance_factor
         oracle = None
-        # the sweeps read every middle node's slot-start distribution
-        if fb or self.record_regret:
+        if fb:
+            # the oracle reads every middle node's slot-start distribution;
+            # the regret log evaluates them for a job without feedback
             for node in self.middle:
                 if node not in records:
                     records[node] = self._evaluate(job, node, noise)
-        if fb:
             oracle = DownstreamLossOracle(
                 self.layers, path[0], self.dests, records, queue, self.v, hop_cost
             )

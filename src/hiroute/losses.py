@@ -9,20 +9,12 @@ importance-weighted ("naive") estimate; the variance-reduced one uses the
 task- and expert-conditioned baselines of :class:`BaselineTable`. Both are
 exactly unbiased over the feedback Bernoulli.
 
-:class:`DownstreamLossOracle` makes one backward sweep per job over integer
-node indices, from the deepest non-terminal layer up to the job's entry
-node. Per node it computes the probability of reaching the terminal layer,
-the expected downstream loss of standing there, and that loss with every
-queue at zero; the estimators then look these values up. It and
-:class:`BaselineTable` read the threshold rule from the cut kept by the
-job's action distribution. The engine builds it only for jobs that gave
-feedback.
-
-:func:`sweep_offload_costs` is the same backward sweep over a batch of jobs
-at once, for the regret diagnostic: a Python loop over nodes and
-destinations, numpy over jobs, with the oracle's float operations in the
-oracle's order, so each job's offload costs are the oracle's bit for bit.
-It computes only the offload costs, which are all the diagnostic reads.
+:class:`DownstreamLossOracle` makes one backward sweep over one fed job's
+node indices: reach probability, expected downstream loss and its
+queue-free part per node. :func:`sweep_offload_costs` makes the same sweep
+over a batch of jobs for the regret diagnostic, with the oracle's float
+operations in the oracle's order. The oracle and :class:`BaselineTable`
+read the threshold rule from the cut kept by the job's action distribution.
 
 A job's expert losses, baselines and estimates at a node take D+1 distinct
 values: every expert of rows ``[:cut]`` terminates and pays one value, every
@@ -229,8 +221,8 @@ class DownstreamLossOracle:
                 offload_costs[dest] = queue_cost + fbars[dest]
             for node in layers[k - 1] if k > 1 else (entry,):
                 local_error, dist = nodes[node]
-                raw = dist.raw_list
-                mixed = dist.mixed_list
+                raw = dist.raw
+                mixed = dist.mixed
                 rho = 0.0
                 fbar = free = error_weight * raw[0] * local_error
                 for p_mixed, p_raw, dest in zip(mixed[1:], raw[1:], dests[node]):

@@ -85,13 +85,14 @@ def greedy_onload(ctx: PlacementContext, budget: float) -> frozenset[int]:
     mixture-weighted ``max(m - error, 0)``, less the switch penalty if new.
     A column that lowers no task's error adds only exact zeros, so its error
     gain is exactly 0 in any summation order. The pass stops when its densest
-    feasible candidate has negative gain, or nothing else fits; ties break
-    toward the lowest model id. ``utility`` then compares the result against
-    the best single feasible model — the standard completion that protects
-    against a dense small pick blocking a high-value large one and
-    underwrites the half-of-optimum guarantee. The single models are scored
-    inline with ``utility``'s operations, and ``utility`` makes the final
-    comparison.
+    feasible candidate has a gain below -1e-12, or nothing else fits, so a
+    gain that is 0 in real arithmetic but rounds below 0 does not end it;
+    ties break toward the lowest model id. ``utility`` then compares the
+    result against the best single feasible model — the standard completion
+    that protects against a dense small pick blocking a high-value large one
+    and underwrites the half-of-optimum guarantee. The single models are
+    scored inline with ``utility``'s operations, and ``utility`` makes the
+    final comparison.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -118,7 +119,7 @@ def greedy_onload(ctx: PlacementContext, budget: float) -> frozenset[int]:
             density = gain / sizes[column]
             if density > best_density + 1e-15:
                 best, best_density, best_gain = column, density, gain
-        if best is None or best_gain < 0:
+        if best is None or best_gain < -1e-12:
             break
         chosen.add(best)
         remaining -= sizes[best]

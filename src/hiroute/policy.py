@@ -5,7 +5,7 @@ A joint expert pairs an offload threshold with a destination: it recommends
 offloading there when the local confidence falls below the threshold, and
 local termination otherwise. Weights over the joint expert grid are the
 softmax of negated cumulative estimated losses; each action's probability
-aggregates the weights of every expert recommending it, into one array over
+aggregates the weights of every expert recommending it, into one row over
 {terminate} + destinations that is sampled by one uniform draw against its
 cumulative sum.
 
@@ -19,15 +19,20 @@ values, a terminate value and an offload row of D, which
 Weights change only in :meth:`ExpertTable.update_weights`, so between two
 refreshes of a table its action distribution depends only on the cut. Each
 table caches its distributions by cut, at most T+1 of them, and drops them
-when it refreshes; the cached arrays are read-only, since jobs and slots
-share them.
+when it refreshes; a distribution holds tuples, since jobs and slots share
+it. numpy makes the raw row in two reductions; the rest of the build is a
+handful of Python float operations in numpy's order, with
+:func:`add_reduce` for numpy's summation order, so it keeps numpy's bits.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +42,25 @@ DEFAULT_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(11))
 # wrapper; the per-job paths call them directly, for the same bits
 _sum = np.add.reduce
 _max = np.maximum.reduce
+
+
+def add_reduce(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a contiguous float64 run, bit for bit: left to
+    right below 8 values; up to 128, eight running sums over the whole
+    blocks of 8, added as a tree, then the rest left to right; beyond that,
+    the sums of two halves split at a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return add_reduce(values[:half]) + add_reduce(values[half:])
+    stop = n - n % 8
+    r = values[:8]
+    for i in range(8, stop, 8):
+        r = [a + b for a, b in zip(r, values[i:i + 8])]
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[stop:], tree)
 
 
 @dataclass(frozen=True)
@@ -67,28 +91,30 @@ class ExpertGrid:
 class ActionDistribution:
     """Raw and exploration-mixed probabilities over {terminate} + destinations.
 
-    Both arrays have one entry per action: index 0 terminates, index i
-    offloads to the node's i-th destination. ``cut`` is the number of
-    thresholds at or below the job's confidence: the experts of rows
-    ``[:cut]`` terminate, those of rows ``[cut:]`` offload. The arrays are
-    read-only; ``raw_list`` and ``mixed_list`` hold the same values as
-    Python floats, and the sampling CDF is built once.
+    ``raw``, ``mixed`` and ``cdf`` are tuples of Python floats with one entry
+    per action: index 0 terminates, index i offloads to the node's i-th
+    destination. ``cut`` is the number of thresholds at or below the job's
+    confidence: the experts of rows ``[:cut]`` terminate, those of rows
+    ``[cut:]`` offload.
+
+    The build keeps the bits of numpy's formula on the raw row r of n
+    entries at exploration rate λ: ``mixed = (1 - λ) * r + λ / n``, then
+    ``cdf = cumsum(mixed / add.reduce(mixed))`` as a running sum, divided by
+    its last entry.
     """
 
-    __slots__ = ("raw", "mixed", "cut", "raw_list", "mixed_list", "_cdf")
+    __slots__ = ("raw", "mixed", "cdf", "cut")
 
-    def __init__(self, raw: np.ndarray, exploration_rate: float, cut: int) -> None:
-        mixed = (1.0 - exploration_rate) * raw + exploration_rate / len(raw)
-        cdf = (mixed / _sum(mixed)).cumsum()
-        cdf /= cdf[-1]
-        raw.flags.writeable = False
-        mixed.flags.writeable = False
-        self.raw = raw
-        self.mixed = mixed
+    def __init__(self, raw: Sequence[float], exploration_rate: float, cut: int) -> None:
+        keep = 1.0 - exploration_rate
+        floor = exploration_rate / len(raw)
+        self.raw = raw = tuple(raw)
+        self.mixed = mixed = tuple([keep * p + floor for p in raw])
+        total = add_reduce(mixed)
+        cdf = list(accumulate([p / total for p in mixed]))
+        last = cdf[-1]
+        self.cdf = tuple([c / last for c in cdf])
         self.cut = cut
-        self.raw_list = raw.tolist()
-        self.mixed_list = mixed.tolist()
-        self._cdf = cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one action index from the mixed distribution.
@@ -96,7 +122,7 @@ class ActionDistribution:
         One uniform draw against the cumulative sum: the same index, and the
         same generator state afterwards, as ``rng.choice(len(p), p=p)``.
         """
-        return bisect_right(self._cdf, rng.random())
+        return bisect_right(self.cdf, rng.random())
 
 
 class _TableEntry:
@@ -186,7 +212,9 @@ class ExpertTable:
             raw = np.empty(w.shape[1] + 1)
             raw[0] = _sum(w[:cut], axis=None)
             raw[1:] = _sum(w[cut:], axis=0)
-            dist = entry.dists[cut] = ActionDistribution(raw, self.exploration_rate, cut)
+            dist = entry.dists[cut] = ActionDistribution(
+                raw.tolist(), self.exploration_rate, cut
+            )
         return dist
 
     def accumulate_loss(

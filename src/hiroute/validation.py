@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
+from . import policy
 from .losses import DownstreamLossOracle, estimate, sweep_offload_costs, variance_pair
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
@@ -83,6 +86,42 @@ def check_weight_simplex(rounds: int = 200) -> CheckResult:
     return CheckResult("weight-simplex", True, f"{rounds} random updates clean")
 
 
+def check_distribution_build(inject: str | None = None, grids: int = 60) -> CheckResult:
+    """Action distributions keep numpy's bits: on random tables of 1-20
+    destinations and 1-11 thresholds, every cut's ``raw``, ``mixed`` and
+    ``cdf`` equal numpy's two reductions, ``(1 - λ) * raw + λ / n`` and
+    ``cumsum(mixed / add.reduce(mixed))`` over its last entry. numpy does not
+    promise its summation order; a numpy that changes it fails here.
+    ``inject="left-to-right-total"`` sums the mixed row left to right, which
+    differs from numpy from 8 values on."""
+    rng = np.random.default_rng(13)
+    saved = policy.add_reduce
+    if inject == "left-to-right-total":
+        policy.add_reduce = lambda values: reduce(add, values, 0.0)
+    try:
+        for _ in range(grids):
+            d, rows = int(rng.integers(1, 21)), int(rng.integers(1, 12))
+            lam = float(rng.uniform(0.01, 0.5))
+            thresholds = tuple(np.sort(rng.choice(101, rows, replace=False) / 100).tolist())
+            table = ExpertTable({0: ExpertGrid(thresholds, tuple(range(d)))}, 1, 1.0, lam)
+            table.accumulate_loss(0, 0, 0, 0.0, rng.exponential(8.0, (rows, d)))
+            table.refresh_dirty()
+            w = table.weights(0, 0)
+            for cut in range(rows + 1):
+                dist = table.action_probs(0, 0, thresholds[cut - 1] if cut else -1.0)
+                raw = np.array([np.add.reduce(w[:cut], axis=None), *np.add.reduce(w[cut:], 0)])
+                mixed = (1.0 - lam) * raw + lam / (d + 1)
+                cdf = (mixed / np.add.reduce(mixed)).cumsum()
+                cdf /= cdf[-1]
+                want = tuple(tuple(x.tolist()) for x in (raw, mixed, cdf))
+                if (dist.raw, dist.mixed, dist.cdf) != want:
+                    return CheckResult("distribution-build", False,
+                                       f"{d} destinations, cut {cut}: differs from numpy")
+    finally:
+        policy.add_reduce = saved
+    return CheckResult("distribution-build", True, f"{grids} random tables, every cut, clean")
+
+
 def _table_of(errors: np.ndarray, sizes: list[float]) -> ErrorTable:
     """An error table of tasks t0, t1, ... and models m0, m1, ..."""
     n_tasks, n_models = errors.shape
@@ -149,7 +188,7 @@ def check_loss_sweep() -> CheckResult:
         for _ in range(3):
             records = {}  # the job's NodeRecord at every non-terminal node
             for node in (i for layer in layers[:-1] for i in layer):
-                w = rng.dirichlet(np.ones(len(dests[node]) + 1))
+                w = rng.dirichlet(np.ones(len(dests[node]) + 1)).tolist()
                 lam = float(rng.uniform(0.01, 0.3))
                 records[node] = (int(rng.integers(2)), ActionDistribution(w, lam, 0))
             queue = {n: float(rng.uniform(0, 5)) for layer in layers[1:] for n in layer}
@@ -165,15 +204,15 @@ def check_loss_sweep() -> CheckResult:
                         for here, nxt in zip(route, route[1:]):
                             dist = records[here][1]
                             i = dests[here].index(nxt) + 1  # 0 terminates
-                            mixed *= float(dist.mixed[i])
-                            raw *= float(dist.raw[i])
+                            mixed *= dist.mixed[i]
+                            raw *= dist.raw[i]
                             hops += queue[nxt] * c
                         last = route[-1]
                         if topo.is_terminal(last):
                             want += (mixed, raw * hops, 0.0)
                         else:
                             local_error, dist = records[last]
-                            raw *= float(dist.raw[0])
+                            raw *= dist.raw[0]
                             stop = v * local_error
                             want += (0.0, raw * (hops + stop), raw * stop)
                     got = (oracle.reach_prob(node), oracle.expected_loss(node),
@@ -237,6 +276,7 @@ def run_property_suite(inject: str | None = None) -> list[CheckResult]:
         check_unbiasedness(inject=inject),
         check_variance_ordering(),
         check_weight_simplex(),
+        check_distribution_build(inject=inject),
         check_submodularity(),
         check_loss_sweep(),
         check_greedy_quality(),

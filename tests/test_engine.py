@@ -588,7 +588,7 @@ class TestRegretOracle:
             task = int(rng.integers(2))
             records = {
                 node: (int(rng.integers(2)), ActionDistribution(
-                    rng.dirichlet(np.ones(len(dests[node]) + 1)), 0.1,
+                    rng.dirichlet(np.ones(len(dests[node]) + 1)).tolist(), 0.1,
                     int(rng.integers(rows + 1)),
                 ))
                 for node in (int(rng.integers(2)), 2, 3)

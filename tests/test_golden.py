@@ -19,6 +19,9 @@ TOPOLOGIES = {
     # 12 middle nodes: destination order is id order (n2_10 before n2_2),
     # not index order
     "3-12-2-1": ([3, 12, 2, 1], [30, 80, 150, None]),
+    # 16 destinations per entry node: mixed rows of 17 entries, which numpy
+    # sums as two blocks of 8 and a tail
+    "2-16-1": ([2, 16, 1], [30, 80, None]),
 }
 FILES = ("metrics.csv", "summary.json", "placements.csv")
 
@@ -98,6 +101,11 @@ GOLDEN = {
         "8648b958f8b1af147a0d0c1c3bc9a2150abfdd62a354b7dcc59ede86e4959d50",
         "19a7c03d09d4a0f2b71e6d8edbc6d7a3453d420cbe92a8d4d32455885e95a172",
         "7a1b25340a3129a66c7c1e58a541cf5c3200f6076a8254a9ee7d2bd81d73e66c",
+    ),
+    ("vr_ly_exp4", "2-16-1"): (
+        "af947881076822efeccf1f8a19a3c6c5e6fc34ac130334b103c0f34853c64d81",
+        "3ea911442660f29bbe7a48a183893d07af1e1f3fb5a5009554712b100f845f9b",
+        "732c1e67a4121a66e6efeadd0142d2ace33a10e93f89be1a3bbe090e77ab3f01",
     ),
 }
 

@@ -177,7 +177,7 @@ def chain_views(offload_probs, errors=None, confidences=None, lam=0.0, threshold
         node_id: (
             errors.get(node_id, 0),
             ActionDistribution(
-                np.array([1.0 - p, p]), exploration_rate=lam,
+                [1.0 - p, p], exploration_rate=lam,
                 cut=sum(th <= confidences.get(node_id, 0.5) for th in thresholds),
             ),
         )
@@ -242,7 +242,7 @@ class TestReachProb:
         # the raw policy never offloads
         views = {
             topo.node_ids[node]: (0, ActionDistribution(
-                np.eye(len(topo.dests[node]) + 1)[0], exploration_rate=lam, cut=0
+                np.eye(len(topo.dests[node]) + 1)[0].tolist(), exploration_rate=lam, cut=0
             ))
             for node in (*topo.layers[0], *topo.layers[1])
         }
@@ -398,7 +398,7 @@ class TestCutMatchesThresholdMask:
             records = {0: (local_error, dist)}
             for node in (1, 2, 3):  # the middle layer, with nonzero downstream loss
                 p = float(rng.uniform(0, 1))
-                records[node] = (1, ActionDistribution(np.array([1.0 - p, p]), 0.1, 0))
+                records[node] = (1, ActionDistribution([1.0 - p, p], 0.1, 0))
             oracle = DownstreamLossOracle(((0,), (1, 2, 3), (4,)), 0, dests,
                                           records, queue, 70.0, 1.5)
             for zero_downstream in (False, True):
@@ -441,7 +441,7 @@ class TestPairsMatchFullMatrices:
         layers, dests = ((0,), (1, 2, 3)), ((1, 2, 3), (), (), ())
         tracker = RegretTracker(layers, dests, 1.0, [], rows=self.T)
         batched = RegretTracker(layers, dests, 1.0, [], rows=self.T)
-        uniform = np.full(self.D + 1, 1.0 / (self.D + 1))
+        uniform = [1.0 / (self.D + 1)] * (self.D + 1)
         cum = np.zeros(grid.shape)
         sums = None
         violations = 0
@@ -459,7 +459,7 @@ class TestPairsMatchFullMatrices:
             # the pairs
             experts.accumulate_loss(0, 0, cut, estimate(losses[0], beta[0], rho, fb),
                                     estimate(losses[1], beta[1], rho, fb))
-            records = {0: (losses[0], ActionDistribution(uniform.copy(), 0.1, cut))}
+            records = {0: (losses[0], ActionDistribution(uniform, 0.1, cut))}
             queue = (0.0, *losses[1].tolist())
             for regret in (tracker, batched):
                 regret.add(0, [0], records, 1.0, queue)

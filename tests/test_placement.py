@@ -39,7 +39,7 @@ def reference_greedy(ctx, budget):
             density = gain / sizes[column]
             if density > best_density + 1e-15:
                 best_id, best_density, best_gain = column, density, gain
-        if best_id is None or best_gain < 0:
+        if best_id is None or best_gain < -1e-12:
             break
         chosen.add(best_id)
         remaining -= sizes[best_id]
@@ -243,6 +243,24 @@ class TestGreedy:
             assert utility(ctx, got) == pytest.approx(
                 utility(ctx, reference_greedy(ctx, budget)), abs=1e-12
             )
+
+    def test_gain_rounded_below_zero_does_not_end_the_pass(self):
+        # draw 94 of test_tie_heavy_instances (seed 11): after m1 and m0,
+        # m2's net gain is 0.05 - 0.05 = 0 in real arithmetic but reads
+        # -1.4e-17 and comes first among the ties. The pass goes on, so the
+        # previously loaded m4, whose gain is exactly 0, is loaded too.
+        errors = {
+            "m0": {"t0": 1.0, "t1": 0.3, "t2": 1.0, "t3": 1.0},
+            "m1": {"t0": 0.2, "t1": 0.1, "t2": 0.7, "t3": 0.1},
+            "m2": {"t0": 1.0, "t1": 0.5, "t2": 0.5, "t3": 0.5},
+            "m3": {"t0": 1.0, "t1": 0.7, "t2": 0.7, "t3": 0.2},
+            "m4": {"t0": 0.5, "t1": 0.3, "t2": 0.7, "t3": 1.0},
+        }
+        ctx = make_ctx(errors, {f"m{i}": 1.0 for i in range(5)},
+                       {f"t{j}": 1.0 for j in range(4)}, penalty=0.05, previous={0, 1, 4})
+        assert marginal_gain(ctx, 2, {0, 1}) == pytest.approx(0.0, abs=1e-15)
+        got = greedy_onload(ctx, 4.0)
+        assert got == reference_greedy(ctx, 4.0) == frozenset({0, 1, 2, 4})
 
     def test_dominated_previous_columns_gain_exactly_zero(self):
         # column m0 dominates the others, and all are loaded already: once m0

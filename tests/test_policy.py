@@ -6,6 +6,7 @@ from hiroute.policy import (
     ActionDistribution,
     ExpertGrid,
     ExpertTable,
+    add_reduce,
 )
 
 
@@ -37,7 +38,7 @@ class TestActionProbs:
         # uniform weights over {(0.3, u0), (0.7, u0)}; z=0.5: only 0.7 > z
         table = make_table()
         dist = table.action_probs(0, 0, 0.5)
-        assert dist.raw[1:].sum() == pytest.approx(0.5)
+        assert sum(dist.raw[1:]) == pytest.approx(0.5)
         assert dist.raw[0] == pytest.approx(0.5)
 
     def test_confidence_above_all_thresholds_terminates(self):
@@ -50,7 +51,7 @@ class TestActionProbs:
         table = make_table(lam=0.1)
         for z in np.linspace(0, 1, 21):
             dist = table.action_probs(0, 0, float(z))
-            assert np.all(dist.mixed >= 0.05 - 1e-12)
+            assert np.all(np.array(dist.mixed) >= 0.05 - 1e-12)
 
     def test_partition_identity(self):
         table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
@@ -59,8 +60,8 @@ class TestActionProbs:
         table.refresh_dirty()
         for z in np.linspace(0, 1, 31):
             dist = table.action_probs(0, 0, float(z))
-            assert dist.raw.sum() == pytest.approx(1.0, abs=1e-12)
-            assert dist.mixed.sum() == pytest.approx(1.0, abs=1e-12)
+            assert sum(dist.raw) == pytest.approx(1.0, abs=1e-12)
+            assert sum(dist.mixed) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_threshold_mask_reference(self):
         # the cut at bisect_right(thresholds, z) selects exactly the experts
@@ -77,8 +78,49 @@ class TestActionProbs:
                 mixed = (1.0 - 0.07) * raw + 0.07 / 4
                 dist = table.action_probs(0, 0, float(z))
                 assert dist.cut == int((~mask).sum())
-                assert dist.raw.tolist() == raw.tolist()
-                assert dist.mixed.tolist() == mixed.tolist()
+                assert dist.raw == tuple(raw.tolist())
+                assert dist.mixed == tuple(mixed.tolist())
+
+
+def numpy_build(w, cut, lam):
+    """raw, mixed and the sampling CDF by numpy's formula, as lists"""
+    raw = np.empty(w.shape[1] + 1)
+    raw[0] = np.add.reduce(w[:cut], axis=None)
+    raw[1:] = np.add.reduce(w[cut:], axis=0)
+    mixed = (1.0 - lam) * raw + lam / len(raw)
+    cdf = (mixed / np.add.reduce(mixed)).cumsum()
+    cdf /= cdf[-1]
+    return raw.tolist(), mixed.tolist(), cdf.tolist()
+
+
+class TestBuildBits:
+    def test_add_reduce_matches_numpy_at_every_length(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 301):
+            for _ in range(20):
+                values = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-15, 8, n)
+                assert add_reduce(values.tolist()) == np.add.reduce(values), n
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 16])
+    def test_build_matches_numpy_formula(self, d):
+        # Dirichlet weights with entries near 0, every cut, several rates
+        rng = np.random.default_rng(31 + d)
+        rows = len(DEFAULT_THRESHOLDS)
+        for lam in (0.01, 0.07, 0.1, 0.3, 0.75):
+            table = make_table(DEFAULT_THRESHOLDS, tuple(range(1, d + 1)), eta=1.0, lam=lam)
+            for alpha in (0.02, 0.3, 1.0):
+                target = np.maximum(rng.dirichlet(np.full(rows * d, alpha)), 1e-300)
+                table.accumulate_loss(0, 0, 0, 0.0, -np.log(target).reshape(rows, d))
+                table.refresh_dirty()
+                w = table.weights(0, 0)
+                for cut in range(rows + 1):
+                    z = DEFAULT_THRESHOLDS[cut - 1] if cut else -1.0
+                    dist = table.action_probs(0, 0, z)
+                    raw, mixed, cdf = numpy_build(w, cut, lam)
+                    assert dist.cut == cut
+                    assert dist.raw == tuple(raw)
+                    assert dist.mixed == tuple(mixed)
+                    assert dist.cdf == tuple(cdf)
 
 
 class TestDistributionCache:
@@ -94,8 +136,8 @@ class TestDistributionCache:
         zs = rng.uniform(0, 1, size=8)
         for _ in range(20):
             for z in zs:
-                assert table.action_probs(0, 0, float(z)).raw.tolist() == \
-                    self.reference(table, z).tolist()
+                assert table.action_probs(0, 0, float(z)).raw == \
+                    tuple(self.reference(table, z).tolist())
             table.accumulate_loss(0, 0, int(rng.integers(12)), float(rng.normal(0, 9)),
                                   rng.normal(0, 9, size=2))
             table.refresh_dirty()
@@ -121,21 +163,23 @@ class TestDistributionCache:
     def test_cached_arrays_are_read_only(self):
         table = make_table()
         dist = table.action_probs(0, 0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             dist.raw[0] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             dist.mixed[1] = 0.0
-        assert table.action_probs(0, 0, 0.5).raw.tolist() == [0.5, 0.5]
+        with pytest.raises(TypeError):
+            dist.cdf[0] = 0.0
+        assert table.action_probs(0, 0, 0.5).raw == (0.5, 0.5)
 
 
 class TestSampling:
     def test_degenerate_distribution(self):
-        dist = ActionDistribution(np.array([1.0, 0.0]), exploration_rate=0.0, cut=0)
+        dist = ActionDistribution([1.0, 0.0], exploration_rate=0.0, cut=0)
         rng = np.random.default_rng(0)
         assert all(dist.sample(rng) == 0 for _ in range(50))
 
     def test_frequencies_within_binomial_bounds(self):
-        dist = ActionDistribution(np.array([0.3, 0.7]), exploration_rate=0.0, cut=0)
+        dist = ActionDistribution([0.3, 0.7], exploration_rate=0.0, cut=0)
         rng = np.random.default_rng(1)
         n = 100_000
         hits = sum(dist.sample(rng) == 1 for _ in range(n))
@@ -143,7 +187,7 @@ class TestSampling:
         assert abs(hits / n - 0.7) <= 3 * sigma
 
     def test_seeded_reproducibility(self):
-        dist = ActionDistribution(np.array([0.2, 0.5, 0.3]), 0.1, 0)
+        dist = ActionDistribution([0.2, 0.5, 0.3], 0.1, 0)
         rng = np.random.default_rng(9)
         draws1 = [dist.sample(rng) for _ in range(20)]
         rng = np.random.default_rng(9)
@@ -159,10 +203,9 @@ class TestSampling:
         for _ in range(10_000):
             size = int(source.integers(2, 14))
             raw = source.dirichlet(np.full(size, float(source.uniform(0.05, 2.0))))
-            dist = ActionDistribution(raw, float(source.uniform(0.0, 0.3)), 0)
-            assert dist.sample(ours) == int(
-                reference.choice(size, p=dist.mixed / dist.mixed.sum())
-            )
+            dist = ActionDistribution(raw.tolist(), float(source.uniform(0.0, 0.3)), 0)
+            mixed = np.array(dist.mixed)
+            assert dist.sample(ours) == int(reference.choice(size, p=mixed / mixed.sum()))
         assert ours.bit_generator.state == reference.bit_generator.state
 
 

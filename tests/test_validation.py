@@ -2,8 +2,9 @@ import time
 
 import numpy as np
 
-from hiroute import validation
+from hiroute import policy, validation
 from hiroute.validation import (
+    check_distribution_build,
     check_greedy_quality,
     check_loss_sweep,
     check_submodularity,
@@ -28,6 +29,21 @@ def test_suite_is_fast():
 def test_injected_baseline_sign_bug_is_caught():
     result = check_unbiasedness(inject="baseline-sign")
     assert not result.passed
+
+
+def test_distribution_build_checked_bit_for_bit():
+    assert check_distribution_build().passed
+
+
+def test_injected_left_to_right_total_is_caught():
+    # a left-to-right total is numpy's below 8 values, so the check fails on
+    # a row of 8 or more, and puts the build's own total back afterwards
+    result = check_distribution_build(inject="left-to-right-total")
+    assert not result.passed
+    dests = int(result.detail.split(" destinations")[0].split()[-1])
+    assert dests + 1 >= 8
+    assert policy.add_reduce.__name__ == "add_reduce"
+    assert check_distribution_build().passed
 
 
 def test_batched_sweep_checked_bit_for_bit(monkeypatch):
