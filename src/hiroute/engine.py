@@ -46,8 +46,8 @@ from .losses import (
     BaselineTable,
     DownstreamLossOracle,
     NodeRecord,
+    backward_sweep,
     estimate,
-    sweep_offload_costs,
 )
 from .placement import (
     Placement,
@@ -101,7 +101,7 @@ class RegretTracker:
     ``rows`` the number of thresholds of every expert grid.
 
     :meth:`add` only logs a job. :meth:`settle` runs one
-    :func:`sweep_offload_costs` over the logged jobs and adds their losses
+    :func:`backward_sweep` over the logged jobs and adds their losses
     to the sums, each sum still in job order, so the sums carry the bits
     of adding one job at a time. :meth:`job_done` settles at every
     checkpoint and whenever :attr:`LOG_CAP` jobs are logged. Each (node,
@@ -181,13 +181,17 @@ class RegretTracker:
         jobs_logged = len(self._hop_costs)
         if not jobs_logged:
             return
-        costs = sweep_offload_costs(
-            self.layers, self.dests,
-            {node: _floats(errors) for node, errors, _ in self._middle},
-            {node: _floats(raws).reshape(jobs_logged, -1) for node, _, raws in self._middle},
-            _floats(self._queues).reshape(-1, len(self.dests))[self._queue_of],
-            _floats(self._hop_costs), self.error_weight,
-        ).T
+        queues = _floats(self._queues).reshape(-1, len(self.dests))[self._queue_of]
+        offload = backward_sweep(
+            self.layers, (), self.dests,
+            {node: (_floats(errors), _floats(raws).reshape(jobs_logged, -1).T, None)
+             for node, errors, raws in self._middle},
+            queues.T, _floats(self._hop_costs), self.error_weight,
+        )[0]
+        # each logged job's offload cost by node index; entry nodes are zero
+        costs = np.zeros_like(queues)
+        for node, cost in offload.items():
+            costs[:, node] = cost
         # keys whose nodes share a destination tuple share their expert cells
         by_targets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for key in self._visits:
@@ -338,8 +342,6 @@ class _Run:
         self.node_ids, self.layers, self.dests = topo.node_ids, topo.layers, topo.dests
         self.layer_of = topo.node_layer
         self.terminal = frozenset(topo.terminal_nodes())
-        # the nodes every loss sweep reads besides the entry
-        self.middle = tuple(i for layer in self.layers[1:-1] for i in layer)
         self.noise_std = self.workload.noise_std
         self.v = float(cfg["learning"]["error_weight"])
         self.distance_factor = float(cfg["run"]["distance_factor"])
@@ -538,7 +540,7 @@ class _Run:
             slot_hard += int(hard)
             slot_hits += int(hard and reached)
             slot_feedback += int(reached)
-            routed.append((job, path, reached, noise, records))
+            routed.append((job, path, reached, records))
             if self._paths_file is not None:
                 self._write_path(t, job, path, reached, exit_error, hard)
 
@@ -546,8 +548,8 @@ class _Run:
             # the regret log may settle after apply_slot has moved the
             # queues on, so it keeps a copy of the slot-start queue
             learn_queue = tuple(queue) if self.record_regret else queue
-            for job, path, reached, noise, records in routed:
-                self._learn_from(job, path, reached, noise, records, learn_queue)
+            for job, path, reached, records in routed:
+                self._learn_from(job, path, reached, records, learn_queue)
                 if self.record_regret:
                     self.regret.job_done()
             self.table.refresh_dirty()
@@ -616,8 +618,8 @@ class _Run:
             node = self.dests[node][action - 1]
 
     def _learn_from(
-        self, job: Job, path: list[int], fb: bool, noise: list[float],
-        records: dict[int, NodeRecord], queue: Sequence[float],
+        self, job: Job, path: list[int], fb: bool, records: Mapping[int, NodeRecord],
+        queue: Sequence[float],
     ) -> None:
         assert self.table is not None and self.baselines is not None
         variant = self.variant
@@ -625,11 +627,8 @@ class _Run:
         hop_cost = job.size_units * self.distance_factor
         oracle = None
         if fb:
-            # the oracle reads every middle node's slot-start distribution;
-            # the regret log evaluates them for a job without feedback
-            for node in self.middle:
-                if node not in records:
-                    records[node] = self._evaluate(job, node, noise)
+            # the oracle reads every middle node's record: ``records``
+            # evaluates the nodes the job skipped on lookup
             oracle = DownstreamLossOracle(
                 self.layers, path[0], self.dests, records, queue, self.v, hop_cost
             )
@@ -641,8 +640,7 @@ class _Run:
             beta = (0.0, 0.0)
             if variant.use_baseline:
                 beta = self.baselines.plugin_values(
-                    node, task, cut,
-                    np.array([queue[d] for d in dests]), hop_cost=hop_cost,
+                    node, task, np.array([queue[d] for d in dests]), hop_cost=hop_cost,
                     error_weight=self.v, zero_downstream=variant.zero_downstream,
                 )
             losses = (None, None)

@@ -9,12 +9,9 @@ importance-weighted ("naive") estimate; the variance-reduced one uses the
 task- and expert-conditioned baselines of :class:`BaselineTable`. Both are
 exactly unbiased over the feedback Bernoulli.
 
-:class:`DownstreamLossOracle` makes one backward sweep over one fed job's
-node indices: reach probability, expected downstream loss and its
-queue-free part per node. :func:`sweep_offload_costs` makes the same sweep
-over a batch of jobs for the regret diagnostic, with the oracle's float
-operations in the oracle's order. The oracle and :class:`BaselineTable`
-read the threshold rule from the cut kept by the job's action distribution.
+:func:`backward_sweep` is the one backward recursion over node indices: in
+Python floats for one fed job, whose :class:`DownstreamLossOracle` looks its
+values up, and in arrays over the logged jobs the regret diagnostic settles.
 
 A job's expert losses, baselines and estimates at a node take D+1 distinct
 values: every expert of rows ``[:cut]`` terminates and pays one value, every
@@ -97,23 +94,15 @@ class BaselineTable:
         self.condition_violations = 0  # times a used baseline fell outside (0, 2f]
 
     def plugin_values(
-        self,
-        node: int,
-        task: int,
-        cut: int,
-        queue_row: np.ndarray,
-        hop_cost: float,
-        error_weight: float,
-        zero_downstream: bool = False,
+        self, node: int, task: int, queue_row: np.ndarray, hop_cost: float,
+        error_weight: float, zero_downstream: bool = False,
     ) -> tuple[float, np.ndarray]:
         """Queue-aware baselines of one visited job: ``(terminate, offload_row)``.
 
-        ``cut`` is the job's :attr:`ActionDistribution.cut` at the node (rows
-        from ``cut`` on hold thresholds above its confidence), ``queue_row``
-        the uplink queue values at the job's slot. Offload experts pay the
-        live queue-weighted hop cost plus the estimated queue-free downstream
-        loss; local experts pay the weighted estimated local error rate. The
-        cut does not change the values, only which rows take them.
+        ``queue_row`` holds the uplink queue values at the job's slot. Offload
+        experts pay the live queue-weighted hop cost plus the estimated
+        queue-free downstream loss; local experts pay the weighted estimated
+        local error rate. The job's cut decides which rows take which value.
         """
         key = (node, task)
         offload_row = queue_row * hop_cost
@@ -122,11 +111,7 @@ class BaselineTable:
         return error_weight * self._local_error[key], offload_row
 
     def update_hidden(
-        self,
-        node: int,
-        task: int,
-        local_error: float,
-        down_base: np.ndarray,
+        self, node: int, task: int, local_error: float, down_base: np.ndarray
     ) -> None:
         """EMA the hidden quantities revealed by one terminal observation."""
         key = (node, task)
@@ -165,73 +150,76 @@ class BaselineTable:
 NodeRecord = tuple[int, ActionDistribution]
 
 
+def backward_sweep(layers, entries, dests, records, queue, hop_cost, error_weight):
+    """The backward recursion, from the deepest non-terminal layer up.
+
+    Operands are Python floats for one job, or arrays with one element per
+    job for a batch; both give the same bits. ``dests`` gives each node's
+    destinations in the order of its probability rows, ``queue`` the
+    slot-start queue by node. ``records[n]`` is ``(local_error, raw,
+    mixed)`` for every node n of ``entries`` and of the middle layers, the
+    rows indexed by action (0 terminates); ``mixed`` may be None.
+
+    Returns four maps by node: the offload cost of layers 2..K (queue-weighted
+    hop cost plus expected loss); the expected loss under the raw row
+    (weighted local error on termination, the destination's offload cost on
+    each offload, in destination order); its queue-free part; and, where
+    ``mixed`` is given, the reach probability of the terminal layer under the
+    mixed row the route was sampled from. Terminal nodes cost nothing.
+    """
+    terminal = layers[-1]
+    rho = dict.fromkeys(terminal, 1.0)
+    loss = dict.fromkeys(terminal, 0.0)
+    free = dict.fromkeys(terminal, 0.0)
+    offload = {}
+    for k in range(len(layers) - 1, 0, -1):
+        for dest in layers[k]:
+            offload[dest] = queue[dest] * hop_cost + loss[dest]
+        for node in layers[k - 1] if k > 1 else entries:
+            local_error, raw, mixed = records[node]
+            reach = 0.0
+            f = g = (error_weight * raw[0]) * local_error
+            for i, dest in enumerate(dests[node], 1):
+                p = raw[i]
+                f = f + p * offload[dest]
+                g = g + p * free[dest]
+                if mixed:
+                    reach = reach + mixed[i] * rho[dest]
+            loss[node] = f
+            free[node] = g
+            if mixed:
+                rho[node] = reach
+    return offload, loss, free, rho
+
+
 class DownstreamLossOracle:
-    """One backward sweep over one job: reach probabilities and expected losses.
+    """One fed job's :func:`backward_sweep`, looked up by node index.
 
-    Nodes are integer indices. ``layers`` lists each layer's nodes, entry
-    layer first; ``dests`` gives each node's destination indices in the
-    order of its action distribution; ``queue`` the slot-start queue of
-    every node. ``nodes`` maps the job's entry node and every node strictly
-    between the entry and terminal layers to the job's :data:`NodeRecord`
-    there.
-
-    The constructor walks the hierarchy once, from the deepest non-terminal
-    layer up to the entry node. Each node's values are summed over its
-    destinations in destination order, in Python floats:
-
-    * the reach probability of the terminal layer, under the mixed
-      distribution the route was actually sampled from, which keeps the
-      estimators unbiased;
-    * the expected loss, under the raw expert aggregate: the termination
-      branch pays the weighted local error, each offload branch the
-      destination's offload cost (queue-weighted hop cost plus the
-      destination's expected loss);
-    * the queue-free expected loss, the same sum with every queue at zero.
-
-    Terminal nodes answer perfectly at no further cost: reach probability 1,
-    losses 0. The query methods only look these values up.
+    ``layers``, ``dests`` and ``queue`` are as the sweep takes them;
+    ``nodes`` maps the job's entry node and every node strictly between the
+    entry and terminal layers to the job's :data:`NodeRecord` there, read
+    by key, so a map that evaluates a node on lookup serves a skipped node.
     """
 
     def __init__(
-        self,
-        layers: Sequence[Sequence[int]],
-        entry: int,
-        dests: Sequence[Sequence[int]],
-        nodes: Mapping[int, NodeRecord],
-        queue: Sequence[float],
-        error_weight: float,
+        self, layers: Sequence[Sequence[int]], entry: int, dests: Sequence[Sequence[int]],
+        nodes: Mapping[int, NodeRecord], queue: Sequence[float], error_weight: float,
         hop_cost: float,
     ) -> None:
         self.nodes = nodes
         self.dests = dests
+        self.queue = queue
         self.error_weight = error_weight = float(error_weight)
-        hop_cost = float(hop_cost)
-        terminal = layers[-1]
-        self._rho = rhos = dict.fromkeys(terminal, 1.0)
-        self._fbar = fbars = dict.fromkeys(terminal, 0.0)
-        self._free = frees = dict.fromkeys(terminal, 0.0)
-        self._queue_cost = queue_costs = {}
-        # queue-weighted hop cost plus expected loss, per node of layers 2..K
-        self.offload_cost: dict[int, float] = {}
-        offload_costs = self.offload_cost
-        for k in range(len(layers) - 1, 0, -1):
-            for dest in layers[k]:
-                queue_cost = queue[dest] * hop_cost
-                queue_costs[dest] = queue_cost
-                offload_costs[dest] = queue_cost + fbars[dest]
-            for node in layers[k - 1] if k > 1 else (entry,):
+        self.hop_cost = hop_cost = float(hop_cost)
+        records = {}
+        for layer in ((entry,), *layers[1:-1]):
+            for node in layer:
                 local_error, dist = nodes[node]
-                raw = dist.raw
-                mixed = dist.mixed
-                rho = 0.0
-                fbar = free = error_weight * raw[0] * local_error
-                for p_mixed, p_raw, dest in zip(mixed[1:], raw[1:], dests[node]):
-                    rho += p_mixed * rhos[dest]
-                    fbar += p_raw * offload_costs[dest]
-                    free += p_raw * frees[dest]
-                rhos[node] = rho
-                fbars[node] = fbar
-                frees[node] = free
+                records[node] = (local_error, dist.raw, dist.mixed)
+        # offload_cost: per node of layers 2..K
+        self.offload_cost, self._loss, self._free, self._rho = backward_sweep(
+            layers, (entry,), dests, records, queue, hop_cost, error_weight
+        )
 
     def reach_prob(self, node: int) -> float:
         """Probability the job reaches the terminal layer from this node."""
@@ -242,7 +230,7 @@ class DownstreamLossOracle:
 
     def expected_loss(self, node: int) -> float:
         """Expected loss of the job standing at this node under current policies."""
-        return self._fbar[node]
+        return self._loss[node]
 
     def expected_loss_decomposition(self, node: int) -> float:
         """The queue-free part of the expected loss: every queue at zero.
@@ -260,49 +248,12 @@ class DownstreamLossOracle:
 
         Under the cut of the job's distribution at the node, every expert of
         rows ``[:cut]`` pays ``terminate`` and every expert of rows
-        ``[cut:]`` its destination's entry of ``offload_row``.
+        ``[cut:]`` its destination's offload cost, or with
+        ``zero_downstream`` its queue-weighted hop cost alone.
         """
-        local_error = self.nodes[node][0]
-        costs = self._queue_cost if zero_downstream else self.offload_cost
-        return (
-            self.error_weight * local_error,
-            np.array([costs[dest] for dest in self.dests[node]]),
-        )
-
-
-def sweep_offload_costs(
-    layers: Sequence[Sequence[int]],
-    dests: Sequence[Sequence[int]],
-    local_errors: Mapping[int, np.ndarray],
-    raws: Mapping[int, np.ndarray],
-    queues: np.ndarray,
-    hop_costs: np.ndarray,
-    error_weight: float,
-) -> np.ndarray:
-    """The oracle's offload costs of a batch of jobs: one backward sweep.
-
-    For every node n strictly between the entry and terminal layers,
-    ``local_errors[n]`` holds each job's local error there and ``raws[n]``
-    each job's raw action probabilities (jobs × (1 + destinations)), from
-    the job's :data:`NodeRecord`. ``queues[j]`` is job j's slot-start queue
-    by node index and ``hop_costs[j]`` its hop cost. Returns a (nodes, jobs)
-    array whose row ``n`` holds, for every node of layers 2..K, what
-    :attr:`DownstreamLossOracle.offload_cost` holds at ``n``; entry-layer
-    rows are zero. Every value is computed with the oracle's operations in
-    the oracle's order, elementwise over jobs.
-    """
-    error_weight = float(error_weight)
-    costs = np.zeros((queues.shape[1], len(hop_costs)))
-    fbars: dict[int, np.ndarray] = {}
-    for k in range(len(layers) - 1, 0, -1):
-        for dest in layers[k]:
-            costs[dest] = queues[:, dest] * hop_costs + fbars.get(dest, 0.0)
-        if k == 1:
-            break
-        for node in layers[k - 1]:
-            raw = raws[node]
-            fbar = (error_weight * raw[:, 0]) * local_errors[node]
-            for i, dest in enumerate(dests[node], 1):
-                fbar = fbar + raw[:, i] * costs[dest]
-            fbars[node] = fbar
-    return costs
+        dests = self.dests[node]
+        if zero_downstream:
+            row = [self.queue[dest] * self.hop_cost for dest in dests]
+        else:
+            row = [self.offload_cost[dest] for dest in dests]
+        return self.error_weight * self.nodes[node][0], np.array(row)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import policy
-from .losses import DownstreamLossOracle, estimate, sweep_offload_costs, variance_pair
+from .losses import DownstreamLossOracle, backward_sweep, estimate, variance_pair
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
@@ -166,19 +166,20 @@ def _routes(topo: Topology, node: int) -> list[tuple[int, ...]]:
 
 
 def check_loss_sweep() -> CheckResult:
-    """The loss oracle's sweep matches exhaustive route enumeration.
+    """The backward sweep matches exhaustive route enumeration.
 
-    On chains of depth 2-5 and a 2-12-3-1 hierarchy, with random action
-    distributions, local errors and queues, and from every node the sweep
-    covers, the reach probability (mixed distribution), the expected loss
-    (raw distribution) and the queue-free expected loss (the same with every
-    queue at zero) are summed over every route. A middle layer of 10 or more
-    nodes makes the id order of the destinations differ from their index
-    order. The job-batched sweep then takes every draw's jobs at once, each
-    with its own entry, hop cost and queue, and must give each job's oracle
-    offload costs bit for bit.
+    On chains of depth 2-5, a 2-12-3-1 hierarchy and the 16-8-4-2-1 one,
+    with random action distributions, local errors and queues, and from
+    every node a job's oracle covers, the reach probability (mixed
+    distribution), the expected loss (raw distribution) and the queue-free
+    expected loss (the same with every queue at zero) are summed over every
+    route. A middle layer of 10 or more nodes makes the id order of the
+    destinations differ from their index order. The sweep then takes every
+    draw's jobs at once as arrays, each job with its own entry, hop cost and
+    queue, and must give each job's offload costs bit for bit.
     """
-    layer_sizes = ([1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1, 1], [2, 12, 3, 1])
+    layer_sizes = ([1, 1], [1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1, 1], [2, 12, 3, 1],
+                   [16, 8, 4, 2, 1])
     rng = np.random.default_rng(3)
     v = 70.0
     for sizes in layer_sizes:
@@ -225,19 +226,19 @@ def check_loss_sweep() -> CheckResult:
                         )
         records, queues, hop_costs, oracles = zip(*jobs)
         middle = [i for layer in layers[1:-1] for i in layer]
-        costs = sweep_offload_costs(
-            layers, dests,
-            {n: np.array([r[n][0] for r in records], dtype=float) for n in middle},
-            {n: np.array([r[n][1].raw for r in records]) for n in middle},
-            np.array(queues), np.array(hop_costs), v,
-        )
+        offload = backward_sweep(
+            layers, (), dests,
+            {n: (np.array([r[n][0] for r in records], dtype=float),
+                 np.array([r[n][1].raw for r in records]).T, None) for n in middle},
+            np.array(queues).T, np.array(hop_costs), v,
+        )[0]
         for j, oracle in enumerate(oracles):
             for node, cost in oracle.offload_cost.items():
-                if costs[node, j] != cost:
+                if offload[node][j] != cost:
                     return CheckResult(
                         "loss-sweep", False,
                         f"{'-'.join(map(str, sizes))}, job {j} at {topo.node(node)}: "
-                        f"batched offload cost {costs[node, j]!r} != {cost!r}",
+                        f"batched offload cost {offload[node][j]!r} != {cost!r}",
                     )
     return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 

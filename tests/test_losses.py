@@ -111,7 +111,7 @@ def baseline_table(ema_rate=0.1):
 
 def plugin(table, queue_row=(0.0, 0.0)):
     """Baseline matrix with the 0.8-threshold expert offloading (cut 1)."""
-    return expand((2, 2), 1, table.plugin_values(0, 0, 1, np.array(queue_row),
+    return expand((2, 2), 1, table.plugin_values(0, 0, np.array(queue_row),
                                                  hop_cost=2.0, error_weight=70.0))
 
 
@@ -389,7 +389,7 @@ class TestCutMatchesThresholdMask:
                 want = np.where(mask[:, None], offload_row[None, :],
                                 70.0 * baselines._local_error[(0, 0)])
                 got = expand(grid.shape, dist.cut, baselines.plugin_values(
-                    0, 0, dist.cut, queue_row, hop_cost=2.0, error_weight=70.0,
+                    0, 0, queue_row, hop_cost=2.0, error_weight=70.0,
                     zero_downstream=zero_downstream,
                 ))
                 assert np.array_equal(got, want)
@@ -402,8 +402,8 @@ class TestCutMatchesThresholdMask:
             oracle = DownstreamLossOracle(((0,), (1, 2, 3), (4,)), 0, dests,
                                           records, queue, 70.0, 1.5)
             for zero_downstream in (False, True):
-                costs = oracle._queue_cost if zero_downstream else oracle.offload_cost
-                row = np.array([costs[d] for d in dests[0]])
+                row = np.array([queue[d] * 1.5 if zero_downstream else oracle.offload_cost[d]
+                                for d in dests[0]])
                 want = np.where(mask[:, None], row[None, :], 70.0 * local_error)
                 got = expand(grid.shape, dist.cut,
                              oracle.expert_loss_matrix(0, zero_downstream))

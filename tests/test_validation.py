@@ -48,14 +48,15 @@ def test_injected_left_to_right_total_is_caught():
 
 def test_batched_sweep_checked_bit_for_bit(monkeypatch):
     # one job's offload cost one ulp off fails the loss-sweep check
-    sweep = validation.sweep_offload_costs
+    sweep = validation.backward_sweep
 
     def one_ulp_off(*args):
-        costs = sweep(*args)
-        costs[-1, -1] = np.nextafter(costs[-1, -1], np.inf)
-        return costs
+        offload, *rest = sweep(*args)
+        costs = offload[max(offload)]
+        costs[-1] = np.nextafter(costs[-1], np.inf)
+        return (offload, *rest)
 
-    monkeypatch.setattr(validation, "sweep_offload_costs", one_ulp_off)
+    monkeypatch.setattr(validation, "backward_sweep", one_ulp_off)
     result = check_loss_sweep()
     assert not result.passed
     assert "batched offload cost" in result.detail
