@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run the config's sweep cross-product")
     common(sweep_p)
     sweep_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="concurrent sweep cells")
+                         help="concurrent sweep cells, at most one per cell and per CPU")
 
     val_p = sub.add_parser("validate", help="run the fast property suite")
     val_p.add_argument("--inject-bug", default=None, help=argparse.SUPPRESS)
@@ -130,6 +130,8 @@ def _slug(value: Any) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
         cfg = _load(args)
         cells = sweep_cells(cfg)
     except ConfigError as exc:
@@ -137,8 +139,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     out_root = cfg.get("output_dir")
     payloads = [(cfg, cell, out_root) for cell in cells]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool forks every worker up front, needed or not
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, payloads))
     else:
         results = [_run_cell(p) for p in payloads]

@@ -21,7 +21,7 @@ from .losses import DownstreamLossOracle, backward_sweep, estimate, variance_pai
 from .placement import PlacementContext, greedy_onload, marginal_gain, utility
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
-from .workload import ErrorTable
+from .workload import MASK32, UNIT, ErrorTable, RawWords, word_cuts
 
 
 @dataclass
@@ -120,6 +120,49 @@ def check_distribution_build(inject: str | None = None, grids: int = 60) -> Chec
     finally:
         policy.add_reduce = saved
     return CheckResult("distribution-build", True, f"{grids} random tables, every cut, clean")
+
+
+# bounds of the bounded draws; a 32-bit half is rejected with odds
+# 2**32 % n / 2**32, a quarter at 3 << 30 and about half at 2**31 + 12345
+BOUNDS = (1, 2, 3, 5, 13, 3 << 30, (1 << 31) + 12345, (1 << 32) - 1)
+
+
+def check_arrival_draws(
+    inject: str | None = None, seeds: int = 8, draws: int = 400
+) -> CheckResult:
+    """The arrival decoding keeps numpy's stream: on one bit generator's raw
+    words, ``RawWords.below(n)`` equals ``integers(n)``, ``(word >> 11) *
+    2**-53`` equals ``random()``, ``lo + (hi - lo)`` times it equals
+    ``uniform(lo, hi)`` and ``word >= word_cuts([p])[0]`` equals
+    ``random() >= p``, in a random interleaving per seed. numpy does not
+    promise its stream; a numpy that changes it fails here.
+    ``inject="high-half-first"`` hands a word's high half out first."""
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        words = RawWords(np.random.default_rng(seed).bit_generator)
+        if inject == "high-half-first":
+            words.split = lambda word: (word >> 32, word & MASK32)
+        plan = np.random.default_rng(1000 + seed)
+        for k in range(draws):
+            kind = int(plan.integers(4))
+            if kind == 0:
+                n = BOUNDS[int(plan.integers(len(BOUNDS)))]
+                name, got, want = f"integers({n})", words.below(n), int(rng.integers(n))
+            elif kind == 1:
+                name, got, want = "random()", (words.word() >> 11) * UNIT, rng.random()
+            elif kind == 2:
+                lo, hi = sorted(plan.uniform(-5, 30, 2).tolist())
+                name = f"uniform({lo}, {hi})"
+                got = lo + (hi - lo) * ((words.word() >> 11) * UNIT)
+                want = float(rng.uniform(lo, hi))
+            else:
+                p = float(plan.choice([0.0, 1.0, plan.random()]))
+                name = f"random() >= {p}"
+                got, want = words.word() >= word_cuts([p])[0], rng.random() >= p
+            if got != want:
+                return CheckResult("arrival-draws", False,
+                                   f"seed {seed}, draw {k}: {name} gave {got}, numpy {want}")
+    return CheckResult("arrival-draws", True, f"{seeds} seeds x {draws} interleaved draws clean")
 
 
 def _table_of(errors: np.ndarray, sizes: list[float]) -> ErrorTable:
@@ -278,6 +321,7 @@ def run_property_suite(inject: str | None = None) -> list[CheckResult]:
         check_variance_ordering(),
         check_weight_simplex(),
         check_distribution_build(inject=inject),
+        check_arrival_draws(inject=inject),
         check_submodularity(),
         check_loss_sweep(),
         check_greedy_quality(),

@@ -15,12 +15,22 @@ entry-node ids are read, from the catalog or the trace; it turns them into
 index tables once per run: the error table, per-task size ranges by task
 index, task mixtures by entry node index, the id-sorted entry draw order,
 and the mean job size that calibrates the static policies.
+
+A slot's arrivals are decoded in Python from one block of the arrival
+generator's raw 64-bit words (``bit_generator.random_raw``), with numpy's own
+formulas, so the stream is the one numpy's ``Generator`` calls would draw:
+a double is ``(word >> 11) * 2**-53``, and comparing it with a double p is
+comparing the word with the least word whose double reaches p
+(:func:`word_cuts`); ``integers(n)`` is Lemire's bounded draw on 32-bit
+halves, low half first, the high half carried to the next bounded draw as
+PCG64's ``next_uint32`` carries it (:class:`RawWords`). ``hiroute validate``
+(``arrival-draws``) compares the decoding with numpy's calls.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -29,14 +39,15 @@ from .topology import Topology
 
 TEXT = "text"
 VISION = "vision"
+UNIT = 2.0 ** -53  # a double is a word's top 53 bits times UNIT
+MASK32 = 0xFFFFFFFF
 
 
 class TraceFormatError(ValueError):
     """Raised when a trace file violates the JSONL schema."""
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One task instance: its sequence number in the run, task index, entry
     node index, size, and frozen correctness bits, one 0/1 per model in
     :class:`ErrorTable` column order."""
@@ -132,6 +143,73 @@ def inference_error(job: Job, column: int | None) -> int:
     return 1 - job.correctness[column]
 
 
+def word_cuts(values: Iterable[float]) -> list[int]:
+    """For each double p in [0, 1], the least raw word whose double,
+    ``(word >> 11) * 2**-53``, is at least p: ``word >= cut`` is exactly
+    ``random() >= p``, and ``bisect_right(cuts, word)`` over a CDF's cuts is
+    ``bisect_right(cdf, random())``."""
+    return [math.ceil(p * 2.0 ** 53) << 11 for p in np.asarray(values, dtype=float).tolist()]
+
+
+class RawWords:
+    """A bit generator's raw 64-bit words, read in order from blocks, and
+    numpy's bounded integer draw on their 32-bit halves.
+
+    ``block`` holds the current block and ``pos`` indexes its next unread
+    word; a read past the block's end takes the words it needs with another
+    ``random_raw`` call. ``half`` is the 32-bit half the last bounded draw
+    left over, or None.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        self._raw = bit_generator.random_raw
+        self.block: list[int] = []
+        self.pos = 0
+        self.half: int | None = None
+
+    def take(self, n: int) -> list[int]:
+        """Start a new block of the next n words; the caller must read them
+        all, or the stream moves past words nothing read."""
+        self.block = self._raw(n).tolist()
+        self.pos = 0
+        return self.block
+
+    def run(self, k: int) -> int:
+        """Read the next k words; returns the index of the first in
+        ``block``, extended to hold them."""
+        i = self.pos
+        end = self.pos = i + k
+        if end > len(self.block):
+            self.block += self._raw(end - len(self.block)).tolist()
+        return i
+
+    def word(self) -> int:
+        """Read the next word."""
+        return self.block[self.run(1)]
+
+    @staticmethod
+    def split(word: int) -> tuple[int, int]:
+        """A word's 32-bit halves in draw order, as PCG64's ``next_uint32``
+        hands them out: low, then high."""
+        return word & MASK32, word >> 32
+
+    def below(self, n: int) -> int:
+        """numpy's ``integers(n)``, 1 <= n <= 2**32: Lemire's draw, the top
+        32 bits of a half times n, redrawn while the product's low 32 bits
+        are under ``2**32 % n``. Draws nothing for n = 1."""
+        if n == 1:
+            return 0
+        while True:
+            half = self.half
+            if half is None:
+                half, self.half = self.split(self.word())
+            else:
+                self.half = None
+            m = half * n
+            if m & MASK32 >= 0x100000000 % n:
+                return m >> 32
+
+
 class Workload:
     """A job source bound to one run: arrivals, sizes, correctness, confidence
     (``noise_std`` scales the Gaussian noise around the best loaded accuracy).
@@ -142,8 +220,22 @@ class Workload:
     indices in the order the arrival draw picks from, sorted by node id
     (``n1_10`` before ``n1_2``).
     ``size_ranges`` holds each task index's uniform size range, or is None
-    when ``job_sampler`` draws recorded (size, bits) pairs instead.
+    when ``trace_pools`` holds each task index's recorded (size, bits) pairs,
+    drawn uniformly instead.
     ``mean_job_size`` is the expected size under the designed task mix.
+
+    One generator draws the counts, the arrivals and the confidence noise.
+    Counts and noise are numpy calls (``poisson``, ``standard_normal``); the
+    arrivals are decoded from its raw words (:class:`RawWords`) in the order
+    numpy's calls drew them: the entry node as
+    ``integers(len(entry_order))``, the task as ``bisect_right`` of
+    ``random()`` on the entry's task CDF, the size as ``uniform(lo, hi)``,
+    i.e. ``lo + (hi - lo) * random()``, and bit j as 1 where
+    ``random() >= error`` (one ``random()`` per model), or the recorded pair
+    as ``pool[integers(len(pool))]``. The 32-bit half an ``integers`` draw
+    leaves over is carried by :class:`RawWords`, not by the bit generator, so
+    nothing else may call ``integers`` (or any other 32-bit draw) on this
+    generator.
     """
 
     def __init__(
@@ -156,45 +248,66 @@ class Workload:
         size_ranges: Sequence[tuple[float, float]] | None,
         mean_job_size: float,
         seed: int,
-        job_sampler=None,
+        trace_pools: Sequence[Sequence[tuple[float, tuple[int, ...]]]] | None = None,
     ) -> None:
         self.error_table = error_table
         self.mean_jobs_per_slot = mean_jobs_per_slot
         self.task_mixture = list(task_mixture)
         self.noise_std = noise_std
         self.mean_job_size = mean_job_size
-        self._size_ranges = size_ranges
-        self._job_sampler = job_sampler
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self._words = RawWords(self._rng.bit_generator)
         self._entry_order = tuple(entry_order)
         # one task CDF per entry node, built as rng.choice(p=...) builds it
         cdfs = [np.cumsum(p) for p in self.task_mixture]
-        self._task_cdf = [cdf / cdf[-1] for cdf in cdfs]
+        self._task_cuts = [word_cuts(cdf / cdf[-1]) for cdf in cdfs]
+        self._pools = trace_pools
+        if trace_pools is None:
+            # uniform(lo, hi) takes hi - lo in doubles
+            self._sizes = [(float(lo), float(hi) - float(lo)) for lo, hi in size_ranges]
+            self._error_cuts = [word_cuts(row) for row in error_table.matrix]
         self._counter = 0
 
     def generate_slot(self, t: int) -> list[Job]:
-        """Draw the slot's arrivals: count, entry nodes, tasks, sizes, bits."""
-        rng = self._rng
-        count = int(rng.poisson(self.mean_jobs_per_slot))
-        entries = self._entry_order
-        jobs: list[Job] = []
-        for _ in range(count):
-            entry = entries[int(rng.integers(len(entries)))]
-            task = int(self._task_cdf[entry].searchsorted(rng.random(), side="right"))
-            jobs.append(self._make_job(task, entry, rng))
-        return jobs
+        """Draw the slot's arrivals: count, then each job's entry node, task,
+        and size and bits or recorded pair.
 
-    def _make_job(self, task: int, entry: int, rng: np.random.Generator) -> Job:
-        seq = self._counter
-        self._counter += 1
-        if self._job_sampler is not None:
-            size, bits = self._job_sampler(task, rng)
-        else:
-            lo, hi = self._size_ranges[task]
-            size = float(rng.uniform(lo, hi))
-            errors = self.error_table.matrix[task]
-            bits = tuple((rng.random(errors.size) >= errors).astype(int).tolist())
-        return Job(seq, task, entry, size, bits)
+        The words come in one ``random_raw`` call of as many as the slot is
+        sure to use: per job one for the task and, for a synthetic job, one
+        for the size and one per model, plus the entry draws' words if none
+        is rejected. A rejection or a trace pool draw reads past the block,
+        so the block never takes a word the slot does not use.
+        """
+        count = int(self._rng.poisson(self.mean_jobs_per_slot))
+        if not count:
+            return []
+        words = self._words
+        entries = self._entry_order
+        spread = len(entries)
+        pools = self._pools
+        width = 1 if pools is not None else 2 + len(self.error_table.model_ids)
+        need = count * width
+        if spread > 1:  # a half per entry draw, the carried one first
+            need += (count - (words.half is not None) + 1) // 2
+        block = words.take(need)
+        task_cuts = self._task_cuts
+        first = self._counter
+        self._counter = first + count
+        jobs = []
+        for seq in range(first, first + count):
+            entry = entries[words.below(spread)]
+            i = words.run(width)
+            task = bisect_right(task_cuts[entry], block[i])
+            if pools is None:
+                lo, span = self._sizes[task]
+                size = lo + span * ((block[i + 1] >> 11) * UNIT)
+                bits = tuple([1 if w >= cut else 0
+                              for w, cut in zip(block[i + 2:i + width], self._error_cuts[task])])
+            else:
+                pool = pools[task]
+                size, bits = pool[words.below(len(pool))]
+            jobs.append(Job(seq, task, entry, size, bits))
+        return jobs
 
     def confidence_noise(self, num_jobs: int, num_nodes: int) -> np.ndarray:
         """Pre-draw one unit-normal per (job, node) of a slot, so a job's
@@ -230,7 +343,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
             structure_seed=w["structure_seed"],
         )
         tasks = table.tasks
-        sampler = None
+        pools = None
         hard = [i for i, t in enumerate(tasks) if tiers[t] == "hard"]
         hard_fraction = w["hard_task_fraction"] if hard else 0.0
         # escalation-bound tiers carry short payloads; easy tasks span the
@@ -244,12 +357,11 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         mean_sizes = [(lo + hi) / 2.0 for lo, hi in size_ranges]
     else:
         models, records, modality = load_trace(w["trace_path"])
-        sampler = TraceJobSampler(records)
-        tasks = sampler.tasks
+        tasks, pools = trace_pools(records)
         # the header's rate where it gives one, else the recorded one
         matrix = np.ones((len(tasks), len(models)))
         for j, model in enumerate(models):
-            for i, (task, pool) in enumerate(zip(tasks, sampler.pools)):
+            for i, (task, pool) in enumerate(zip(tasks, pools)):
                 if modality[task] not in model.modalities:
                     continue
                 rate = model.error_prob.get(task)
@@ -262,7 +374,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         hard = []
         hard_fraction = 0.0
         size_ranges = None  # trace jobs keep their recorded sizes
-        mean_sizes = [sum(size for size, _ in pool) / len(pool) for pool in sampler.pools]
+        mean_sizes = [sum(size for size, _ in pool) / len(pool) for pool in pools]
     mixtures = dirichlet_mixtures(
         len(tasks), hard, len(entries), hard_fraction, w["mixture_concentration"], rng
     )
@@ -282,7 +394,7 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         size_ranges=size_ranges,
         mean_job_size=mean_job_size,
         seed=int(np.random.SeedSequence(entropy=seed, spawn_key=(2,)).generate_state(1)[0]),
-        job_sampler=sampler,
+        trace_pools=pools,
     )
 
 
@@ -538,18 +650,13 @@ def _parse_json_line(line: str, lineno: int) -> dict:
     return value
 
 
-class TraceJobSampler:
-    """Samples recorded jobs (with replacement) from per-task pools, one per
-    task index; ``tasks`` are the recorded task ids, sorted."""
-
-    def __init__(self, jobs: Sequence[TraceRecord]) -> None:
-        pools: dict[str, list[tuple[float, tuple[int, ...]]]] = {}
-        for job in jobs:
-            pools.setdefault(job.task_type, []).append((job.size_units, job.correctness))
-        self.tasks = sorted(pools)
-        self.pools = [pools[t] for t in self.tasks]
-
-    def __call__(self, task: int, rng: np.random.Generator) -> tuple[float, tuple[int, ...]]:
-        """One recorded (size, correctness bits) pair of the task."""
-        pool = self.pools[task]
-        return pool[int(rng.integers(len(pool)))]
+def trace_pools(
+    jobs: Sequence[TraceRecord],
+) -> tuple[list[str], list[list[tuple[float, tuple[int, ...]]]]]:
+    """The recorded task ids, sorted, and one pool of (size, bits) pairs per
+    task index, in record order."""
+    pools: dict[str, list[tuple[float, tuple[int, ...]]]] = {}
+    for job in jobs:
+        pools.setdefault(job.task_type, []).append((job.size_units, job.correctness))
+    tasks = sorted(pools)
+    return tasks, [pools[t] for t in tasks]

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from hiroute import cli
 from hiroute.cli import main
 from hiroute.report import summarize_cell
 from hiroute.config import (
@@ -202,6 +203,47 @@ class TestCmdSweep:
             tables.append((out_dir / "sweep_table.csv").read_bytes())
         assert tables[0] == tables[1]
         assert len(tables[0].splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        pytest.param(64, 8, 2, id="capped-at-cells"),
+        pytest.param(64, 1, None, id="one-cpu-runs-serially"),
+        pytest.param(3, 2, 2, id="capped-at-cpus"),
+        pytest.param(1, 8, None, id="one-job-runs-serially"),
+    ])
+    def test_pool_size_capped(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        # a recording stand-in for the pool: no process is started
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = {
+            "run": {"total_jobs": 50, "seeds": [0]},
+            "sweep": {"axes": {"policy": ["random", "pure_local"]}},
+        }
+        path = write_json(tmp_path, cfg)
+        assert main(["sweep", "--config", path, "--jobs", str(jobs)]) == 0
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_config_error(self, tmp_path, capsys, jobs):
+        cfg = {"run": {"total_jobs": 50, "seeds": [0]},
+               "sweep": {"axes": {"policy": ["random"]}}}
+        path = write_json(tmp_path, cfg)
+        assert main(["sweep", "--config", path, "--jobs", jobs]) == 1
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_empty_sweep_exits_one(self, tmp_path, capsys):
         path = small_cfg_file(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 
 from hiroute import policy, validation
 from hiroute.validation import (
+    check_arrival_draws,
     check_distribution_build,
     check_greedy_quality,
     check_loss_sweep,
@@ -44,6 +45,15 @@ def test_injected_left_to_right_total_is_caught():
     assert dests + 1 >= 8
     assert policy.add_reduce.__name__ == "add_reduce"
     assert check_distribution_build().passed
+
+
+def test_injected_high_half_first_is_caught():
+    # the first bounded draw takes the high half, so it differs unless both
+    # halves give one value; the next clean run is unaffected
+    result = check_arrival_draws(inject="high-half-first")
+    assert not result.passed
+    assert "integers(" in result.detail
+    assert check_arrival_draws().passed
 
 
 def test_batched_sweep_checked_bit_for_bit(monkeypatch):

@@ -7,8 +7,11 @@ import pytest
 from hiroute.config import DEFAULT_MODEL_POOL, default_config
 from hiroute.topology import build_topology
 from hiroute.workload import (
+    UNIT,
     ErrorTable,
     Job,
+    RawWords,
+    Workload,
     TraceFormatError,
     best_loaded_accuracy,
     build_workload,
@@ -18,6 +21,7 @@ from hiroute.workload import (
     load_trace,
     select_model,
     synthetic_catalog,
+    word_cuts,
 )
 
 
@@ -208,6 +212,126 @@ class TestConfidenceNoise:
             assert got.shape == (num_jobs, num_nodes)
             assert got.tolist() == [row.tolist() for row in want]
             assert batched._rng.bit_generator.state == per_job._rng.bit_generator.state
+
+
+class PerCallArrivals:
+    """The per-call arrival draw the raw-word decoding must reproduce: one
+    numpy ``Generator`` call per entry node, task, size, bit row and pool
+    index, on the generator a :class:`Workload` of the same seed builds."""
+
+    def __init__(self, mean, mixtures, entry_order, size_ranges, matrix, pools, seed):
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self.mean = mean
+        self.entries = tuple(entry_order)
+        cdfs = [np.cumsum(p) for p in mixtures]
+        self.cdfs = [cdf / cdf[-1] for cdf in cdfs]
+        self.size_ranges, self.matrix, self.pools = size_ranges, matrix, pools
+        self.counter = 0
+
+    def generate_slot(self):
+        rng = self.rng
+        count = int(rng.poisson(self.mean))
+        entries = self.entries
+        jobs = []
+        for _ in range(count):
+            entry = entries[int(rng.integers(len(entries)))]
+            task = int(self.cdfs[entry].searchsorted(rng.random(), side="right"))
+            if self.pools is not None:
+                pool = self.pools[task]
+                size, bits = pool[int(rng.integers(len(pool)))]
+            else:
+                lo, hi = self.size_ranges[task]
+                size = float(rng.uniform(lo, hi))
+                errors = self.matrix[task]
+                bits = tuple((rng.random(errors.size) >= errors).astype(int).tolist())
+            jobs.append(Job(self.counter, task, entry, size, bits))
+            self.counter += 1
+        return jobs
+
+
+def stream_pair(seed, num_entries, rate, source):
+    """A Workload and its per-call reference on one random spec: 6 tasks, 5
+    models with errors of exactly 0 and 1 among them, mixtures with zero
+    entries, entry nodes drawn in a shuffled order, integer and degenerate
+    size ranges; ``source`` "trace-1" gives every task one recorded job,
+    "trace" pools of 1 to 40."""
+    spec = np.random.default_rng(10_000 + seed)
+    n_tasks, n_models = 6, 5
+    matrix = spec.uniform(0, 1, (n_tasks, n_models))
+    matrix[0] = 1.0
+    matrix[1, :2] = 0.0
+    mixtures = []
+    for _ in range(num_entries):
+        probs = spec.dirichlet(np.ones(n_tasks))
+        probs[spec.integers(n_tasks)] = 0.0
+        mixtures.append(probs / probs.sum())
+    entry_order = spec.permutation(num_entries).tolist()
+    size_ranges = pools = None
+    if source == "synthetic":
+        size_ranges = [(1, 3), (2.0, 2.0)] + [
+            tuple(sorted(spec.uniform(0.5, 20.0, 2).tolist())) for _ in range(n_tasks - 2)
+        ]
+    else:
+        sizes = [1] * n_tasks if source == "trace-1" else spec.integers(1, 41, n_tasks)
+        pools = [[(float(spec.uniform(1, 9)), tuple(spec.integers(0, 2, n_models).tolist()))
+                  for _ in range(int(size))] for size in sizes]
+    table = ErrorTable([f"t{i}" for i in range(n_tasks)], [f"m{j}" for j in range(n_models)],
+                       [1.0] * n_models, matrix)
+    wl = Workload(table, rate, mixtures, entry_order, 0.1, size_ranges, 1.0, seed, pools)
+    ref = PerCallArrivals(rate, mixtures, entry_order, size_ranges, matrix, pools, seed)
+    return wl, ref
+
+
+class TestArrivalStream:
+    """generate_slot decodes one block of raw words per slot into the jobs,
+    and leaves the generator where, numpy's per-call draws do."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "trace-1", "trace"])
+    @pytest.mark.parametrize("rate", [0.5, 1.33, 20.0])
+    @pytest.mark.parametrize("num_entries", [1, 3, 4, 16])
+    def test_slots_equal_per_call_draws(self, num_entries, rate, source):
+        for seed in range(20):
+            wl, ref = stream_pair(seed, num_entries, rate, source)
+            for t in range(1, 26):
+                got, want = wl.generate_slot(t), ref.generate_slot()
+                assert got == want, (seed, t)
+                for job in got:
+                    assert type(job.size_units) is float
+                    assert all(type(bit) is int for bit in job.correctness)
+                assert (wl.confidence_noise(1, 2).tolist()
+                        == ref.rng.standard_normal((1, 2)).tolist()), (seed, t)
+
+    def test_word_cuts_are_least_words(self):
+        # the cut is the least word whose double reaches p, also where p has
+        # bits below 2**-53 that the double of no word matches
+        ps = [0.0, 2.0 ** -60, 0.1, 1 / 3, 0.5, 0.75, 1.0 - 2.0 ** -53, 1.0]
+        ps += np.random.default_rng(3).uniform(0, 1, 200).tolist()
+        for p, cut in zip(ps, word_cuts(ps)):
+            assert (cut >> 11) * UNIT >= p
+            assert cut == 0 or ((cut - 1) >> 11) * UNIT < p
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, (1 << 31) + 12345, 3 << 30, (1 << 32) - 1])
+    def test_bounded_draw_equals_integers(self, bound):
+        # interleaved with random(); a bound of 1 draws nothing, and at
+        # 2**31 + 12345 about half the halves are rejected, so a draw takes
+        # about a word where it takes half a word without rejections
+        draws = fresh = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            words = RawWords(np.random.default_rng(seed).bit_generator)
+            plan = np.random.default_rng(500 + seed).integers(0, 3, 300)
+            for step in plan:
+                if step:
+                    assert words.below(bound) == int(rng.integers(bound))
+                else:
+                    assert (words.word() >> 11) * UNIT == rng.random()
+            doubles = int((plan == 0).sum())
+            draws += len(plan) - doubles
+            fresh += len(words.block) - doubles
+        if bound == 1:
+            assert fresh == 0
+        if bound == (1 << 31) + 12345:
+            assert fresh > 0.8 * draws
 
 
 class TestDirichletMixtures:
