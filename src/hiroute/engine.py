@@ -422,7 +422,6 @@ class _Run:
         self.slots_run = 0
 
         self.out_dir = out_dir
-        self._metrics_writer: csv.writer | None = None
         self._metrics_file = None
         self._paths_file = None
         if out_dir is not None:
@@ -430,8 +429,16 @@ class _Run:
             self._metrics_file = open(
                 os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8"
             )
-            self._metrics_writer = csv.writer(self._metrics_file)
-            self._metrics_writer.writerow(self.metrics_header())
+            csv.writer(self._metrics_file).writerow(self.metrics_header())
+            # one cached string per metrics cell: the eight slot fields, then
+            # a cost and a queue column per queued node; a slot re-formats
+            # only its active nodes' cells (see run_slot)
+            width = len(self.queued_by_id)
+            self._cells = ["0.0"] * (8 + 2 * width)
+            self._cost_cell = [0] * topo.num_nodes
+            for i, n in enumerate(self.queued_by_id):
+                self._cost_cell[n] = 8 + i
+            self._queue_cell = [c + width for c in self._cost_cell]
             if self.record_paths:
                 self._paths_file = open(
                     os.path.join(out_dir, "paths.jsonl"), "w", encoding="utf-8"
@@ -516,24 +523,38 @@ class _Run:
     # ---- the slot loop ----------------------------------------------------
     def run_slot(self, t: int, jobs: list[Job]) -> None:
         """Route, learn from and account for one slot's jobs, then update the
-        queues and write the slot's metrics row."""
+        queues and write the slot's metrics row.
+
+        The accounting runs over the slot's active nodes only (see
+        :mod:`control`): the queued nodes its jobs' hops touched and the
+        backlogged ones. Every other queued node keeps cost 0.0 and queue
+        0.0, and its metrics cells keep their cached "0.0"."""
         self.maybe_onload(t)
         # the queue values: learning and the drift diagnostic read them at
         # their slot-start values, before apply_slot updates them in place
-        queue = self.queues.values
+        queues = self.queues
+        queue = queues.values
         costs = [0.0] * len(self.node_ids)
+        touched: set[int] = set()
         slot_errors = 0
         slot_hard = 0
         slot_hits = 0
         slot_feedback = 0
 
         routed = []
-        slot_noise = self.workload.confidence_noise(len(jobs), len(self.node_ids)).tolist()
+        # an empty slot draws no noise: a (0, N) draw leaves the generator
+        # state as it is
+        slot_noise = (
+            self.workload.confidence_noise(len(jobs), len(self.node_ids)).tolist()
+            if jobs else ()
+        )
         for job, noise in zip(jobs, slot_noise):
             path, exit_error, records = self._route(job, noise)
             hop_cost = job.size_units * self.distance_factor
-            for dest in path[1:]:
+            hops = path[1:]
+            for dest in hops:
                 costs[dest] += hop_cost
+            touched.update(hops)
             reached = path[-1] in self.terminal
             hard = job.is_hard()
             slot_errors += exit_error
@@ -554,10 +575,12 @@ class _Run:
                     self.regret.job_done()
             self.table.refresh_dirty()
 
-        drift = drift_penalty_diagnostic(queue, costs, self.queues.nodes, slot_errors, self.v)
-        self.queues.apply_slot(costs, self.topo.resource_budget)
-        for n in self.queues.nodes:
-            self.total_cost[n] += costs[n]
+        active = queues.active(touched)
+        drift = drift_penalty_diagnostic(queue, costs, active, slot_errors, self.v)
+        queues.apply_slot(costs, self.topo.resource_budget, active)
+        total_cost = self.total_cost
+        for n in touched:
+            total_cost[n] += costs[n]
         self.total_jobs_done += len(jobs)
         self.total_errors += slot_errors
         self.total_hard += slot_hard
@@ -566,12 +589,23 @@ class _Run:
         self.slots_run = t
 
         entropy = self.table.mean_entropy() if self.table is not None else 0.0
-        if self._metrics_writer is not None:
-            self._metrics_writer.writerow(
-                [t, len(jobs), slot_errors, slot_hard, slot_hits, slot_feedback, entropy, drift]
-                + [costs[n] for n in self.queued_by_id]
-                + [queue[n] for n in self.queued_by_id]
+        if self._metrics_file is not None:
+            # the bytes csv.writer's excel dialect gives: str of an int, repr
+            # of a float, none of which needs quoting, and "\r\n"
+            cells = self._cells
+            cells[:8] = (
+                str(t), str(len(jobs)), str(slot_errors), str(slot_hard), str(slot_hits),
+                str(slot_feedback), repr(entropy), repr(drift),
             )
+            cost_cell = self._cost_cell
+            for n in touched:
+                cells[cost_cell[n]] = repr(costs[n])
+            queue_cell = self._queue_cell
+            for n in active:
+                cells[queue_cell[n]] = repr(queue[n])
+            self._metrics_file.write(",".join(cells) + "\r\n")
+            for n in touched:
+                cells[cost_cell[n]] = "0.0"
 
     def _write_path(
         self, t: int, job: Job, path: list[int], reached: bool, exit_error: int, hard: bool

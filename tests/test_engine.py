@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from hiroute.policy import ActionDistribution, ExpertTable
 from hiroute.topology import build_topology
 from hiroute.workload import (
     Job,
+    Workload,
     best_loaded_accuracy,
     build_workload,
     inference_error,
@@ -179,6 +181,46 @@ class TestRunSlotInvariants:
         assert metrics[0].drift_penalty == pytest.approx(
             run.v * metrics[0].errors
         )
+
+
+class TestSparseSlots:
+    def test_empty_slots_draw_no_noise(self, monkeypatch):
+        # a (0, N) standard_normal draw consumes no generator state, so an
+        # empty slot skips it and the stream is unchanged
+        calls = []
+        noise = Workload.confidence_noise
+
+        def spy(self, num_jobs, num_nodes):
+            calls.append(num_jobs)
+            return noise(self, num_jobs, num_nodes)
+
+        monkeypatch.setattr(Workload, "confidence_noise", spy)
+        _, metrics, _ = run_with_paths(small_config())
+        assert any(m.jobs == 0 for m in metrics)
+        assert calls == [m.jobs for m in metrics if m.jobs]
+
+    def test_metrics_line_bytes_equal_csv_writer(self, tmp_path):
+        # crafted job sizes make cost, queue and drift cells such as 1e-07,
+        # 1e+16, 5e-324 and 0.30000000000000004; every line must be the
+        # bytes csv.writer writes for the ints and floats it spells
+        cfg = small_config(policy="random")
+        cfg["static"]["offload_prob"] = 1.0  # every job climbs to the terminal node
+        run = _Run(cfg, 0, str(tmp_path))
+        bits = (1,) * len(run.error_table.model_ids)
+        sizes = [1e-07, None, 1e16, 5e-324, 0.1 + 0.2, 0.0, None, 2.5]
+        for t, size in enumerate(sizes, start=1):
+            run.run_slot(t, [] if size is None else [Job(t, 0, t % 4, size, bits)])
+        run.close()
+        written = (tmp_path / "metrics.csv").read_bytes()
+        header, *rows = csv.reader(io.StringIO(written.decode("utf-8"), newline=""))
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([int(c) for c in row[:6]] + [float(c) for c in row[6:]])
+        assert written == text.getvalue().encode("utf-8")
+        cells = {c for row in rows for c in row[8:]}
+        assert {"1e-07", "1e+16", "5e-324", "0.30000000000000004", "0.0"} <= cells
 
 
 class TestDeterminism:

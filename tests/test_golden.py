@@ -4,7 +4,9 @@ A refactor must keep these hashes. A change that alters them on purpose
 updates them in the same change, says why, and reports the acceptance
 numbers per seed before and after.
 """
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -110,6 +112,14 @@ GOLDEN = {
 }
 
 
+def golden_config(policy, topology):
+    cfg = default_config()
+    cfg["policy"] = policy
+    cfg["topology"]["layer_sizes"], cfg["topology"]["memory_budgets"] = TOPOLOGIES[topology]
+    cfg["run"]["total_jobs"] = 2000
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     """sha256 of every file of FILES, one run per (policy, topology)."""
@@ -117,14 +127,8 @@ def digests(tmp_path_factory):
 
     def run(policy, topology):
         if (policy, topology) not in done:
-            cfg = default_config()
-            cfg["policy"] = policy
-            cfg["topology"]["layer_sizes"], cfg["topology"]["memory_budgets"] = (
-                TOPOLOGIES[topology]
-            )
-            cfg["run"]["total_jobs"] = 2000
             out = tmp_path_factory.mktemp("golden")
-            run_single(cfg, 0, str(out))
+            run_single(golden_config(policy, topology), 0, str(out))
             done[(policy, topology)] = tuple(
                 hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES
             )
@@ -146,6 +150,23 @@ def test_summary_json_hash(policy, depth, digests):
 @pytest.mark.parametrize("policy, depth", list(GOLDEN))
 def test_placements_csv_hash(policy, depth, digests):
     assert digests(policy, depth)[2] == GOLDEN[(policy, depth)][2]
+
+
+def test_random_depth5_queues_drain_and_regrow(tmp_path):
+    # a slot rewrites only its active nodes' queue cells, so the lock must
+    # cover queues that drain to 0.0 (the cell then keeps its "0.0") and
+    # regrow: the random depth-5 run has both
+    run_single(golden_config("random", 5), 0, str(tmp_path))
+    data = (tmp_path / "metrics.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[("random", 5)][0]
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    columns = [i for i, name in enumerate(header) if name.startswith("queue_")]
+    drains = regrowths = 0
+    for before, after in zip(rows, rows[1:]):
+        for i in columns:
+            drains += float(before[i]) > 0.0 and after[i] == "0.0"
+            regrowths += before[i] == "0.0" and float(after[i]) > 0.0
+    assert drains > 0 and regrowths > 0
 
 
 # A trace run with paths recorded. The header lists its models out of id
