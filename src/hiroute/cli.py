@@ -11,7 +11,7 @@ import sys
 import traceback
 from typing import Any, Mapping
 
-from .config import ConfigError, apply_overrides, default_config, load_config
+from .config import ConfigError, apply_overrides, default_config, load_config, validate_config
 from .engine import run_experiment
 from .report import (
     collect_summaries,
@@ -19,7 +19,7 @@ from .report import (
     summarize_cell,
     write_table_csv,
 )
-from .validation import run_property_suite
+from .validation import INJECT_MODES, run_property_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent sweep cells, at most one per cell and per CPU")
 
     val_p = sub.add_parser("validate", help="run the fast property suite")
-    val_p.add_argument("--inject-bug", default=None, help=argparse.SUPPRESS)
+    val_p.add_argument("--inject-bug", default=None, choices=INJECT_MODES,
+                       help=argparse.SUPPRESS)
 
     rep_p = sub.add_parser("report", help="aggregate summaries under a directory")
     rep_p.add_argument("--out", required=True, help="results directory to scan")
@@ -67,6 +68,7 @@ def _load(args: argparse.Namespace) -> dict[str, Any]:
         cfg["output_dir"] = args.out
     if args.seed_offset:
         cfg["run"]["seeds"] = [s + args.seed_offset for s in cfg["run"]["seeds"]]
+        validate_config(cfg)
     return cfg
 
 

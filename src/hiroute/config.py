@@ -1,8 +1,9 @@
 """Experiment configuration: JSON schema, defaults, dotted-key overrides.
 
 Configs are plain nested dicts validated against a declarative schema;
-unknown keys are rejected and every leaf is type- and range-checked, so a
-typo in a sweep override fails loudly instead of running the default.
+unknown or missing keys are rejected and every leaf is type- and
+range-checked, so a typo in a sweep override fails loudly instead of running
+the default.
 """
 from __future__ import annotations
 
@@ -148,8 +149,8 @@ def _validate_workload(w: Mapping, prefix: str) -> None:
                and 0 < rng[0] <= rng[1], f"{prefix}.{key}", "must be [lo, hi] with 0 < lo <= hi")
     _check(_is_number(w["confidence_noise_std"]) and w["confidence_noise_std"] >= 0,
            f"{prefix}.confidence_noise_std", "must be nonnegative")
-    _check(isinstance(w["structure_seed"], int), f"{prefix}.structure_seed",
-           "must be an integer")
+    _check(isinstance(w["structure_seed"], int) and w["structure_seed"] >= 0,
+           f"{prefix}.structure_seed", "must be a nonnegative integer")
     pool = w["model_pool"]
     _check(isinstance(pool, list) and pool, f"{prefix}.model_pool", "must be a non-empty list")
     seen = set()
@@ -192,8 +193,8 @@ def _validate_run(r: Mapping, prefix: str) -> None:
     _check(isinstance(r["total_jobs"], int) and r["total_jobs"] > 0,
            f"{prefix}.total_jobs", "must be a positive integer")
     _check(isinstance(r["seeds"], list) and r["seeds"]
-           and all(isinstance(s, int) for s in r["seeds"]),
-           f"{prefix}.seeds", "must be a non-empty list of integers")
+           and all(isinstance(s, int) and s >= 0 for s in r["seeds"]),
+           f"{prefix}.seeds", "must be a non-empty list of nonnegative integers")
     _check(_is_number(r["distance_factor"]) and r["distance_factor"] > 0,
            f"{prefix}.distance_factor", "must be positive")
     _check(isinstance(r["record_paths"], bool), f"{prefix}.record_paths",
@@ -203,10 +204,8 @@ def _validate_run(r: Mapping, prefix: str) -> None:
 
 
 def validate_config(cfg: Mapping[str, Any]) -> None:
-    """Check shape, types, and ranges; reject unknown keys at any level."""
-    _reject_unknown(cfg, DEFAULT_CONFIG, "")
-    for section in DEFAULT_CONFIG:
-        _check(section in cfg, section, "missing section")
+    """Check shape, types, and ranges; reject unknown or missing keys at any level."""
+    _check_keys(cfg, DEFAULT_CONFIG, "")
     _validate_topology(cfg["topology"], "topology")
     _validate_workload(cfg["workload"], "workload")
     _check(cfg["policy"] in STATIC_KINDS + LEARNING_KINDS, "policy",
@@ -245,15 +244,15 @@ def validate_config(cfg: Mapping[str, Any]) -> None:
                 _set_dotted(probe, key, value)
 
 
-def _reject_unknown(cfg: Mapping, reference: Mapping, prefix: str) -> None:
-    for key in cfg:
+def _check_keys(cfg: Mapping, reference: Mapping, prefix: str) -> None:
+    """Name the first unknown or missing key, by dotted path, at any level."""
+    for key in {**cfg, **reference}:
         path = f"{prefix}.{key}" if prefix else key
         _check(key in reference, path, "unknown key")
-        ref_val = reference[key]
-        if isinstance(ref_val, dict) and isinstance(cfg[key], dict) and key not in (
-            "sweep",
-        ):
-            _reject_unknown(cfg[key], ref_val, path)
+        _check(key in cfg, path, "missing")
+        if isinstance(reference[key], dict):
+            _check(isinstance(cfg[key], dict), path, "must be an object")
+            _check_keys(cfg[key], reference[key], path)
 
 
 def default_config() -> dict[str, Any]:

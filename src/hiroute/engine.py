@@ -252,16 +252,6 @@ class RegretTracker:
             self.curve_entry.append(entry_total)
             self.curve_total.append(total)
 
-    @property
-    def realized(self) -> dict[tuple[int, int], float]:
-        """Settled realized loss sum per (node, task)."""
-        return {key: float(sums[0]) for key, sums in self._sums.items()}
-
-    @property
-    def expert_sums(self) -> dict[tuple[int, int], np.ndarray]:
-        """Settled expert loss sums per (node, task), thresholds by destinations."""
-        return {key: sums[1:].reshape(self.rows, -1) for key, sums in self._sums.items()}
-
     def regret(self, node: int, task: int) -> float:
         sums = self._sums[(node, task)]
         return float(sums[0]) - float(np.minimum.reduce(sums[1:]))

@@ -174,9 +174,6 @@ class ExpertTable:
         self._dirty: dict[tuple[int, int], None] = {}
         self._entropy_sum = float(sum(e.entropy for e in self._entries.values()))
 
-    def cum_loss(self, node: int, task: int) -> np.ndarray:
-        return self._entries[(node, task)].cum_loss
-
     def update_weights(self, node: int, task: int) -> np.ndarray:
         """Recompute the softmax of negated cumulative losses (stable form)."""
         entry = self._entries[(node, task)]

@@ -1,27 +1,30 @@
-"""Fast self-checks over the core numerical properties.
+"""Self-checks that back ``hiroute validate`` and finish in seconds.
 
-Each check is independent of the code path it verifies: expectations are
-enumerated or brute-forced rather than recomputed through the functions
-under test. The whole suite runs in seconds and backs the ``validate`` CLI
-subcommand. ``inject`` deliberately breaks one property so tests can confirm
-the checks actually detect failures.
+``distribution-build`` and ``arrival-draws`` guard bits numpy does not
+promise (its summation order, its generator stream), so a user reruns them
+after a numpy upgrade. ``loss-sweep`` holds the only enumeration of every
+route through branching hierarchies. The paper's other properties
+(unbiasedness, variance ordering, weight simplex, submodularity, greedy
+quality) are checked by the test suite alone. Each check enumerates its
+expectation instead of recomputing it through the code under test;
+``inject`` breaks one property so tests can confirm a check detects it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable
 
 import numpy as np
 
 from . import policy
-from .losses import DownstreamLossOracle, backward_sweep, estimate, variance_pair
-from .placement import PlacementContext, greedy_onload, marginal_gain, utility
+from .losses import DownstreamLossOracle, backward_sweep
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
-from .workload import MASK32, UNIT, ErrorTable, RawWords, word_cuts
+from .workload import MASK32, UNIT, RawWords, word_cuts
+
+# the --inject-bug modes: each makes one check fail
+INJECT_MODES = ("left-to-right-total", "high-half-first")
 
 
 @dataclass
@@ -29,61 +32,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-def check_unbiasedness(inject: str | None = None, n: int = 10_000) -> CheckResult:
-    """Two-point expectation of the engine's loss estimate equals the loss."""
-    rng = np.random.default_rng(7)
-    estimator: Callable = estimate
-    if inject == "baseline-sign":
-        def estimator(f, baseline, rho, fb):  # deliberately wrong add-back sign
-            return estimate(f, baseline, rho, fb) - 2.0 * baseline
-    worst = 0.0
-    for _ in range(n):
-        f = float(rng.uniform(-50, 150))
-        beta = float(rng.uniform(-20, 120))
-        rho = float(rng.uniform(0.001, 1.0))
-        expectation = rho * estimator(f, beta, rho, True) + (1 - rho) * estimator(
-            f, beta, rho, False
-        )
-        worst = max(worst, abs(expectation - f))
-    ok = worst < 1e-10
-    return CheckResult("estimator-unbiasedness", ok, f"max deviation {worst:.2e}")
-
-
-def check_variance_ordering(grid: int = 60) -> CheckResult:
-    """Closed-form variances obey the ordering whenever 0 < baseline <= 2*loss."""
-    f = 1.0
-    ratios = np.linspace(0.01, 1.99, grid)
-    rhos = np.linspace(0.01, 0.99, grid)
-    for ratio, rho in itertools.product(ratios, rhos):
-        var_naive, var_vr = variance_pair(f, ratio * f, rho)
-        if var_vr > var_naive + 1e-12:
-            return CheckResult(
-                "variance-ordering", False, f"violated at beta={ratio * f}, rho={rho}"
-            )
-    for boundary in (0.0, 2.0 * f):
-        var_naive, var_vr = variance_pair(f, boundary, 0.25)
-        if abs(var_naive - var_vr) > 1e-12:
-            return CheckResult(
-                "variance-ordering", False, f"no equality at beta={boundary}"
-            )
-    return CheckResult("variance-ordering", True, f"{grid}x{grid} grid clean")
-
-
-def check_weight_simplex(rounds: int = 200) -> CheckResult:
-    """Weights stay a strictly positive simplex under random accumulations."""
-    grid = ExpertGrid(thresholds=(0.0, 0.3, 0.7, 1.0), destinations=(1, 2))
-    table = ExpertTable({0: grid}, 1, learning_rate=0.05, exploration_rate=0.1)
-    rng = np.random.default_rng(11)
-    for _ in range(rounds):
-        # cut 0: every row takes the offload part, here a full matrix
-        table.accumulate_loss(0, 0, 0, 0.0, rng.normal(0, 30, size=grid.shape))
-        table.refresh_dirty()
-        w = table.weights(0, 0)
-        if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w <= 0):
-            return CheckResult("weight-simplex", False, "simplex violated")
-    return CheckResult("weight-simplex", True, f"{rounds} random updates clean")
 
 
 def check_distribution_build(inject: str | None = None, grids: int = 60) -> CheckResult:
@@ -163,38 +111,6 @@ def check_arrival_draws(
                 return CheckResult("arrival-draws", False,
                                    f"seed {seed}, draw {k}: {name} gave {got}, numpy {want}")
     return CheckResult("arrival-draws", True, f"{seeds} seeds x {draws} interleaved draws clean")
-
-
-def _table_of(errors: np.ndarray, sizes: list[float]) -> ErrorTable:
-    """An error table of tasks t0, t1, ... and models m0, m1, ..."""
-    n_tasks, n_models = errors.shape
-    return ErrorTable(
-        [f"t{j}" for j in range(n_tasks)], [f"m{i}" for i in range(n_models)], sizes, errors
-    )
-
-
-def check_submodularity(tables: int = 20, n_models: int = 4, n_tasks: int = 3) -> CheckResult:
-    """Exhaustive diminishing-returns check of the error component."""
-    rng = np.random.default_rng(23)
-    for _ in range(tables):
-        # drawn model by model: row i of the draw is model i's errors
-        errors = rng.uniform(0, 1, (n_models, n_tasks)).T.copy()
-        table = _table_of(errors, [1.0] * n_models)
-        ctx = PlacementContext(rng.dirichlet(np.ones(n_tasks)), table, switch_penalty=0.0)
-        for a_bits in range(2 ** n_models):
-            a_set = {i for i in range(n_models) if a_bits >> i & 1}
-            for b_bits in range(2 ** n_models):
-                b_set = {i for i in range(n_models) if b_bits >> i & 1}
-                if not a_set <= b_set:
-                    continue
-                for m in range(n_models):
-                    if m in b_set:
-                        continue
-                    if marginal_gain(ctx, m, a_set) < marginal_gain(ctx, m, b_set) - 1e-12:
-                        return CheckResult(
-                            "submodularity", False, f"violated for A={a_set}, B={b_set}, m={m}"
-                        )
-    return CheckResult("submodularity", True, f"{tables} random tables clean")
 
 
 def _routes(topo: Topology, node: int) -> list[tuple[int, ...]]:
@@ -286,43 +202,9 @@ def check_loss_sweep() -> CheckResult:
     return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 
 
-def check_greedy_quality(instances: int = 60) -> CheckResult:
-    """Greedy stays within the expected factor of the brute-force optimum."""
-    rng = np.random.default_rng(5)
-    for _ in range(instances):
-        n_models = int(rng.integers(3, 6))
-        n_tasks = int(rng.integers(2, 4))
-        errors = np.empty((n_tasks, n_models))
-        sizes = []
-        for i in range(n_models):  # each model's size, then its errors
-            sizes.append(float(rng.integers(1, 4)))
-            errors[:, i] = rng.uniform(0, 1, n_tasks)
-        table = _table_of(errors, sizes)
-        ctx = PlacementContext(
-            rng.dirichlet(np.ones(n_tasks)), table, switch_penalty=float(rng.uniform(0, 0.15))
-        )
-        budget = float(rng.integers(2, 7))
-        got = utility(ctx, greedy_onload(ctx, budget))
-        best = 0.0
-        for bits in range(2 ** n_models):
-            subset = [i for i in range(n_models) if bits >> i & 1]
-            if sum(table.sizes[m] for m in subset) <= budget:
-                best = max(best, utility(ctx, subset))
-        if got < 0.5 * best - 1e-9 or got < best - 0.25 - 1e-9:
-            return CheckResult(
-                "greedy-quality", False, f"greedy {got:.4f} vs optimum {best:.4f}"
-            )
-    return CheckResult("greedy-quality", True, f"{instances} instances clean")
-
-
 def run_property_suite(inject: str | None = None) -> list[CheckResult]:
     return [
-        check_unbiasedness(inject=inject),
-        check_variance_ordering(),
-        check_weight_simplex(),
         check_distribution_build(inject=inject),
         check_arrival_draws(inject=inject),
-        check_submodularity(),
         check_loss_sweep(),
-        check_greedy_quality(),
     ]

@@ -38,6 +38,16 @@ def small_cfg_file(tmp_path, **extra):
     return write_json(tmp_path, cfg)
 
 
+def without(*keys):
+    """The default config with the key at the path ``keys`` deleted."""
+    cfg = default_config()
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    del section[keys[-1]]
+    return cfg
+
+
 class TestConfig:
     def test_round_trip_identity(self):
         cfg = default_config()
@@ -118,6 +128,12 @@ class TestConfig:
                      "learning: cannot override a whole section", id="override-whole-section"),
         pytest.param(lambda tmp: apply_overrides(default_config(), ["learning.nope.deeper=1"]),
                      "learning.nope.deeper: unknown key", id="override-unknown-nested-key"),
+        pytest.param(lambda tmp: apply_overrides(without("topology", "resource_budget"), []),
+                     "topology.resource_budget: missing", id="missing-leaf"),
+        pytest.param(lambda tmp: apply_overrides(without("run"), []),
+                     "run: missing", id="missing-section"),
+        pytest.param(lambda tmp: merge_config({"learning": 5}),
+                     "learning: must be an object", id="section-not-an-object"),
     ])
     def test_config_error_names_field(self, tmp_path, load, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -159,6 +175,18 @@ class TestCmdRun:
         })
         assert main(["run", "--config", path]) == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field", [
+        pytest.param(["--override", "run.seeds=[-1]"], "run.seeds", id="negative-seed"),
+        pytest.param(["--seed-offset", "-1"], "run.seeds", id="offset-below-zero"),
+        pytest.param(["--override", "workload.structure_seed=-1"], "workload.structure_seed",
+                     id="negative-structure-seed"),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, flags, field):
+        # numpy's SeedSequence takes no negative seed: caught before any run
+        path = small_cfg_file(tmp_path)
+        assert main(["run", "--config", path, *flags]) == 1
+        assert f"config error: {field}: must be a" in capsys.readouterr().err
 
     def test_seed_offset(self, tmp_path):
         path = small_cfg_file(tmp_path)
@@ -282,17 +310,32 @@ class TestCmdSweep:
         assert float(row["error_rate_mean"]) == json.loads(summary.read_text())["error_rate"]
 
 
+def status_lines(out):
+    """Each check's status and name from ``hiroute validate``'s output."""
+    return [line.split(":")[0] for line in out.splitlines()]
+
+
 class TestCmdValidate:
     def test_clean_build_passes(self, capsys):
         assert main(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 5
+        assert status_lines(capsys.readouterr().out) == [
+            "PASS  distribution-build", "PASS  arrival-draws", "PASS  loss-sweep",
+        ]
 
     def test_injected_bug_detected(self, capsys):
-        assert main(["validate", "--inject-bug", "baseline-sign"]) != 0
-        out = capsys.readouterr().out
-        assert "FAIL  estimator-unbiasedness" in out
+        # each mode fails its own check only
+        for mode, check in (("left-to-right-total", "distribution-build"),
+                            ("high-half-first", "arrival-draws")):
+            assert main(["validate", "--inject-bug", mode]) != 0
+            lines = status_lines(capsys.readouterr().out)
+            assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL  {check}"]
+            assert len(lines) == 3
+
+    def test_unknown_injection_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--inject-bug", "baseline-sign"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'baseline-sign'" in capsys.readouterr().err
 
 
 class TestCmdReport:

@@ -5,6 +5,8 @@ from hiroute.engine import RegretTracker
 from hiroute.losses import BaselineTable, DownstreamLossOracle, estimate, variance_pair
 from hiroute.policy import DEFAULT_THRESHOLDS, ActionDistribution, ExpertGrid, ExpertTable
 from hiroute.topology import build_topology
+from tests.test_engine import expert_sums
+from tests.test_policy import cum_loss
 
 
 class TestNaiveEstimate:
@@ -465,9 +467,9 @@ class TestPairsMatchFullMatrices:
                 regret.add(0, [0], records, 1.0, queue)
             tracker.settle()
             baselines.count_violations(0, cut, beta, losses)
-            assert experts.cum_loss(0, 0).tobytes() == cum.tobytes()
-            assert tracker.expert_sums[(0, 0)].tobytes() == sums.tobytes()
+            assert cum_loss(experts, 0, 0).tobytes() == cum.tobytes()
+            assert expert_sums(tracker)[(0, 0)].tobytes() == sums.tobytes()
             assert baselines.condition_violations == violations
         assert violations > 0
         batched.settle()
-        assert batched.expert_sums[(0, 0)].tobytes() == sums.tobytes()
+        assert expert_sums(batched)[(0, 0)].tobytes() == sums.tobytes()

@@ -19,6 +19,11 @@ def make_table(thresholds=(0.3, 0.7), dests=(1,), eta=0.1, lam=0.1):
     return ExpertTable({0: grid}, 1, learning_rate=eta, exploration_rate=lam)
 
 
+def cum_loss(table, node, task):
+    """The cumulative expert losses a table holds at (node, task)."""
+    return table._entries[(node, task)].cum_loss
+
+
 class TestExpertGrid:
     def test_default_grid_is_uniform_11_points(self):
         assert DEFAULT_THRESHOLDS == tuple(round(0.1 * i, 1) for i in range(11))
@@ -280,7 +285,7 @@ class TestAccumulate:
         delta = np.zeros((2, 1))
         delta[1, 0] = 5.0
         table.accumulate_loss(0, 0, 0, 0.0, delta)
-        g = table.cum_loss(0, 0)
+        g = cum_loss(table, 0, 0)
         assert g[0, 0] == 0.0 and g[1, 0] == 5.0
 
     def test_cum_loss_is_running_sum(self):
@@ -291,7 +296,7 @@ class TestAccumulate:
             step = rng.normal(0, 3, size=(2, 2))
             total += step
             table.accumulate_loss(0, 0, 0, 0.0, step)
-        assert np.allclose(table.cum_loss(0, 0), total, atol=1e-9)
+        assert np.allclose(cum_loss(table, 0, 0), total, atol=1e-9)
 
     def test_non_finite_loss_raises(self):
         table = make_table()
@@ -308,14 +313,14 @@ class TestAccumulate:
         table = make_table()
         with pytest.raises(ValueError):
             table.accumulate_loss(0, 0, cut, terminate, np.array(offload))
-        assert table.cum_loss(0, 0).tolist() == [[0.0], [0.0]]
+        assert cum_loss(table, 0, 0).tolist() == [[0.0], [0.0]]
 
     def test_values_outside_the_cut_do_not_land(self):
         # cut 0 leaves no terminating expert, cut T no offloading one
         table = make_table()
         table.accumulate_loss(0, 0, 0, np.nan, np.array([2.0]))
         table.accumulate_loss(0, 0, 2, 1.0, np.array([np.inf]))
-        assert table.cum_loss(0, 0).tolist() == [[3.0], [3.0]]
+        assert cum_loss(table, 0, 0).tolist() == [[3.0], [3.0]]
 
 
 class TestEntropy:

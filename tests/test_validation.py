@@ -6,12 +6,7 @@ from hiroute import policy, validation
 from hiroute.validation import (
     check_arrival_draws,
     check_distribution_build,
-    check_greedy_quality,
     check_loss_sweep,
-    check_submodularity,
-    check_unbiasedness,
-    check_variance_ordering,
-    check_weight_simplex,
     run_property_suite,
 )
 
@@ -25,11 +20,6 @@ def test_suite_is_fast():
     start = time.monotonic()
     run_property_suite()
     assert time.monotonic() - start < 30.0
-
-
-def test_injected_baseline_sign_bug_is_caught():
-    result = check_unbiasedness(inject="baseline-sign")
-    assert not result.passed
 
 
 def test_distribution_build_checked_bit_for_bit():
@@ -73,9 +63,5 @@ def test_batched_sweep_checked_bit_for_bit(monkeypatch):
 
 
 def test_individual_checks():
-    assert check_unbiasedness().passed
-    assert check_variance_ordering().passed
-    assert check_weight_simplex().passed
-    assert check_submodularity(tables=5).passed
+    assert check_arrival_draws().passed
     assert check_loss_sweep().passed
-    assert check_greedy_quality(instances=20).passed
