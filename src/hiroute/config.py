@@ -104,12 +104,16 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, _NUMBER) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # field -> validator(value, field_name); nested dicts recurse through _SCHEMA.
 def _validate_topology(t: Mapping, prefix: str) -> None:
     sizes = t["layer_sizes"]
     _check(isinstance(sizes, list) and len(sizes) >= 2, f"{prefix}.layer_sizes",
            "need at least two layers")
-    _check(all(isinstance(s, int) and s > 0 for s in sizes), f"{prefix}.layer_sizes",
+    _check(all(_is_int(s) and s > 0 for s in sizes), f"{prefix}.layer_sizes",
            "layer sizes must be positive integers")
     budgets = t["memory_budgets"]
     _check(isinstance(budgets, list) and len(budgets) == len(sizes),
@@ -129,14 +133,14 @@ def _validate_workload(w: Mapping, prefix: str) -> None:
                f"{prefix}.trace_path", "required for trace workloads")
     _check(_is_number(w["mean_jobs_per_slot"]) and w["mean_jobs_per_slot"] >= 0,
            f"{prefix}.mean_jobs_per_slot", "must be nonnegative")
-    _check(isinstance(w["num_task_types"], int) and w["num_task_types"] >= 2,
+    _check(_is_int(w["num_task_types"]) and w["num_task_types"] >= 2,
            f"{prefix}.num_task_types", "must be an integer >= 2")
     _check(_is_number(w["vision_fraction"]) and 0 <= w["vision_fraction"] <= 1,
            f"{prefix}.vision_fraction", "must lie in [0, 1]")
     _check(_is_number(w["hard_task_fraction"]) and 0 <= w["hard_task_fraction"] < 1,
            f"{prefix}.hard_task_fraction", "must lie in [0, 1)")
     for key in ("hard_task_types", "medium_task_types", "trap_task_types"):
-        _check(isinstance(w[key], int) and w[key] >= 0, f"{prefix}.{key}",
+        _check(_is_int(w[key]) and w[key] >= 0, f"{prefix}.{key}",
                "must be a nonnegative integer")
     _check(w["hard_task_types"] + w["medium_task_types"] + w["trap_task_types"]
            < w["num_task_types"], f"{prefix}.num_task_types",
@@ -149,15 +153,14 @@ def _validate_workload(w: Mapping, prefix: str) -> None:
                and 0 < rng[0] <= rng[1], f"{prefix}.{key}", "must be [lo, hi] with 0 < lo <= hi")
     _check(_is_number(w["confidence_noise_std"]) and w["confidence_noise_std"] >= 0,
            f"{prefix}.confidence_noise_std", "must be nonnegative")
-    _check(isinstance(w["structure_seed"], int) and w["structure_seed"] >= 0,
+    _check(_is_int(w["structure_seed"]) and w["structure_seed"] >= 0,
            f"{prefix}.structure_seed", "must be a nonnegative integer")
     pool = w["model_pool"]
     _check(isinstance(pool, list) and pool, f"{prefix}.model_pool", "must be a non-empty list")
     seen = set()
     for i, m in enumerate(pool):
         _check(isinstance(m, dict), f"{prefix}.model_pool[{i}]", "must be an object")
-        for key in ("id", "size", "modalities", "base_error"):
-            _check(key in m, f"{prefix}.model_pool[{i}].{key}", "missing")
+        _check_keys(m, DEFAULT_MODEL_POOL[0], f"{prefix}.model_pool[{i}]")
         _check(m["id"] not in seen, f"{prefix}.model_pool[{i}].id", "duplicate id")
         seen.add(m["id"])
         _check(_is_number(m["size"]) and m["size"] > 0,
@@ -190,10 +193,10 @@ def _validate_learning(l: Mapping, prefix: str) -> None:
 
 
 def _validate_run(r: Mapping, prefix: str) -> None:
-    _check(isinstance(r["total_jobs"], int) and r["total_jobs"] > 0,
+    _check(_is_int(r["total_jobs"]) and r["total_jobs"] > 0,
            f"{prefix}.total_jobs", "must be a positive integer")
     _check(isinstance(r["seeds"], list) and r["seeds"]
-           and all(isinstance(s, int) and s >= 0 for s in r["seeds"]),
+           and all(_is_int(s) and s >= 0 for s in r["seeds"]),
            f"{prefix}.seeds", "must be a non-empty list of nonnegative integers")
     _check(_is_number(r["distance_factor"]) and r["distance_factor"] > 0,
            f"{prefix}.distance_factor", "must be positive")
@@ -213,7 +216,7 @@ def validate_config(cfg: Mapping[str, Any]) -> None:
     _validate_learning(cfg["learning"], "learning")
     _check(cfg["placement"]["kind"] in PLACEMENT_KINDS, "placement.kind",
            f"must be one of {PLACEMENT_KINDS}")
-    _check(isinstance(cfg["placement"]["epoch_slots"], int)
+    _check(_is_int(cfg["placement"]["epoch_slots"])
            and cfg["placement"]["epoch_slots"] > 1,
            "placement.epoch_slots", "must be an integer > 1")
     _check(_is_number(cfg["placement"]["switch_penalty"])

@@ -17,9 +17,9 @@ so one loop routes every job. A job keeps one record per node it is
 evaluated at, its local error and action distribution, and its expert
 losses, baselines and estimates at a node are ``(terminate, offload_row)``
 pairs under its cut. Only a job that gave feedback gets a per-job loss
-sweep. With ``run.record_regret`` on, every job is logged for the regret
-diagnostic, which alone evaluates a job without feedback at the middle
-nodes it skipped, and the log is settled in job-batched sweeps.
+sweep, which evaluates it at the middle nodes it skipped. With
+``run.record_regret`` on, every job's inputs are logged for the regret
+diagnostic, which derives its records in bulk when it settles the log.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ from .placement import (
     baseline_placement,
     greedy_onload,
 )
-from .policy import DEFAULT_THRESHOLDS, ExpertGrid, ExpertTable
+from .policy import DEFAULT_THRESHOLDS, ExpertGrid, ExpertTable, raw_rows
 from .topology import build_topology
 from .workload import (
     Job,
@@ -98,147 +98,203 @@ class RegretTracker:
     realized sum minus the best fixed expert's sum so far (found by
     exhaustive enumeration). Sampling noise can make it negative; it is
     reported as-is. ``layers`` and ``dests`` are the topology's node tables,
-    ``rows`` the number of thresholds of every expert grid.
+    ``thresholds`` the threshold grid of every table of the expert table
+    ``table``, and ``noise_std`` the confidence noise scale.
 
-    :meth:`add` only logs a job. :meth:`settle` runs one
-    :func:`backward_sweep` over the logged jobs and adds their losses
-    to the sums, each sum still in job order, so the sums carry the bits
-    of adding one job at a time. :meth:`job_done` settles at every
-    checkpoint and whenever :attr:`LOG_CAP` jobs are logged. Each (node,
-    task) keeps one vector: its realized sum, then its expert sums row-major.
+    :meth:`add` only logs what a job's losses depend on, and evaluates
+    nothing. :meth:`settle` derives every logged job's cut and local error at
+    every node, and its raw row at every middle node, in numpy with the bits
+    of :meth:`_Run._evaluate`; runs one :func:`backward_sweep` over the jobs;
+    and adds their losses to the sums, each sum still in job order, so the
+    sums carry the bits of adding one job at a time. :meth:`job_done`
+    settles at every checkpoint and whenever :attr:`LOG_CAP` jobs are
+    logged. Each (node, task) keeps one vector: its realized sum, then its
+    expert sums row-major.
     """
 
     LOG_CAP = 1024
 
     def __init__(
         self, layers: tuple[tuple[int, ...], ...], dests: tuple[tuple[int, ...], ...],
-        error_weight: float, checkpoints: Iterable[int], rows: int,
+        error_weight: float, checkpoints: Iterable[int], thresholds: Sequence[float],
+        noise_std: float, table: ExpertTable,
     ) -> None:
         self.layers = layers
         self.dests = dests
         self.error_weight = float(error_weight)
         self.entries = set(layers[0])
         self.checkpoints = set(checkpoints)
-        self.rows = rows
+        self.rows = rows = len(thresholds)
+        self.thresholds = np.array(thresholds, dtype=float)
+        self.noise_std = noise_std
+        self.num_tasks = table.num_tasks
         # per destination tuple, each expert's threshold row and destination,
-        # row-major: the columns of a visit's expert losses
+        # row-major: the columns of a visit's expert losses; per node index,
+        # the position of its destination tuple here
         self._expert_cells = {
             targets: (np.repeat(np.arange(rows), len(targets)), np.tile(targets, rows))
             for targets in set(dests) if targets
         }
+        self._targets_of = np.array([list(self._expert_cells).index(d) if d else -1
+                                     for d in dests])
         self._sums: dict[tuple[int, int], np.ndarray] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
         self.curve_entry: list[float] = []
         self.curve_total: list[float] = []
-        # the log, in flat lists of Python numbers: per job its hop cost and
-        # queue snapshot; the snapshots, one row per slot; per middle node
-        # each job's local error and raw probabilities; per (node, task), in
-        # first-visit order, its visits as runs of (job, cut, local error,
-        # next node or -1 where the job stopped)
+        # the log, in flat lists of Python objects: per job its task, hop
+        # cost, queue snapshot, placement epoch, noise row, correctness bits
+        # and path padded with -1 to one node per layer; the snapshots and
+        # the epochs, in first-use order; per middle node each job's
+        # slot-start weights, read from the node's tables by task
+        self._tasks: list[int] = []
         self._hop_costs: list[float] = []
         self._queue_of: list[int] = []
         self._queues: list[float] = []
         self._last_queue: tuple[float, ...] | None = None
-        self._middle = [(node, [], []) for layer in layers[1:-1] for node in layer]
-        self._visits: dict[tuple[int, int], list[float]] = {}
+        self._epoch_of: list[int] = []
+        self._epochs: list[tuple[Sequence, Sequence]] = []
+        self._noise: list[float] = []
+        self._bits: list[int] = []
+        self._paths: list[int] = []
+        self._padding = [(-1,) * (len(layers) - k) for k in range(len(layers) + 1)]
+        self._weights = {
+            node: ([], table.entries(node)) for layer in layers[1:-1] for node in layer
+        }
 
     def add(
-        self, task: int, path: list[int], records: Mapping[int, NodeRecord], hop_cost: float,
-        queue: tuple[float, ...],
+        self, task: int, path: list[int], noise: list[float], bits: Sequence[int],
+        hop_cost: float, queue: tuple[float, ...], epoch: tuple[Sequence, Sequence],
     ) -> None:
-        """Log one job: its node path, its records at the entry and every
-        middle node, its hop cost and the slot-start queue. ``queue`` must
-        not change afterwards; jobs of one slot share it. The engine's
-        ``records`` evaluate a middle node the job did not visit on lookup,
-        so for a job without feedback that work, done for the log only,
-        happens here."""
-        job = len(self._hop_costs)
+        """Log one job: its task, node path, unit confidence noise by node
+        index, correctness bits by model column, hop cost, slot-start queue
+        and placement epoch, and a reference to every middle node's current
+        weights for its task. A refresh replaces a table's weights array and
+        never writes into it, so a reference taken before the slot's refresh
+        holds the slot-start weights. ``epoch`` is the best-loaded accuracy
+        and the selected model column (None for none) per node index, then
+        task index. Neither ``queue`` nor ``epoch`` may change afterwards;
+        jobs of one slot share the one, jobs of one placement epoch the
+        other."""
+        self._tasks.append(task)
         self._hop_costs.append(hop_cost)
         if queue is not self._last_queue:
             self._queues.extend(queue)
             self._last_queue = queue
         self._queue_of.append(len(self._queues) // len(queue) - 1)
-        for node, local_errors, raws in self._middle:
-            local_error, dist = records[node]
-            local_errors.append(local_error)
-            raws.extend(dist.raw)
-        # a job that reached the terminal layer offloaded at every node before
-        fed = len(path) == len(self.layers)
-        last = len(path) - 1
-        visits = self._visits
-        for i, node in enumerate(path[:-1] if fed else path):
-            local_error, dist = records[node]
-            visit = (job, dist.cut, local_error, path[i + 1] if i < last else -1)
-            key = (node, task)
-            if key in visits:
-                visits[key].extend(visit)
-            else:
-                visits[key] = list(visit)
+        if not self._epochs or epoch is not self._epochs[-1]:
+            self._epochs.append(epoch)
+        self._epoch_of.append(len(self._epochs) - 1)
+        self._noise += noise
+        self._bits += bits
+        self._paths += path
+        self._paths += self._padding[len(path)]
+        for refs, tables in self._weights.values():
+            refs.append(tables[task].weights)
+
+    def _cuts_and_errors(
+        self, jobs_logged: int, tasks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every logged job's cut and local error at every node, one row per
+        job: ``bisect_right(thresholds, clamp(accuracy + noise_std · noise))``
+        and ``1 - bit`` of the selected column, or 1 where none is."""
+        n = len(self.dests)
+        epoch = np.fromiter(self._epoch_of, np.intp, jobs_logged)[:, None]
+        every = range(self.num_tasks)
+        accuracy = np.array([
+            [[table[node][t] for t in every] for node in range(n)] for table, _ in self._epochs
+        ])
+        # a missing column reads the zero column appended to the bits
+        selected = np.array([
+            [[-1 if (c := table[node][t]) is None else c for t in every] for node in range(n)]
+            for _, table in self._epochs
+        ])
+        at = (epoch, np.arange(n), tasks[:, None])
+        noise = _floats(self._noise).reshape(jobs_logged, n)
+        z = np.clip(accuracy[at] + self.noise_std * noise, 0.0, 1.0)
+        cuts = np.searchsorted(self.thresholds, z, side="right")
+        models = len(self._bits) // jobs_logged
+        bits = np.zeros((jobs_logged, models + 1), np.uint8)
+        bits[:, :models] = np.frombuffer(bytes(self._bits), np.uint8).reshape(jobs_logged, -1)
+        errors = 1.0 - bits[np.arange(jobs_logged)[:, None], selected[at]]
+        return cuts, errors
 
     def settle(self) -> None:
         """Add every logged job's losses to the sums and empty the log."""
-        jobs_logged = len(self._hop_costs)
+        jobs_logged = len(self._tasks)
         if not jobs_logged:
             return
+        tasks = np.fromiter(self._tasks, np.intp, jobs_logged)
         queues = _floats(self._queues).reshape(-1, len(self.dests))[self._queue_of]
+        cuts, errors = self._cuts_and_errors(jobs_logged, tasks)
+        middle = {}
+        for node, (refs, _) in self._weights.items():
+            # every cut's raw row of each distinct weights array, then each
+            # job's row at its cut
+            ids = np.fromiter(map(id, refs), np.intp, jobs_logged)
+            _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+            rows = raw_rows(np.stack([refs[i] for i in first.tolist()]))
+            middle[node] = (errors[:, node], rows[which, cuts[:, node]].T, None)
         offload = backward_sweep(
-            self.layers, (), self.dests,
-            {node: (_floats(errors), _floats(raws).reshape(jobs_logged, -1).T, None)
-             for node, errors, raws in self._middle},
-            queues.T, _floats(self._hop_costs), self.error_weight,
+            self.layers, (), self.dests, middle, queues.T, _floats(self._hop_costs),
+            self.error_weight,
         )[0]
         # each logged job's offload cost by node index; entry nodes are zero
         costs = np.zeros_like(queues)
         for node, cost in offload.items():
             costs[:, node] = cost
+        # the visits in job order, then path order: every node of a path
+        # but a terminal one, with the next node, or -1 where the job stopped
+        paths = np.fromiter(self._paths, np.intp, len(self._paths)).reshape(jobs_logged, -1)
+        jobs, at = np.nonzero(paths[:, :-1] >= 0)
+        nodes = paths[jobs, at]
+        nxt = paths[jobs, at + 1]
+        keys = nodes * self.num_tasks + tasks[jobs]
+        terminate = self.error_weight * errors[jobs, nodes]
+        realized = np.where(nxt >= 0, costs[jobs, nxt], terminate)
+        # the visits key by key, each key's in job order
+        order = np.argsort(keys, kind="stable")
+        targets_of = self._targets_of[nodes[order]]
+        settled = []
         # keys whose nodes share a destination tuple share their expert cells
-        by_targets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for key in self._visits:
-            by_targets.setdefault(self.dests[key[0]], []).append(key)
-        settled = {}
-        for targets, keys in by_targets.items():
-            # one (realized, experts row-major) row per visit, key by key
-            log = _floats([x for key in keys for x in self._visits[key]]).reshape(-1, 4)
-            jobs = log[:, 0].astype(np.intp)
-            nxt = log[:, 3].astype(np.intp)
-            terminate = self.error_weight * log[:, 2]
-            expert_row, expert_dest = self._expert_cells[targets]
-            block = np.empty((len(log), 1 + len(expert_row)))
-            block[:, 0] = np.where(nxt >= 0, costs[jobs, nxt], terminate)
+        for i, (expert_row, expert_dest) in enumerate(self._expert_cells.values()):
+            group = order[targets_of == i]
+            if not len(group):
+                continue
+            j = jobs[group]
+            block = np.empty((len(group), 1 + len(expert_row)))
+            block[:, 0] = realized[group]
             # rows [:cut] terminate, rows [cut:] offload
             block[:, 1:] = np.where(
-                expert_row < log[:, 1:2], terminate[:, None], costs[jobs[:, None], expert_dest]
+                expert_row < cuts[j, nodes[group]][:, None], terminate[group][:, None],
+                costs[j[:, None], expert_dest],
             )
-            start = 0
-            for key in keys:
-                stop = start + len(self._visits[key]) // 4
+            group_keys = keys[group]
+            starts = np.flatnonzero(np.diff(group_keys, prepend=-1)).tolist()
+            for start, stop in zip(starts, [*starts[1:], len(group)]):
+                key = divmod(int(group_keys[start]), self.num_tasks)
                 stack = block[start:stop]
                 prev = self._sums.get(key)
                 if prev is not None:
                     stack = np.concatenate([prev[None], stack])
                 # rows are two or more wide, so reducing along axis 0 adds
                 # them in job order (numpy sums a lone column pairwise)
-                settled[key] = np.add.reduce(stack, axis=0)
-                start = stop
+                settled.append((int(group[start]), key, np.add.reduce(stack, axis=0)))
         # new keys enter in first-visit order, as the checkpoint sums read them
-        for key in self._visits:
-            self._sums[key] = settled[key]
-        self._hop_costs.clear()
-        self._queue_of.clear()
-        self._queues.clear()
+        for _, key, sums in sorted(settled, key=lambda item: item[0]):
+            self._sums[key] = sums
+        for log in (self._tasks, self._hop_costs, self._queue_of, self._queues,
+                    self._epoch_of, self._epochs, self._noise, self._bits, self._paths,
+                    *(refs for refs, _ in self._weights.values())):
+            log.clear()
         self._last_queue = None
-        for _, local_errors, raws in self._middle:
-            local_errors.clear()
-            raws.clear()
-        self._visits.clear()
 
     def job_done(self) -> None:
         """Count one job; settle at a checkpoint or a full log, and snapshot
         the regret curves at a checkpoint."""
         self.jobs_seen += 1
         checkpoint = self.jobs_seen in self.checkpoints
-        if checkpoint or len(self._hop_costs) >= self.LOG_CAP:
+        if checkpoint or len(self._tasks) >= self.LOG_CAP:
             self.settle()
         if checkpoint:
             entry_total = 0.0
@@ -390,7 +446,8 @@ class _Run:
                 step = max(1, total // 10)
                 self.regret = RegretTracker(
                     self.layers, self.dests, self.v,
-                    {*range(step, total + 1, step), total}, len(thresholds),
+                    {*range(step, total + 1, step), total}, thresholds,
+                    self.noise_std, self.table,
                 )
         else:
             prob = cfg["static"]["offload_prob"]
@@ -485,6 +542,8 @@ class _Run:
         loaded = self.placement.loaded
         self.accuracy = [_Lazy(best_loaded_accuracy, table, m) for m in loaded]
         self.selected = [_Lazy(select_model, table, m) for m in loaded]
+        # the epoch as the regret log takes it
+        self.placement_tables = (self.accuracy, self.selected)
 
     def _new_histogram(self) -> None:
         """Zero the epoch's arrival counts per (node, task) index."""
@@ -551,7 +610,7 @@ class _Run:
             slot_hard += int(hard)
             slot_hits += int(hard and reached)
             slot_feedback += int(reached)
-            routed.append((job, path, reached, records))
+            routed.append((job, noise, path, reached, records))
             if self._paths_file is not None:
                 self._write_path(t, job, path, reached, exit_error, hard)
 
@@ -559,10 +618,16 @@ class _Run:
             # the regret log may settle after apply_slot has moved the
             # queues on, so it keeps a copy of the slot-start queue
             learn_queue = tuple(queue) if self.record_regret else queue
-            for job, path, reached, records in routed:
+            regret = self.regret
+            for job, noise, path, reached, records in routed:
                 self._learn_from(job, path, reached, records, learn_queue)
-                if self.record_regret:
-                    self.regret.job_done()
+                if regret is not None:
+                    regret.add(
+                        job.task, path, noise, job.correctness,
+                        job.size_units * self.distance_factor, learn_queue,
+                        self.placement_tables,
+                    )
+                    regret.job_done()
             self.table.refresh_dirty()
 
         active = queues.active(touched)
@@ -622,7 +687,7 @@ class _Run:
         node = job.entry
         task = job.task
         path: list[int] = []
-        # a node the job does not visit is evaluated if a loss sweep reads it
+        # a node the job does not visit is evaluated if its loss sweep reads it
         records = _Lazy(self._evaluate, job, noise) if self.learning else {}
         while True:
             path.append(node)
@@ -684,8 +749,6 @@ class _Run:
             if fb and variant.use_baseline:
                 down_base = np.array([oracle.expected_loss_decomposition(d) for d in dests])
                 self.baselines.update_hidden(node, task, local_error, down_base)
-        if self.record_regret:
-            self.regret.add(task, path, records, hop_cost, queue)
 
     # ---- finalization -----------------------------------------------------
     def summary(self) -> RunSummary:

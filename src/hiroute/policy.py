@@ -9,8 +9,9 @@ aggregates the weights of every expert recommending it, into one row over
 {terminate} + destinations that is sampled by one uniform draw against its
 cumulative sum.
 
-Only :meth:`ExpertTable.action_probs` applies the threshold rule; the
+:meth:`ExpertTable.action_probs` applies the threshold rule per job; the
 distribution keeps its cut, ``bisect_right(thresholds, z)``, for the losses.
+:func:`raw_rows` gives the same raw rows in bulk, for the regret diagnostic.
 A job sees a node's experts only through that cut: rows ``[:cut]`` terminate
 and rows ``[cut:]`` offload, so one job's losses at a node take D+1 distinct
 values, a terminate value and an offload row of D, which
@@ -61,6 +62,21 @@ def add_reduce(values: Sequence[float]) -> float:
         r = [a + b for a, b in zip(r, values[i:i + 8])]
     tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     return reduce(add, values[stop:], tree)
+
+
+def raw_rows(stack: np.ndarray) -> np.ndarray:
+    """Every cut's raw row of each of ``B`` stacked weights arrays of one
+    shape ``(B, rows, D)``: entry ``[b, cut]`` is the row of D+1 that
+    :meth:`ExpertTable.action_probs` builds from ``stack[b]`` at that cut,
+    bit for bit. A row of ``c·D`` weights reduced along axis 1 adds as
+    ``add.reduce`` of the contiguous block ``w[:c]``, and ``(B, rows - c, D)``
+    reduced along axis 1 as ``w[c:]`` along axis 0."""
+    count, rows, d = stack.shape
+    out = np.empty((count, rows + 1, d + 1))
+    for cut in range(rows + 1):
+        out[:, cut, 0] = _sum(stack[:, :cut].reshape(count, cut * d), axis=1)
+        out[:, cut, 1:] = _sum(stack[:, cut:], axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +164,9 @@ class ExpertTable:
     probabilities within a slot therefore see the slot-start weights. Tables
     refresh in the order they first accumulated, so the running entropy sum
     is the same in every process. ``update_weights`` is the only writer of a
-    table's weights, and it drops the table's cached distributions.
+    table's weights: it replaces the array, never writing into it, so a
+    reference to it is a snapshot, and it drops the table's cached
+    distributions.
     """
 
     def __init__(
@@ -190,6 +208,11 @@ class ExpertTable:
 
     def weights(self, node: int, task: int) -> np.ndarray:
         return self._entries[(node, task)].weights
+
+    def entries(self, node: int) -> list[_TableEntry]:
+        """The node's tables by task index; each one's ``weights`` attribute
+        is its current weights array."""
+        return [self._entries[(node, task)] for task in range(self.num_tasks)]
 
     def action_probs(self, node: int, task: int, z: float) -> ActionDistribution:
         """Aggregate expert weights into action probabilities given confidence z.

@@ -38,10 +38,11 @@ def check_distribution_build(inject: str | None = None, grids: int = 60) -> Chec
     """Action distributions keep numpy's bits: on random tables of 1-20
     destinations and 1-11 thresholds, every cut's ``raw``, ``mixed`` and
     ``cdf`` equal numpy's two reductions, ``(1 - λ) * raw + λ / n`` and
-    ``cumsum(mixed / add.reduce(mixed))`` over its last entry. numpy does not
-    promise its summation order; a numpy that changes it fails here.
-    ``inject="left-to-right-total"`` sums the mixed row left to right, which
-    differs from numpy from 8 values on."""
+    ``cumsum(mixed / add.reduce(mixed))`` over its last entry, and
+    :func:`policy.raw_rows` over three tables of one shape stacked gives
+    every cut's ``raw`` too. numpy does not promise its summation order; a
+    numpy that changes it fails here. ``inject="left-to-right-total"`` sums
+    the mixed row left to right, which differs from numpy from 8 values on."""
     rng = np.random.default_rng(13)
     saved = policy.add_reduce
     if inject == "left-to-right-total":
@@ -51,23 +52,32 @@ def check_distribution_build(inject: str | None = None, grids: int = 60) -> Chec
             d, rows = int(rng.integers(1, 21)), int(rng.integers(1, 12))
             lam = float(rng.uniform(0.01, 0.5))
             thresholds = tuple(np.sort(rng.choice(101, rows, replace=False) / 100).tolist())
-            table = ExpertTable({0: ExpertGrid(thresholds, tuple(range(d)))}, 1, 1.0, lam)
-            table.accumulate_loss(0, 0, 0, 0.0, rng.exponential(8.0, (rows, d)))
+            table = ExpertTable({0: ExpertGrid(thresholds, tuple(range(d)))}, 3, 1.0, lam)
+            for task in range(3):
+                table.accumulate_loss(0, task, 0, 0.0, rng.exponential(8.0, (rows, d)))
             table.refresh_dirty()
-            w = table.weights(0, 0)
-            for cut in range(rows + 1):
-                dist = table.action_probs(0, 0, thresholds[cut - 1] if cut else -1.0)
-                raw = np.array([np.add.reduce(w[:cut], axis=None), *np.add.reduce(w[cut:], 0)])
-                mixed = (1.0 - lam) * raw + lam / (d + 1)
-                cdf = (mixed / np.add.reduce(mixed)).cumsum()
-                cdf /= cdf[-1]
-                want = tuple(tuple(x.tolist()) for x in (raw, mixed, cdf))
-                if (dist.raw, dist.mixed, dist.cdf) != want:
-                    return CheckResult("distribution-build", False,
-                                       f"{d} destinations, cut {cut}: differs from numpy")
+            stacked = policy.raw_rows(np.stack([table.weights(0, task) for task in range(3)]))
+            for task in range(3):
+                w = table.weights(0, task)
+                for cut in range(rows + 1):
+                    dist = table.action_probs(0, task, thresholds[cut - 1] if cut else -1.0)
+                    raw = np.array([np.add.reduce(w[:cut], axis=None),
+                                    *np.add.reduce(w[cut:], 0)])
+                    mixed = (1.0 - lam) * raw + lam / (d + 1)
+                    cdf = (mixed / np.add.reduce(mixed)).cumsum()
+                    cdf /= cdf[-1]
+                    want = tuple(tuple(x.tolist()) for x in (raw, mixed, cdf))
+                    if (dist.raw, dist.mixed, dist.cdf) != want:
+                        return CheckResult("distribution-build", False,
+                                           f"{d} destinations, cut {cut}: differs from numpy")
+                    if tuple(stacked[task, cut].tolist()) != want[0]:
+                        return CheckResult("distribution-build", False,
+                                           f"{d} destinations, cut {cut}: stacked raw row "
+                                           "differs from numpy")
     finally:
         policy.add_reduce = saved
-    return CheckResult("distribution-build", True, f"{grids} random tables, every cut, clean")
+    return CheckResult("distribution-build", True,
+                       f"{grids} random grids of 3 tables, every cut, clean")
 
 
 # bounds of the bounded draws; a 32-bit half is rejected with odds

@@ -2,7 +2,9 @@
 
 The simulation-backed criteria share a session cache of full-scale runs
 (20,000 jobs per seed); expect a few minutes on first use. Run with
-``pytest tests/test_acceptance.py -v -s`` to watch the lines appear live.
+``pytest tests/test_acceptance.py -v -s`` to watch the lines appear live;
+every test carries the ``acceptance`` marker, so ``pytest -m "not
+acceptance"`` runs everything else.
 """
 import csv
 import math
@@ -17,6 +19,8 @@ from hiroute.engine import run_experiment, run_single
 from hiroute.losses import estimate, variance_pair
 from hiroute.placement import PlacementContext, greedy_onload, marginal_gain, utility
 from hiroute.workload import ErrorTable
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = [0, 1, 2, 3, 4]
 TOPOLOGIES = {

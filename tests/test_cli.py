@@ -139,6 +139,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load(tmp_path)
 
+    @pytest.mark.parametrize("partial, field", [
+        pytest.param({"run": {"seeds": [True]}}, "run.seeds", id="seed"),
+        pytest.param({"run": {"total_jobs": True}}, "run.total_jobs", id="total-jobs"),
+        pytest.param({"topology": {"layer_sizes": [True, 2, 1]}}, "topology.layer_sizes",
+                     id="layer-size"),
+        pytest.param({"placement": {"epoch_slots": True}}, "placement.epoch_slots",
+                     id="epoch-slots"),
+        pytest.param({"workload": {"num_task_types": True}}, "workload.num_task_types",
+                     id="task-types"),
+        pytest.param({"workload": {"trap_task_types": False}}, "workload.trap_task_types",
+                     id="trap-task-types"),
+        pytest.param({"workload": {"structure_seed": False}}, "workload.structure_seed",
+                     id="structure-seed"),
+    ])
+    def test_boolean_is_not_an_integer(self, partial, field):
+        # True == 1 and False == 0 in Python; a boolean is still rejected
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: ")):
+            merge_config(partial)
+
+    def test_model_pool_unknown_key_rejected(self):
+        pool = copy.deepcopy(default_config()["workload"]["model_pool"])
+        pool[0]["base_eror"] = 0.9
+        with pytest.raises(ConfigError,
+                           match=re.escape("workload.model_pool[0].base_eror: unknown key")):
+            merge_config({"workload": {"model_pool": pool}})
+        del pool[0]["base_eror"]
+        del pool[2]["size"]
+        with pytest.raises(ConfigError, match=re.escape("workload.model_pool[2].size: missing")):
+            merge_config({"workload": {"model_pool": pool}})
+
     def test_load_config_reports_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -187,6 +217,19 @@ class TestCmdRun:
         path = small_cfg_file(tmp_path)
         assert main(["run", "--config", path, *flags]) == 1
         assert f"config error: {field}: must be a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, field", [
+        pytest.param("run.seeds=[true]", "run.seeds", id="seed"),
+        pytest.param("run.total_jobs=true", "run.total_jobs", id="total-jobs"),
+        pytest.param("topology.layer_sizes=[true,2,1]", "topology.layer_sizes",
+                     id="layer-size"),
+    ])
+    def test_boolean_override_is_config_error(self, tmp_path, capsys, override, field):
+        path = small_cfg_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--override", override, "--out", str(out)]) == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_offset(self, tmp_path):
         path = small_cfg_file(tmp_path)

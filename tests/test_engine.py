@@ -21,13 +21,14 @@ from hiroute.engine import (
 )
 from hiroute.losses import DownstreamLossOracle
 from hiroute.placement import Placement
-from hiroute.policy import ActionDistribution, ExpertTable
+from hiroute.policy import ExpertGrid, ExpertTable
 from hiroute.topology import build_topology
 from hiroute.workload import (
     Job,
     Workload,
     best_loaded_accuracy,
     build_workload,
+    confidence_from_noise,
     inference_error,
     select_model,
 )
@@ -564,9 +565,11 @@ class TestRegretOracle:
     @staticmethod
     def check_against_reference(monkeypatch, policy, sizes, thresholds):
         """Every sum, the final regrets and the curves of a 1,500-job run
-        carry the bits of the per-job reference fed the same jobs."""
+        carry the bits of the per-job reference fed the same jobs: each job's
+        own records from the engine, which evaluate the middle nodes it
+        skipped on lookup, against the tracker's log of their inputs."""
         refs = {}
-        add, job_done = RegretTracker.add, RegretTracker.job_done
+        learn_from, job_done = _Run._learn_from, RegretTracker.job_done
 
         def reference(tracker):
             if tracker not in refs:
@@ -576,15 +579,17 @@ class TestRegretOracle:
                 )
             return refs[tracker]
 
-        def spy_add(self, *args):
-            reference(self).add(*args)
-            add(self, *args)
+        def spy_learn_from(self, job, path, fb, records, queue):
+            learn_from(self, job, path, fb, records, queue)
+            reference(self.regret).add(
+                job.task, path, records, job.size_units * self.distance_factor, queue
+            )
 
         def spy_job_done(self):
             reference(self).job_done()
             job_done(self)
 
-        monkeypatch.setattr(RegretTracker, "add", spy_add)
+        monkeypatch.setattr(_Run, "_learn_from", spy_learn_from)
         monkeypatch.setattr(RegretTracker, "job_done", spy_job_done)
         cfg = small_config(policy=policy)
         cfg["topology"]["layer_sizes"] = list(sizes)
@@ -627,28 +632,49 @@ class TestRegretOracle:
 
     def test_best_expert_matches_bruteforce_over_logs(self):
         # random jobs on 2-2-1: (job, key, realized loss, expert loss matrix)
-        # per visited node, from each job's own oracle sweep
+        # per visited node, from each job's own oracle sweep over records the
+        # engine's per-job functions build; the tracker logs the inputs of
+        # those records: noise, bits, placement tables and a real table's
+        # weights, which refresh between slots
         rng = np.random.default_rng(5)
         topo = build_topology([2, 2, 1], [10.0, 10.0, None], 0.4)
         layers, dests = topo.layers, topo.dests
         node_ids = topo.node_ids
         task_ids = ("a", "b")
-        rows, v = 3, 70.0
-        tracker = RegretTracker(layers, dests, v, checkpoints=[10, 40], rows=rows)
+        thresholds, v, std, models = (0.2, 0.5, 0.8), 70.0, 0.4, 3
+        rows = len(thresholds)
+        grids = {n: ExpertGrid(thresholds, dests[n]) for n in range(4)}
+        table = ExpertTable(grids, 2, learning_rate=1.0, exploration_rate=0.1)
+        tracker = RegretTracker(layers, dests, v, [10, 40], thresholds, std, table)
         log = []
-        queue = None
+        cuts = set()
+        queue = epoch = None
         for job in range(40):
-            if job % 3 == 0:  # a new slot: a new queue snapshot
+            if job % 3 == 0:  # a new slot: refreshed weights, a new queue snapshot
+                for node, grid in grids.items():
+                    for task in range(2):
+                        table.accumulate_loss(node, task, 0, 0.0,
+                                              rng.exponential(2.0, grid.shape))
+                table.refresh_dirty()
                 queue = (0.0, 0.0, *rng.uniform(0, 5, size=3).tolist())
+            if job % 16 == 0:  # a new placement epoch
+                epoch = (
+                    rng.uniform(0, 1, (5, 2)).tolist(),
+                    [[None if rng.random() < 0.2 else int(rng.integers(models))
+                      for _ in range(2)] for _ in range(5)],
+                )
+            accuracy, selected = epoch
             task = int(rng.integers(2))
+            entry = int(rng.integers(2))
+            noise = rng.normal(0, 1, size=5).tolist()
+            bits = tuple(rng.integers(2, size=models).tolist())
             records = {
-                node: (int(rng.integers(2)), ActionDistribution(
-                    rng.dirichlet(np.ones(len(dests[node]) + 1)).tolist(), 0.1,
-                    int(rng.integers(rows + 1)),
-                ))
-                for node in (int(rng.integers(2)), 2, 3)
+                node: (inference_error(Job(job, task, entry, 1.0, bits), selected[node][task]),
+                       table.action_probs(node, task, confidence_from_noise(
+                           accuracy[node][task], noise[node], std)))
+                for node in (entry, 2, 3)
             }
-            entry = min(records)
+            cuts.update(dist.cut for _, dist in records.values())
             path = [entry]
             while path[-1] != 4 and rng.random() < 0.7:
                 path.append(dests[path[-1]][int(rng.integers(len(dests[path[-1]])))])
@@ -663,7 +689,7 @@ class TestRegretOracle:
                 realized = (oracle.offload_cost[path[i + 1]] if i + 1 < len(path)
                             else v * local_error)
                 log.append((job, (node, task), realized, losses))
-            tracker.add(task, path, records, hop_cost, queue)
+            tracker.add(task, path, noise, bits, hop_cost, queue, epoch)
             tracker.job_done()
 
         def brute(jobs):
@@ -682,6 +708,7 @@ class TestRegretOracle:
 
         regret, best = brute(40)
         assert len(regret) >= 6
+        assert cuts == set(range(rows + 1))
         final = tracker.final_map(node_ids, task_ids)
         for (node, task), value in regret.items():
             assert final[node_ids[node]][task_ids[task]] == pytest.approx(value)

@@ -436,14 +436,20 @@ class TestPairsMatchFullMatrices:
         grid = ExpertGrid(DEFAULT_THRESHOLDS, (1, 2, 3))
         experts = ExpertTable({0: grid}, 1, learning_rate=0.1, exploration_rate=0.1)
         baselines = BaselineTable({0: grid}, 1, ema_rate=0.1)
-        # one entry node offloading to three terminal nodes, with unit error
-        # weight and hop cost: a job that stops at the entry has the expert
-        # losses ``(local error, queue row)``. One tracker settles after every
-        # job, the other once at the end.
+        # one entry node offloading to three terminal nodes, with unit hop
+        # cost: a job that stops at the entry has the expert losses ``(v *
+        # local error, queue row)``. Its cut is logged as its noise, with
+        # accuracy 0 and unit noise scale, on thresholds that put z = 0 below
+        # the first one; its local error as the bit of the selected column 0.
+        # One tracker settles after every job, the other once at the end.
         layers, dests = ((0,), (1, 2, 3)), ((1, 2, 3), (), (), ())
-        tracker = RegretTracker(layers, dests, 1.0, [], rows=self.T)
-        batched = RegretTracker(layers, dests, 1.0, [], rows=self.T)
-        uniform = [1.0 / (self.D + 1)] * (self.D + 1)
+        v = 37.3
+        shifted = (*(0.05 + 0.1 * i for i in range(self.T - 1)), 1.0)
+        z_of_cut = [0.0, *((a + b) / 2 for a, b in zip(shifted, shifted[1:])), 1.0]
+        epoch = ([[0.0]] * 4, [[0], [None], [None], [None]])
+        tracker = RegretTracker(layers, dests, v, [], shifted, 1.0, experts)
+        batched = RegretTracker(layers, dests, v, [], shifted, 1.0, experts)
+        bit_rng = np.random.default_rng(18)
         cum = np.zeros(grid.shape)
         sums = None
         violations = 0
@@ -456,15 +462,18 @@ class TestPairsMatchFullMatrices:
             b[:cut] = beta[0]
             b[cut:] = beta[1]
             cum += estimate(f, b, rho, fb)
-            sums = f.copy() if sums is None else sums + f
+            local_error = int(bit_rng.integers(2))
+            g = f.copy()
+            g[:cut] = v * local_error
+            sums = g if sums is None else sums + g
             violations += int((~((b > 0.0) & (b <= 2.0 * f))).sum())
             # the pairs
             experts.accumulate_loss(0, 0, cut, estimate(losses[0], beta[0], rho, fb),
                                     estimate(losses[1], beta[1], rho, fb))
-            records = {0: (losses[0], ActionDistribution(uniform, 0.1, cut))}
             queue = (0.0, *losses[1].tolist())
             for regret in (tracker, batched):
-                regret.add(0, [0], records, 1.0, queue)
+                regret.add(0, [0], [z_of_cut[cut], 0.0, 0.0, 0.0], (1 - local_error,), 1.0,
+                           queue, epoch)
             tracker.settle()
             baselines.count_violations(0, cut, beta, losses)
             assert cum_loss(experts, 0, 0).tobytes() == cum.tobytes()

@@ -7,6 +7,7 @@ from hiroute.policy import (
     ExpertGrid,
     ExpertTable,
     add_reduce,
+    raw_rows,
 )
 
 
@@ -126,6 +127,32 @@ class TestBuildBits:
                     assert dist.raw == tuple(raw)
                     assert dist.mixed == tuple(mixed)
                     assert dist.cdf == tuple(cdf)
+
+
+class TestStackedRawRows:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 16])
+    def test_every_cut_matches_the_build(self, d):
+        # Dirichlet weights with entries near 0: one table per task, stacked,
+        # reduced at every cut at once, give each table's distributions'
+        # raw rows bit for bit
+        rng = np.random.default_rng(41 + d)
+        rows = len(DEFAULT_THRESHOLDS)
+        tasks = 6
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, tuple(range(1, d + 1)))
+        table = ExpertTable({0: grid}, tasks, learning_rate=1.0, exploration_rate=0.1)
+        for task in range(tasks):
+            alpha = (0.02, 0.3, 1.0)[task % 3]
+            target = np.maximum(rng.dirichlet(np.full(rows * d, alpha)), 1e-300)
+            table.accumulate_loss(0, task, 0, 0.0, -np.log(target).reshape(rows, d))
+        table.refresh_dirty()
+        stacked = raw_rows(np.stack([table.weights(0, task) for task in range(tasks)]))
+        assert stacked.shape == (tasks, rows + 1, d + 1)
+        for task in range(tasks):
+            for cut in range(rows + 1):
+                z = DEFAULT_THRESHOLDS[cut - 1] if cut else -1.0
+                dist = table.action_probs(0, task, z)
+                assert dist.cut == cut
+                assert tuple(stacked[task, cut].tolist()) == dist.raw
 
 
 class TestDistributionCache:

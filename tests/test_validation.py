@@ -65,3 +65,18 @@ def test_batched_sweep_checked_bit_for_bit(monkeypatch):
 def test_individual_checks():
     assert check_arrival_draws().passed
     assert check_loss_sweep().passed
+
+
+def test_stacked_raw_rows_checked_bit_for_bit(monkeypatch):
+    # a stacked raw row one ulp off fails the distribution-build check
+    raw_rows = policy.raw_rows
+
+    def one_ulp_off(stack):
+        rows = raw_rows(stack)
+        rows[:, -1, 0] = np.nextafter(rows[:, -1, 0], np.inf)
+        return rows
+
+    monkeypatch.setattr(policy, "raw_rows", one_ulp_off)
+    result = check_distribution_build()
+    assert not result.passed
+    assert "stacked raw row" in result.detail
