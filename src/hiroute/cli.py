@@ -11,7 +11,8 @@ import sys
 import traceback
 from typing import Any, Mapping
 
-from .config import ConfigError, apply_overrides, default_config, load_config, validate_config
+from .config import (ConfigError, _set_dotted, apply_overrides, default_config, load_config,
+                     validate_config)
 from .engine import run_experiment
 from .report import (
     collect_summaries,
@@ -19,7 +20,7 @@ from .report import (
     summarize_cell,
     write_table_csv,
 )
-from .validation import INJECT_MODES, run_property_suite
+from .validation import run_property_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="concurrent sweep cells, at most one per cell and per CPU")
 
-    val_p = sub.add_parser("validate", help="run the fast property suite")
-    val_p.add_argument("--inject-bug", default=None, choices=INJECT_MODES,
-                       help=argparse.SUPPRESS)
+    sub.add_parser("validate", help="run the fast property suite")
 
     rep_p = sub.add_parser("report", help="aggregate summaries under a directory")
     rep_p.add_argument("--out", required=True, help="results directory to scan")
@@ -106,19 +105,23 @@ def sweep_cells(cfg: Mapping[str, Any]) -> list[dict[str, Any]]:
     return cells
 
 
-def _run_cell(payload: tuple[dict[str, Any], dict[str, Any], str | None]) -> dict[str, Any]:
-    cfg, cell, out_root = payload
-    cell_cfg = copy.deepcopy(cfg)
-    cell_cfg["sweep"] = None
-    overrides = [f"{k}={json.dumps(v)}" for k, v in cell.items()]
-    cell_cfg = apply_overrides(cell_cfg, overrides)
-    label = "__".join(
-        f"{k.split('.')[-1]}-{_slug(v)}" for k, v in sorted(cell.items())
-    )
-    if out_root:
-        cell_cfg["output_dir"] = os.path.join(out_root, label)
+def _cell_config(cfg: Mapping[str, Any], cell: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
+    """A sweep cell's label and validated config, which writes under the
+    sweep's output directory if it has one."""
+    label = "__".join(f"{k.split('.')[-1]}-{_slug(v)}" for k, v in sorted(cell.items()))
+    cell_cfg = copy.deepcopy({**cfg, "sweep": None})
+    for key, value in copy.deepcopy(cell).items():
+        _set_dotted(cell_cfg, key, value)
+    if cfg.get("output_dir"):
+        cell_cfg["output_dir"] = os.path.join(cfg["output_dir"], label)
+    validate_config(cell_cfg)
+    return label, cell_cfg
+
+
+def _run_cell(payload: tuple[dict[str, Any], str, dict[str, Any]]) -> dict[str, Any]:
+    cell, label, cfg = payload
     try:
-        summaries = run_experiment(cell_cfg)
+        summaries = run_experiment(cfg)
         return {"cell": cell, "label": label, "ok": True,
                 "summaries": [s.to_dict() for s in summaries]}
     except Exception as exc:  # noqa: BLE001 - recorded per cell
@@ -135,14 +138,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
         cfg = _load(args)
-        cells = sweep_cells(cfg)
+        # every cell's config is checked before any cell runs
+        payloads = [(cell, *_cell_config(cfg, cell)) for cell in sweep_cells(cfg)]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_root = cfg.get("output_dir")
-    payloads = [(cfg, cell, out_root) for cell in cells]
     # a fork-started pool forks every worker up front, needed or not
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, payloads))
@@ -167,7 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = run_property_suite(inject=args.inject_bug)
+    results = run_property_suite()
     all_ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -30,10 +30,14 @@ def drift_penalty_diagnostic(
     over ``nodes`` in their order. Passing a slot's active nodes gives the
     sum over every queued node bit for bit: each skipped term is 0.0 * 0.0,
     and the partial sums of nonnegative terms are never -0.0, so adding +0.0
-    would change none of them. Logged for diagnostics only; control acts
+    would change none of them. The sum runs left to right, as ``sum()``
+    does before Python 3.12 (from 3.12 it compensates), so its bits do not
+    depend on the Python version. Logged for diagnostics only; control acts
     through the queue-weighted costs inside the loss estimates.
     """
-    weighted = sum(q[n] * costs[n] for n in nodes)
+    weighted = 0.0
+    for n in nodes:
+        weighted += q[n] * costs[n]
     return weighted + v * slot_errors
 
 

@@ -105,10 +105,11 @@ class RegretTracker:
     nothing. :meth:`settle` derives every logged job's cut and local error at
     every node, and its raw row at every middle node, in numpy with the bits
     of :meth:`_Run._evaluate`; runs one :func:`backward_sweep` over the jobs;
-    and adds their losses to the sums, each sum still in job order, so the
-    sums carry the bits of adding one job at a time. :meth:`job_done`
-    settles at every checkpoint and whenever :attr:`LOG_CAP` jobs are
-    logged. Each (node, task) keeps one vector: its realized sum, then its
+    and adds their losses into the sums with ``np.add.at``, which applies
+    repeated rows in index order, so each sum adds its jobs one at a time in
+    job order. :meth:`job_done` settles at every checkpoint and whenever
+    :attr:`LOG_CAP` jobs are logged. Each (node, task) keeps one row of the
+    sums table of its node's destination tuple: its realized sum, then its
     expert sums row-major.
     """
 
@@ -129,14 +130,19 @@ class RegretTracker:
         self.noise_std = noise_std
         self.num_tasks = table.num_tasks
         # per destination tuple, each expert's threshold row and destination,
-        # row-major: the columns of a visit's expert losses; per node index,
-        # the position of its destination tuple here
-        self._expert_cells = {
-            targets: (np.repeat(np.arange(rows), len(targets)), np.tile(targets, rows))
-            for targets in set(dests) if targets
-        }
-        self._targets_of = np.array([list(self._expert_cells).index(d) if d else -1
-                                     for d in dests])
+        # row-major: the columns of a visit's expert losses; and its sums
+        # table, one row per (node, task) of its nodes. Per node index, the
+        # position of its tuple here and of its first row in the table
+        self._groups = []
+        self._group_of = np.full(len(dests), -1)
+        self._row_of = np.zeros(len(dests), np.intp)
+        for targets in dict.fromkeys(d for d in dests if d):
+            nodes = [node for node, d in enumerate(dests) if d == targets]
+            self._group_of[nodes] = len(self._groups)
+            self._row_of[nodes] = np.arange(len(nodes)) * self.num_tasks
+            self._groups.append((np.repeat(np.arange(rows), len(targets)), np.tile(targets, rows),
+                                 np.zeros((len(nodes) * self.num_tasks, 1 + rows * len(targets)))))
+        # each visited key's row, in first-visit order
         self._sums: dict[tuple[int, int], np.ndarray] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
@@ -144,15 +150,11 @@ class RegretTracker:
         self.curve_total: list[float] = []
         # the log, in flat lists of Python objects: per job its task, hop
         # cost, queue snapshot, placement epoch, noise row, correctness bits
-        # and path padded with -1 to one node per layer; the snapshots and
-        # the epochs, in first-use order; per middle node each job's
-        # slot-start weights, read from the node's tables by task
+        # and path padded with -1 to one node per layer; per middle node
+        # each job's slot-start weights, read from the node's tables by task
         self._tasks: list[int] = []
         self._hop_costs: list[float] = []
-        self._queue_of: list[int] = []
-        self._queues: list[float] = []
-        self._last_queue: tuple[float, ...] | None = None
-        self._epoch_of: list[int] = []
+        self._queues: list[tuple[float, ...]] = []
         self._epochs: list[tuple[Sequence, Sequence]] = []
         self._noise: list[float] = []
         self._bits: list[int] = []
@@ -178,13 +180,8 @@ class RegretTracker:
         other."""
         self._tasks.append(task)
         self._hop_costs.append(hop_cost)
-        if queue is not self._last_queue:
-            self._queues.extend(queue)
-            self._last_queue = queue
-        self._queue_of.append(len(self._queues) // len(queue) - 1)
-        if not self._epochs or epoch is not self._epochs[-1]:
-            self._epochs.append(epoch)
-        self._epoch_of.append(len(self._epochs) - 1)
+        self._queues.append(queue)
+        self._epochs.append(epoch)
         self._noise += noise
         self._bits += bits
         self._paths += path
@@ -199,17 +196,17 @@ class RegretTracker:
         job: ``bisect_right(thresholds, clamp(accuracy + noise_std · noise))``
         and ``1 - bit`` of the selected column, or 1 where none is."""
         n = len(self.dests)
-        epoch = np.fromiter(self._epoch_of, np.intp, jobs_logged)[:, None]
+        epochs, epoch_of = _distinct(self._epochs)
         every = range(self.num_tasks)
         accuracy = np.array([
-            [[table[node][t] for t in every] for node in range(n)] for table, _ in self._epochs
+            [[table[node][t] for t in every] for node in range(n)] for table, _ in epochs
         ])
         # a missing column reads the zero column appended to the bits
         selected = np.array([
             [[-1 if (c := table[node][t]) is None else c for t in every] for node in range(n)]
-            for _, table in self._epochs
+            for _, table in epochs
         ])
-        at = (epoch, np.arange(n), tasks[:, None])
+        at = (epoch_of[:, None], np.arange(n), tasks[:, None])
         noise = _floats(self._noise).reshape(jobs_logged, n)
         z = np.clip(accuracy[at] + self.noise_std * noise, 0.0, 1.0)
         cuts = np.searchsorted(self.thresholds, z, side="right")
@@ -225,16 +222,16 @@ class RegretTracker:
         if not jobs_logged:
             return
         tasks = np.fromiter(self._tasks, np.intp, jobs_logged)
-        queues = _floats(self._queues).reshape(-1, len(self.dests))[self._queue_of]
+        queues, queue_of = _distinct(self._queues)
+        queues = np.array(queues, dtype=float)[queue_of]
         cuts, errors = self._cuts_and_errors(jobs_logged, tasks)
         middle = {}
         for node, (refs, _) in self._weights.items():
             # every cut's raw row of each distinct weights array, then each
             # job's row at its cut
-            ids = np.fromiter(map(id, refs), np.intp, jobs_logged)
-            _, first, which = np.unique(ids, return_index=True, return_inverse=True)
-            rows = raw_rows(np.stack([refs[i] for i in first.tolist()]))
-            middle[node] = (errors[:, node], rows[which, cuts[:, node]].T, None)
+            weights, which = _distinct(refs)
+            raw = raw_rows(np.stack(weights))
+            middle[node] = (errors[:, node], raw[which, cuts[:, node]].T, None)
         offload = backward_sweep(
             self.layers, (), self.dests, middle, queues.T, _floats(self._hop_costs),
             self.error_weight,
@@ -249,16 +246,12 @@ class RegretTracker:
         jobs, at = np.nonzero(paths[:, :-1] >= 0)
         nodes = paths[jobs, at]
         nxt = paths[jobs, at + 1]
-        keys = nodes * self.num_tasks + tasks[jobs]
+        rows = self._row_of[nodes] + tasks[jobs]
         terminate = self.error_weight * errors[jobs, nodes]
         realized = np.where(nxt >= 0, costs[jobs, nxt], terminate)
-        # the visits key by key, each key's in job order
-        order = np.argsort(keys, kind="stable")
-        targets_of = self._targets_of[nodes[order]]
-        settled = []
-        # keys whose nodes share a destination tuple share their expert cells
-        for i, (expert_row, expert_dest) in enumerate(self._expert_cells.values()):
-            group = order[targets_of == i]
+        group_of = self._group_of[nodes]
+        for i, (expert_row, expert_dest, table) in enumerate(self._groups):
+            group = np.flatnonzero(group_of == i)
             if not len(group):
                 continue
             j = jobs[group]
@@ -269,25 +262,18 @@ class RegretTracker:
                 expert_row < cuts[j, nodes[group]][:, None], terminate[group][:, None],
                 costs[j[:, None], expert_dest],
             )
-            group_keys = keys[group]
-            starts = np.flatnonzero(np.diff(group_keys, prepend=-1)).tolist()
-            for start, stop in zip(starts, [*starts[1:], len(group)]):
-                key = divmod(int(group_keys[start]), self.num_tasks)
-                stack = block[start:stop]
-                prev = self._sums.get(key)
-                if prev is not None:
-                    stack = np.concatenate([prev[None], stack])
-                # rows are two or more wide, so reducing along axis 0 adds
-                # them in job order (numpy sums a lone column pairwise)
-                settled.append((int(group[start]), key, np.add.reduce(stack, axis=0)))
+            np.add.at(table, rows[group], block)
         # new keys enter in first-visit order, as the checkpoint sums read them
-        for _, key, sums in sorted(settled, key=lambda item: item[0]):
-            self._sums[key] = sums
-        for log in (self._tasks, self._hop_costs, self._queue_of, self._queues,
-                    self._epoch_of, self._epochs, self._noise, self._bits, self._paths,
-                    *(refs for refs, _ in self._weights.values())):
+        keys = nodes * self.num_tasks + tasks[jobs]
+        _, first = np.unique(keys, return_index=True)
+        for key in keys[np.sort(first)].tolist():
+            node, task = divmod(key, self.num_tasks)
+            if (node, task) not in self._sums:
+                table = self._groups[self._group_of[node]][2]
+                self._sums[node, task] = table[self._row_of[node] + task]
+        for log in (self._tasks, self._hop_costs, self._queues, self._epochs, self._noise,
+                    self._bits, self._paths, *(refs for refs, _ in self._weights.values())):
             log.clear()
-        self._last_queue = None
 
     def job_done(self) -> None:
         """Count one job; settle at a checkpoint or a full log, and snapshot
@@ -326,6 +312,15 @@ class RegretTracker:
 def _floats(values: list[float]) -> np.ndarray:
     """A list of Python numbers as a float array."""
     return np.fromiter(values, float, len(values))
+
+
+def _distinct(refs: list) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``refs`` by identity, and each entry's
+    position among them. The log keeps every object alive, so no two of
+    them share an id."""
+    ids = np.fromiter(map(id, refs), np.intp, len(refs))
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    return [refs[i] for i in first.tolist()], which
 
 
 def resolve_thresholds(cfg: Mapping[str, Any]) -> tuple[float, ...]:

@@ -11,6 +11,8 @@ still defines the best single model and the final comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Collection, Sequence
 
 import numpy as np
@@ -62,8 +64,9 @@ def utility(ctx: PlacementContext, subset: Collection[int]) -> float:
     chosen = table.in_id_order(subset)  # the penalty sums in id order
     errors = table.matrix[:, chosen].min(axis=1) if chosen else np.ones(len(table.tasks))
     expected_acc = float(np.dot(ctx.mixture, 1.0 - errors))
-    penalty = ctx.switch_penalty * sum(
-        table.sizes[c] for c in chosen if c not in ctx.previous
+    # left to right: sum() of floats compensates from Python 3.12
+    penalty = ctx.switch_penalty * reduce(
+        add, (table.sizes[c] for c in chosen if c not in ctx.previous), 0.0
     )
     return expected_acc - penalty
 

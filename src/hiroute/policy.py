@@ -190,7 +190,8 @@ class ExpertTable:
             for task in range(num_tasks)
         }
         self._dirty: dict[tuple[int, int], None] = {}
-        self._entropy_sum = float(sum(e.entropy for e in self._entries.values()))
+        # left to right: sum() of floats compensates from Python 3.12
+        self._entropy_sum = reduce(add, (e.entropy for e in self._entries.values()), 0.0)
 
     def update_weights(self, node: int, task: int) -> np.ndarray:
         """Recompute the softmax of negated cumulative losses (stable form)."""

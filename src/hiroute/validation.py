@@ -6,14 +6,11 @@ after a numpy upgrade. ``loss-sweep`` holds the only enumeration of every
 route through branching hierarchies. The paper's other properties
 (unbiasedness, variance ordering, weight simplex, submodularity, greedy
 quality) are checked by the test suite alone. Each check enumerates its
-expectation instead of recomputing it through the code under test;
-``inject`` breaks one property so tests can confirm a check detects it.
+expectation instead of recomputing it through the code under test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -21,10 +18,7 @@ from . import policy
 from .losses import DownstreamLossOracle, backward_sweep
 from .policy import ActionDistribution, ExpertGrid, ExpertTable
 from .topology import Topology, build_topology
-from .workload import MASK32, UNIT, RawWords, word_cuts
-
-# the --inject-bug modes: each makes one check fail
-INJECT_MODES = ("left-to-right-total", "high-half-first")
+from .workload import UNIT, RawWords, word_cuts
 
 
 @dataclass
@@ -34,48 +28,41 @@ class CheckResult:
     detail: str = ""
 
 
-def check_distribution_build(inject: str | None = None, grids: int = 60) -> CheckResult:
+def check_distribution_build(grids: int = 60) -> CheckResult:
     """Action distributions keep numpy's bits: on random tables of 1-20
     destinations and 1-11 thresholds, every cut's ``raw``, ``mixed`` and
     ``cdf`` equal numpy's two reductions, ``(1 - λ) * raw + λ / n`` and
     ``cumsum(mixed / add.reduce(mixed))`` over its last entry, and
     :func:`policy.raw_rows` over three tables of one shape stacked gives
     every cut's ``raw`` too. numpy does not promise its summation order; a
-    numpy that changes it fails here. ``inject="left-to-right-total"`` sums
-    the mixed row left to right, which differs from numpy from 8 values on."""
+    numpy that changes it fails here."""
     rng = np.random.default_rng(13)
-    saved = policy.add_reduce
-    if inject == "left-to-right-total":
-        policy.add_reduce = lambda values: reduce(add, values, 0.0)
-    try:
-        for _ in range(grids):
-            d, rows = int(rng.integers(1, 21)), int(rng.integers(1, 12))
-            lam = float(rng.uniform(0.01, 0.5))
-            thresholds = tuple(np.sort(rng.choice(101, rows, replace=False) / 100).tolist())
-            table = ExpertTable({0: ExpertGrid(thresholds, tuple(range(d)))}, 3, 1.0, lam)
-            for task in range(3):
-                table.accumulate_loss(0, task, 0, 0.0, rng.exponential(8.0, (rows, d)))
-            table.refresh_dirty()
-            stacked = policy.raw_rows(np.stack([table.weights(0, task) for task in range(3)]))
-            for task in range(3):
-                w = table.weights(0, task)
-                for cut in range(rows + 1):
-                    dist = table.action_probs(0, task, thresholds[cut - 1] if cut else -1.0)
-                    raw = np.array([np.add.reduce(w[:cut], axis=None),
-                                    *np.add.reduce(w[cut:], 0)])
-                    mixed = (1.0 - lam) * raw + lam / (d + 1)
-                    cdf = (mixed / np.add.reduce(mixed)).cumsum()
-                    cdf /= cdf[-1]
-                    want = tuple(tuple(x.tolist()) for x in (raw, mixed, cdf))
-                    if (dist.raw, dist.mixed, dist.cdf) != want:
-                        return CheckResult("distribution-build", False,
-                                           f"{d} destinations, cut {cut}: differs from numpy")
-                    if tuple(stacked[task, cut].tolist()) != want[0]:
-                        return CheckResult("distribution-build", False,
-                                           f"{d} destinations, cut {cut}: stacked raw row "
-                                           "differs from numpy")
-    finally:
-        policy.add_reduce = saved
+    for _ in range(grids):
+        d, rows = int(rng.integers(1, 21)), int(rng.integers(1, 12))
+        lam = float(rng.uniform(0.01, 0.5))
+        thresholds = tuple(np.sort(rng.choice(101, rows, replace=False) / 100).tolist())
+        table = ExpertTable({0: ExpertGrid(thresholds, tuple(range(d)))}, 3, 1.0, lam)
+        for task in range(3):
+            table.accumulate_loss(0, task, 0, 0.0, rng.exponential(8.0, (rows, d)))
+        table.refresh_dirty()
+        stacked = policy.raw_rows(np.stack([table.weights(0, task) for task in range(3)]))
+        for task in range(3):
+            w = table.weights(0, task)
+            for cut in range(rows + 1):
+                dist = table.action_probs(0, task, thresholds[cut - 1] if cut else -1.0)
+                raw = np.array([np.add.reduce(w[:cut], axis=None),
+                                *np.add.reduce(w[cut:], 0)])
+                mixed = (1.0 - lam) * raw + lam / (d + 1)
+                cdf = (mixed / np.add.reduce(mixed)).cumsum()
+                cdf /= cdf[-1]
+                want = tuple(tuple(x.tolist()) for x in (raw, mixed, cdf))
+                if (dist.raw, dist.mixed, dist.cdf) != want:
+                    return CheckResult("distribution-build", False,
+                                       f"{d} destinations, cut {cut}: differs from numpy")
+                if tuple(stacked[task, cut].tolist()) != want[0]:
+                    return CheckResult("distribution-build", False,
+                                       f"{d} destinations, cut {cut}: stacked raw row "
+                                       "differs from numpy")
     return CheckResult("distribution-build", True,
                        f"{grids} random grids of 3 tables, every cut, clean")
 
@@ -85,21 +72,16 @@ def check_distribution_build(inject: str | None = None, grids: int = 60) -> Chec
 BOUNDS = (1, 2, 3, 5, 13, 3 << 30, (1 << 31) + 12345, (1 << 32) - 1)
 
 
-def check_arrival_draws(
-    inject: str | None = None, seeds: int = 8, draws: int = 400
-) -> CheckResult:
+def check_arrival_draws(seeds: int = 8, draws: int = 400) -> CheckResult:
     """The arrival decoding keeps numpy's stream: on one bit generator's raw
     words, ``RawWords.below(n)`` equals ``integers(n)``, ``(word >> 11) *
     2**-53`` equals ``random()``, ``lo + (hi - lo)`` times it equals
     ``uniform(lo, hi)`` and ``word >= word_cuts([p])[0]`` equals
     ``random() >= p``, in a random interleaving per seed. numpy does not
-    promise its stream; a numpy that changes it fails here.
-    ``inject="high-half-first"`` hands a word's high half out first."""
+    promise its stream; a numpy that changes it fails here."""
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         words = RawWords(np.random.default_rng(seed).bit_generator)
-        if inject == "high-half-first":
-            words.split = lambda word: (word >> 32, word & MASK32)
         plan = np.random.default_rng(1000 + seed)
         for k in range(draws):
             kind = int(plan.integers(4))
@@ -212,9 +194,9 @@ def check_loss_sweep() -> CheckResult:
     return CheckResult("loss-sweep", True, f"{len(layer_sizes)} topologies clean")
 
 
-def run_property_suite(inject: str | None = None) -> list[CheckResult]:
+def run_property_suite() -> list[CheckResult]:
     return [
-        check_distribution_build(inject=inject),
-        check_arrival_draws(inject=inject),
+        check_distribution_build(),
+        check_arrival_draws(),
         check_loss_sweep(),
     ]

@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -374,7 +376,8 @@ def build_workload(cfg: Mapping[str, Any], topo: Topology, seed: int) -> Workloa
         hard = []
         hard_fraction = 0.0
         size_ranges = None  # trace jobs keep their recorded sizes
-        mean_sizes = [sum(size for size, _ in pool) / len(pool) for pool in pools]
+        # left to right: sum() of floats compensates from Python 3.12
+        mean_sizes = [reduce(add, (size for size, _ in pool), 0.0) / len(pool) for pool in pools]
     mixtures = dirichlet_mixtures(
         len(tasks), hard, len(entries), hard_fraction, w["mixture_concentration"], rng
     )
@@ -552,7 +555,8 @@ def load_trace(path: str) -> tuple[list[TraceModel], list[TraceRecord], dict[str
     """Read a JSONL trace: a header object listing models, then job records.
 
     Returns the header's models, the records and each task's recorded
-    modality. A model's size must be a positive finite number and its
+    modality. The header lists one model or more and one job record or more
+    follows it. A model's size must be a positive finite number and its
     ``error_prob`` values numbers in [0, 1], keyed by recorded task ids. Job
     records carry a correctness bit, the integer 0 or 1, for every model,
     and every record of a task must carry the same modality. Violations
@@ -568,6 +572,8 @@ def load_trace(path: str) -> tuple[list[TraceModel], list[TraceRecord], dict[str
     header = _parse_json_line(lines[0], 1)
     if "models" not in header or not isinstance(header["models"], list):
         raise TraceFormatError("line 1: header must carry a 'models' list")
+    if not header["models"]:
+        raise TraceFormatError("line 1: header lists no models")
     for entry in header["models"]:
         try:
             if not isinstance(entry, dict):
@@ -630,6 +636,8 @@ def load_trace(path: str) -> tuple[list[TraceModel], list[TraceRecord], dict[str
                 f"line {lineno}: correctness missing models {sorted(missing)}"
             )
         jobs.append(TraceRecord(task, float(size), tuple(bits)))
+    if not jobs:
+        raise TraceFormatError(f"line {len(lines) + 1}: no job record after the header")
     for model in models:
         for task in model.error_prob:
             if task not in modality:

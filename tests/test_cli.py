@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hiroute import cli
+from hiroute import cli, policy
 from hiroute.cli import main
 from hiroute.report import summarize_cell
 from hiroute.config import (
@@ -16,6 +16,8 @@ from hiroute.config import (
     load_config,
     merge_config,
 )
+from hiroute.workload import RawWords
+from tests.test_validation import high_half_first, left_to_right_total
 
 
 def write_json(tmp_path, value):
@@ -316,6 +318,18 @@ class TestCmdSweep:
         assert main(["sweep", "--config", path, "--jobs", jobs]) == 1
         assert "--jobs: must be at least 1" in capsys.readouterr().err
 
+    def test_invalid_cell_value_is_config_error(self, tmp_path, capsys):
+        # an out-of-range axis value stops the sweep before any cell runs
+        cfg = {"run": {"total_jobs": 50, "seeds": [0]},
+               "sweep": {"axes": {"learning.exploration_rate": [0.1, 1.5]}}}
+        path = write_json(tmp_path, cfg)
+        out_dir = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", path, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: learning.exploration_rate: ")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_empty_sweep_exits_one(self, tmp_path, capsys):
         path = small_cfg_file(tmp_path)
         assert main(["sweep", "--config", path]) == 1
@@ -365,20 +379,18 @@ class TestCmdValidate:
             "PASS  distribution-build", "PASS  arrival-draws", "PASS  loss-sweep",
         ]
 
-    def test_injected_bug_detected(self, capsys):
-        # each mode fails its own check only
-        for mode, check in (("left-to-right-total", "distribution-build"),
-                            ("high-half-first", "arrival-draws")):
-            assert main(["validate", "--inject-bug", mode]) != 0
+    def test_injected_bug_detected(self, capsys, monkeypatch):
+        # each injected bug fails its own check only
+        for target, name, bug, check in (
+            (policy, "add_reduce", left_to_right_total, "distribution-build"),
+            (RawWords, "split", staticmethod(high_half_first), "arrival-draws"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, bug)
+                assert main(["validate"]) != 0
             lines = status_lines(capsys.readouterr().out)
             assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL  {check}"]
             assert len(lines) == 3
-
-    def test_unknown_injection_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--inject-bug", "baseline-sign"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'baseline-sign'" in capsys.readouterr().err
 
 
 class TestCmdReport:

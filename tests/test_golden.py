@@ -4,10 +4,12 @@ A refactor must keep these hashes. A change that alters them on purpose
 updates them in the same change, says why, and reports the acceptance
 numbers per seed before and after.
 """
+import builtins
 import csv
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +152,40 @@ def test_summary_json_hash(policy, depth, digests):
 @pytest.mark.parametrize("policy, depth", list(GOLDEN))
 def test_placements_csv_hash(policy, depth, digests):
     assert digests(policy, depth)[2] == GOLDEN[(policy, depth)][2]
+
+
+PLAIN_SUM = builtins.sum
+
+
+def compensated_sum(items, start=0):
+    """Python 3.12's ``sum()`` of floats: Neumaier's compensated summation.
+    Only an all-float sum from 0 is compensated; any other sums as the
+    running interpreter's builtin does."""
+    items = list(items)
+    if start != 0 or not items or any(type(x) is not float for x in items):
+        return PLAIN_SUM(items, start)
+    total, comp = items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_outputs_do_not_depend_on_sum_compensation(tmp_path, monkeypatch):
+    # a 1,000-job depth-5 run at 5 jobs per slot, where a compensated sum()
+    # changes the initial entropy sum and the drift penalty of some slots
+    cfg = golden_config("vr_ly_exp4", 5)
+    cfg["run"]["total_jobs"] = 1000
+    cfg["workload"]["mean_jobs_per_slot"] = 5.0
+    outputs = []
+    for name, total in (("plain", PLAIN_SUM), ("compensated", compensated_sum)):
+        monkeypatch.setattr(builtins, "sum", total)
+        run_single(cfg, 0, str(tmp_path / name))
+        outputs.append([(tmp_path / name / file).read_bytes() for file in FILES])
+    assert outputs[0] == outputs[1]
 
 
 def test_random_depth5_queues_drain_and_regrow(tmp_path):

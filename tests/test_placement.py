@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hiroute.placement import (
     utility,
 )
 from hiroute.topology import build_topology
+from tests.test_golden import compensated_sum
 from tests.test_workload import table_of
 
 
@@ -75,6 +78,14 @@ class TestUtility:
         table = table_of(["t"], {m: {"t": 0.5} for m in "cba"}, {"c": 0.1, "b": 0.2, "a": 0.3})
         ctx = PlacementContext(np.array([1.0]), table, 1.0)
         assert utility(ctx, {0, 1, 2}) == 0.5 - (0.3 + 0.2 + 0.1)
+
+    def test_penalty_sums_left_to_right(self, monkeypatch):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right and 0.6 under
+        # Python 3.12's compensated sum()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        table = table_of(["t"], {m: {"t": 0.5} for m in "abc"}, {"a": 0.1, "b": 0.2, "c": 0.3})
+        ctx = PlacementContext(np.array([1.0]), table, 1.0)
+        assert utility(ctx, {0, 1, 2}) == 0.5 - (0.1 + 0.2 + 0.3)
 
 
 class TestMarginalGain:

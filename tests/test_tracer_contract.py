@@ -48,6 +48,10 @@ def test_every_traced_boundary_is_called():
             hiroute.run_single(cfg, 0)
     finally:
         tracer.uninstall()
+    # engine.regret.s times the regret log per job: only the vr_ly_exp4 run
+    # keeps one, and it logs and counts each of its 200 jobs once
+    for name in ("engine.RegretTracker.add", "engine.RegretTracker.job_done"):
+        assert tracer.spans[name].calls == 200
     uncalled = {name for name, stats in tracer.spans.items() if stats.calls == 0}
     assert uncalled == {"losses.DownstreamLossOracle.expected_loss"}
     # ErrorTable.error stays the lookup behind the per-epoch placement tables

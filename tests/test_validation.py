@@ -1,4 +1,6 @@
 import time
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -9,6 +11,7 @@ from hiroute.validation import (
     check_loss_sweep,
     run_property_suite,
 )
+from hiroute.workload import MASK32, RawWords
 
 
 def test_all_checks_pass_clean():
@@ -26,10 +29,20 @@ def test_distribution_build_checked_bit_for_bit():
     assert check_distribution_build().passed
 
 
-def test_injected_left_to_right_total_is_caught():
+def left_to_right_total(values):
+    return reduce(add, values, 0.0)
+
+
+def high_half_first(word):
+    return word >> 32, word & MASK32
+
+
+def test_injected_left_to_right_total_is_caught(monkeypatch):
     # a left-to-right total is numpy's below 8 values, so the check fails on
-    # a row of 8 or more, and puts the build's own total back afterwards
-    result = check_distribution_build(inject="left-to-right-total")
+    # a row of 8 or more; the build's own total is back afterwards
+    with monkeypatch.context() as patch:
+        patch.setattr(policy, "add_reduce", left_to_right_total)
+        result = check_distribution_build()
     assert not result.passed
     dests = int(result.detail.split(" destinations")[0].split()[-1])
     assert dests + 1 >= 8
@@ -37,10 +50,12 @@ def test_injected_left_to_right_total_is_caught():
     assert check_distribution_build().passed
 
 
-def test_injected_high_half_first_is_caught():
+def test_injected_high_half_first_is_caught(monkeypatch):
     # the first bounded draw takes the high half, so it differs unless both
     # halves give one value; the next clean run is unaffected
-    result = check_arrival_draws(inject="high-half-first")
+    with monkeypatch.context() as patch:
+        patch.setattr(RawWords, "split", staticmethod(high_half_first))
+        result = check_arrival_draws()
     assert not result.passed
     assert "integers(" in result.detail
     assert check_arrival_draws().passed

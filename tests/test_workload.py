@@ -542,6 +542,13 @@ class TestMalformedTrace:
         pytest.param([header_line(error_prob={"Qa": 0.1}), record_line()],
                      "line 1: error_prob of model 'm0' names task 'Qa', which no record carries",
                      id="error-prob-unknown-task"),
+        pytest.param(['{"models": []}', record_line(correctness={})],
+                     "line 1: header lists no models",
+                     id="header-without-any-model"),
+        pytest.param([header_line()], "line 2: no job record after the header",
+                     id="no-job-records"),
+        pytest.param([header_line(), ""], "line 3: no job record after the header",
+                     id="only-blank-records"),
         pytest.param(["7"], "line 1: expected a JSON object", id="header-a-number"),
         pytest.param([header_line(), "5"], "line 2: expected a JSON object", id="record-a-number"),
         pytest.param([header_line(), "{not json"], "line 2: invalid JSON", id="record-invalid-json"),
