@@ -2,12 +2,15 @@
 
 One slot routes the arriving jobs layer by layer, then delivers feedback for
 jobs that reached the terminal layer, accumulates estimator losses and
-baselines, refreshes the expert weights once, updates the virtual queues from
-the realized inbound costs, and emits one metrics row. Routing and learning
-within a slot therefore see the slot-start weights. Placements refresh on a
-fixed epoch grid when the greedy strategy is selected. All randomness flows
-from the run seed, so a (config, seed) pair reproduces its metrics stream
-byte for byte.
+baselines, updates the virtual queues from the realized inbound costs, and
+ends by queueing the refresh of every expert table it touched. Routing and
+learning within a slot therefore see the slot-start weights. The queued
+refreshes are computed in one batch when one of their tables is next read,
+when the regret log settles, and every :data:`ROW_BUFFER` slots; a slot's
+metrics row waits until that batch gives its mean entropy.
+Placements refresh on a fixed epoch grid when the greedy strategy is
+selected. All randomness flows from the run seed, so a (config, seed) pair
+reproduces its metrics stream byte for byte.
 
 The core works on integers: node indices, task indices and model columns,
 from the tables ``build_topology`` and ``workload.build_workload`` build
@@ -129,6 +132,7 @@ class RegretTracker:
         self.thresholds = np.array(thresholds, dtype=float)
         self.noise_std = noise_std
         self.num_tasks = table.num_tasks
+        self.table = table
         # per destination tuple, each expert's threshold row and destination,
         # row-major: the columns of a visit's expert losses; and its sums
         # table, one row per (node, task) of its nodes. Per node index, the
@@ -144,6 +148,9 @@ class RegretTracker:
                                  np.zeros((len(nodes) * self.num_tasks, 1 + rows * len(targets)))))
         # each visited key's row, in first-visit order
         self._sums: dict[tuple[int, int], np.ndarray] = {}
+        # per placement epoch of the last settle, by id: the epoch, which
+        # keeps the id its own, and its accuracy and selected-column arrays
+        self._epoch_arrays: dict[int, tuple[Any, np.ndarray, np.ndarray]] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
         self.curve_entry: list[float] = []
@@ -151,7 +158,8 @@ class RegretTracker:
         # the log, in flat lists of Python objects: per job its task, hop
         # cost, queue snapshot, placement epoch, noise row, correctness bits
         # and path padded with -1 to one node per layer; per middle node
-        # each job's slot-start weights, read from the node's tables by task
+        # the snapshot of each job's slot-start weights, read from the
+        # node's tables by task
         self._tasks: list[int] = []
         self._hop_costs: list[float] = []
         self._queues: list[tuple[float, ...]] = []
@@ -170,10 +178,11 @@ class RegretTracker:
     ) -> None:
         """Log one job: its task, node path, unit confidence noise by node
         index, correctness bits by model column, hop cost, slot-start queue
-        and placement epoch, and a reference to every middle node's current
-        weights for its task. A refresh replaces a table's weights array and
-        never writes into it, so a reference taken before the slot's refresh
-        holds the slot-start weights. ``epoch`` is the best-loaded accuracy
+        and placement epoch, and every middle node's current weights
+        snapshot for its task. Each refresh makes a new snapshot, and the
+        batch that computes it fills it with an array nobody writes into, so
+        a snapshot taken before the slot's refresh holds the slot-start
+        weights once computed. ``epoch`` is the best-loaded accuracy
         and the selected model column (None for none) per node index, then
         task index. Neither ``queue`` nor ``epoch`` may change afterwards;
         jobs of one slot share the one, jobs of one placement epoch the
@@ -187,7 +196,7 @@ class RegretTracker:
         self._paths += path
         self._paths += self._padding[len(path)]
         for refs, tables in self._weights.values():
-            refs.append(tables[task].weights)
+            refs.append(tables[task].snapshot)
 
     def _cuts_and_errors(
         self, jobs_logged: int, tasks: np.ndarray
@@ -197,15 +206,13 @@ class RegretTracker:
         and ``1 - bit`` of the selected column, or 1 where none is."""
         n = len(self.dests)
         epochs, epoch_of = _distinct(self._epochs)
-        every = range(self.num_tasks)
-        accuracy = np.array([
-            [[table[node][t] for t in every] for node in range(n)] for table, _ in epochs
-        ])
-        # a missing column reads the zero column appended to the bits
-        selected = np.array([
-            [[-1 if (c := table[node][t]) is None else c for t in every] for node in range(n)]
-            for _, table in epochs
-        ])
+        cached = self._epoch_arrays
+        self._epoch_arrays = {
+            id(epoch): cached.get(id(epoch)) or (epoch, *self._epoch_tables(epoch))
+            for epoch in epochs
+        }
+        _, accuracy, selected = zip(*self._epoch_arrays.values())
+        accuracy, selected = np.stack(accuracy), np.stack(selected)
         at = (epoch_of[:, None], np.arange(n), tasks[:, None])
         noise = _floats(self._noise).reshape(jobs_logged, n)
         z = np.clip(accuracy[at] + self.noise_std * noise, 0.0, 1.0)
@@ -216,11 +223,25 @@ class RegretTracker:
         errors = 1.0 - bits[np.arange(jobs_logged)[:, None], selected[at]]
         return cuts, errors
 
+    def _epoch_tables(self, epoch: tuple[Sequence, Sequence]) -> tuple[np.ndarray, np.ndarray]:
+        """A placement epoch's best-loaded accuracy and selected model
+        column per node index, then task index; a missing column is -1,
+        which reads the zero column appended to the bits."""
+        nodes, every = range(len(self.dests)), range(self.num_tasks)
+        accuracy, selected = epoch
+        return (
+            np.array([[accuracy[node][t] for t in every] for node in nodes]),
+            np.array([[-1 if (c := selected[node][t]) is None else c for t in every]
+                      for node in nodes]),
+        )
+
     def settle(self) -> None:
         """Add every logged job's losses to the sums and empty the log."""
         jobs_logged = len(self._tasks)
         if not jobs_logged:
             return
+        # the logged snapshots' weights are computed by now
+        self.table.flush()
         tasks = np.fromiter(self._tasks, np.intp, jobs_logged)
         queues, queue_of = _distinct(self._queues)
         queues = np.array(queues, dtype=float)[queue_of]
@@ -229,8 +250,8 @@ class RegretTracker:
         for node, (refs, _) in self._weights.items():
             # every cut's raw row of each distinct weights array, then each
             # job's row at its cut
-            weights, which = _distinct(refs)
-            raw = raw_rows(np.stack(weights))
+            snapshots, which = _distinct(refs)
+            raw = raw_rows(np.stack([s.value for s in snapshots]))
             middle[node] = (errors[:, node], raw[which, cuts[:, node]].T, None)
         offload = backward_sweep(
             self.layers, (), self.dests, middle, queues.T, _floats(self._hop_costs),
@@ -327,6 +348,10 @@ def resolve_thresholds(cfg: Mapping[str, Any]) -> tuple[float, ...]:
     th = cfg["learning"]["thresholds"]
     return tuple(th) if th is not None else DEFAULT_THRESHOLDS
 
+
+# the most slot ends, and metrics rows, that wait for a batch of weight
+# refreshes
+ROW_BUFFER = 64
 
 VR_RATE_SCALE = 0.1
 NAIVE_RATE_SCALE = 0.0035
@@ -464,6 +489,9 @@ class _Run:
         self.slots_run = 0
 
         self.out_dir = out_dir
+        # the metrics rows that wait for their slots' mean entropies, in
+        # slot order: the cells before it, its slot end, the cells after it
+        self._rows: list[tuple[str, Any, str]] = []
         self._metrics_file = None
         self._paths_file = None
         if out_dir is not None:
@@ -472,14 +500,14 @@ class _Run:
                 os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8"
             )
             csv.writer(self._metrics_file).writerow(self.metrics_header())
-            # one cached string per metrics cell: the eight slot fields, then
-            # a cost and a queue column per queued node; a slot re-formats
-            # only its active nodes' cells (see run_slot)
+            # one cached string per metrics cell after the mean entropy: the
+            # drift penalty, then a cost and a queue column per queued node;
+            # a slot re-formats only its active nodes' cells (see run_slot)
             width = len(self.queued_by_id)
-            self._cells = ["0.0"] * (8 + 2 * width)
+            self._cells = ["0.0"] * (1 + 2 * width)
             self._cost_cell = [0] * topo.num_nodes
             for i, n in enumerate(self.queued_by_id):
-                self._cost_cell[n] = 8 + i
+                self._cost_cell[n] = 1 + i
             self._queue_cell = [c + width for c in self._cost_cell]
             if self.record_paths:
                 self._paths_file = open(
@@ -567,7 +595,8 @@ class _Run:
     # ---- the slot loop ----------------------------------------------------
     def run_slot(self, t: int, jobs: list[Job]) -> None:
         """Route, learn from and account for one slot's jobs, then update the
-        queues and write the slot's metrics row.
+        queues, queue the expert tables' refreshes and buffer the slot's
+        metrics row.
 
         The accounting runs over the slot's active nodes only (see
         :mod:`control`): the queued nodes its jobs' hops touched and the
@@ -623,7 +652,6 @@ class _Run:
                         self.placement_tables,
                     )
                     regret.job_done()
-            self.table.refresh_dirty()
 
         active = queues.active(touched)
         drift = drift_penalty_diagnostic(queue, costs, active, slot_errors, self.v)
@@ -638,24 +666,46 @@ class _Run:
         self.total_feedback += slot_feedback
         self.slots_run = t
 
-        entropy = self.table.mean_entropy() if self.table is not None else 0.0
+        slot_end = self.table.refresh_dirty() if self.table is not None else None
         if self._metrics_file is not None:
             # the bytes csv.writer's excel dialect gives: str of an int, repr
             # of a float, none of which needs quoting, and "\r\n"
             cells = self._cells
-            cells[:8] = (
-                str(t), str(len(jobs)), str(slot_errors), str(slot_hard), str(slot_hits),
-                str(slot_feedback), repr(entropy), repr(drift),
-            )
+            cells[0] = repr(drift)
             cost_cell = self._cost_cell
             for n in touched:
                 cells[cost_cell[n]] = repr(costs[n])
             queue_cell = self._queue_cell
             for n in active:
                 cells[queue_cell[n]] = repr(queue[n])
-            self._metrics_file.write(",".join(cells) + "\r\n")
+            head = f"{t},{len(jobs)},{slot_errors},{slot_hard},{slot_hits},{slot_feedback},"
+            if slot_end is None:  # a static policy's mean entropy is 0.0
+                self._metrics_file.write(f"{head}0.0,{','.join(cells)}\r\n")
+            else:
+                self._rows.append((head, slot_end, ",".join(cells)))
             for n in touched:
                 cells[cost_cell[n]] = "0.0"
+        if self.table is not None:
+            if t % ROW_BUFFER == 0:
+                # computing the queued refreshes fills every waiting slot
+                # end's mean entropy: none waits longer, with or without rows
+                self.table.mean_entropy()
+            if self._rows:
+                self._write_rows()
+
+    def _write_rows(self) -> None:
+        """Write the buffered metrics rows whose slots' mean entropies are
+        known: a batch fills every waiting slot end at once, so they are
+        the rows before the first whose slot end still waits."""
+        rows = self._rows
+        known = 0
+        while known < len(rows) and rows[known][1].value is not None:
+            known += 1
+        if known:
+            self._metrics_file.write("".join([
+                f"{head}{end.value!r},{tail}\r\n" for head, end, tail in rows[:known]
+            ]))
+            del rows[:known]
 
     def _write_path(
         self, t: int, job: Job, path: list[int], reached: bool, exit_error: int, hard: bool
@@ -778,6 +828,10 @@ class _Run:
         )
 
     def close(self) -> None:
+        if self.table is not None:
+            self.table.mean_entropy()
+        if self._rows:
+            self._write_rows()
         if self._metrics_file is not None:
             self._metrics_file.close()
         if self._paths_file is not None:

@@ -28,14 +28,29 @@ class CheckResult:
     detail: str = ""
 
 
+def _refreshed(losses: np.ndarray, learning_rate: float) -> tuple[np.ndarray, float]:
+    """One table's weights and entropy by the per-table formula: the softmax
+    of its negated, scaled losses in stable form, reduced with ``axis=None``."""
+    scaled = -learning_rate * losses
+    scaled -= np.maximum.reduce(scaled, axis=None)
+    expd = np.exp(scaled)
+    w = expd / np.add.reduce(expd, axis=None)
+    logs = np.log(w, out=np.zeros(w.shape), where=w > 0)
+    return w, float(-np.add.reduce(w * logs, axis=None))
+
+
 def check_distribution_build(grids: int = 60) -> CheckResult:
-    """Action distributions keep numpy's bits: on random tables of 1-20
-    destinations and 1-11 thresholds, every cut's ``raw``, ``mixed`` and
-    ``cdf`` equal numpy's two reductions, ``(1 - λ) * raw + λ / n`` and
-    ``cumsum(mixed / add.reduce(mixed))`` over its last entry, and
-    :func:`policy.raw_rows` over three tables of one shape stacked gives
-    every cut's ``raw`` too. numpy does not promise its summation order; a
-    numpy that changes it fails here."""
+    """Weight refreshes and action distributions keep numpy's bits.
+
+    On random tables of 1-20 destinations and 1-11 thresholds, every cut's
+    ``raw``, ``mixed`` and ``cdf`` equal numpy's two reductions,
+    ``(1 - λ) * raw + λ / n`` and ``cumsum(mixed / add.reduce(mixed))`` over
+    its last entry, and :func:`policy.raw_rows` over three tables of one
+    shape stacked gives every cut's ``raw`` too. :func:`policy.stacked_weights`
+    over 1-40 stacked tables with losses up to 1e5, where weights underflow
+    to 0, gives each table's weights and entropy by the per-table formula.
+    numpy does not promise its summation order; a numpy that changes it
+    fails here."""
     rng = np.random.default_rng(13)
     for _ in range(grids):
         d, rows = int(rng.integers(1, 21)), int(rng.integers(1, 12))
@@ -63,8 +78,20 @@ def check_distribution_build(grids: int = 60) -> CheckResult:
                     return CheckResult("distribution-build", False,
                                        f"{d} destinations, cut {cut}: stacked raw row "
                                        "differs from numpy")
+    for _ in range(grids):
+        count, rows, d = (int(rng.integers(1, n)) for n in (41, 12, 17))
+        lr = float(10.0 ** rng.uniform(-2, 0))
+        losses = rng.uniform(0, 1, (count, rows, d)) * 10.0 ** rng.uniform(-1, 5, (count, 1, 1))
+        weights, entropies = policy.stacked_weights(losses, lr)
+        for b in range(count):
+            w, h = _refreshed(losses[b], lr)
+            if weights[b].tobytes() != w.tobytes() or float(entropies[b]) != h:
+                return CheckResult("distribution-build", False,
+                                   f"{d} destinations, table {b} of {count}: stacked "
+                                   "weights differ from the per-table formula")
     return CheckResult("distribution-build", True,
-                       f"{grids} random grids of 3 tables, every cut, clean")
+                       f"{grids} random grids of 3 tables, every cut, and {grids} "
+                       "random stacks of 1-40 tables, clean")
 
 
 # bounds of the bounded draws; a 32-bit half is rejected with odds

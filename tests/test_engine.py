@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ from hiroute.engine import (
 )
 from hiroute.losses import DownstreamLossOracle
 from hiroute.placement import Placement
-from hiroute.policy import ExpertGrid, ExpertTable
+from hiroute.policy import ExpertGrid, ExpertTable, _Snapshot
 from hiroute.topology import build_topology
 from hiroute.workload import (
     Job,
@@ -32,7 +33,7 @@ from hiroute.workload import (
     inference_error,
     select_model,
 )
-from tests.test_policy import cum_loss
+from tests.test_policy import cum_loss, per_table_refresh
 
 
 def expert_sums(tracker):
@@ -279,32 +280,69 @@ class TestDeterminism:
 class TestSlotStartWeights:
     def test_no_weight_refresh_during_routing_or_learning(self, monkeypatch):
         # every reach probability must come from the distribution the job was
-        # sampled from, so weights may only change between slots
-        phase = []
-        refreshes = []
-        update_weights = ExpertTable.update_weights
+        # sampled from, so a slot must read its start weights: a table's
+        # weights may be computed during routing, by a deferred batch, but
+        # they equal an immediate per-table refresh at its last slot end,
+        # and they stay one object until the slot is over
+        refreshed = {}  # per key, the per-table refresh of its last slot end
+        read = {}  # per key, the weights object the current slot reads
+        builds = []
+        accumulated_while_queued = []
+        refresh_dirty = ExpertTable.refresh_dirty
+        action_probs = ExpertTable.action_probs
+        accumulate_loss = ExpertTable.accumulate_loss
+        run_slot = _Run.run_slot
 
-        def spy_update(self, node, task):
-            refreshes.append(tuple(phase))
-            return update_weights(self, node, task)
+        def spy_slot(run, t, jobs):
+            read.clear()
+            return run_slot(run, t, jobs)
 
-        def in_phase(method):
-            def wrapper(self, *args):
-                phase.append(method.__name__)
-                try:
-                    return method(self, *args)
-                finally:
-                    phase.pop()
-            return wrapper
+        def spy_refresh(table):
+            for key in table._dirty:
+                refreshed[key] = per_table_refresh(
+                    cum_loss(table, *key).copy(), table.learning_rate
+                )[0]
+            return refresh_dirty(table)
 
-        monkeypatch.setattr(ExpertTable, "update_weights", spy_update)
-        for name in ("_route", "_learn_from"):
-            monkeypatch.setattr(_Run, name, in_phase(getattr(_Run, name)))
-        cfg = small_config()
-        cfg["run"]["total_jobs"] = 2000
-        run_single(cfg, 0)
-        assert refreshes
-        assert [p for p in refreshes if p] == []
+        def spy_probs(table, node, task, z):
+            entry = table._entries[(node, task)]
+            built = bisect_right(entry.thresholds, z) not in entry.dists
+            dist = action_probs(table, node, task, z)
+            w = entry.weights
+            if built:
+                want = refreshed.get((node, task))
+                if want is None:  # never refreshed: the uniform start
+                    want = np.full(w.shape, 1.0 / w.size)
+                assert w.tobytes() == want.tobytes()
+                builds.append((node, task))
+            assert read.setdefault((node, task), w) is w
+            return dist
+
+        def spy_accumulate(table, node, task, *args):
+            entry = table._entries[(node, task)]
+            queued = entry.weights is None
+            before = cum_loss(table, node, task).copy()
+            accumulate_loss(table, node, task, *args)
+            if queued:
+                accumulated_while_queued.append((node, task))
+                want = per_table_refresh(before, table.learning_rate)[0]
+                assert entry.weights.tobytes() == want.tobytes()
+            assert read.setdefault((node, task), entry.weights) is entry.weights
+
+        monkeypatch.setattr(_Run, "run_slot", spy_slot)
+        monkeypatch.setattr(ExpertTable, "refresh_dirty", spy_refresh)
+        monkeypatch.setattr(ExpertTable, "action_probs", spy_probs)
+        monkeypatch.setattr(ExpertTable, "accumulate_loss", spy_accumulate)
+        for policy in ("vr_ly_exp4", "ly_exp4"):
+            refreshed.clear()
+            builds.clear()
+            cfg = small_config(policy=policy)
+            cfg["run"]["total_jobs"] = 2000
+            run_single(cfg, 0)
+            # most tables are read after a refresh; every accumulate follows
+            # a read of its table in its slot, so none finds the table queued
+            assert len(set(builds) & set(refreshed)) > len(refreshed) // 2
+            assert accumulated_while_queued == []
 
 
 class TestLossMatrixBuilds:
@@ -399,6 +437,45 @@ class TestPlacementEpochs:
         run, _, _ = run_with_paths(cfg)
         slots = {slot for slot, _, _ in run.placement_log}
         assert slots == {0}
+
+
+class TestBufferedMetricsRows:
+    POLICIES = ("vr_ly_exp4", "ly_exp4", "vr_local_loss")
+
+    def test_rows_in_order_and_last_entropy_is_final(self, tmp_path, monkeypatch):
+        # a row waits for its slot's mean entropy up to ROW_BUFFER slots;
+        # the file equals one written a slot at a time, as computing every
+        # slot's refreshes at its end does
+        for policy in self.POLICIES:
+            cfg = small_config(policy=policy)
+            run = run_single(cfg, 0, str(tmp_path / policy))
+            assert run.slots_run % hiroute.engine.ROW_BUFFER != 0
+            metrics = (tmp_path / policy / "metrics.csv").read_bytes()
+            _, *rows = list(csv.reader(io.StringIO(metrics.decode("utf-8"))))
+            assert [int(row[0]) for row in rows] == list(range(1, run.slots_run + 1))
+            with open(tmp_path / policy / "summary.json", encoding="utf-8") as fh:
+                final = json.load(fh)["final_mean_entropy"]
+            assert rows[-1][6] == repr(final)
+            with monkeypatch.context() as patch:
+                patch.setattr(hiroute.engine, "ROW_BUFFER", 1)
+                run_single(cfg, 0, str(tmp_path / f"{policy}-1"))
+            assert (tmp_path / f"{policy}-1" / "metrics.csv").read_bytes() == metrics
+
+    def test_no_entropy_backlog_without_output(self, monkeypatch):
+        waiting = []
+        run_slot = _Run.run_slot
+
+        def spy_slot(run, t, jobs):
+            run_slot(run, t, jobs)
+            assert run._rows == []
+            waiting.append(sum(type(item) is _Snapshot for item in run.table._queue))
+
+        monkeypatch.setattr(_Run, "run_slot", spy_slot)
+        for policy in self.POLICIES:
+            waiting.clear()
+            run = run_single(small_config(policy=policy), 0)
+            assert 0 < max(waiting) <= hiroute.engine.ROW_BUFFER
+            assert run.table._queue == []
 
 
 class TestRunExperiment:

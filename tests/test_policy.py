@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from hiroute.policy import (
     ExpertTable,
     add_reduce,
     raw_rows,
+    stacked_weights,
 )
 
 
@@ -23,6 +27,24 @@ def make_table(thresholds=(0.3, 0.7), dests=(1,), eta=0.1, lam=0.1):
 def cum_loss(table, node, task):
     """The cumulative expert losses a table holds at (node, task)."""
     return table._entries[(node, task)].cum_loss
+
+
+def per_table_refresh(losses, learning_rate):
+    """One table's weights and entropy from its cumulative losses alone: the
+    softmax of the negated, scaled losses in stable form, ``axis=None``
+    reductions throughout."""
+    scaled = -learning_rate * losses
+    scaled -= np.maximum.reduce(scaled, axis=None)
+    expd = np.exp(scaled)
+    w = expd / np.add.reduce(expd, axis=None)
+    logs = np.log(w, out=np.zeros(w.shape), where=w > 0)
+    return w, float(-np.add.reduce(w * logs, axis=None))
+
+
+def spanning_losses(rng, count, rows, d):
+    """``count`` tables' losses of shape (rows, d), each on its own scale
+    between 0.1 and 1e5, so that some weights underflow to 0."""
+    return rng.uniform(0, 1, (count, rows, d)) * 10.0 ** rng.uniform(-1, 5, (count, 1, 1))
 
 
 class TestExpertGrid:
@@ -153,6 +175,84 @@ class TestStackedRawRows:
                 dist = table.action_probs(0, task, z)
                 assert dist.cut == cut
                 assert tuple(stacked[task, cut].tolist()) == dist.raw
+
+
+class TestStackedRefresh:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_batch_matches_per_table_formula(self, d):
+        rng = np.random.default_rng(50 + d)
+        underflow = False
+        for count in range(1, 41):
+            rows = int(rng.integers(1, 12))
+            lr = float(10.0 ** rng.uniform(-2, 0))
+            losses = spanning_losses(rng, count, rows, d)
+            weights, entropies = stacked_weights(losses, lr)
+            assert weights.shape == losses.shape and entropies.shape == (count,)
+            for b in range(count):
+                w, h = per_table_refresh(losses[b].copy(), lr)
+                assert weights[b].tobytes() == w.tobytes()
+                assert entropies[b].tobytes() == np.float64(h).tobytes()
+                underflow |= bool((w == 0).any())
+        # the where=w>0 branch of the entropy is exercised
+        assert underflow
+
+    def test_table_batch_matches_per_table_refresh_and_replay(self):
+        # tables of three shapes, each dirtied once over several slots in a
+        # random order, all computed by one batch at the first read: each
+        # table's weights, each slot's mean entropy and the final mean equal
+        # refreshing every dirty table at its slot's end, in dirty order
+        rng = np.random.default_rng(60)
+        grids = {0: ExpertGrid(DEFAULT_THRESHOLDS, (1, 2)), 1: ExpertGrid(DEFAULT_THRESHOLDS, (2,)),
+                 2: ExpertGrid((0.2, 0.6), (3, 4, 5)), 3: ExpertGrid(DEFAULT_THRESHOLDS, (3, 4))}
+        table = ExpertTable(grids, 5, learning_rate=0.3, exploration_rate=0.1)
+        keys = list(table._entries)
+        weights = {key: table.weights(*key) for key in keys}
+        entropy = {key: float(np.log(grids[key[0]].size)) for key in keys}
+        total = reduce(add, entropy.values(), 0.0)
+        order = rng.permutation(len(keys)).tolist()
+        cuts = sorted(rng.integers(0, len(keys), 7).tolist())
+        slot_ends, means = [], []
+        for start, stop in zip([0, *cuts], [*cuts, len(keys)]):
+            dirty = [keys[i] for i in order[start:stop]]
+            for node, task in dirty:
+                table.accumulate_loss(node, task, 0, 0.0,
+                                      spanning_losses(rng, 1, *grids[node].shape)[0])
+            for key in dirty:
+                weights[key], h = per_table_refresh(cum_loss(table, *key).copy(), 0.3)
+                total -= entropy[key]
+                entropy[key] = h
+                total += h
+            slot_ends.append(table.refresh_dirty())
+            means.append(total / len(keys))
+        assert len(table._queue) == len(keys) + len(slot_ends)
+        table.weights(*keys[order[-1]])
+        assert not table._queue
+        for key in keys:
+            assert table.weights(*key).tobytes() == weights[key].tobytes()
+        assert [end.value for end in slot_ends] == means
+        assert table.mean_entropy() == means[-1]
+
+    def test_accumulate_on_queued_table_computes_it_first(self):
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2), eta=0.5)
+        rng = np.random.default_rng(61)
+        first, second = rng.exponential(3.0, (2, 11, 2))
+        table.accumulate_loss(0, 0, 0, 0.0, first)
+        table.refresh_dirty()
+        snapshot = table._entries[(0, 0)].snapshot
+        assert table._entries[(0, 0)].weights is None and snapshot.value is None
+        table.accumulate_loss(0, 0, 0, 0.0, second)
+        want, _ = per_table_refresh(first, 0.5)
+        assert snapshot.value.tobytes() == want.tobytes()
+        table.refresh_dirty()
+        want_next, _ = per_table_refresh(first + second, 0.5)
+        assert table.weights(0, 0).tobytes() == want_next.tobytes()
+        # the earlier snapshot keeps its weights
+        assert snapshot.value.tobytes() == want.tobytes()
+
+    def test_empty_slot_end_holds_the_current_mean(self):
+        table = make_table(thresholds=DEFAULT_THRESHOLDS, dests=(1, 2))
+        assert table.refresh_dirty().value == table.mean_entropy()
+        assert not table._queue
 
 
 class TestDistributionCache:

@@ -95,3 +95,25 @@ def test_stacked_raw_rows_checked_bit_for_bit(monkeypatch):
     result = check_distribution_build()
     assert not result.passed
     assert "stacked raw row" in result.detail
+
+
+def test_stacked_weights_checked_bit_for_bit(monkeypatch):
+    # one table's weight or entropy one ulp off in a stacked refresh fails
+    # the distribution-build check
+    stacked_weights = policy.stacked_weights
+
+    for part in ("weights", "entropy"):
+        def one_ulp_off(losses, learning_rate):
+            weights, entropies = stacked_weights(losses, learning_rate)
+            if part == "weights":
+                weights[-1].flat[-1] = np.nextafter(weights[-1].flat[-1], np.inf)
+            else:
+                entropies[-1] = np.nextafter(entropies[-1], np.inf)
+            return weights, entropies
+
+        with monkeypatch.context() as patch:
+            patch.setattr(policy, "stacked_weights", one_ulp_off)
+            result = check_distribution_build()
+        assert not result.passed
+        assert "per-table formula" in result.detail
+    assert check_distribution_build().passed
