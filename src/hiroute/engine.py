@@ -743,12 +743,14 @@ class _Run:
             if self.learning:
                 records[node] = record = self._evaluate(job, node, noise)
                 action = record[1].sample(self.rng_route)
+                if action == 0:
+                    return path, record[0], records
             else:
                 action = static_action(
                     self.static_cfg, node, len(self.dests[node]), self.rng_route
                 )
-            if action == 0:
-                return path, inference_error(job, self.selected[node][task]), records
+                if action == 0:
+                    return path, inference_error(job, self.selected[node][task]), records
             node = self.dests[node][action - 1]
 
     def _learn_from(

@@ -1,12 +1,12 @@
-"""Self-checks that back ``hiroute validate`` and finish in seconds.
+"""Self-checks that back ``hiroute validate`` and finish in under a second.
 
 ``distribution-build`` and ``arrival-draws`` guard bits numpy does not
 promise (its summation order, its generator stream), so a user reruns them
-after a numpy upgrade. ``loss-sweep`` holds the only enumeration of every
-route through branching hierarchies. The paper's other properties
-(unbiasedness, variance ordering, weight simplex, submodularity, greedy
-quality) are checked by the test suite alone. Each check enumerates its
-expectation instead of recomputing it through the code under test.
+after a numpy upgrade; the tests take their references from here.
+``loss-sweep`` holds the only enumeration of every route through branching
+hierarchies. The paper's other properties (unbiasedness, variance ordering,
+weight simplex, submodularity, greedy quality) are checked by the test
+suite alone. Each check enumerates its expectation, not the code under test.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _refreshed(losses: np.ndarray, learning_rate: float) -> tuple[np.ndarray, float]:
+def per_table_refresh(losses: np.ndarray, learning_rate: float) -> tuple[np.ndarray, float]:
     """One table's weights and entropy by the per-table formula: the softmax
     of its negated, scaled losses in stable form, reduced with ``axis=None``."""
     scaled = -learning_rate * losses
@@ -39,26 +39,34 @@ def _refreshed(losses: np.ndarray, learning_rate: float) -> tuple[np.ndarray, fl
     return w, float(-np.add.reduce(w * logs, axis=None))
 
 
+def spanning_losses(rng: np.random.Generator, count: int, rows: int, d: int) -> np.ndarray:
+    """``count`` tables' losses of shape (rows, d), each on its own scale
+    between 0.1 and 1e5, so that some weights underflow to 0."""
+    return rng.uniform(0, 1, (count, rows, d)) * 10.0 ** rng.uniform(-1, 5, (count, 1, 1))
+
+
 def check_distribution_build(grids: int = 60) -> CheckResult:
     """Weight refreshes and action distributions keep numpy's bits.
 
-    On random tables of 1-20 destinations and 1-11 thresholds, every cut's
+    On random tables of 1-20 destinations, 1-11 thresholds, exploration
+    rates up to 0.75 and Dirichlet weights near 0 (α 0.02-1), every cut's
     ``raw``, ``mixed`` and ``cdf`` equal numpy's two reductions,
     ``(1 - λ) * raw + λ / n`` and ``cumsum(mixed / add.reduce(mixed))`` over
     its last entry, and :func:`policy.raw_rows` over three tables of one
     shape stacked gives every cut's ``raw`` too. :func:`policy.stacked_weights`
-    over 1-40 stacked tables with losses up to 1e5, where weights underflow
-    to 0, gives each table's weights and entropy by the per-table formula.
+    over 1-40 stacked tables with losses up to 1e5 gives each table's weights
+    and entropy by the per-table formula, and some weights must underflow to 0.
     numpy does not promise its summation order; a numpy that changes it
     fails here."""
     rng = np.random.default_rng(13)
     for _ in range(grids):
         d, rows = int(rng.integers(1, 21)), int(rng.integers(1, 12))
-        lam = float(rng.uniform(0.01, 0.5))
+        lam = float(rng.uniform(0.01, 0.75))
         thresholds = tuple(np.sort(rng.choice(101, rows, replace=False) / 100).tolist())
         table = ExpertTable({0: ExpertGrid(thresholds, tuple(range(d)))}, 3, 1.0, lam)
-        for task in range(3):
-            table.accumulate_loss(0, task, 0, 0.0, rng.exponential(8.0, (rows, d)))
+        for task, alpha in enumerate((0.02, 0.3, 1.0)):
+            target = np.maximum(rng.dirichlet(np.full(rows * d, alpha)), 1e-300)
+            table.accumulate_loss(0, task, 0, 0.0, -np.log(target).reshape(rows, d))
         table.refresh_dirty()
         stacked = policy.raw_rows(np.stack([table.weights(0, task) for task in range(3)]))
         for task in range(3):
@@ -78,17 +86,21 @@ def check_distribution_build(grids: int = 60) -> CheckResult:
                     return CheckResult("distribution-build", False,
                                        f"{d} destinations, cut {cut}: stacked raw row "
                                        "differs from numpy")
+    underflow = False
     for _ in range(grids):
         count, rows, d = (int(rng.integers(1, n)) for n in (41, 12, 17))
         lr = float(10.0 ** rng.uniform(-2, 0))
-        losses = rng.uniform(0, 1, (count, rows, d)) * 10.0 ** rng.uniform(-1, 5, (count, 1, 1))
+        losses = spanning_losses(rng, count, rows, d)
         weights, entropies = policy.stacked_weights(losses, lr)
         for b in range(count):
-            w, h = _refreshed(losses[b], lr)
+            w, h = per_table_refresh(losses[b], lr)
             if weights[b].tobytes() != w.tobytes() or float(entropies[b]) != h:
                 return CheckResult("distribution-build", False,
                                    f"{d} destinations, table {b} of {count}: stacked "
                                    "weights differ from the per-table formula")
+        underflow |= not weights.all()
+    if not underflow:
+        return CheckResult("distribution-build", False, "no stacked weight underflowed to 0")
     return CheckResult("distribution-build", True,
                        f"{grids} random grids of 3 tables, every cut, and {grids} "
                        "random stacks of 1-40 tables, clean")

@@ -24,6 +24,7 @@ from hiroute.losses import DownstreamLossOracle
 from hiroute.placement import Placement
 from hiroute.policy import ExpertGrid, ExpertTable, _Snapshot
 from hiroute.topology import build_topology
+from hiroute.validation import per_table_refresh
 from hiroute.workload import (
     Job,
     Workload,
@@ -33,7 +34,7 @@ from hiroute.workload import (
     inference_error,
     select_model,
 )
-from tests.test_policy import cum_loss, per_table_refresh
+from tests.test_policy import cum_loss
 
 
 def expert_sums(tracker):

@@ -10,9 +10,8 @@ from hiroute.policy import (
     ExpertGrid,
     ExpertTable,
     add_reduce,
-    raw_rows,
-    stacked_weights,
 )
+from hiroute.validation import per_table_refresh, spanning_losses
 
 
 # accumulate_loss(node, task, 0, 0.0, matrix) adds a full matrix: with cut 0
@@ -27,24 +26,6 @@ def make_table(thresholds=(0.3, 0.7), dests=(1,), eta=0.1, lam=0.1):
 def cum_loss(table, node, task):
     """The cumulative expert losses a table holds at (node, task)."""
     return table._entries[(node, task)].cum_loss
-
-
-def per_table_refresh(losses, learning_rate):
-    """One table's weights and entropy from its cumulative losses alone: the
-    softmax of the negated, scaled losses in stable form, ``axis=None``
-    reductions throughout."""
-    scaled = -learning_rate * losses
-    scaled -= np.maximum.reduce(scaled, axis=None)
-    expd = np.exp(scaled)
-    w = expd / np.add.reduce(expd, axis=None)
-    logs = np.log(w, out=np.zeros(w.shape), where=w > 0)
-    return w, float(-np.add.reduce(w * logs, axis=None))
-
-
-def spanning_losses(rng, count, rows, d):
-    """``count`` tables' losses of shape (rows, d), each on its own scale
-    between 0.1 and 1e5, so that some weights underflow to 0."""
-    return rng.uniform(0, 1, (count, rows, d)) * 10.0 ** rng.uniform(-1, 5, (count, 1, 1))
 
 
 class TestExpertGrid:
@@ -110,17 +91,6 @@ class TestActionProbs:
                 assert dist.mixed == tuple(mixed.tolist())
 
 
-def numpy_build(w, cut, lam):
-    """raw, mixed and the sampling CDF by numpy's formula, as lists"""
-    raw = np.empty(w.shape[1] + 1)
-    raw[0] = np.add.reduce(w[:cut], axis=None)
-    raw[1:] = np.add.reduce(w[cut:], axis=0)
-    mixed = (1.0 - lam) * raw + lam / len(raw)
-    cdf = (mixed / np.add.reduce(mixed)).cumsum()
-    cdf /= cdf[-1]
-    return raw.tolist(), mixed.tolist(), cdf.tolist()
-
-
 class TestBuildBits:
     def test_add_reduce_matches_numpy_at_every_length(self):
         rng = np.random.default_rng(30)
@@ -129,73 +99,7 @@ class TestBuildBits:
                 values = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-15, 8, n)
                 assert add_reduce(values.tolist()) == np.add.reduce(values), n
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 16])
-    def test_build_matches_numpy_formula(self, d):
-        # Dirichlet weights with entries near 0, every cut, several rates
-        rng = np.random.default_rng(31 + d)
-        rows = len(DEFAULT_THRESHOLDS)
-        for lam in (0.01, 0.07, 0.1, 0.3, 0.75):
-            table = make_table(DEFAULT_THRESHOLDS, tuple(range(1, d + 1)), eta=1.0, lam=lam)
-            for alpha in (0.02, 0.3, 1.0):
-                target = np.maximum(rng.dirichlet(np.full(rows * d, alpha)), 1e-300)
-                table.accumulate_loss(0, 0, 0, 0.0, -np.log(target).reshape(rows, d))
-                table.refresh_dirty()
-                w = table.weights(0, 0)
-                for cut in range(rows + 1):
-                    z = DEFAULT_THRESHOLDS[cut - 1] if cut else -1.0
-                    dist = table.action_probs(0, 0, z)
-                    raw, mixed, cdf = numpy_build(w, cut, lam)
-                    assert dist.cut == cut
-                    assert dist.raw == tuple(raw)
-                    assert dist.mixed == tuple(mixed)
-                    assert dist.cdf == tuple(cdf)
-
-
-class TestStackedRawRows:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 16])
-    def test_every_cut_matches_the_build(self, d):
-        # Dirichlet weights with entries near 0: one table per task, stacked,
-        # reduced at every cut at once, give each table's distributions'
-        # raw rows bit for bit
-        rng = np.random.default_rng(41 + d)
-        rows = len(DEFAULT_THRESHOLDS)
-        tasks = 6
-        grid = ExpertGrid(DEFAULT_THRESHOLDS, tuple(range(1, d + 1)))
-        table = ExpertTable({0: grid}, tasks, learning_rate=1.0, exploration_rate=0.1)
-        for task in range(tasks):
-            alpha = (0.02, 0.3, 1.0)[task % 3]
-            target = np.maximum(rng.dirichlet(np.full(rows * d, alpha)), 1e-300)
-            table.accumulate_loss(0, task, 0, 0.0, -np.log(target).reshape(rows, d))
-        table.refresh_dirty()
-        stacked = raw_rows(np.stack([table.weights(0, task) for task in range(tasks)]))
-        assert stacked.shape == (tasks, rows + 1, d + 1)
-        for task in range(tasks):
-            for cut in range(rows + 1):
-                z = DEFAULT_THRESHOLDS[cut - 1] if cut else -1.0
-                dist = table.action_probs(0, task, z)
-                assert dist.cut == cut
-                assert tuple(stacked[task, cut].tolist()) == dist.raw
-
-
 class TestStackedRefresh:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    def test_batch_matches_per_table_formula(self, d):
-        rng = np.random.default_rng(50 + d)
-        underflow = False
-        for count in range(1, 41):
-            rows = int(rng.integers(1, 12))
-            lr = float(10.0 ** rng.uniform(-2, 0))
-            losses = spanning_losses(rng, count, rows, d)
-            weights, entropies = stacked_weights(losses, lr)
-            assert weights.shape == losses.shape and entropies.shape == (count,)
-            for b in range(count):
-                w, h = per_table_refresh(losses[b].copy(), lr)
-                assert weights[b].tobytes() == w.tobytes()
-                assert entropies[b].tobytes() == np.float64(h).tobytes()
-                underflow |= bool((w == 0).any())
-        # the where=w>0 branch of the entropy is exercised
-        assert underflow
-
     def test_table_batch_matches_per_table_refresh_and_replay(self):
         # tables of three shapes, each dirtied once over several slots in a
         # random order, all computed by one batch at the first read: each

@@ -3,6 +3,7 @@ from functools import reduce
 from operator import add
 
 import numpy as np
+import pytest
 
 from hiroute import policy, validation
 from hiroute.validation import (
@@ -14,19 +15,32 @@ from hiroute.validation import (
 from hiroute.workload import MASK32, RawWords
 
 
-def test_all_checks_pass_clean():
-    results = run_property_suite()
-    assert all(r.passed for r in results), [r for r in results if not r.passed]
-
-
-def test_suite_is_fast():
+@pytest.fixture(scope="module")
+def clean_run():
+    """The one clean run of the suite: each check's result by name, and the
+    seconds the run took."""
     start = time.monotonic()
-    run_property_suite()
-    assert time.monotonic() - start < 30.0
+    results = run_property_suite()
+    return {r.name: r for r in results}, time.monotonic() - start
 
 
-def test_distribution_build_checked_bit_for_bit():
-    assert check_distribution_build().passed
+def test_all_checks_pass_clean(clean_run):
+    results, _ = clean_run
+    assert list(results) == ["distribution-build", "arrival-draws", "loss-sweep"]
+    assert all(r.passed for r in results.values()), [
+        r for r in results.values() if not r.passed
+    ]
+
+
+def test_suite_is_fast(clean_run):
+    # the suite takes well under a second
+    _, seconds = clean_run
+    assert seconds < 5.0
+
+
+def test_distribution_build_checked_bit_for_bit(clean_run):
+    results, _ = clean_run
+    assert results["distribution-build"].passed
 
 
 def left_to_right_total(values):
@@ -77,9 +91,10 @@ def test_batched_sweep_checked_bit_for_bit(monkeypatch):
     assert "batched offload cost" in result.detail
 
 
-def test_individual_checks():
-    assert check_arrival_draws().passed
-    assert check_loss_sweep().passed
+def test_individual_checks(clean_run):
+    results, _ = clean_run
+    assert results["arrival-draws"].passed
+    assert results["loss-sweep"].passed
 
 
 def test_stacked_raw_rows_checked_bit_for_bit(monkeypatch):
@@ -117,3 +132,35 @@ def test_stacked_weights_checked_bit_for_bit(monkeypatch):
         assert not result.passed
         assert "per-table formula" in result.detail
     assert check_distribution_build().passed
+
+
+def test_entropy_of_underflowed_weights_checked(monkeypatch):
+    # log(0) is -inf and 0 * -inf NaN: an entropy over every weight, not
+    # only the nonzero ones, is NaN on the stacks that underflow, and NaN
+    # differs from the per-table formula's entropy
+    stacked_weights = policy.stacked_weights
+
+    def every_weight(losses, learning_rate):
+        weights, _ = stacked_weights(losses, learning_rate)
+        w = weights.reshape(len(weights), -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return weights, -np.add.reduce(w * np.log(w), axis=1)
+
+    monkeypatch.setattr(policy, "stacked_weights", every_weight)
+    result = check_distribution_build()
+    assert not result.passed
+    assert "per-table formula" in result.detail
+
+
+def test_bound_one_reading_a_word_is_caught(monkeypatch):
+    # integers(1) draws nothing, so a bound-1 draw that reads a word shifts
+    # every later draw of the interleaved stream
+    below = RawWords.below
+
+    def reads_a_word(words, n):
+        if n == 1:
+            words.word()
+        return below(words, n)
+
+    monkeypatch.setattr(RawWords, "below", reads_a_word)
+    assert not check_arrival_draws().passed

@@ -10,7 +10,6 @@ from hiroute.workload import (
     UNIT,
     ErrorTable,
     Job,
-    RawWords,
     Workload,
     TraceFormatError,
     best_loaded_accuracy,
@@ -309,29 +308,6 @@ class TestArrivalStream:
         for p, cut in zip(ps, word_cuts(ps)):
             assert (cut >> 11) * UNIT >= p
             assert cut == 0 or ((cut - 1) >> 11) * UNIT < p
-
-    @pytest.mark.parametrize("bound", [1, 2, 3, 5, (1 << 31) + 12345, 3 << 30, (1 << 32) - 1])
-    def test_bounded_draw_equals_integers(self, bound):
-        # interleaved with random(); a bound of 1 draws nothing, and at
-        # 2**31 + 12345 about half the halves are rejected, so a draw takes
-        # about a word where it takes half a word without rejections
-        draws = fresh = 0
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            words = RawWords(np.random.default_rng(seed).bit_generator)
-            plan = np.random.default_rng(500 + seed).integers(0, 3, 300)
-            for step in plan:
-                if step:
-                    assert words.below(bound) == int(rng.integers(bound))
-                else:
-                    assert (words.word() >> 11) * UNIT == rng.random()
-            doubles = int((plan == 0).sum())
-            draws += len(plan) - doubles
-            fresh += len(words.block) - doubles
-        if bound == 1:
-            assert fresh == 0
-        if bound == (1 << 31) + 12345:
-            assert fresh > 0.8 * draws
 
 
 class TestDirichletMixtures:
