@@ -377,8 +377,8 @@ def resolve_learning_rate(cfg: Mapping[str, Any], max_grid_size: int) -> float:
 
 class _Lazy(dict):
     """``fn(before, key, after)`` per key, computed on the key's first lookup:
-    per task index, a node's best-loaded accuracy or selected model column;
-    per node index, a job's :data:`NodeRecord`."""
+    per task index, a loaded set's best-loaded accuracy or selected model
+    column; per node index, a job's :data:`NodeRecord`."""
 
     __slots__ = ("fn", "before", "after")
 
@@ -424,6 +424,10 @@ class _Run:
         self.placement = Placement(loaded=[frozenset()] * topo.num_nodes)
         # (epoch slot, node index, loaded columns) per node and epoch
         self.placement_log: list[tuple[int, int, frozenset[int]]] = []
+        # greedy_onload's result per (budget, previous columns, mixture
+        # bytes), and the accuracy and selected-model lookups per loaded set
+        self._greedy_memo: dict[tuple[float, frozenset[int], bytes], frozenset[int]] = {}
+        self._lookups: dict[frozenset[int], tuple[_Lazy, _Lazy]] = {}
         self._new_histogram()
         self._first_epoch_done = False
 
@@ -525,15 +529,24 @@ class _Run:
 
     # ---- placement ------------------------------------------------------
     def maybe_onload(self, t: int) -> None:
+        """At a placement epoch's first slot, log the baselines' state and,
+        for the greedy strategy, re-plan every non-terminal node.
+
+        ``greedy_onload`` is a pure function of the node's budget, previous
+        columns and mixture, and of the error table and switch penalty, which
+        are fixed for the run; so its result is kept per (budget, previous,
+        mixture bytes) and a repeated input reuses it. Inputs repeat where a
+        node's plan has settled on a fixed point under a fixed mixture: an
+        entry node's arrival mixture, or the uniform mixture of a node that
+        saw no arrivals. Mixtures all have one float per task, so equal
+        bytes mean equal values."""
         if t % self.epoch_slots == 1 and self.baselines is not None and t > 1:
             self.baseline_epoch_log.append({
                 "slot": t,
                 "mean_local_error_estimate": self.baselines.mean_local_error(),
                 "condition_violations": self.baselines.condition_violations,
             })
-        if self.placement_kind != "greedy":
-            return
-        if t % self.epoch_slots != 1:
+        if self.placement_kind != "greedy" or t % self.epoch_slots != 1:
             return
         everything = frozenset(range(len(self.error_table.model_ids)))
         new_loaded: list[frozenset[int]] = []
@@ -541,13 +554,13 @@ class _Run:
             if i in self.terminal:
                 new_loaded.append(frozenset())
                 continue
-            ctx = PlacementContext(
-                mixture=self._mixture_for(i),
-                error_table=self.error_table,
-                switch_penalty=self.switch_penalty,
-                previous=self.placement.loaded[i] if self._first_epoch_done else everything,
-            )
-            chosen = greedy_onload(ctx, budget)
+            previous = self.placement.loaded[i] if self._first_epoch_done else everything
+            mixture = self._mixture_for(i)
+            key = (budget, previous, mixture.tobytes())
+            chosen = self._greedy_memo.get(key)
+            if chosen is None:
+                ctx = PlacementContext(mixture, self.error_table, self.switch_penalty, previous)
+                chosen = self._greedy_memo[key] = greedy_onload(ctx, budget)
             new_loaded.append(chosen)
             self.placement_log.append((t, i, chosen))
         self.placement = Placement(loaded=new_loaded)
@@ -559,12 +572,18 @@ class _Run:
     def _index_placement(self) -> None:
         """Best-loaded accuracy and selected model per (node, task), for the
         current placement: a job's confidence centre and local error at a
-        node depend only on these and on the job's own draws. Each entry is
-        computed on its first lookup in the epoch."""
+        node depend only on these and on the job's own draws. Both are
+        functions of the task and the node's loaded set alone, the error
+        table being fixed for the run, so one pair of lookups serves every
+        node and epoch with that loaded set; each entry is computed on its
+        first lookup in the run."""
         table = self.error_table
         loaded = self.placement.loaded
-        self.accuracy = [_Lazy(best_loaded_accuracy, table, m) for m in loaded]
-        self.selected = [_Lazy(select_model, table, m) for m in loaded]
+        lookups = self._lookups
+        for m in set(loaded).difference(lookups):
+            lookups[m] = (_Lazy(best_loaded_accuracy, table, m), _Lazy(select_model, table, m))
+        self.accuracy = [lookups[m][0] for m in loaded]
+        self.selected = [lookups[m][1] for m in loaded]
         # the epoch as the regret log takes it
         self.placement_tables = (self.accuracy, self.selected)
 

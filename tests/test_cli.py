@@ -373,7 +373,11 @@ def status_lines(out):
 
 
 class TestCmdValidate:
-    def test_clean_build_passes(self, capsys):
+    def test_clean_build_passes(self, capsys, monkeypatch, property_suite):
+        # the command prints the session's one clean run of the suite, which
+        # tests/test_validation.py checks; test_injected_bug_detected runs
+        # the suite itself through the command
+        monkeypatch.setattr(cli, "run_property_suite", lambda: property_suite[0])
         assert main(["validate"]) == 0
         assert status_lines(capsys.readouterr().out) == [
             "PASS  distribution-build", "PASS  arrival-draws", "PASS  loss-sweep",

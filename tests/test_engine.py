@@ -395,15 +395,16 @@ class TestPlacementTables:
         assert None in run.selected[1].values()
 
     def test_entries_built_on_first_lookup_through_engine_names(self, monkeypatch):
-        # each epoch's entries come from engine.best_loaded_accuracy and
+        # each loaded set's entries come from engine.best_loaded_accuracy and
         # engine.select_model, the names the benchmark tracer wraps, and only
-        # once a job looks them up
-        run = _Run(small_config(), 0, None)
+        # once a job looks them up; the run keeps them per loaded set, so the
+        # names are patched before the run builds its first lookups
         calls = []
         monkeypatch.setattr(hiroute.engine, "best_loaded_accuracy",
                             lambda *args: calls.append("accuracy") or 0.5)
         monkeypatch.setattr(hiroute.engine, "select_model",
                             lambda *args: calls.append("model") or 5)
+        run = _Run(small_config(), 0, None)
         run._index_placement()
         assert calls == []
         task = 3
@@ -411,6 +412,30 @@ class TestPlacementTables:
             assert run.accuracy[2][task] == 0.5
             assert run.selected[2][task] == 5
         assert calls == ["accuracy", "model"]
+        # a second index over the same loaded sets builds nothing anew, at
+        # any node that shares the set
+        run._index_placement()
+        for node in range(len(run.node_ids)):
+            assert run.accuracy[node][task] == 0.5
+            assert run.selected[node][task] == 5
+        assert calls == ["accuracy", "model"]
+        # a node given a new loaded set builds its entry once, on first lookup
+        loaded = list(run.placement.loaded)
+        loaded[2] = frozenset({0, 1})
+        run.placement = Placement(loaded=loaded)
+        run._index_placement()
+        assert calls == ["accuracy", "model"]
+        for _ in range(3):
+            assert run.accuracy[2][task] == 0.5
+            assert run.selected[2][task] == 5
+        assert calls == ["accuracy", "model"] * 2
+
+
+class Forgetful(dict):
+    """A memo that keeps nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
 
 
 class TestPlacementEpochs:
@@ -438,6 +463,54 @@ class TestPlacementEpochs:
         run, _, _ = run_with_paths(cfg)
         slots = {slot for slot, _, _ in run.placement_log}
         assert slots == {0}
+
+    @pytest.mark.parametrize("policy", ["random", "vr_ly_exp4"])
+    def test_memoised_epochs_match_recomputing_every_epoch(self, monkeypatch, policy):
+        # a depth-5 run over a dozen epochs writes the bytes of a run whose
+        # every epoch calls greedy_onload at every node and builds fresh
+        # lookups, yet calls it less often: entry mixtures are fixed, and a
+        # node without arrivals plans for the uniform mixture. Below the
+        # default penalty a node's previous columns change its choice, so a
+        # memo key without them would change the bytes
+        cfg = small_config(policy=policy)
+        cfg["topology"]["layer_sizes"] = [16, 8, 4, 2, 1]
+        cfg["topology"]["memory_budgets"] = BUDGETS[16, 8, 4, 2, 1]
+        cfg["placement"]["epoch_slots"] = 40
+        cfg["placement"]["switch_penalty"] = 0.02
+        greedy_onload = hiroute.engine.greedy_onload
+        calls = []
+        monkeypatch.setattr(hiroute.engine, "greedy_onload",
+                            lambda *args: calls.append(1) or greedy_onload(*args))
+
+        def outputs():
+            calls.clear()
+            with tempfile.TemporaryDirectory() as out:
+                run = run_single(cfg, 0, out)
+                files = {}
+                for name in ("metrics.csv", "placements.csv", "summary.json"):
+                    with open(os.path.join(out, name), "rb") as fh:
+                        files[name] = fh.read()
+            return run, files, len(calls)
+
+        run, memoised, memo_calls = outputs()
+        maybe_onload, index_placement = _Run.maybe_onload, _Run._index_placement
+
+        def onload_afresh(self, t):
+            self._greedy_memo = Forgetful()
+            maybe_onload(self, t)
+
+        def index_afresh(self):
+            self._lookups = {}
+            index_placement(self)
+
+        monkeypatch.setattr(_Run, "maybe_onload", onload_afresh)
+        monkeypatch.setattr(_Run, "_index_placement", index_afresh)
+        _, recomputed, all_calls = outputs()
+        assert memoised == recomputed
+        epochs = len({slot for slot, _, _ in run.placement_log})
+        assert epochs >= 10
+        assert all_calls == epochs * (len(run.node_ids) - len(run.terminal))
+        assert memo_calls < all_calls
 
 
 class TestBufferedMetricsRows:

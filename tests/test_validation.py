@@ -1,4 +1,3 @@
-import time
 from functools import reduce
 from operator import add
 
@@ -10,18 +9,16 @@ from hiroute.validation import (
     check_arrival_draws,
     check_distribution_build,
     check_loss_sweep,
-    run_property_suite,
 )
 from hiroute.workload import MASK32, RawWords
 
 
 @pytest.fixture(scope="module")
-def clean_run():
-    """The one clean run of the suite: each check's result by name, and the
-    seconds the run took."""
-    start = time.monotonic()
-    results = run_property_suite()
-    return {r.name: r for r in results}, time.monotonic() - start
+def clean_run(property_suite):
+    """The session's one clean run of the suite: each check's result by
+    name, and the seconds the run took."""
+    results, seconds = property_suite
+    return {r.name: r for r in results}, seconds
 
 
 def test_all_checks_pass_clean(clean_run):
