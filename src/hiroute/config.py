@@ -161,6 +161,8 @@ def _validate_workload(w: Mapping, prefix: str) -> None:
     for i, m in enumerate(pool):
         _check(isinstance(m, dict), f"{prefix}.model_pool[{i}]", "must be an object")
         _check_keys(m, DEFAULT_MODEL_POOL[0], f"{prefix}.model_pool[{i}]")
+        _check(isinstance(m["id"], str) and m["id"], f"{prefix}.model_pool[{i}].id",
+               "must be a non-empty string")
         _check(m["id"] not in seen, f"{prefix}.model_pool[{i}].id", "duplicate id")
         seen.add(m["id"])
         _check(_is_number(m["size"]) and m["size"] > 0,
@@ -287,6 +289,8 @@ def load_config(path: str) -> dict[str, Any]:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return merge_config(raw)

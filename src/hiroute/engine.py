@@ -148,9 +148,6 @@ class RegretTracker:
                                  np.zeros((len(nodes) * self.num_tasks, 1 + rows * len(targets)))))
         # each visited key's row, in first-visit order
         self._sums: dict[tuple[int, int], np.ndarray] = {}
-        # per placement epoch of the last settle, by id: the epoch, which
-        # keeps the id its own, and its accuracy and selected-column arrays
-        self._epoch_arrays: dict[int, tuple[Any, np.ndarray, np.ndarray]] = {}
         self.jobs_seen = 0
         self.curve_gamma: list[int] = []
         self.curve_entry: list[float] = []
@@ -163,7 +160,7 @@ class RegretTracker:
         self._tasks: list[int] = []
         self._hop_costs: list[float] = []
         self._queues: list[tuple[float, ...]] = []
-        self._epochs: list[tuple[Sequence, Sequence]] = []
+        self._epochs: list[tuple[np.ndarray, np.ndarray]] = []
         self._noise: list[float] = []
         self._bits: list[int] = []
         self._paths: list[int] = []
@@ -174,7 +171,7 @@ class RegretTracker:
 
     def add(
         self, task: int, path: list[int], noise: list[float], bits: Sequence[int],
-        hop_cost: float, queue: tuple[float, ...], epoch: tuple[Sequence, Sequence],
+        hop_cost: float, queue: tuple[float, ...], epoch: tuple[np.ndarray, np.ndarray],
     ) -> None:
         """Log one job: its task, node path, unit confidence noise by node
         index, correctness bits by model column, hop cost, slot-start queue
@@ -182,9 +179,10 @@ class RegretTracker:
         snapshot for its task. Each refresh makes a new snapshot, and the
         batch that computes it fills it with an array nobody writes into, so
         a snapshot taken before the slot's refresh holds the slot-start
-        weights once computed. ``epoch`` is the best-loaded accuracy
-        and the selected model column (None for none) per node index, then
-        task index. Neither ``queue`` nor ``epoch`` may change afterwards;
+        weights once computed. ``epoch`` is a pair of arrays indexed by node
+        index, then task index: the best-loaded accuracy and the selected
+        model column, -1 for none, which reads the zero column appended to
+        the bits. Neither ``queue`` nor ``epoch`` may change afterwards;
         jobs of one slot share the one, jobs of one placement epoch the
         other."""
         self._tasks.append(task)
@@ -206,13 +204,7 @@ class RegretTracker:
         and ``1 - bit`` of the selected column, or 1 where none is."""
         n = len(self.dests)
         epochs, epoch_of = _distinct(self._epochs)
-        cached = self._epoch_arrays
-        self._epoch_arrays = {
-            id(epoch): cached.get(id(epoch)) or (epoch, *self._epoch_tables(epoch))
-            for epoch in epochs
-        }
-        _, accuracy, selected = zip(*self._epoch_arrays.values())
-        accuracy, selected = np.stack(accuracy), np.stack(selected)
+        accuracy, selected = map(np.stack, zip(*epochs))
         at = (epoch_of[:, None], np.arange(n), tasks[:, None])
         noise = _floats(self._noise).reshape(jobs_logged, n)
         z = np.clip(accuracy[at] + self.noise_std * noise, 0.0, 1.0)
@@ -222,18 +214,6 @@ class RegretTracker:
         bits[:, :models] = np.frombuffer(bytes(self._bits), np.uint8).reshape(jobs_logged, -1)
         errors = 1.0 - bits[np.arange(jobs_logged)[:, None], selected[at]]
         return cuts, errors
-
-    def _epoch_tables(self, epoch: tuple[Sequence, Sequence]) -> tuple[np.ndarray, np.ndarray]:
-        """A placement epoch's best-loaded accuracy and selected model
-        column per node index, then task index; a missing column is -1,
-        which reads the zero column appended to the bits."""
-        nodes, every = range(len(self.dests)), range(self.num_tasks)
-        accuracy, selected = epoch
-        return (
-            np.array([[accuracy[node][t] for t in every] for node in nodes]),
-            np.array([[-1 if (c := selected[node][t]) is None else c for t in every]
-                      for node in nodes]),
-        )
 
     def settle(self) -> None:
         """Add every logged job's losses to the sums and empty the log."""
@@ -375,24 +355,6 @@ def resolve_learning_rate(cfg: Mapping[str, Any], max_grid_size: int) -> float:
     return base * scale
 
 
-class _Lazy(dict):
-    """``fn(before, key, after)`` per key, computed on the key's first lookup:
-    per task index, a loaded set's best-loaded accuracy or selected model
-    column; per node index, a job's :data:`NodeRecord`."""
-
-    __slots__ = ("fn", "before", "after")
-
-    def __init__(self, fn, before, after) -> None:
-        super().__init__()
-        self.fn = fn
-        self.before = before
-        self.after = after
-
-    def __missing__(self, key: int):
-        value = self[key] = self.fn(self.before, key, self.after)
-        return value
-
-
 class _Run:
     """All mutable state for one (config, seed) simulation."""
 
@@ -400,6 +362,7 @@ class _Run:
         self.seed = seed
         self.policy = cfg["policy"]
         self.learning = self.policy in LEARNING_KINDS
+        self.record_regret = bool(cfg["run"]["record_regret"]) and self.learning
         topo = self.topo = build_topology(**cfg["topology"])
         self.workload = build_workload(cfg, topo, seed)
         self.error_table = self.workload.error_table
@@ -427,9 +390,8 @@ class _Run:
         # greedy_onload's result per (budget, previous columns, mixture
         # bytes), and the accuracy and selected-model lookups per loaded set
         self._greedy_memo: dict[tuple[float, frozenset[int], bytes], frozenset[int]] = {}
-        self._lookups: dict[frozenset[int], tuple[_Lazy, _Lazy]] = {}
+        self._lookups: dict[frozenset[int], tuple[list[float], list[int | None]]] = {}
         self._new_histogram()
-        self._first_epoch_done = False
 
         if self.placement_kind in ("random_fixed", "layer_diverse"):
             self.placement = baseline_placement(
@@ -446,7 +408,6 @@ class _Run:
         self.baselines: BaselineTable | None = None
         self.static_cfg: StaticPolicyConfig | None = None
         self.regret: RegretTracker | None = None
-        self.record_regret = bool(cfg["run"]["record_regret"]) and self.learning
         if self.learning:
             self.variant = variant_flags(self.policy)
             thresholds = resolve_thresholds(cfg)
@@ -554,7 +515,7 @@ class _Run:
             if i in self.terminal:
                 new_loaded.append(frozenset())
                 continue
-            previous = self.placement.loaded[i] if self._first_epoch_done else everything
+            previous = self.placement.loaded[i] if t > 1 else everything
             mixture = self._mixture_for(i)
             key = (budget, previous, mixture.tobytes())
             chosen = self._greedy_memo.get(key)
@@ -566,7 +527,6 @@ class _Run:
         self.placement = Placement(loaded=new_loaded)
         self.placement.check_feasible(self.topo.memory_budget, self.error_table.sizes)
         self._index_placement()
-        self._first_epoch_done = True
         self._new_histogram()
 
     def _index_placement(self) -> None:
@@ -575,17 +535,22 @@ class _Run:
         node depend only on these and on the job's own draws. Both are
         functions of the task and the node's loaded set alone, the error
         table being fixed for the run, so one pair of lookups serves every
-        node and epoch with that loaded set; each entry is computed on its
-        first lookup in the run."""
+        node and epoch with that loaded set. A loaded set's lists are filled
+        for every task when the run first meets the set. A run that keeps the
+        regret log also gets the epoch's arrays of both, with -1 for no
+        model, as :meth:`RegretTracker.add` logs them."""
         table = self.error_table
         loaded = self.placement.loaded
         lookups = self._lookups
+        tasks = range(len(self.task_ids))
         for m in set(loaded).difference(lookups):
-            lookups[m] = (_Lazy(best_loaded_accuracy, table, m), _Lazy(select_model, table, m))
+            lookups[m] = ([best_loaded_accuracy(table, task, m) for task in tasks],
+                          [select_model(table, task, m) for task in tasks])
         self.accuracy = [lookups[m][0] for m in loaded]
         self.selected = [lookups[m][1] for m in loaded]
-        # the epoch as the regret log takes it
-        self.placement_tables = (self.accuracy, self.selected)
+        if self.record_regret:
+            self.placement_tables = (np.array(self.accuracy), np.array(
+                [[-1 if c is None else c for c in row] for row in self.selected]))
 
     def _new_histogram(self) -> None:
         """Zero the epoch's arrival counts per (node, task) index."""
@@ -663,7 +628,7 @@ class _Run:
             learn_queue = tuple(queue) if self.record_regret else queue
             regret = self.regret
             for job, noise, path, reached, records in routed:
-                self._learn_from(job, path, reached, records, learn_queue)
+                self._learn_from(job, path, reached, records, learn_queue, noise)
                 if regret is not None:
                     regret.add(
                         job.task, path, noise, job.correctness,
@@ -751,8 +716,7 @@ class _Run:
         node = job.entry
         task = job.task
         path: list[int] = []
-        # a node the job does not visit is evaluated if its loss sweep reads it
-        records = _Lazy(self._evaluate, job, noise) if self.learning else {}
+        records: dict[int, NodeRecord] = {}
         while True:
             path.append(node)
             if node in self.terminal:
@@ -773,17 +737,23 @@ class _Run:
             node = self.dests[node][action - 1]
 
     def _learn_from(
-        self, job: Job, path: list[int], fb: bool, records: Mapping[int, NodeRecord],
-        queue: Sequence[float],
+        self, job: Job, path: list[int], fb: bool, records: dict[int, NodeRecord],
+        queue: Sequence[float], noise: list[float],
     ) -> None:
+        """Accumulate one routed job's loss estimates, and for a fed job its
+        baseline updates, at the nodes it visited. ``records`` holds its
+        record at each of them; for a fed job, its record at every middle
+        node it skipped is added in layer order, for the oracle reads them."""
         assert self.table is not None and self.baselines is not None
         variant = self.variant
         task = job.task
         hop_cost = job.size_units * self.distance_factor
         oracle = None
         if fb:
-            # the oracle reads every middle node's record: ``records``
-            # evaluates the nodes the job skipped on lookup
+            for layer in self.layers[1:-1]:
+                for node in layer:
+                    if node not in records:
+                        records[node] = self._evaluate(job, node, noise)
             oracle = DownstreamLossOracle(
                 self.layers, path[0], self.dests, records, queue, self.v, hop_cost
             )

@@ -197,8 +197,9 @@ class DownstreamLossOracle:
 
     ``layers``, ``dests`` and ``queue`` are as the sweep takes them;
     ``nodes`` maps the job's entry node and every node strictly between the
-    entry and terminal layers to the job's :data:`NodeRecord` there, read
-    by key, so a map that evaluates a node on lookup serves a skipped node.
+    entry and terminal layers to the job's :data:`NodeRecord` there. It must
+    hold every such node, the middle nodes the job skipped included: the
+    recursion reads them all.
     """
 
     def __init__(

@@ -107,6 +107,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape("workload.model_pool[1].modalities")):
             merge_config({"workload": {"model_pool": pool}})
 
+    @pytest.mark.parametrize("ids", [
+        pytest.param({1: ["m02"]}, id="list"),
+        pytest.param({0: None, 1: "None"}, id="null-and-string-None"),
+        pytest.param({0: 5, 1: "5"}, id="int-and-string"),
+        pytest.param({1: ""}, id="empty"),
+    ])
+    def test_model_pool_id_must_be_a_string(self, ids):
+        # a list id is unhashable, and None or 5 would become the same model
+        # id as "None" or "5": each is a config error naming the first
+        pool = copy.deepcopy(default_config()["workload"]["model_pool"])
+        for i, value in ids.items():
+            pool[i]["id"] = value
+        first = min(ids)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"workload.model_pool[{first}].id: must be a non-empty string")):
+            merge_config({"workload": {"model_pool": pool}})
+
     @pytest.mark.parametrize("load, message", [
         pytest.param(lambda tmp: merge_config({"learning": {"learning_rate": 0}}),
                      "learning.learning_rate", id="learning-rate-zero"),
@@ -176,6 +193,15 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="line 1"):
             load_config(str(path))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", ["absent.json", "."])
+def test_unreadable_config_file_exits_one(tmp_path, capsys, command, name):
+    # a missing file or a directory is a config error, not a traceback
+    path = str(tmp_path / name)
+    assert main([command, "--config", path]) == 1
+    assert f"config error: {path}: cannot read: " in capsys.readouterr().err
 
 
 class TestCmdRun:

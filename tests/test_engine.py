@@ -367,6 +367,51 @@ class TestLossMatrixBuilds:
         assert builds and max(builds.values()) == 1
 
 
+class TestNodeEvaluations:
+    @staticmethod
+    def evaluations(monkeypatch, policy):
+        """A 2,000-job depth-5 run's paths and evaluated nodes, by job."""
+        paths, evaluated = {}, {}
+        route, evaluate = _Run._route, _Run._evaluate
+
+        def spy_route(self, job, noise):
+            out = route(self, job, noise)
+            paths[job.seq] = out[0]
+            return out
+
+        def spy_evaluate(self, job, node, noise):
+            evaluated.setdefault(job.seq, []).append(node)
+            return evaluate(self, job, node, noise)
+
+        monkeypatch.setattr(_Run, "_route", spy_route)
+        monkeypatch.setattr(_Run, "_evaluate", spy_evaluate)
+        cfg = small_config(policy=policy)
+        cfg["topology"]["layer_sizes"] = [16, 8, 4, 2, 1]
+        cfg["topology"]["memory_budgets"] = BUDGETS[16, 8, 4, 2, 1]
+        cfg["run"]["total_jobs"] = 2000
+        return run_single(cfg, 0), paths, evaluated
+
+    def test_each_node_on_the_path_and_a_fed_jobs_skipped_middle_nodes(self, monkeypatch):
+        # every job once at each non-terminal node of its path; a fed job
+        # also once at each middle node it skipped, and at no other entry
+        run, paths, evaluated = self.evaluations(monkeypatch, "vr_ly_exp4")
+        middle = [node for layer in run.layers[1:-1] for node in layer]
+        fed = 0
+        assert len(paths) == 2000
+        for seq, path in paths.items():
+            want = [node for node in path if node not in run.terminal]
+            if path[-1] in run.terminal:
+                fed += 1
+                want += [node for node in middle if node not in path]
+            assert sorted(evaluated.get(seq, [])) == sorted(want)
+        assert 0 < fed < 2000 and fed == run.total_feedback
+
+    def test_static_policy_evaluates_nothing(self, monkeypatch):
+        run, paths, evaluated = self.evaluations(monkeypatch, "random")
+        assert len(paths) == 2000 and run.total_feedback > 0
+        assert evaluated == {}
+
+
 class TestPlacementTables:
     def test_tables_match_reference_functions(self):
         run = _Run(small_config(), 0, None)
@@ -390,45 +435,58 @@ class TestPlacementTables:
                 for task in range(len(run.task_ids)):
                     assert run.accuracy[i][task] == best_loaded_accuracy(table, task, loaded[i])
                     assert run.selected[i][task] == select_model(table, task, loaded[i])
+            # the regret log's arrays hold the same entries, -1 for no model
+            accuracy, selected = run.placement_tables
+            assert accuracy.tolist() == run.accuracy
+            assert selected.tolist() == [
+                [-1 if c is None else c for c in row] for row in run.selected
+            ]
         # the tie and a loaded set that supports no model of a task both occur
-        assert m05 in run.selected[0].values()
-        assert None in run.selected[1].values()
+        assert m05 in run.selected[0]
+        assert None in run.selected[1]
 
     def test_entries_built_on_first_lookup_through_engine_names(self, monkeypatch):
         # each loaded set's entries come from engine.best_loaded_accuracy and
-        # engine.select_model, the names the benchmark tracer wraps, and only
-        # once a job looks them up; the run keeps them per loaded set, so the
-        # names are patched before the run builds its first lookups
+        # engine.select_model, the names the benchmark tracer wraps, once
+        # per task when the run first meets the set; the run keeps them per
+        # loaded set, so the names are patched before the run builds its
+        # first lookups
         calls = []
         monkeypatch.setattr(hiroute.engine, "best_loaded_accuracy",
-                            lambda *args: calls.append("accuracy") or 0.5)
+                            lambda table, task, m: calls.append(("accuracy", task, m)) or 0.5)
         monkeypatch.setattr(hiroute.engine, "select_model",
-                            lambda *args: calls.append("model") or 5)
+                            lambda table, task, m: calls.append(("model", task, m)) or 5)
         run = _Run(small_config(), 0, None)
-        run._index_placement()
-        assert calls == []
+
+        def built(m):
+            tasks = range(len(run.task_ids))
+            return [("accuracy", t, m) for t in tasks] + [("model", t, m) for t in tasks]
+
+        # the greedy run starts with every node's set empty
+        assert calls == built(frozenset())
         task = 3
         for _ in range(3):
             assert run.accuracy[2][task] == 0.5
             assert run.selected[2][task] == 5
-        assert calls == ["accuracy", "model"]
+        assert calls == built(frozenset())
         # a second index over the same loaded sets builds nothing anew, at
         # any node that shares the set
         run._index_placement()
         for node in range(len(run.node_ids)):
             assert run.accuracy[node][task] == 0.5
             assert run.selected[node][task] == 5
-        assert calls == ["accuracy", "model"]
-        # a node given a new loaded set builds its entry once, on first lookup
+        assert calls == built(frozenset())
+        # a node given a new loaded set builds its entries once, for every
+        # task, when it is indexed
         loaded = list(run.placement.loaded)
         loaded[2] = frozenset({0, 1})
         run.placement = Placement(loaded=loaded)
         run._index_placement()
-        assert calls == ["accuracy", "model"]
+        assert calls == built(frozenset()) + built(frozenset({0, 1}))
         for _ in range(3):
             assert run.accuracy[2][task] == 0.5
             assert run.selected[2][task] == 5
-        assert calls == ["accuracy", "model"] * 2
+        assert calls == built(frozenset()) + built(frozenset({0, 1}))
 
 
 class Forgetful(dict):
@@ -717,8 +775,9 @@ class TestRegretOracle:
     def check_against_reference(monkeypatch, policy, sizes, thresholds):
         """Every sum, the final regrets and the curves of a 1,500-job run
         carry the bits of the per-job reference fed the same jobs: each job's
-        own records from the engine, which evaluate the middle nodes it
-        skipped on lookup, against the tracker's log of their inputs."""
+        own records from the engine, completed with its evaluations at the
+        middle nodes it skipped, against the tracker's log of their
+        inputs."""
         refs = {}
         learn_from, job_done = _Run._learn_from, RegretTracker.job_done
 
@@ -730,8 +789,14 @@ class TestRegretOracle:
                 )
             return refs[tracker]
 
-        def spy_learn_from(self, job, path, fb, records, queue):
-            learn_from(self, job, path, fb, records, queue)
+        def spy_learn_from(self, job, path, fb, records, queue, noise):
+            learn_from(self, job, path, fb, records, queue, noise)
+            # a fed job's learning has evaluated the middle nodes it skipped;
+            # the reference sweeps every job, so the rest are evaluated here
+            for layer in self.layers[1:-1]:
+                for node in layer:
+                    if node not in records:
+                        records[node] = self._evaluate(job, node, noise)
             reference(self.regret).add(
                 job.task, path, records, job.size_units * self.distance_factor, queue
             )
@@ -799,7 +864,7 @@ class TestRegretOracle:
         tracker = RegretTracker(layers, dests, v, [10, 40], thresholds, std, table)
         log = []
         cuts = set()
-        queue = epoch = None
+        queue = epoch = arrays = None
         for job in range(40):
             if job % 3 == 0:  # a new slot: refreshed weights, a new queue snapshot
                 for node, grid in grids.items():
@@ -814,6 +879,9 @@ class TestRegretOracle:
                     [[None if rng.random() < 0.2 else int(rng.integers(models))
                       for _ in range(2)] for _ in range(5)],
                 )
+                # the epoch as the tracker logs it: arrays, -1 for no model
+                arrays = (np.array(epoch[0]), np.array(
+                    [[-1 if c is None else c for c in row] for row in epoch[1]]))
             accuracy, selected = epoch
             task = int(rng.integers(2))
             entry = int(rng.integers(2))
@@ -840,7 +908,7 @@ class TestRegretOracle:
                 realized = (oracle.offload_cost[path[i + 1]] if i + 1 < len(path)
                             else v * local_error)
                 log.append((job, (node, task), realized, losses))
-            tracker.add(task, path, noise, bits, hop_cost, queue, epoch)
+            tracker.add(task, path, noise, bits, hop_cost, queue, arrays)
             tracker.job_done()
 
         def brute(jobs):

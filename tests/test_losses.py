@@ -446,7 +446,7 @@ class TestPairsMatchFullMatrices:
         v = 37.3
         shifted = (*(0.05 + 0.1 * i for i in range(self.T - 1)), 1.0)
         z_of_cut = [0.0, *((a + b) / 2 for a, b in zip(shifted, shifted[1:])), 1.0]
-        epoch = ([[0.0]] * 4, [[0], [None], [None], [None]])
+        epoch = (np.zeros((4, 1)), np.array([[0], [-1], [-1], [-1]]))
         tracker = RegretTracker(layers, dests, v, [], shifted, 1.0, experts)
         batched = RegretTracker(layers, dests, v, [], shifted, 1.0, experts)
         bit_rng = np.random.default_rng(18)
