@@ -180,7 +180,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    summaries = collect_summaries(args.out)
+    try:
+        summaries = collect_summaries(args.out)
+    except ValueError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not summaries:
         print(f"no summary.json files under {args.out}", file=sys.stderr)
         return EXIT_CONFIG

@@ -289,6 +289,8 @@ def load_config(path: str) -> dict[str, Any]:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read: not UTF-8 at byte {exc.start}")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}")
     if not isinstance(raw, dict):

@@ -762,28 +762,28 @@ class _Run:
             dests = self.dests[node]
             local_error, dist = records[node]
             cut = dist.cut
-            beta = (0.0, 0.0)
             if variant.use_baseline:
                 beta = self.baselines.plugin_values(
-                    node, task, np.array([queue[d] for d in dests]), hop_cost=hop_cost,
+                    node, task, [queue[d] for d in dests], hop_cost=hop_cost,
                     error_weight=self.v, zero_downstream=variant.zero_downstream,
                 )
-            losses = (None, None)
-            rho = None
+            else:
+                beta = (0.0, [0.0] * len(dests))
             if fb:
                 rho = oracle.reach_prob(node)
                 losses = oracle.expert_loss_matrix(node, variant.zero_downstream)
                 if variant.use_baseline:
                     self.baselines.count_violations(node, cut, beta, losses)
-            # an importance-weighted job without feedback adds nothing
-            if fb or variant.use_baseline:
                 self.table.accumulate_loss(
-                    node, task, cut,
-                    estimate(losses[0], beta[0], rho, fb),
-                    estimate(losses[1], beta[1], rho, fb),
+                    node, task, cut, estimate(losses[0], beta[0], rho, True),
+                    [estimate(f, b, rho, True) for f, b in zip(losses[1], beta[1])],
                 )
+            elif variant.use_baseline:
+                # without feedback the estimate is the baseline; an
+                # importance-weighted job without feedback adds nothing
+                self.table.accumulate_loss(node, task, cut, *beta)
             if fb and variant.use_baseline:
-                down_base = np.array([oracle.expected_loss_decomposition(d) for d in dests])
+                down_base = [oracle.expected_loss_decomposition(d) for d in dests]
                 self.baselines.update_hidden(node, task, local_error, down_base)
 
     # ---- finalization -----------------------------------------------------

@@ -17,7 +17,11 @@ A job's expert losses, baselines and estimates at a node take D+1 distinct
 values: every expert of rows ``[:cut]`` terminates and pays one value, every
 expert of rows ``[cut:]`` offloads and pays its destination's. They are
 passed as a ``(terminate, offload_row)`` pair under the job's cut, never as
-a T×D matrix; :func:`estimate` is applied to each part.
+a T×D matrix; :func:`estimate` is applied to the terminate value and to each
+entry of the row. A job's rows are lists of Python floats, each entry the
+IEEE operations numpy's elementwise formula makes, in its order: on rows of
+1-8 entries a numpy call costs more than its arithmetic. Only the regret
+settle's :func:`backward_sweep` works on arrays.
 """
 from __future__ import annotations
 
@@ -66,6 +70,9 @@ class BaselineTable:
     destination's expected downstream loss. Because queue values enter live,
     the baseline follows congestion within a slot instead of waiting for the
     next terminal observation.
+
+    The hidden downstream rows and every row a method returns are lists of
+    Python floats, one entry per destination.
     """
 
     def __init__(
@@ -86,17 +93,17 @@ class BaselineTable:
         self._local_error: dict[tuple[int, int], float] = {
             (node, task): 0.0 for node in grids for task in range(num_tasks)
         }
-        self._down_base: dict[tuple[int, int], np.ndarray] = {
-            (node, task): np.zeros(len(grid.destinations))
+        self._down_base: dict[tuple[int, int], list[float]] = {
+            (node, task): [0.0] * len(grid.destinations)
             for node, grid in grids.items()
             for task in range(num_tasks)
         }
         self.condition_violations = 0  # times a used baseline fell outside (0, 2f]
 
     def plugin_values(
-        self, node: int, task: int, queue_row: np.ndarray, hop_cost: float,
+        self, node: int, task: int, queue_row: Sequence[float], hop_cost: float,
         error_weight: float, zero_downstream: bool = False,
-    ) -> tuple[float, np.ndarray]:
+    ) -> tuple[float, list[float]]:
         """Queue-aware baselines of one visited job: ``(terminate, offload_row)``.
 
         ``queue_row`` holds the uplink queue values at the job's slot. Offload
@@ -105,20 +112,22 @@ class BaselineTable:
         local error rate. The job's cut decides which rows take which value.
         """
         key = (node, task)
-        offload_row = queue_row * hop_cost
-        if not zero_downstream:
-            offload_row = offload_row + self._down_base[key]
+        if zero_downstream:
+            offload_row = [q * hop_cost for q in queue_row]
+        else:
+            offload_row = [q * hop_cost + b for q, b in zip(queue_row, self._down_base[key])]
         return error_weight * self._local_error[key], offload_row
 
     def update_hidden(
-        self, node: int, task: int, local_error: float, down_base: np.ndarray
+        self, node: int, task: int, local_error: float, down_base: Sequence[float]
     ) -> None:
-        """EMA the hidden quantities revealed by one terminal observation."""
+        """EMA the hidden quantities revealed by one terminal observation:
+        each entry ``b * (1 - r) + r * d``, numpy's ``*=`` then ``+=``."""
         key = (node, task)
         r = self.ema_rate
-        self._local_error[key] = (1.0 - r) * self._local_error[key] + r * float(local_error)
-        self._down_base[key] *= 1.0 - r
-        self._down_base[key] += r * down_base
+        keep = 1.0 - r
+        self._local_error[key] = keep * self._local_error[key] + r * float(local_error)
+        self._down_base[key] = [b * keep + r * d for b, d in zip(self._down_base[key], down_base)]
 
     def mean_local_error(self) -> float:
         """Mean estimated local error rate across all (node, task) baselines."""
@@ -128,20 +137,21 @@ class BaselineTable:
         self,
         node: int,
         cut: int,
-        beta: tuple[float, np.ndarray],
-        losses: tuple[float, np.ndarray],
+        beta: tuple[float, Sequence[float]],
+        losses: tuple[float, Sequence[float]],
     ) -> None:
         """Count the experts whose baseline falls outside (0, 2f].
 
         ``beta`` and ``losses`` are ``(terminate, offload_row)`` pairs under
         ``cut``: a terminate violation counts once per expert of rows
-        ``[:cut]``, an offload violation once per row of ``[cut:]``.
+        ``[:cut]``, an offload violation once per row of ``[cut:]``. A NaN
+        on either side counts as a violation.
         """
         rows, cols = self.grids[node].shape
         (beta_stop, beta_row), (loss_stop, loss_row) = beta, losses
         bad_stop = not (beta_stop > 0.0 and beta_stop <= 2.0 * loss_stop)
-        bad_row = ~((beta_row > 0.0) & (beta_row <= 2.0 * loss_row))
-        self.condition_violations += cut * cols * bad_stop + (rows - cut) * int(bad_row.sum())
+        bad_row = sum([not (b > 0.0 and b <= 2.0 * f) for b, f in zip(beta_row, loss_row)])
+        self.condition_violations += cut * cols * bad_stop + (rows - cut) * bad_row
 
 
 # A job's record at one node: its realized local error, and the node's
@@ -244,8 +254,9 @@ class DownstreamLossOracle:
 
     def expert_loss_matrix(
         self, node: int, zero_downstream: bool = False
-    ) -> tuple[float, np.ndarray]:
-        """All experts' full-feedback losses as ``(terminate, offload_row)``.
+    ) -> tuple[float, list[float]]:
+        """All experts' full-feedback losses as ``(terminate, offload_row)``,
+        the row a list of Python floats in destination order.
 
         Under the cut of the job's distribution at the node, every expert of
         rows ``[:cut]`` pays ``terminate`` and every expert of rows
@@ -257,4 +268,4 @@ class DownstreamLossOracle:
             row = [self.queue[dest] * self.hop_cost for dest in dests]
         else:
             row = [self.offload_cost[dest] for dest in dests]
-        return self.error_weight * self.nodes[node][0], np.array(row)
+        return self.error_weight * self.nodes[node][0], row

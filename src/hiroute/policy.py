@@ -30,9 +30,10 @@ snapshot holder a refresh makes for them, stays a snapshot.
 Between two refreshes of a table its action distribution depends only on
 the cut. Each table caches its distributions by cut, at most T+1 of them,
 and drops them when it is queued; a distribution holds tuples, since jobs
-and slots share it. numpy makes the raw row in two reductions; the rest of
-the build is a handful of Python float operations in numpy's order, with
-:func:`add_reduce` for numpy's summation order, so it keeps numpy's bits.
+and slots share it. numpy makes the raw row in two reductions, read straight
+into a list; the rest of the build is a handful of Python float operations
+in numpy's order, with :func:`add_reduce` for numpy's summation order, so it
+keeps numpy's bits.
 """
 from __future__ import annotations
 
@@ -320,12 +321,8 @@ class ExpertTable:
             if w is None:
                 self.update_weights()
                 w = entry.weights
-            raw = np.empty(w.shape[1] + 1)
-            raw[0] = _sum(w[:cut], axis=None)
-            raw[1:] = _sum(w[cut:], axis=0)
-            dist = entry.dists[cut] = ActionDistribution(
-                raw.tolist(), self.exploration_rate, cut
-            )
+            raw = [float(_sum(w[:cut], axis=None)), *_sum(w[cut:], axis=0).tolist()]
+            dist = entry.dists[cut] = ActionDistribution(raw, self.exploration_rate, cut)
         return dist
 
     def accumulate_loss(
@@ -334,18 +331,19 @@ class ExpertTable:
         """Add one job's estimated expert losses at (node, task).
 
         The float ``terminate`` is added to the experts of rows ``[:cut]``,
-        ``offload`` (one value per destination) to those of rows ``[cut:]``.
-        The array ``offload`` broadcasts, so ``cut=0`` with a full matrix as
-        ``offload`` adds that matrix. A non-finite value that would land in the table is
-        rejected before anything is added. A queued table's batch is
-        computed before its losses change.
+        ``offload`` (a list or array of one value per destination) to those
+        of rows ``[cut:]``. An array ``offload`` broadcasts, so ``cut=0``
+        with a full matrix as ``offload`` adds that matrix. A non-finite
+        value that would land in the table is rejected before anything is
+        added. A queued table's batch is computed before its losses change.
         """
         key = (node, task)
         entry = self._entries[key]
         cum = entry.cum_loss
         rows = len(cum)
+        values = offload.ravel().tolist() if type(offload) is np.ndarray else offload
         if (cut and not math.isfinite(terminate)) or (
-            cut < rows and not all(map(math.isfinite, offload.ravel().tolist()))
+            cut < rows and not all(map(math.isfinite, values))
         ):
             raise ValueError(f"non-finite loss estimate at ({node}, {task})")
         if entry.weights is None:

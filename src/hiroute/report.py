@@ -57,12 +57,25 @@ def write_table_csv(path: str, rows: Sequence[tuple[dict[str, Any], dict[str, fl
 
 
 def collect_summaries(root: str) -> list[dict[str, Any]]:
-    """Load every summary.json found under a results directory."""
+    """Load every summary.json found under a results directory.
+
+    Raises ValueError naming the file if one cannot be read, is not UTF-8
+    JSON, is not an object, or lacks a field the report reads.
+    """
     found: list[dict[str, Any]] = []
     for dirpath, _, filenames in sorted(os.walk(root)):
         if "summary.json" in filenames:
-            with open(os.path.join(dirpath, "summary.json"), encoding="utf-8") as fh:
-                summary = json.load(fh)
+            path = os.path.join(dirpath, "summary.json")
+            try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+                with open(path, encoding="utf-8") as fh:
+                    summary = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+            if not isinstance(summary, dict):
+                raise ValueError(f"{path}: not a JSON object")
+            missing = {"policy", "error_rate", "hit_rate", "feedback_rate"}.difference(summary)
+            if missing:
+                raise ValueError(f"{path}: missing {', '.join(sorted(missing))}")
             summary["_dir"] = dirpath
             found.append(summary)
     return found

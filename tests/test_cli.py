@@ -196,10 +196,13 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("name", ["absent.json", "."])
+@pytest.mark.parametrize("name", ["absent.json", ".", "utf16.json"])
 def test_unreadable_config_file_exits_one(tmp_path, capsys, command, name):
-    # a missing file or a directory is a config error, not a traceback
+    # a missing file, a directory or a file that is not UTF-8 (here UTF-16,
+    # starting with the bytes ff fe) is a config error, not a traceback
     path = str(tmp_path / name)
+    if name == "utf16.json":
+        (tmp_path / name).write_bytes(b"\xff\xfe" + '{"policy": "random"}'.encode("utf-16-le"))
     assert main([command, "--config", path]) == 1
     assert f"config error: {path}: cannot read: " in capsys.readouterr().err
 
@@ -451,3 +454,18 @@ class TestCmdReport:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["report", "--out", str(empty)]) == 1
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"policy": "p", "error_rate": 0.1', "Expecting"),  # cut short
+        ("[1, 2]", "not a JSON object"),
+        ('{"policy": "p"}', "missing error_rate, feedback_rate, hit_rate"),
+    ], ids=["truncated", "not-object", "missing-keys"])
+    def test_malformed_summary_exits_one(self, tmp_path, capsys, text, problem):
+        # a summary an interrupted run left behind is named, not a traceback
+        run_dir = tmp_path / "runs" / "cell"
+        run_dir.mkdir(parents=True)
+        (run_dir / "summary.json").write_text(text)
+        assert main(["report", "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error: {run_dir / 'summary.json'}: ")
+        assert problem in err

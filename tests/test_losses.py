@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,45 @@ class TestBaselineTable:
         assert table.condition_violations == 1
         table.count_violations(0, 1, (0.5, np.array([0.5, 0.0])), f)  # beta = 0
         assert table.condition_violations == 2
+
+
+class TestPerVisitRowsMatchNumpy:
+    """The per-visit rows are Python float lists; numpy's array formulas
+    are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_ema_sequence_matches_in_place_array_updates(self, d):
+        grid = ExpertGrid((0.2, 0.8), tuple(range(1, d + 1)))
+        rng = np.random.default_rng(40 + d)
+        for rate in (0.1, 0.37, 1.0):
+            table = BaselineTable({0: grid}, 1, ema_rate=rate)
+            reference = np.zeros(d)
+            for _ in range(200):
+                down_base = rng.uniform(0, 80, size=d) * (rng.random(d) < 0.8)
+                table.update_hidden(0, 0, int(rng.integers(2)), down_base.tolist())
+                reference *= 1.0 - rate
+                reference += rate * down_base
+                got = table._down_base[(0, 0)]
+                assert [type(b) for b in got] == [float] * d
+                assert [b.hex() for b in got] == [b.hex() for b in reference.tolist()]
+
+    def test_violation_count_matches_mask_on_edge_values(self):
+        # 0.0, -0.0, negatives, NaN and +-inf on either side, f = 0 included
+        values = [0.0, -0.0, -1.5, 0.25, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
+        grid = ExpertGrid(DEFAULT_THRESHOLDS, (1, 2, 3))
+        table = BaselineTable({0: grid}, 1, ema_rate=0.1)
+        rng = np.random.default_rng(41)
+        want = 0
+        for _ in range(500):
+            cut = int(rng.integers(0, len(DEFAULT_THRESHOLDS) + 1))
+            beta = rng.choice(values, size=4).tolist()
+            losses = rng.choice(values, size=4).tolist()
+            b = expand(grid.shape, cut, (beta[0], np.array(beta[1:])))
+            f = expand(grid.shape, cut, (losses[0], np.array(losses[1:])))
+            want += int((~((b > 0) & (b <= 2 * f))).sum())
+            table.count_violations(0, cut, (beta[0], beta[1:]), (losses[0], losses[1:]))
+            assert table.condition_violations == want
+        assert 0 < want < 500 * grid.size
 
 
 def chain_views(offload_probs, errors=None, confidences=None, lam=0.0, thresholds=()):
@@ -387,11 +428,11 @@ class TestCutMatchesThresholdMask:
             for zero_downstream in (False, True):
                 offload_row = queue_row * 2.0
                 if not zero_downstream:
-                    offload_row = offload_row + baselines._down_base[(0, 0)]
+                    offload_row = offload_row + np.array(baselines._down_base[(0, 0)])
                 want = np.where(mask[:, None], offload_row[None, :],
                                 70.0 * baselines._local_error[(0, 0)])
                 got = expand(grid.shape, dist.cut, baselines.plugin_values(
-                    0, 0, queue_row, hop_cost=2.0, error_weight=70.0,
+                    0, 0, queue_row.tolist(), hop_cost=2.0, error_weight=70.0,
                     zero_downstream=zero_downstream,
                 ))
                 assert np.array_equal(got, want)
@@ -467,10 +508,12 @@ class TestPairsMatchFullMatrices:
             g[:cut] = v * local_error
             sums = g if sums is None else sums + g
             violations += int((~((b > 0.0) & (b <= 2.0 * f))).sum())
-            # the pairs
+            # the pairs, their rows as lists of Python floats
+            losses = (losses[0], losses[1].tolist())
+            beta = (beta[0], beta[1].tolist())
             experts.accumulate_loss(0, 0, cut, estimate(losses[0], beta[0], rho, fb),
-                                    estimate(losses[1], beta[1], rho, fb))
-            queue = (0.0, *losses[1].tolist())
+                                    [estimate(f, b, rho, fb) for f, b in zip(losses[1], beta[1])])
+            queue = (0.0, *losses[1])
             for regret in (tracker, batched):
                 regret.add(0, [0], [z_of_cut[cut], 0.0, 0.0, 0.0], (1 - local_error,), 1.0,
                            queue, epoch)
