@@ -200,6 +200,8 @@ def _validate_run(r: Mapping, prefix: str) -> None:
     _check(isinstance(r["seeds"], list) and r["seeds"]
            and all(_is_int(s) and s >= 0 for s in r["seeds"]),
            f"{prefix}.seeds", "must be a non-empty list of nonnegative integers")
+    # two runs of one seed would write one run directory
+    _check(len(set(r["seeds"])) == len(r["seeds"]), f"{prefix}.seeds", "must not repeat a seed")
     _check(_is_number(r["distance_factor"]) and r["distance_factor"] > 0,
            f"{prefix}.distance_factor", "must be positive")
     _check(isinstance(r["record_paths"], bool), f"{prefix}.record_paths",

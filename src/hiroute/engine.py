@@ -6,8 +6,10 @@ baselines, updates the virtual queues from the realized inbound costs, and
 ends by queueing the refresh of every expert table it touched. Routing and
 learning within a slot therefore see the slot-start weights. The queued
 refreshes are computed in one batch when one of their tables is next read,
-when the regret log settles, and every :data:`ROW_BUFFER` slots; a slot's
-metrics row waits until that batch gives its mean entropy.
+when the regret log settles, and every :data:`ROW_BUFFER` slots. A learning
+run's metrics rows wait for their slots' mean entropies, and are written at
+those every-:data:`ROW_BUFFER`-slot batches and at close; a static run's
+rows are written at once.
 Placements refresh on a fixed epoch grid when the greedy strategy is
 selected. All randomness flows from the run seed, so a (config, seed) pair
 reproduces its metrics stream byte for byte.
@@ -111,9 +113,12 @@ class RegretTracker:
     and adds their losses into the sums with ``np.add.at``, which applies
     repeated rows in index order, so each sum adds its jobs one at a time in
     job order. :meth:`job_done` settles at every checkpoint and whenever
-    :attr:`LOG_CAP` jobs are logged. Each (node, task) keeps one row of the
-    sums table of its node's destination tuple: its realized sum, then its
-    expert sums row-major.
+    :attr:`LOG_CAP` jobs are logged. Fan-out is full, so a layer's nodes
+    share one destination tuple and a path's k-th node is in layer k: each
+    non-terminal layer has one sums table, with one row per (node, task) of
+    the layer, its realized sum, then its expert sums row-major, and a
+    settle adds each layer's visits, column k of the padded paths, in one
+    block. A layer no logged job reached adds an empty block.
     """
 
     LOG_CAP = 1024
@@ -133,19 +138,18 @@ class RegretTracker:
         self.noise_std = noise_std
         self.num_tasks = table.num_tasks
         self.table = table
-        # per destination tuple, each expert's threshold row and destination,
+        # per non-terminal layer, each expert's threshold row and destination,
         # row-major: the columns of a visit's expert losses; and its sums
-        # table, one row per (node, task) of its nodes. Per node index, the
-        # position of its tuple here and of its first row in the table
-        self._groups = []
-        self._group_of = np.full(len(dests), -1)
+        # table, one row per (node, task) of the layer. Per node index, the
+        # position of its first row in its layer's table
+        self._by_layer = []
         self._row_of = np.zeros(len(dests), np.intp)
-        for targets in dict.fromkeys(d for d in dests if d):
-            nodes = [node for node, d in enumerate(dests) if d == targets]
-            self._group_of[nodes] = len(self._groups)
-            self._row_of[nodes] = np.arange(len(nodes)) * self.num_tasks
-            self._groups.append((np.repeat(np.arange(rows), len(targets)), np.tile(targets, rows),
-                                 np.zeros((len(nodes) * self.num_tasks, 1 + rows * len(targets)))))
+        for layer in layers[:-1]:
+            targets = dests[layer[0]]
+            self._row_of[list(layer)] = np.arange(len(layer)) * self.num_tasks
+            expert_row = np.repeat(np.arange(rows), len(targets))
+            sums = np.zeros((len(layer) * self.num_tasks, 1 + len(expert_row)))
+            self._by_layer.append((expert_row, np.tile(targets, rows), sums))
         # each visited key's row, in first-visit order
         self._sums: dict[tuple[int, int], np.ndarray] = {}
         self.jobs_seen = 0
@@ -241,37 +245,33 @@ class RegretTracker:
         costs = np.zeros_like(queues)
         for node, cost in offload.items():
             costs[:, node] = cost
-        # the visits in job order, then path order: every node of a path
-        # but a terminal one, with the next node, or -1 where the job stopped
+        # a path's k-th node is in layer k, padded with -1 where the job
+        # stopped: layer k's visits in job order are column k's nodes, each
+        # with the next node, or -1
         paths = np.fromiter(self._paths, np.intp, len(self._paths)).reshape(jobs_logged, -1)
-        jobs, at = np.nonzero(paths[:, :-1] >= 0)
-        nodes = paths[jobs, at]
-        nxt = paths[jobs, at + 1]
-        rows = self._row_of[nodes] + tasks[jobs]
-        terminate = self.error_weight * errors[jobs, nodes]
-        realized = np.where(nxt >= 0, costs[jobs, nxt], terminate)
-        group_of = self._group_of[nodes]
-        for i, (expert_row, expert_dest, table) in enumerate(self._groups):
-            group = np.flatnonzero(group_of == i)
-            if not len(group):
-                continue
-            j = jobs[group]
-            block = np.empty((len(group), 1 + len(expert_row)))
-            block[:, 0] = realized[group]
+        for k, (expert_row, expert_dest, table) in enumerate(self._by_layer):
+            j = np.flatnonzero(paths[:, k] >= 0)
+            nodes = paths[j, k]
+            nxt = paths[j, k + 1]
+            terminate = self.error_weight * errors[j, nodes]
+            block = np.empty((len(j), 1 + len(expert_row)))
+            block[:, 0] = np.where(nxt >= 0, costs[j, nxt], terminate)
             # rows [:cut] terminate, rows [cut:] offload
             block[:, 1:] = np.where(
-                expert_row < cuts[j, nodes[group]][:, None], terminate[group][:, None],
+                expert_row < cuts[j, nodes][:, None], terminate[:, None],
                 costs[j[:, None], expert_dest],
             )
-            np.add.at(table, rows[group], block)
-        # new keys enter in first-visit order, as the checkpoint sums read them
-        keys = nodes * self.num_tasks + tasks[jobs]
+            np.add.at(table, self._row_of[nodes] + tasks[j], block)
+        # new keys enter in first-visit order, job then path, as the
+        # checkpoint sums read them
+        jobs, at = np.nonzero(paths[:, :-1] >= 0)
+        keys = paths[jobs, at] * self.num_tasks + tasks[jobs]
         _, first = np.unique(keys, return_index=True)
-        for key in keys[np.sort(first)].tolist():
+        first.sort()
+        for key, k in zip(keys[first].tolist(), at[first].tolist()):
             node, task = divmod(key, self.num_tasks)
             if (node, task) not in self._sums:
-                table = self._groups[self._group_of[node]][2]
-                self._sums[node, task] = table[self._row_of[node] + task]
+                self._sums[node, task] = self._by_layer[k][2][self._row_of[node] + task]
         for log in (self._tasks, self._hop_costs, self._queues, self._epochs, self._noise,
                     self._bits, self._paths, *(refs for refs, _ in self._weights.values())):
             log.clear()
@@ -669,27 +669,19 @@ class _Run:
                 self._rows.append((head, slot_end, ",".join(cells)))
             for n in touched:
                 cells[cost_cell[n]] = "0.0"
-        if self.table is not None:
-            if t % ROW_BUFFER == 0:
-                # computing the queued refreshes fills every waiting slot
-                # end's mean entropy: none waits longer, with or without rows
-                self.table.mean_entropy()
-            if self._rows:
-                self._write_rows()
+        if self.table is not None and t % ROW_BUFFER == 0:
+            # with or without rows, so that no slot end waits longer
+            self._write_rows()
 
     def _write_rows(self) -> None:
-        """Write the buffered metrics rows whose slots' mean entropies are
-        known: a batch fills every waiting slot end at once, so they are
-        the rows before the first whose slot end still waits."""
-        rows = self._rows
-        known = 0
-        while known < len(rows) and rows[known][1].value is not None:
-            known += 1
-        if known:
+        """Compute the queued refreshes, which fills every waiting slot
+        end's mean entropy, and write the buffered metrics rows."""
+        self.table.mean_entropy()
+        if self._rows:
             self._metrics_file.write("".join([
-                f"{head}{end.value!r},{tail}\r\n" for head, end, tail in rows[:known]
+                f"{head}{end.value!r},{tail}\r\n" for head, end, tail in self._rows
             ]))
-            del rows[:known]
+            self._rows.clear()
 
     def _write_path(
         self, t: int, job: Job, path: list[int], reached: bool, exit_error: int, hard: bool
@@ -820,8 +812,6 @@ class _Run:
 
     def close(self) -> None:
         if self.table is not None:
-            self.table.mean_entropy()
-        if self._rows:
             self._write_rows()
         if self._metrics_file is not None:
             self._metrics_file.close()

@@ -71,6 +71,7 @@ class BaselineTable:
     the baseline follows congestion within a slot instead of waiting for the
     next terminal observation.
 
+    Each (node, task) holds one hidden record, ``(local_error, down_row)``.
     The hidden downstream rows and every row a method returns are lists of
     Python floats, one entry per destination.
     """
@@ -85,16 +86,13 @@ class BaselineTable:
             raise ValueError("EMA rate must lie in (0, 1]")
         self.grids = dict(grids)
         self.ema_rate = float(ema_rate)
-        # hidden state per (node index, task index), node-major: the local
-        # error rate and each destination's queue-free expected downstream
-        # loss (the queue-dependent share of the downstream loss is
-        # deliberately left out of the baseline: it is small, and chasing it
-        # through the estimate stream adds churn without information)
-        self._local_error: dict[tuple[int, int], float] = {
-            (node, task): 0.0 for node in grids for task in range(num_tasks)
-        }
-        self._down_base: dict[tuple[int, int], list[float]] = {
-            (node, task): [0.0] * len(grid.destinations)
+        # one hidden record per (node index, task index), node-major: the
+        # local error rate and each destination's queue-free expected
+        # downstream loss (the queue-dependent share of the downstream loss
+        # is deliberately left out of the baseline: it is small, and chasing
+        # it through the estimate stream adds churn without information)
+        self._hidden: dict[tuple[int, int], tuple[float, list[float]]] = {
+            (node, task): (0.0, [0.0] * len(grid.destinations))
             for node, grid in grids.items()
             for task in range(num_tasks)
         }
@@ -111,27 +109,27 @@ class BaselineTable:
         queue-free downstream loss; local experts pay the weighted estimated
         local error rate. The job's cut decides which rows take which value.
         """
-        key = (node, task)
+        local_error, down_row = self._hidden[(node, task)]
         if zero_downstream:
             offload_row = [q * hop_cost for q in queue_row]
         else:
-            offload_row = [q * hop_cost + b for q, b in zip(queue_row, self._down_base[key])]
-        return error_weight * self._local_error[key], offload_row
+            offload_row = [q * hop_cost + b for q, b in zip(queue_row, down_row)]
+        return error_weight * local_error, offload_row
 
     def update_hidden(
         self, node: int, task: int, local_error: float, down_base: Sequence[float]
     ) -> None:
         """EMA the hidden quantities revealed by one terminal observation:
         each entry ``b * (1 - r) + r * d``, numpy's ``*=`` then ``+=``."""
-        key = (node, task)
         r = self.ema_rate
         keep = 1.0 - r
-        self._local_error[key] = keep * self._local_error[key] + r * float(local_error)
-        self._down_base[key] = [b * keep + r * d for b, d in zip(self._down_base[key], down_base)]
+        error, down_row = self._hidden[(node, task)]
+        self._hidden[(node, task)] = (keep * error + r * float(local_error),
+                                      [b * keep + r * d for b, d in zip(down_row, down_base)])
 
     def mean_local_error(self) -> float:
         """Mean estimated local error rate across all (node, task) baselines."""
-        return float(np.mean(list(self._local_error.values())))
+        return float(np.mean([error for error, _ in self._hidden.values()]))
 
     def count_violations(
         self,

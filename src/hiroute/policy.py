@@ -22,10 +22,11 @@ later, in one batch of every queued table: :func:`stacked_weights` per grid
 shape. This is deferred, not delayed: a queued table's losses cannot change
 before its weights are computed (see :class:`ExpertTable`), so the batch
 gives the weights, entropies and running entropy sum that refreshing each
-table at its slot's end gives, bit for bit. Weights change only in
-:meth:`ExpertTable.update_weights`, the batch, which gives each table a new
-array that is never written, so a reference to a table's weights, or to the
-snapshot holder a refresh makes for them, stays a snapshot.
+table at its slot's end gives, bit for bit. A table's weights are the value
+of the snapshot holder its last refresh made, ``None`` while it is queued.
+Weights change only in :meth:`ExpertTable.update_weights`, the batch, which
+fills each holder with a new array that is never written, so a reference to
+a table's weights, or to its holder, stays a snapshot.
 
 Between two refreshes of a table its action distribution depends only on
 the cut. Each table caches its distributions by cut, at most T+1 of them,
@@ -179,7 +180,11 @@ class _Snapshot:
 
 
 class _TableEntry:
-    __slots__ = ("thresholds", "row", "cum_loss", "weights", "snapshot", "entropy", "dists")
+    """One (node, task) table. Its weights are ``snapshot.value``; each
+    refresh installs a new holder, ``None`` while the table waits in the
+    queue for its batch."""
+
+    __slots__ = ("thresholds", "row", "cum_loss", "snapshot", "entropy", "dists")
 
     def __init__(self, thresholds: tuple[float, ...], block: np.ndarray, row: int) -> None:
         _, rows, cols = block.shape
@@ -187,9 +192,7 @@ class _TableEntry:
         # row ``row`` of the (tables, rows, cols) block of the grid's shape
         self.row = row
         self.cum_loss = block[row]
-        # None while the table waits in the queue for its batch
-        self.weights = np.full((rows, cols), 1.0 / (rows * cols))
-        self.snapshot = _Snapshot(self.weights)
+        self.snapshot = _Snapshot(np.full((rows, cols), 1.0 / (rows * cols)))
         self.entropy = float(np.log(rows * cols))
         # the current weights' action distribution per cut
         self.dists: dict[int, ActionDistribution] = {}
@@ -203,7 +206,9 @@ class ExpertTable:
     Weight refreshes happen between slots: ``accumulate_loss`` only adds to
     the cumulative losses, and ``refresh_dirty``, called once at the end of
     each slot, queues the touched tables in the order they first
-    accumulated and drops their cached distributions. ``update_weights``
+    accumulated (``_dirty`` holds the tables themselves, in that order),
+    gives each a new, empty ``snapshot`` and drops its cached
+    distributions. ``update_weights``
     then computes every queued table in one batch, one stacked kernel per
     grid shape, and replays the running entropy sum table by table in queue
     order, so it is the same in every process. A batch runs when a queued
@@ -215,11 +220,12 @@ class ExpertTable:
     slot would have given, and all decisions and reach probabilities within
     a slot see the slot-start weights.
 
-    ``update_weights`` is the only writer of a table's weights: it sets each
-    queued table's ``weights`` to a new array that nobody writes into, and
-    fills the table's ``snapshot``, a holder made at each refresh,
-    with it. A reference to a table's ``snapshot`` taken before the end of
-    a slot therefore holds that slot's start weights once a batch has run.
+    A table's weights are its ``snapshot.value``, ``None`` while it is
+    queued. ``update_weights`` is the only writer of them: it fills each
+    queued table's ``snapshot``, a holder made at each refresh, with a new
+    array that nobody writes into. A reference to a table's ``snapshot``
+    taken before the end of a slot therefore holds that slot's start
+    weights once a batch has run.
     """
 
     def __init__(
@@ -249,7 +255,9 @@ class ExpertTable:
             for node, grid in self.grids.items()
             for task in range(num_tasks)
         }
-        self._dirty: dict[tuple[int, int], None] = {}
+        # the tables that accumulated since the last slot end, in
+        # first-accumulate order
+        self._dirty: dict[_TableEntry, None] = {}
         # the queued tables in refresh order, each slot end's mean-entropy
         # holder after the tables it queued
         self._queue: list[_TableEntry | _Snapshot] = []
@@ -273,7 +281,7 @@ class ExpertTable:
             for entry, w, h in zip(entries, weights, entropies.tolist()):
                 # an array of its own: a view would keep the batch alive as
                 # long as any of its tables goes unrefreshed
-                entry.weights = entry.snapshot.value = w.copy()
+                entry.snapshot.value = w.copy()
                 entropy_of[entry] = h
         total = self._entropy_sum
         for item in queue:
@@ -292,10 +300,10 @@ class ExpertTable:
             self.update_weights()
 
     def weights(self, node: int, task: int) -> np.ndarray:
-        entry = self._entries[(node, task)]
-        if entry.weights is None:
+        snapshot = self._entries[(node, task)].snapshot
+        if snapshot.value is None:
             self.update_weights()
-        return entry.weights
+        return snapshot.value
 
     def entries(self, node: int) -> list[_TableEntry]:
         """The node's tables by task index; each one's ``snapshot`` attribute
@@ -317,10 +325,10 @@ class ExpertTable:
         cut = bisect_right(entry.thresholds, z)
         dist = entry.dists.get(cut)
         if dist is None:
-            w = entry.weights
+            w = entry.snapshot.value
             if w is None:
                 self.update_weights()
-                w = entry.weights
+                w = entry.snapshot.value
             raw = [float(_sum(w[:cut], axis=None)), *_sum(w[cut:], axis=0).tolist()]
             dist = entry.dists[cut] = ActionDistribution(raw, self.exploration_rate, cut)
         return dist
@@ -337,8 +345,7 @@ class ExpertTable:
         value that would land in the table is rejected before anything is
         added. A queued table's batch is computed before its losses change.
         """
-        key = (node, task)
-        entry = self._entries[key]
+        entry = self._entries[(node, task)]
         cum = entry.cum_loss
         rows = len(cum)
         values = offload.ravel().tolist() if type(offload) is np.ndarray else offload
@@ -346,22 +353,20 @@ class ExpertTable:
             cut < rows and not all(map(math.isfinite, values))
         ):
             raise ValueError(f"non-finite loss estimate at ({node}, {task})")
-        if entry.weights is None:
+        if entry.snapshot.value is None:
             self.update_weights()
         if cut:
             cum[:cut] += terminate
         if cut < rows:
             cum[cut:] += offload
-        self._dirty[key] = None
+        self._dirty[entry] = None
 
     def refresh_dirty(self) -> _Snapshot:
         """End a slot: queue every table that accumulated losses since the
         last call. Returns the holder of the mean entropy over all tables
         after their refreshes, filled by the batch that computes them."""
         queue = self._queue
-        for key in self._dirty:
-            entry = self._entries[key]
-            entry.weights = None
+        for entry in self._dirty:
             entry.snapshot = _Snapshot()
             entry.dists.clear()
             queue.append(entry)

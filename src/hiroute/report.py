@@ -8,6 +8,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .config import _is_number
+
 
 def mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
     """Mean and population std, or (None, None) for no values."""
@@ -60,7 +62,9 @@ def collect_summaries(root: str) -> list[dict[str, Any]]:
     """Load every summary.json found under a results directory.
 
     Raises ValueError naming the file if one cannot be read, is not UTF-8
-    JSON, is not an object, or lacks a field the report reads.
+    JSON, is not an object, or lacks a field the report reads or holds one
+    of the wrong type: ``policy`` must be a string, ``error_rate`` and
+    ``feedback_rate`` finite numbers (not booleans), ``hit_rate`` one or null.
     """
     found: list[dict[str, Any]] = []
     for dirpath, _, filenames in sorted(os.walk(root)):
@@ -76,6 +80,13 @@ def collect_summaries(root: str) -> list[dict[str, Any]]:
             missing = {"policy", "error_rate", "hit_rate", "feedback_rate"}.difference(summary)
             if missing:
                 raise ValueError(f"{path}: missing {', '.join(sorted(missing))}")
+            if not isinstance(summary["policy"], str):
+                raise ValueError(f"{path}: policy must be a string")
+            for field in ("error_rate", "feedback_rate"):
+                if not _is_number(summary[field]):
+                    raise ValueError(f"{path}: {field} must be a finite number")
+            if summary["hit_rate"] is not None and not _is_number(summary["hit_rate"]):
+                raise ValueError(f"{path}: hit_rate must be a finite number or null")
             summary["_dir"] = dirpath
             found.append(summary)
     return found

@@ -262,6 +262,19 @@ class TestCmdRun:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        pytest.param("run", {"run": {"total_jobs": 300, "seeds": [3, 3]}}, id="run"),
+        pytest.param("sweep", {"sweep": {"axes": {"run.seeds": [[0], [3, 3]]}}},
+                     id="sweep-cell"),
+    ])
+    def test_repeated_seed_is_config_error(self, tmp_path, capsys, command, extra):
+        # both runs of a repeated seed would write one run directory
+        path = small_cfg_file(tmp_path, **extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert "config error: run.seeds: must not repeat a seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_offset(self, tmp_path):
         path = small_cfg_file(tmp_path)
         out1 = str(tmp_path / "o1")
@@ -459,7 +472,20 @@ class TestCmdReport:
         ('{"policy": "p", "error_rate": 0.1', "Expecting"),  # cut short
         ("[1, 2]", "not a JSON object"),
         ('{"policy": "p"}', "missing error_rate, feedback_rate, hit_rate"),
-    ], ids=["truncated", "not-object", "missing-keys"])
+        ('{"policy": "p", "error_rate": "x", "hit_rate": null, "feedback_rate": 0.1}',
+         "error_rate must be a finite number"),
+        ('{"policy": ["p"], "error_rate": 0.1, "hit_rate": null, "feedback_rate": 0.1}',
+         "policy must be a string"),
+        ('{"policy": 5, "error_rate": 0.1, "hit_rate": null, "feedback_rate": 0.1}',
+         "policy must be a string"),
+        ('{"policy": "p", "error_rate": true, "hit_rate": null, "feedback_rate": 0.1}',
+         "error_rate must be a finite number"),
+        ('{"policy": "p", "error_rate": 0.1, "hit_rate": null, "feedback_rate": NaN}',
+         "feedback_rate must be a finite number"),
+        ('{"policy": "p", "error_rate": 0.1, "hit_rate": "0.5", "feedback_rate": 0.1}',
+         "hit_rate must be a finite number or null"),
+    ], ids=["truncated", "not-object", "missing-keys", "string-error-rate", "list-policy",
+            "number-policy", "boolean-error-rate", "nan-feedback-rate", "string-hit-rate"])
     def test_malformed_summary_exits_one(self, tmp_path, capsys, text, problem):
         # a summary an interrupted run left behind is named, not a traceback
         run_dir = tmp_path / "runs" / "cell"

@@ -299,17 +299,18 @@ class TestSlotStartWeights:
             return run_slot(run, t, jobs)
 
         def spy_refresh(table):
-            for key in table._dirty:
-                refreshed[key] = per_table_refresh(
-                    cum_loss(table, *key).copy(), table.learning_rate
-                )[0]
+            for key, entry in table._entries.items():
+                if entry in table._dirty:
+                    refreshed[key] = per_table_refresh(
+                        cum_loss(table, *key).copy(), table.learning_rate
+                    )[0]
             return refresh_dirty(table)
 
         def spy_probs(table, node, task, z):
             entry = table._entries[(node, task)]
             built = bisect_right(entry.thresholds, z) not in entry.dists
             dist = action_probs(table, node, task, z)
-            w = entry.weights
+            w = entry.snapshot.value
             if built:
                 want = refreshed.get((node, task))
                 if want is None:  # never refreshed: the uniform start
@@ -321,14 +322,14 @@ class TestSlotStartWeights:
 
         def spy_accumulate(table, node, task, *args):
             entry = table._entries[(node, task)]
-            queued = entry.weights is None
+            queued = entry.snapshot.value is None
             before = cum_loss(table, node, task).copy()
             accumulate_loss(table, node, task, *args)
             if queued:
                 accumulated_while_queued.append((node, task))
                 want = per_table_refresh(before, table.learning_rate)[0]
-                assert entry.weights.tobytes() == want.tobytes()
-            assert read.setdefault((node, task), entry.weights) is entry.weights
+                assert entry.snapshot.value.tobytes() == want.tobytes()
+            assert read.setdefault((node, task), entry.snapshot.value) is entry.snapshot.value
 
         monkeypatch.setattr(_Run, "run_slot", spy_slot)
         monkeypatch.setattr(ExpertTable, "refresh_dirty", spy_refresh)
@@ -770,6 +771,54 @@ class TestRegretOracle:
         # at the default cap every settle is a checkpoint's 150 jobs: long
         # enough per (node, task) that a pairwise sum would change the bits
         self.check_against_reference(monkeypatch, "vr_ly_exp4", sizes, None)
+
+    def test_settle_with_an_unvisited_layer_matches_per_job_reference(self):
+        # the first two checkpoints settle jobs that stopped at their entry
+        # node, so the middle layer adds an empty block; later jobs reach it
+        rng = np.random.default_rng(17)
+        topo = build_topology([2, 2, 1], [10.0, 10.0, None], 0.4)
+        layers, dests = topo.layers, topo.dests
+        thresholds, v, std, models = (0.2, 0.5, 0.8), 70.0, 0.4, 3
+        grids = {n: ExpertGrid(thresholds, dests[n]) for n in range(4)}
+        table = ExpertTable(grids, 2, learning_rate=1.0, exploration_rate=0.1)
+        for node, grid in grids.items():
+            for task in range(2):
+                table.accumulate_loss(node, task, 0, 0.0, rng.exponential(2.0, grid.shape))
+        table.refresh_dirty()
+        tracker = RegretTracker(layers, dests, v, [1, 2, 12], thresholds, std, table)
+        ref = StreamingRegret(layers, dests, v, [1, 2, 12], len(thresholds))
+        accuracy = rng.uniform(0, 1, (5, 2))
+        selected = rng.integers(models, size=(5, 2))
+        queue = (0.0, 0.0, *rng.uniform(0, 5, size=3).tolist())
+        for seq in range(12):
+            task, entry = int(rng.integers(2)), int(rng.integers(2))
+            noise = rng.normal(0, 1, size=5).tolist()
+            bits = tuple(rng.integers(2, size=models).tolist())
+            job = Job(seq, task, entry, 1.0, bits)
+            records = {
+                node: (inference_error(job, int(selected[node, task])),
+                       table.action_probs(node, task, confidence_from_noise(
+                           float(accuracy[node, task]), noise[node], std)))
+                for node in (entry, 2, 3)
+            }
+            stop = 1 if seq < 2 else int(rng.integers(2, 4))
+            path = [entry, dests[entry][int(rng.integers(2))], 4][:stop]
+            hop_cost = float(rng.uniform(0.5, 4))
+            tracker.add(task, path, noise, bits, hop_cost, queue, (accuracy, selected))
+            ref.add(task, path, records, hop_cost, queue)
+            ref.job_done()
+            tracker.job_done()
+            if seq == 1:
+                assert {node for node, _ in tracker._sums} <= set(layers[0])
+        settled = expert_sums(tracker)
+        assert {node for node, _ in settled} == {0, 1, 2, 3}
+        assert list(settled) == list(ref.expert_sums)
+        for key, sums in ref.expert_sums.items():
+            assert settled[key].tobytes() == sums.tobytes()
+        assert realized(tracker) == ref.realized
+        assert tracker.curve_gamma == ref.curve_gamma == [1, 2, 12]
+        assert tracker.curve_entry == ref.curve_entry
+        assert tracker.curve_total == ref.curve_total
 
     @staticmethod
     def check_against_reference(monkeypatch, policy, sizes, thresholds):

@@ -187,7 +187,7 @@ class TestPerVisitRowsMatchNumpy:
                 table.update_hidden(0, 0, int(rng.integers(2)), down_base.tolist())
                 reference *= 1.0 - rate
                 reference += rate * down_base
-                got = table._down_base[(0, 0)]
+                got = table._hidden[(0, 0)][1]
                 assert [type(b) for b in got] == [float] * d
                 assert [b.hex() for b in got] == [b.hex() for b in reference.tolist()]
 
@@ -428,9 +428,9 @@ class TestCutMatchesThresholdMask:
             for zero_downstream in (False, True):
                 offload_row = queue_row * 2.0
                 if not zero_downstream:
-                    offload_row = offload_row + np.array(baselines._down_base[(0, 0)])
+                    offload_row = offload_row + np.array(baselines._hidden[(0, 0)][1])
                 want = np.where(mask[:, None], offload_row[None, :],
-                                70.0 * baselines._local_error[(0, 0)])
+                                70.0 * baselines._hidden[(0, 0)][0])
                 got = expand(grid.shape, dist.cut, baselines.plugin_values(
                     0, 0, queue_row.tolist(), hop_cost=2.0, error_weight=70.0,
                     zero_downstream=zero_downstream,

@@ -143,7 +143,7 @@ class TestStackedRefresh:
         table.accumulate_loss(0, 0, 0, 0.0, first)
         table.refresh_dirty()
         snapshot = table._entries[(0, 0)].snapshot
-        assert table._entries[(0, 0)].weights is None and snapshot.value is None
+        assert snapshot.value is None
         table.accumulate_loss(0, 0, 0, 0.0, second)
         want, _ = per_table_refresh(first, 0.5)
         assert snapshot.value.tobytes() == want.tobytes()
